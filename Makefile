@@ -24,7 +24,8 @@ bench-fleet:
 bench-scale:
 	cargo bench -p coreda-bench --bench scale_micro
 
-# The tier-1 gate: release build, full test suite, the determinism
+# The tier-1 gate: release build, every crate's test suite (unit tests,
+# integration tests and proptests across the workspace), the determinism
 # regressions (parallel sweeps, metro serving, and flight-recorder
 # telemetry byte-identical to serial; timing wheel byte-identical to the
 # heap queue), the checkpoint/resume equivalence suite (full snapshots
@@ -61,7 +62,7 @@ bench-scale:
 # bench_check's 100k-home throughput floor next to the 10k one.
 ci:
 	cargo build --release
-	cargo test -q
+	cargo test -q --workspace
 	cargo test -q --test fleet_determinism
 	cargo test -q --test scale_determinism
 	cargo test -q --test checkpoint_equivalence
@@ -71,8 +72,6 @@ ci:
 	cargo test -q --test loadgen_report
 	cargo test -q --test wire_format
 	cargo test -q --test trace_summary
-	cargo test -q -p coreda-des --test proptests
-	cargo test -q -p coreda-serve --test proptests
 	cargo doc --workspace --no-deps
 	cargo clippy --workspace --all-targets -- -D warnings
 	cargo run --release -p coreda-cli -- fuzz --seconds 30 --seed 2007

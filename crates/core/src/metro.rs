@@ -44,6 +44,7 @@ use coreda_adl::routine::Routine;
 use coreda_des::rng::SimRng;
 use coreda_des::sim::Simulator;
 use coreda_des::time::{SimDuration, SimTime};
+use coreda_des::{Clock, SimClock};
 
 use crate::checkpoint::{
     compact, config_digest, delta_checkpoint, CheckpointError, DeltaCheckpoint, HomeCheckpoint,
@@ -1903,11 +1904,11 @@ impl ServeCtx {
 }
 
 /// One shard of a served fleet, driven wake-by-wake from outside. The
-/// pop/sweep structure mirrors [`Shard::wheel_segment`] /
-/// [`Shard::heap_segment`] exactly — same pops, same dedup, same
-/// follow-up scheduling — so a caller that serves every batch in order
-/// reproduces the batch run byte-for-byte, including the DES event
-/// count and queue high-water mark.
+/// window/chain structure mirrors [`Shard::epoch_segment`] /
+/// [`Shard::serve_chain`] exactly — same drains, same dedup, same
+/// follow-up routing — so a caller that serves every window's chains in
+/// order reproduces the batch run byte-for-byte, including the DES
+/// event count.
 pub struct ServeSession<'a> {
     shard: Shard<'a>,
     sim: Simulator<Wake>,
@@ -1961,97 +1962,51 @@ impl ServeSession<'_> {
         self.shard.len()
     }
 
-    /// Pops the next same-instant wake batch (up to the horizon) and
-    /// fills `due` with the fleet-global home ids due at that instant,
-    /// ascending and deduplicated — the order the batch engines sweep.
-    /// Returns the instant, or `None` when the horizon is served.
-    pub fn next_batch(&mut self, due: &mut Vec<u32>) -> Option<SimTime> {
-        due.clear();
-        let Wake(first) = self.sim.step_until(self.horizon_end)?;
-        let now = self.shard.collect_batch(&mut self.sim, first);
-        due.extend(self.shard.batch.iter().map(|&i| {
-            u32::try_from(self.shard.first_home + i).expect("fleets fit in u32")
-        }));
-        Some(now)
-    }
-
-    /// Serves one due home's wake at `now` (an instant returned by
-    /// [`ServeSession::next_batch`] listing `home`): runs the canonical
-    /// per-instant pipeline and schedules the home's follow-up wakes
-    /// under the session's engine policy. Any observable transitions are
-    /// appended to `deliveries` as derived [`WalRecord`]s — the prompt /
-    /// escalation payloads an online server sends to the home's client.
-    ///
-    /// With `skip` (a disconnected client) the wake is consumed without
-    /// touching home state or scheduling follow-ups: the home freezes
-    /// and its wake stream drains. Skipping one home cannot perturb any
-    /// other — homes never interact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `home` is outside the session's range.
-    pub fn serve_home(&mut self, home: u32, now: SimTime, skip: bool, deliveries: &mut Vec<WalRecord>) {
-        let i = (home as usize)
-            .checked_sub(self.shard.first_home)
-            .filter(|&i| i < self.shard.len())
-            .expect("home outside this session");
-        match self.engine {
-            EngineKind::Wheel => {
-                if self.shard.hot[i].sched.last_handled == Some(now) {
-                    // Parity with `wheel_segment`: a duplicate wake for
-                    // an already-served instant is consumed silently.
-                    return;
-                }
-                self.shard.hot[i].sched.last_handled = Some(now);
-                if skip {
-                    return;
-                }
-                self.shard.poll_wake(i, now);
-                if let Some(run) = &self.shard.episodes[i] {
-                    self.sim.schedule_at(run.ep.next_tick_at(), Wake(i));
-                } else {
-                    self.sim.schedule_at(self.shard.hot[i].sched.next_start, Wake(i));
-                    if let Some(deadline) = self.shard.trackers[i].idle_deadline() {
-                        self.sim
-                            .schedule_at(align_up(self.shard.hot[i].sched.offset_ms, deadline), Wake(i));
-                    }
-                }
-            }
-            EngineKind::Heap => {
-                self.shard.hot[i].sched.last_handled = Some(now);
-                if skip {
-                    return;
-                }
-                self.shard.poll_wake(i, now);
-                self.sim.schedule_at(now + Coreda::TICK, Wake(i));
-            }
-        }
-        let wal = self.shard.wal.as_ref().expect("sessions always log");
-        deliveries.extend_from_slice(&wal[self.wal_cursor..]);
-        self.wal_cursor = wal.len();
-    }
-
     /// Drains the next epoch window (up to the horizon) and fills `due`
     /// with the fleet-global home ids owning wakes in it, ascending and
     /// deduplicated. Under [`SchedMode::Epoch`] the window is
     /// [`EPOCH_MS`] wide; under [`SchedMode::Strict`] it is the single
     /// next instant, which makes the chain API reproduce the classic
-    /// batch sweep exactly. Returns the window's first instant, or
-    /// `None` when the horizon is served.
+    /// instant-by-instant sweep exactly. Returns the window's first
+    /// instant, or `None` when the horizon is served.
     ///
     /// Serve the returned homes in order: for each, loop
     /// [`ServeSession::next_wake`] / [`ServeSession::serve_wake`] until
     /// the chain is dry, then move on. Per-home wake sequences — and
-    /// with them every deliverable — are bit-identical to the
-    /// [`ServeSession::next_batch`] sweep in either mode.
+    /// with them every deliverable — are the same in either mode and at
+    /// any window cut ([`ServeSession::next_epoch_on`]).
     pub fn next_epoch(&mut self, due: &mut Vec<u32>) -> Option<SimTime> {
+        self.next_epoch_on(due, &mut SimClock)
+    }
+
+    /// [`ServeSession::next_epoch`] paced by `clock`: waits once for the
+    /// window's first instant `t0`, then drains only the wakes the clock
+    /// already lets through — up to `min(t0 + EPOCH_MS - 1, horizon,
+    /// max(t0, clock.servable()))` — so every wake in the window is
+    /// served without another wait, and none waits behind a later-due
+    /// wake while the server keeps up. A late server's clock has run
+    /// ahead, which widens the window back to the full `EPOCH_MS` (and the
+    /// tiled locality with it). Under [`SimClock`] the window is always
+    /// the full one. [`SchedMode::Strict`] keeps its single instant.
+    ///
+    /// The cut never shows in any artifact: a home's chain is served in
+    /// due order whichever window its wakes fall in, and follow-ups past
+    /// the cut go to the queue exactly as those past a full window do.
+    pub fn next_epoch_on<K: Clock + ?Sized>(
+        &mut self,
+        due: &mut Vec<u32>,
+        clock: &mut K,
+    ) -> Option<SimTime> {
         due.clear();
         debug_assert!(self.inline.is_empty() && self.pending_wake.is_none());
         let t0 = self.sim.next_due().filter(|&t| t <= self.horizon_end)?;
+        clock.wait_until(t0);
         let end = match self.sched {
             SchedMode::Strict => t0,
             SchedMode::Epoch => SimTime::from_millis(
-                (t0.as_millis() + EPOCH_MS - 1).min(self.horizon_end.as_millis()),
+                (t0.as_millis() + EPOCH_MS - 1)
+                    .min(self.horizon_end.as_millis())
+                    .min(clock.servable().max(t0).as_millis()),
             ),
         };
         self.epoch.clear();
@@ -2094,7 +2049,8 @@ impl ServeSession<'_> {
                 self.inline.is_empty() && self.pending_wake.is_none(),
                 "switched homes with an unserved chain"
             );
-            let &(_, start, end) = self.chains.iter().find(|&&(h, _, _)| h == i)?;
+            let k = self.chains.binary_search_by_key(&i, |&(h, _, _)| h).ok()?;
+            let (_, start, end) = self.chains[k];
             self.active = Some(i);
             self.chain_cursor = start;
             self.chain_end = end;
@@ -2136,12 +2092,13 @@ impl ServeSession<'_> {
     /// runs the canonical per-instant pipeline and routes the home's
     /// follow-ups — in-window ones inline to this chain, later ones to
     /// the queue. Observable transitions append to `deliveries` as
-    /// derived [`WalRecord`]s, exactly as [`ServeSession::serve_home`].
+    /// derived [`WalRecord`]s: the prompt payloads an online server sends
+    /// to the home's client.
     ///
     /// With `skip` (a disconnected client) the wake is consumed without
     /// touching home state or spawning follow-ups — the home freezes
-    /// and its chain drains, matching the classic skip semantics wake
-    /// for wake.
+    /// and its chain drains. Skipping one home cannot perturb any other:
+    /// homes never interact.
     ///
     /// # Panics
     ///
@@ -2203,7 +2160,7 @@ impl ServeSession<'_> {
 
     /// Appends `home`'s escalation events emitted since the last drain —
     /// what the serving front end wraps into `Escalate` frames after
-    /// [`ServeSession::serve_home`]. No-op unless the context enabled
+    /// [`ServeSession::serve_wake`]. No-op unless the context enabled
     /// care ([`ServeCtx::with_care`]).
     ///
     /// # Panics
@@ -2396,37 +2353,6 @@ mod tests {
         assert_eq!(serial.render(), parallel.render());
     }
 
-    /// Driving serving sessions wake-by-wake from outside must reproduce
-    /// the batch sweep exactly: per-home grid, DES event count, and the
-    /// derived event log.
-    #[test]
-    fn served_sessions_reproduce_the_batch_run() {
-        for engine in [EngineKind::Wheel, EngineKind::Heap] {
-            let cfg = MetroConfig { engine, ..small_cfg() };
-            let batch = run_scale(&cfg);
-            let (_, wal) = run_scale_walled(&cfg);
-            let ctx = ServeCtx::new(cfg.clone()).expect("small fleets fit");
-            let mut shards = Vec::new();
-            let mut deliveries = Vec::new();
-            for (first, count) in ctx.chunks() {
-                let mut session = ctx.session(first, count, false, false);
-                let mut due = Vec::new();
-                while let Some(now) = session.next_batch(&mut due) {
-                    for &home in &due {
-                        session.serve_home(home, now, false, &mut deliveries);
-                    }
-                }
-                shards.push(session.finish());
-            }
-            let (out, merged, care) = collect_served(&cfg, shards);
-            assert!(care.is_none(), "care off ⇒ no care output");
-            assert_eq!(out.report, batch, "{engine} serve diverged from batch");
-            assert_eq!(merged, wal, "{engine} served log diverged");
-            deliveries.sort_unstable_by_key(|r| (r.at, r.home));
-            assert_eq!(deliveries, wal, "{engine} per-wake deliveries diverged");
-        }
-    }
-
     /// The tentpole determinism rule: epoch tiling is a pure
     /// performance knob. Report, WAL, care log, and telemetry JSONL are
     /// bit-identical to the strict-order sweep on either engine at any
@@ -2476,7 +2402,9 @@ mod tests {
     /// The epoch chain API (`next_epoch`/`next_wake`/`serve_wake`) must
     /// reproduce the batch run exactly in *both* scheduling modes — under
     /// `Strict` the window degenerates to a single instant and the chain
-    /// walk becomes the classic batch sweep.
+    /// walk becomes the classic batch sweep — and in either order of a
+    /// window's homes: homes never interact, so serving a window's chains
+    /// last-to-first changes nothing.
     #[test]
     fn chain_api_reproduces_the_batch_run() {
         for engine in [EngineKind::Wheel, EngineKind::Heap] {
@@ -2485,25 +2413,32 @@ mod tests {
                 let batch = run_scale(&cfg);
                 let (_, wal) = run_scale_walled(&cfg);
                 let ctx = ServeCtx::new(cfg.clone()).expect("small fleets fit");
-                let mut shards = Vec::new();
-                let mut deliveries = Vec::new();
-                for (first, count) in ctx.chunks() {
-                    let mut session = ctx.session(first, count, false, false);
-                    let mut due = Vec::new();
-                    while session.next_epoch(&mut due).is_some() {
-                        for &home in &due {
-                            while let Some(now) = session.next_wake(home) {
-                                session.serve_wake(home, now, false, &mut deliveries);
+                for descending in [false, true] {
+                    let mut shards = Vec::new();
+                    let mut deliveries = Vec::new();
+                    for (first, count) in ctx.chunks() {
+                        let mut session = ctx.session(first, count, false, false);
+                        let mut due = Vec::new();
+                        while session.next_epoch(&mut due).is_some() {
+                            if descending {
+                                due.reverse();
+                            }
+                            for &home in &due {
+                                while let Some(now) = session.next_wake(home) {
+                                    session.serve_wake(home, now, false, &mut deliveries);
+                                }
                             }
                         }
+                        shards.push(session.finish());
                     }
-                    shards.push(session.finish());
+                    let (out, merged, care) = collect_served(&cfg, shards);
+                    let case = format!("{engine}/{sched} descending={descending}");
+                    assert!(care.is_none(), "care off ⇒ no care output");
+                    assert_eq!(out.report, batch, "{case}: chain serve diverged");
+                    assert_eq!(merged, wal, "{case}: served log diverged");
+                    deliveries.sort_unstable_by_key(|r| (r.at, r.home));
+                    assert_eq!(deliveries, wal, "{case}: deliveries diverged");
                 }
-                let (out, merged, _) = collect_served(&cfg, shards);
-                assert_eq!(out.report, batch, "{engine}/{sched} chain serve diverged");
-                assert_eq!(merged, wal, "{engine}/{sched} served log diverged");
-                deliveries.sort_unstable_by_key(|r| (r.at, r.home));
-                assert_eq!(deliveries, wal, "{engine}/{sched} deliveries diverged");
             }
         }
     }
@@ -2548,10 +2483,12 @@ mod tests {
         let mut session = ctx.session(0, cfg.homes, false, false);
         let mut due = Vec::new();
         let mut deliveries = Vec::new();
-        while let Some(now) = session.next_batch(&mut due) {
+        while session.next_epoch(&mut due).is_some() {
             for &home in &due {
-                let skip = home == 0 && now >= cut;
-                session.serve_home(home, now, skip, &mut deliveries);
+                while let Some(now) = session.next_wake(home) {
+                    let skip = home == 0 && now >= cut;
+                    session.serve_wake(home, now, skip, &mut deliveries);
+                }
             }
         }
         let (out, merged, _) = collect_served(&cfg, vec![session.finish()]);
@@ -2887,10 +2824,12 @@ mod tests {
             for (first, count) in ctx.chunks() {
                 let mut session = ctx.session(first, count, false, false);
                 let mut due = Vec::new();
-                while let Some(now) = session.next_batch(&mut due) {
+                while session.next_epoch(&mut due).is_some() {
                     for &home in &due {
-                        session.serve_home(home, now, false, &mut deliveries);
-                        session.drain_care(home, &mut streamed);
+                        while let Some(now) = session.next_wake(home) {
+                            session.serve_wake(home, now, false, &mut deliveries);
+                            session.drain_care(home, &mut streamed);
+                        }
                     }
                 }
                 session.finish_care(&mut streamed);

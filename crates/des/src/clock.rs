@@ -13,6 +13,11 @@
 //!   the choice: the clock only decides *when* a wake is served, never
 //!   *what* it does.
 //!
+//! Besides waiting, a clock says how far simulated time may run right
+//! now ([`Clock::servable`]): a serving loop drains only the wakes
+//! already due, so none waits behind a later-due one while the server
+//! keeps up.
+//!
 //! The determinism contract follows directly: everything derived from
 //! simulation state (grids, telemetry, delivered records) is identical
 //! under either clock; only wall-clock measurements (latency
@@ -25,12 +30,17 @@ use crate::time::SimTime;
 /// Maps simulated due instants onto real time.
 pub trait Clock {
     /// Blocks until the simulated instant `due` may be served. Serving
-    /// loops call this with instants that are non-decreasing up to one
-    /// epoch window of reordering (per-home chains inside a window
-    /// replay from the window start), so an instant may arrive after
-    /// its wall image has passed; implementations must not sleep for
-    /// past instants.
+    /// loops call this with non-decreasing instants; a late server asks
+    /// for instants whose wall image has already passed, so
+    /// implementations must not sleep for past instants.
     fn wait_until(&mut self, due: SimTime);
+
+    /// The latest simulated instant servable now: every wake due at or
+    /// before it may be served without waiting. A serving loop caps its
+    /// drain window here, so a punctual server serves each wake as it
+    /// falls due, and a late one (the instant has run ahead) gets its
+    /// full window back. Clocks that never wait return [`SimTime::MAX`].
+    fn servable(&self) -> SimTime;
 }
 
 /// The deterministic clock: never waits, virtual time jumps instantly.
@@ -39,6 +49,10 @@ pub struct SimClock;
 
 impl Clock for SimClock {
     fn wait_until(&mut self, _due: SimTime) {}
+
+    fn servable(&self) -> SimTime {
+        SimTime::MAX
+    }
 }
 
 /// Real-time pacing: simulated instant `t` is served no earlier than
@@ -101,6 +115,13 @@ impl Clock for WallClock {
             }
         }
     }
+
+    /// The simulated image of the wall time elapsed since the origin.
+    fn servable(&self) -> SimTime {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let ms = (self.origin.elapsed().as_secs_f64() * 1000.0 * self.speedup) as u64;
+        SimTime::from_millis(ms)
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +134,7 @@ mod tests {
         let mut clock = SimClock;
         clock.wait_until(SimTime::from_millis(u64::MAX / 2));
         assert!(start.elapsed() < Duration::from_millis(50));
+        assert_eq!(clock.servable(), SimTime::MAX);
     }
 
     #[test]
@@ -121,6 +143,13 @@ mod tests {
         // 2 simulated seconds at 1000x = 2 wall ms.
         clock.wait_until(SimTime::from_millis(2_000));
         assert!(clock.elapsed() >= Duration::from_millis(2));
+        // The awaited instant is now servable (up to the 1 ms floor of
+        // the float round trip), and nothing past the image of the wall
+        // time elapsed is.
+        let servable = clock.servable();
+        assert!(servable >= SimTime::from_millis(1_999), "{servable:?}");
+        let image_ms = clock.elapsed().as_secs_f64() * 1000.0 * 1000.0;
+        assert!(servable.as_millis() as f64 <= image_ms, "{servable:?} vs {image_ms} ms");
     }
 
     #[test]

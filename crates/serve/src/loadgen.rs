@@ -35,7 +35,7 @@ pub struct LoadgenReport {
     pub speedup: Option<f64>,
     /// Wire-level counters (deterministic under the sim clock).
     pub wire: WireStats,
-    /// Delivery latency in µs.
+    /// Delivery latency in µs ([`ServeOutcome::latency_us`]).
     pub latency_us: Histogram,
     /// Wall-clock time the serve took.
     pub elapsed: Duration,
@@ -128,7 +128,10 @@ impl LoadgenReport {
     }
 
     /// Wall-clock timing: elapsed, throughput, and delivery-latency
-    /// quantiles. Never part of the golden — it varies run to run.
+    /// quantiles (wake pop to the flush handing the `Deliver` over, 1 µs
+    /// bins) with the count of deliveries past the histogram's range,
+    /// which the quantiles leave out. Never part of the golden — it
+    /// varies run to run.
     #[must_use]
     pub fn render_timing(&self) -> String {
         let mut out = String::new();
@@ -140,15 +143,23 @@ impl LoadgenReport {
             self.wire.polls as f64 / secs,
             self.wire.delivers as f64 / secs,
         );
-        match (
-            self.latency_us.quantile(0.50),
-            self.latency_us.quantile(0.95),
-            self.latency_us.quantile(0.99),
-        ) {
+        let lat = &self.latency_us;
+        let beyond = lat.overflow();
+        match (lat.quantile(0.50), lat.quantile(0.95), lat.quantile(0.99)) {
             (Some(p50), Some(p95), Some(p99)) => {
                 let _ = writeln!(
                     out,
-                    "  delivery latency: p50 {p50:.0} us, p95 {p95:.0} us, p99 {p99:.0} us",
+                    "  delivery latency: p50 {p50:.1} us, p95 {p95:.1} us, p99 {p99:.1} us \
+                     ({beyond} of {} beyond {:.0} us)",
+                    lat.total(),
+                    lat.hi(),
+                );
+            }
+            _ if beyond > 0 => {
+                let _ = writeln!(
+                    out,
+                    "  delivery latency: all {beyond} beyond {:.0} us",
+                    lat.hi()
                 );
             }
             _ => {
@@ -201,6 +212,27 @@ mod tests {
             r.render()
         );
         assert!(r.render_timing().contains("delivery latency: (no deliveries)"));
+    }
+
+    #[test]
+    fn timing_counts_latencies_past_the_histogram_range() {
+        let mut r = run_loadgen(cfg(), None).expect("fleet fits");
+        assert_eq!(r.latency_us.total(), r.wire.delivers, "one sample per Deliver");
+        let (lo, hi, bins) = (r.latency_us.lo(), r.latency_us.hi(), r.latency_us.bins());
+        let mut lat = Histogram::new(lo, hi, bins);
+        for us in [3.2, 3.7, 4.1, 25_000.0] {
+            lat.record(us);
+        }
+        r.latency_us = lat;
+        let timing = r.render_timing();
+        assert!(
+            timing.contains("p50 3.5 us, p95 4.5 us, p99 4.5 us (1 of 4 beyond 10000 us)"),
+            "{timing}"
+        );
+        let mut slow = Histogram::new(lo, hi, bins);
+        slow.record(25_000.0);
+        r.latency_us = slow;
+        assert!(r.render_timing().contains("delivery latency: all 1 beyond 10000 us"));
     }
 
     #[test]

@@ -1,5 +1,10 @@
-//! The serving loop: one [`crate::metro_session`]-backed session per
-//! shard, each home fronted by a byte-level [`Client`] connection.
+//! The serving loop: one [`coreda_core::metro::ServeSession`] per shard,
+//! each home fronted by a byte-level [`Client`] connection.
+//!
+//! A [`Clock`] paces the wakes: each epoch window waits once for its
+//! first due instant and holds only the wakes already servable, and a
+//! wake's `Deliver`/`Escalate` frames are flushed as soon as the wake is
+//! served, not with the home's next `Poll`.
 //!
 //! The server owns the simulation. Clients never advance state — their
 //! `Report` frames only move a per-connection *watermark* the server
@@ -23,10 +28,12 @@ use crate::client::{Client, MoteClient};
 use crate::wire::{encode_frame, try_decode, Frame};
 
 /// Latency histogram shape shared by every shard so the fleet merge is
-/// well-defined: `[0, 10 ms)` in 64 bins of ~156 µs, measured in µs.
+/// well-defined: `[0, 10 ms)` in 1 µs bins, measured in µs. Slower
+/// deliveries land in the overflow count, which the load generator
+/// prints next to the quantiles.
 const LATENCY_LO_US: f64 = 0.0;
 const LATENCY_HI_US: f64 = 10_000.0;
-const LATENCY_BINS: usize = 64;
+const LATENCY_BINS: usize = 10_000;
 
 /// What the served pipeline observes beyond the simulation itself.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -113,8 +120,7 @@ impl WireStats {
 
 /// A served fleet's merged result: the batch-identical simulation
 /// output, the fleet-ordered delivery log, the wire accounting, and the
-/// wall-clock delivery-latency histogram (µs from wake instant to
-/// `Deliver` encode; only meaningful under a wall clock).
+/// wall-clock delivery-latency histogram.
 #[derive(Debug)]
 pub struct ServeOutcome {
     /// Report + telemetry, bit-identical to the batch run under the sim
@@ -125,7 +131,8 @@ pub struct ServeOutcome {
     pub log: Vec<WalRecord>,
     /// Wire-level counters across all shards.
     pub wire: WireStats,
-    /// Delivery latency in µs (wake pop → `Deliver` frame encoded).
+    /// Delivery latency in µs, one sample per `Deliver`: from its wake's
+    /// pop to the flush that hands it to the client.
     pub latency_us: Histogram,
     /// Escalation log + fleet analytics when [`ServeOptions::care`] was
     /// set — bit-identical to the batch overlay under the sim clock.
@@ -310,29 +317,29 @@ where
         })
         .collect();
 
-    // Epoch-tiled serving: drain a bounded near-instant window, then
-    // walk each due home's wake chain contiguously. Per-connection byte
-    // streams are per-home, so the cross-home reorder inside a window
-    // never changes what any client sees — the wire outcome is
-    // bit-identical to the instant-by-instant sweep (under `Strict`
-    // scheduling the window *is* a single instant and this loop
-    // degenerates to exactly that sweep).
+    // Epoch-tiled serving: wait for the next due instant, drain the
+    // wakes the clock already lets through (a bounded near-instant
+    // window), then walk each due home's wake chain contiguously.
+    // Per-connection byte streams are per-home, so the cross-home
+    // reorder inside a window never changes what any client sees — the
+    // wire outcome is bit-identical to the instant-by-instant sweep
+    // (under `Strict` scheduling the window *is* a single instant and
+    // this loop degenerates to exactly that sweep).
     let mut due = Vec::new();
     let mut fresh = Vec::new();
     let mut escalations = Vec::new();
-    while session.next_epoch(&mut due).is_some() {
+    while session.next_epoch_on(&mut due, &mut clock).is_some() {
         for &home in &due {
             let conn = &mut conns[home as usize - first_home];
             while let Some(now) = session.next_wake(home) {
-                clock.wait_until(now);
                 let popped = Instant::now();
                 if conn.disconnected {
                     session.serve_wake(home, now, true, &mut fresh);
                     stats.skipped_wakes += 1;
                     continue;
                 }
-                // Offer the wake; the flush also carries any `Welcome`
-                // or `Deliver` frames queued since the home's last wake.
+                // Offer the wake; the first flush also carries the
+                // `Welcome`.
                 stats.polls += 1;
                 conn.push(&Frame::Poll { home, at: now }, &mut stats);
                 conn.flush();
@@ -353,11 +360,10 @@ where
                     stats.late_reports += 1;
                 }
                 session.serve_wake(home, now, false, &mut fresh);
+                let delivers = fresh.len();
                 for rec in fresh.drain(..) {
                     stats.delivers += 1;
                     conn.push(&Frame::Deliver(rec), &mut stats);
-                    let us = popped.elapsed().as_secs_f64() * 1e6;
-                    latency.record(us);
                 }
                 // Escalations the wake's records tripped ride the same
                 // flush as their prompts, as `Escalate` frames.
@@ -366,9 +372,18 @@ where
                     stats.escalations += 1;
                     conn.push(&Frame::Escalate(ev), &mut stats);
                 }
+                // Hand them over now, not with the home's next `Poll`.
+                // Any bytes the client answers with wait in `inbound`
+                // for that `Poll`'s drain.
+                if !conn.outbox.is_empty() {
+                    let us = popped.elapsed().as_secs_f64() * 1e6;
+                    for _ in 0..delivers {
+                        latency.record(us);
+                    }
+                    conn.flush();
+                }
             }
         }
-        fresh.clear();
     }
 
     // End the care fold at the horizon: caregiver acks/resolves still
@@ -548,6 +563,80 @@ mod tests {
         assert_eq!(classify_report(Some(u32::MAX - 1), u32::MAX), Stale);
         // The largest admissible seq is still fresh.
         assert_eq!(classify_report(Some(7), u32::MAX - 1), Fresh);
+    }
+
+    /// Wraps the faithful client and logs every flush it receives,
+    /// decoded, as `(home, frames)`.
+    struct Recording<'a> {
+        inner: MoteClient,
+        home: u32,
+        flushes: &'a std::sync::Mutex<Vec<(u32, Vec<Frame>)>>,
+    }
+
+    impl Client for Recording<'_> {
+        fn on_bytes(&mut self, inbound: &[u8], out: &mut Vec<u8>) {
+            let mut frames = Vec::new();
+            let mut offset = 0;
+            while let Some((frame, used)) = try_decode(&inbound[offset..]).expect("well-formed") {
+                frames.push(frame);
+                offset += used;
+            }
+            self.flushes.lock().expect("unpoisoned").push((self.home, frames));
+            self.inner.on_bytes(inbound, out);
+        }
+    }
+
+    /// A wake's prompts and escalations leave with the wake: each flush
+    /// carrying a `Deliver`/`Escalate` comes right after the flush with
+    /// its own wake's `Poll`, never riding along with a later `Poll`.
+    /// Only the horizon's trailing escalations wait, for the `Bye`.
+    #[test]
+    fn deliveries_flush_right_after_their_own_wakes_poll() {
+        let flushes = std::sync::Mutex::new(Vec::new());
+        let make = |home, digest| Recording {
+            inner: MoteClient::new(home, digest),
+            home,
+            flushes: &flushes,
+        };
+        let ctx = ServeCtx::new(cfg(4, 2)).expect("fleet fits").with_care(eager_policy());
+        let opts = ServeOptions { care: Some(eager_policy()), ..ServeOptions::default() };
+        let outcome = serve_fleet(&ctx, &opts, &make, &SimClock);
+        let flushes = flushes.into_inner().expect("unpoisoned");
+        let (mut delivers, mut escalates) = (0u64, 0u64);
+        for home in 0..4 {
+            // The `Poll` instant of the home's previous flush, if that
+            // flush offered a wake.
+            let mut polled: Option<SimTime> = None;
+            for (_, frames) in flushes.iter().filter(|(h, _)| *h == home) {
+                let poll = frames.iter().find_map(|f| match f {
+                    Frame::Poll { at, .. } => Some(*at),
+                    _ => None,
+                });
+                let closing = frames.iter().any(|f| matches!(f, Frame::Bye { .. }));
+                for frame in frames {
+                    match frame {
+                        Frame::Deliver(rec) => {
+                            delivers += 1;
+                            assert_eq!(poll, None, "home {home}: {rec:?} rode a later Poll");
+                            assert_eq!(polled, Some(rec.at), "home {home}: {rec:?} left late");
+                        }
+                        Frame::Escalate(ev) if !closing => {
+                            escalates += 1;
+                            assert_eq!(poll, None, "home {home}: {ev:?} rode a later Poll");
+                            let wake = polled.expect("an Escalate follows its wake's Poll");
+                            assert!(ev.at <= wake, "home {home}: {ev:?} after wake {wake:?}");
+                        }
+                        Frame::Escalate(_) => escalates += 1,
+                        _ => {}
+                    }
+                }
+                polled = poll;
+            }
+        }
+        assert!(delivers > 0, "the run must deliver prompts");
+        assert_eq!(delivers, outcome.wire.delivers);
+        assert_eq!(escalates, outcome.wire.escalations);
+        assert!(escalates > 0, "the eager policy must escalate");
     }
 
     #[test]
