@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(rustdoc::broken_intra_doc_links, rustdoc::private_intra_doc_links)]
 #![warn(missing_debug_implementations)]
 
 pub mod activity;

@@ -142,11 +142,14 @@ pub enum CheckpointError {
     },
     /// A delta's sparse update does not fit the base it was applied to
     /// (a Q-cell index past the table, or a per-system delta list whose
-    /// length disagrees with the base's system count).
+    /// length disagrees with the base's system count), or a snapshot
+    /// does not fit the fleet it is resumed into (home count, systems
+    /// per home, nodes per system, learned-table size, or an activity
+    /// index past the catalog).
     ShapeMismatch {
-        /// Index or length stored in the delta.
+        /// Index or length stored in the delta or snapshot.
         index: u32,
-        /// The corresponding bound in the base snapshot.
+        /// The corresponding bound in the base snapshot or fleet.
         bound: u32,
     },
     /// The event log regenerated during resume replay disagrees with the
@@ -187,7 +190,7 @@ impl fmt::Display for CheckpointError {
                  (stored fingerprint {expected:#018x}, offered {actual:#018x})"
             ),
             CheckpointError::ShapeMismatch { index, bound } => {
-                write!(f, "delta index {index} does not fit base bound {bound}")
+                write!(f, "shape mismatch: index {index} does not fit bound {bound}")
             }
             CheckpointError::WalDivergence { at, home } => write!(
                 f,
@@ -1533,7 +1536,7 @@ pub fn compact(
     Ok(cur)
 }
 
-fn shape_mismatch(index: usize, bound: usize) -> CheckpointError {
+pub(crate) fn shape_mismatch(index: usize, bound: usize) -> CheckpointError {
     CheckpointError::ShapeMismatch {
         index: u32::try_from(index).unwrap_or(u32::MAX),
         bound: u32::try_from(bound).unwrap_or(u32::MAX),

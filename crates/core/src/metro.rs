@@ -24,16 +24,23 @@
 //! because every random stream is counter-derived per home
 //! ([`derive_seed`]) and homes never interact.
 //!
-//! Home state is laid out struct-of-arrays: each worker owns a [`Shard`]
+//! There is one wake loop, [`ServeSession`]: every run opens one per
+//! [`ServeCtx::chunks`] shard and merges them through [`collect_served`].
+//! A serving front end drives its sessions from outside; a batch run
+//! ([`run_scale`] and its variants) drives the same sessions with no
+//! transport, so serve ≡ batch holds by construction. Under
+//! [`SchedMode::Epoch`] a session serves bounded windows as per-home
+//! chains in ascending home order; a [`SchedMode::Strict`] batch run
+//! keeps the reference sweep, one instant at a time, due homes ascending.
+//!
+//! Home state is laid out struct-of-arrays: each worker owns a `Shard`
 //! of parallel vectors indexed by shard-local home id (the per-activity
 //! [`Coreda`] systems live in one home-major arena), and everything
 //! immutable — ADL specs, trained planner templates, the reminding
 //! renderer, the session-tracker name tables — is built once per run in
-//! a [`FleetCtx`] and shared by reference or `Arc`. The wake loop also
-//! batches every wake sharing an instant and sweeps the due homes in
-//! ascending index order, so same-instant work walks the arenas in
-//! memory order. See DESIGN.md "Memory layout & cache locality" for the
-//! ownership map and the bytes-per-home budget.
+//! a `FleetCtx` and shared by reference or `Arc`. Either sweep order
+//! walks the arenas in memory order. See DESIGN.md "Memory layout &
+//! cache locality" for the ownership map and the bytes-per-home budget.
 
 use std::sync::Arc;
 
@@ -47,8 +54,8 @@ use coreda_des::time::{SimDuration, SimTime};
 use coreda_des::{Clock, SimClock};
 
 use crate::checkpoint::{
-    compact, config_digest, delta_checkpoint, CheckpointError, DeltaCheckpoint, HomeCheckpoint,
-    MetroCheckpoint,
+    compact, config_digest, delta_checkpoint, shape_mismatch, CheckpointError, DeltaCheckpoint,
+    HomeCheckpoint, MetroCheckpoint,
 };
 use crate::escalation::{CareEvent, CareEventKind, CareMonitor, CareOutput, CarePolicy, FleetAnalytics};
 use crate::fleet::{default_jobs, derive_seed, FleetEngine};
@@ -87,7 +94,7 @@ impl std::fmt::Display for EngineKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMode {
     /// Epoch-tiled locality scheduling (the default): all wakes inside a
-    /// bounded near-instant window ([`EPOCH_MS`]) drain in one pass and
+    /// bounded near-instant window (`EPOCH_MS`, 256 ms) drain in one pass and
     /// are served grouped by home in ascending arena order, so a 100k-home
     /// sweep touches each due home's state once per window instead of
     /// once per instant.
@@ -393,6 +400,41 @@ impl FleetCtx {
             tracker_proto,
         }
     }
+
+    /// Checks that a snapshot fits a fleet of `homes` homes before any
+    /// home is restored: one system per activity, each with the spec's
+    /// node count and a learned table the planner template can take, and
+    /// every activity index in range. The codec checks bytes, not shape;
+    /// a CRC-valid crafted snapshot fails here instead of mid-restore.
+    fn check_shape(&self, homes: usize, ckpt: &MetroCheckpoint) -> Result<(), CheckpointError> {
+        let fits = |len, bound| if len == bound { Ok(()) } else { Err(shape_mismatch(len, bound)) };
+        fits(ckpt.homes.len(), homes)?;
+        let acts = self.specs.len();
+        // Per activity: the node count, and the learned-table size the
+        // template restores (`None` for a learner that cannot restore).
+        let shapes: Vec<(usize, Option<usize>)> = (self.specs.iter().zip(&self.templates))
+            .map(|(spec, t)| (spec.tools().len(), t.capture_learned().map(|l| l.values.len())))
+            .collect();
+        for home in &ckpt.homes {
+            fits(home.systems.len(), acts)?;
+            for (state, &(nodes, cells)) in home.systems.iter().zip(&shapes) {
+                fits(state.nodes.len(), nodes)?;
+                if let Some(learned) = &state.learned {
+                    let cells = cells.ok_or_else(|| shape_mismatch(learned.values.len(), 0))?;
+                    fits(learned.values.len(), cells)?;
+                    fits(learned.visits.len(), cells)?;
+                }
+            }
+            let running = home.episode.as_ref().map(|&(act, ..)| act);
+            let session = home.tracker.iter().flat_map(|t| {
+                std::iter::once(t.activity_idx).chain(t.foreign_run.map(|(who, _)| who))
+            });
+            if let Some(act) = running.into_iter().chain(session).find(|&act| act >= acts) {
+                return Err(shape_mismatch(act, acts));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Hot per-home scheduling state — one `Copy` record per home, packed
@@ -459,23 +501,9 @@ fn align_up(offset_ms: u64, t: SimTime) -> SimTime {
 /// ticks), so the inline merge stays a linear scan over a tiny vec.
 const EPOCH_MS: u64 = 256;
 
-/// Routes a follow-up wake spawned while serving an epoch chain: dues
-/// inside the window stay inline (the chain serves them immediately, in
-/// due order), dues past it go to the queue like any other wake. Legal
-/// because the simulator clock already sits at the window end.
-fn push_follow(
-    sim: &mut Simulator<Wake>,
-    inline: &mut Vec<SimTime>,
-    end: SimTime,
-    due: SimTime,
-    i: usize,
-) {
-    if due <= end {
-        inline.push(due);
-    } else {
-        sim.schedule_at(due, Wake(i));
-    }
-}
+/// One wake of one home (index local to the shard).
+#[derive(Debug, Clone, Copy)]
+struct Wake(usize);
 
 fn draw_gap(rng: &mut SimRng, gap_min_ms: u64, gap_max_ms: u64) -> SimDuration {
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -535,6 +563,9 @@ struct CareState {
     /// Monitors indexed by shard-local home id.
     monitors: Vec<CareMonitor>,
     analytics: FleetAnalytics,
+    /// Per-home events already drained into `Escalate` frames
+    /// ([`ServeSession::drain_care`]).
+    cursors: Vec<usize>,
     /// Guards [`Shard::finish_care`]: the served path finishes care
     /// explicitly (to deliver trailing events) before the shard fold
     /// runs it again.
@@ -585,10 +616,6 @@ struct Shard<'a> {
     scratch_sessions: Vec<SessionEvent>,
     /// Same-instant wake batch — strict wake-loop scratch.
     batch: Vec<usize>,
-    /// Drained epoch window — epoch wake-loop scratch.
-    epoch: Vec<(SimTime, Wake)>,
-    /// In-window follow-ups of the chain being served — epoch scratch.
-    inline: Vec<SimTime>,
     gap_min_ms: u64,
     gap_max_ms: u64,
 }
@@ -656,13 +683,12 @@ impl<'a> Shard<'a> {
                     .map(|id| CareMonitor::new(u32::try_from(id).expect("fleets fit in u32")))
                     .collect(),
                 analytics: FleetAnalytics::new(),
+                cursors: vec![0; count],
                 finished: false,
             }),
             behavior: StochasticBehavior::new(PatientProfile::moderate(RESIDENT)),
             scratch_sessions: Vec::new(),
             batch: Vec::new(),
-            epoch: Vec::new(),
-            inline: Vec::new(),
             gap_min_ms: cfg.gap_min.as_millis(),
             gap_max_ms: cfg.gap_max.as_millis(),
         }
@@ -881,7 +907,7 @@ impl<'a> Shard<'a> {
     /// `pending` is the home's share of the shard queue at the snapshot.
     ///
     /// Energy is *not* carried in the stats (it stays zero until
-    /// [`Shard::finish`] recomputes it from the restored node meters),
+    /// [`ServeSession::finish`] recomputes it from the restored node meters),
     /// and taps are not checkpointed — a resumed recorded run taps only
     /// the resumed segment.
     fn capture_home(&self, i: usize, pending: Vec<SimTime>) -> HomeCheckpoint {
@@ -906,7 +932,8 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Overwrites freshly built home `i` with checkpointed state. The
+    /// Overwrites freshly built home `i` with checkpointed state, whose
+    /// shape [`FleetCtx::check_shape`] has already vetted. The
     /// build-time gap draw is discarded wholesale: the restored
     /// `sched_rng` position already accounts for every draw the original
     /// run made. The caller re-schedules `ckpt.pending` itself.
@@ -926,7 +953,7 @@ impl<'a> Shard<'a> {
         {
             system
                 .restore_state(state)
-                .expect("config digest matched, so the rebuilt system accepts its state");
+                .expect("check_shape vetted the state, so the rebuilt system accepts it");
         }
         self.trackers[i].restore_active(ckpt.tracker);
         self.roots[i] = SimRng::from_state_parts(ckpt.root.0, ckpt.root.1);
@@ -952,33 +979,7 @@ impl<'a> Shard<'a> {
             recs[i].restore_state(state);
         }
     }
-}
 
-/// One wake of one home (index local to the shard).
-#[derive(Debug, Clone, Copy)]
-struct Wake(usize);
-
-struct ChunkOut {
-    stats: Vec<HomeStats>,
-    taps: Option<Vec<Vec<TapEvent>>>,
-    recs: Option<Vec<HomeRecorder>>,
-    /// Shard-local write-ahead records, in wake order: `(at, home)`
-    /// under the strict sweep, home-major within each epoch window
-    /// under epoch tiling. Either way the global sort in
-    /// `run_scale_inner` lands on the same unique `(at, home)` order.
-    wal: Option<Vec<WalRecord>>,
-    des_events: u64,
-    /// Shard-local queue high-water mark — engine- and jobs-dependent.
-    max_pending: usize,
-    /// One entry per requested stop: `(processed events at the stop,
-    /// per-home snapshots)`, shard-local.
-    checkpoints: Vec<(u64, Vec<HomeCheckpoint>)>,
-    /// Shard-local escalation log (home-major, per-home time order) and
-    /// analytics, when the care overlay ran.
-    care: Option<CareOutput>,
-}
-
-impl Shard<'_> {
     /// Pops every wake sharing the current instant into `self.batch` and
     /// returns the instant. The due homes are then swept in ascending
     /// index order — homes are independent, so cross-home order within
@@ -1068,142 +1069,6 @@ impl Shard<'_> {
         }
     }
 
-    /// Serves every wake up to `until` in epoch-tiled order: drain a
-    /// bounded near-instant window ([`EPOCH_MS`]) from the queue in one
-    /// pass, regroup its wakes by home, and serve each home's chain
-    /// contiguously with the next chain's lanes prefetched. Distinct
-    /// homes never interact, so reordering *across* homes within the
-    /// window is unobservable; *within* a home the chain is served in
-    /// strict due order (including follow-ups the chain spawns inside
-    /// the window), so every per-home output — and therefore every
-    /// deterministic artifact — is bit-identical to the strict sweep.
-    fn epoch_segment(&mut self, sim: &mut Simulator<Wake>, engine: EngineKind, until: SimTime) {
-        let mut epoch = std::mem::take(&mut self.epoch);
-        let mut inline = std::mem::take(&mut self.inline);
-        while let Some(t0) = sim.next_due() {
-            if t0 > until {
-                break;
-            }
-            // Clip to the segment stop: a checkpoint instant must see
-            // exactly the wakes due by then served, no more.
-            let end = SimTime::from_millis((t0.as_millis() + EPOCH_MS - 1).min(until.as_millis()));
-            epoch.clear();
-            sim.drain_until(end, &mut epoch);
-            // Group each home's wakes into one contiguous, due-ordered
-            // chain. Duplicate keys are identical tuples, so the
-            // unstable sort cannot reorder anything observable.
-            epoch.sort_unstable_by_key(|&(due, Wake(i))| (i, due));
-            let mut k = 0;
-            while k < epoch.len() {
-                let Wake(i) = epoch[k].1;
-                let mut k_end = k + 1;
-                while k_end < epoch.len() && epoch[k_end].1 .0 == i {
-                    k_end += 1;
-                }
-                // Pull the next chain's home into cache while this one
-                // is being served: one chain of pipeline work is ample
-                // distance to hide a main-memory load.
-                if k_end < epoch.len() {
-                    let Wake(j) = epoch[k_end].1;
-                    prefetch(&self.hot[j]);
-                    prefetch(&self.systems[j * self.acts]);
-                    prefetch(&self.trackers[j]);
-                    prefetch(&self.roots[j]);
-                }
-                self.serve_chain(sim, engine, i, &epoch[k..k_end], end, &mut inline);
-                k = k_end;
-            }
-        }
-        if until > sim.now() {
-            sim.advance_to(until);
-        }
-        self.epoch = epoch;
-        self.inline = inline;
-    }
-
-    /// Serves one home's chain of wakes within an epoch window: the
-    /// drained queue entries in `chain` merged with the follow-up wakes
-    /// the chain itself spawns inside the window (`inline`, consumed
-    /// empty by the time this returns). Equal-instant duplicates
-    /// collapse to a single served wake exactly as the strict sweep's
-    /// batch dedup does, and every consumed entry is counted so the DES
-    /// event totals match the strict engine's pop-per-event accounting.
-    fn serve_chain(
-        &mut self,
-        sim: &mut Simulator<Wake>,
-        engine: EngineKind,
-        i: usize,
-        chain: &[(SimTime, Wake)],
-        end: SimTime,
-        inline: &mut Vec<SimTime>,
-    ) {
-        debug_assert!(inline.is_empty());
-        let mut cursor = 0;
-        loop {
-            // Next instant: min over the remaining drained entries
-            // (due-sorted) and the inline follow-ups (unsorted, tiny).
-            let queued = chain.get(cursor).map(|&(due, _)| due);
-            let inlined = inline.iter().copied().min();
-            let now = match (queued, inlined) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            // Consume every entry at `now` — duplicates serve once.
-            while chain.get(cursor).is_some_and(|&(due, _)| due == now) {
-                cursor += 1;
-            }
-            let before = inline.len();
-            inline.retain(|&due| due != now);
-            sim.note_processed((before - inline.len()) as u64);
-            if engine == EngineKind::Wheel && self.hot[i].sched.last_handled == Some(now) {
-                // A duplicate wake for an instant already served (a
-                // resume rehydrates the wake that produced the
-                // checkpoint's `last_handled`) — consumed and counted,
-                // never re-served, matching the strict wheel sweep.
-                continue;
-            }
-            self.hot[i].sched.last_handled = Some(now);
-            self.poll_wake(i, now);
-            match engine {
-                EngineKind::Wheel => {
-                    if let Some(run) = &self.episodes[i] {
-                        push_follow(sim, inline, end, run.ep.next_tick_at(), i);
-                    } else {
-                        push_follow(sim, inline, end, self.hot[i].sched.next_start, i);
-                        if let Some(deadline) = self.trackers[i].idle_deadline() {
-                            push_follow(
-                                sim,
-                                inline,
-                                end,
-                                align_up(self.hot[i].sched.offset_ms, deadline),
-                                i,
-                            );
-                        }
-                    }
-                }
-                EngineKind::Heap => push_follow(sim, inline, end, now + Coreda::TICK, i),
-            }
-        }
-    }
-
-    fn segment(
-        &mut self,
-        sim: &mut Simulator<Wake>,
-        engine: EngineKind,
-        sched: SchedMode,
-        until: SimTime,
-    ) {
-        match sched {
-            SchedMode::Epoch => self.epoch_segment(sim, engine, until),
-            SchedMode::Strict => match engine {
-                EngineKind::Wheel => self.wheel_segment(sim, until),
-                EngineKind::Heap => self.heap_segment(sim, until),
-            },
-        }
-    }
-
     /// Snapshots the shard at the current instant without perturbing it:
     /// walks the queue's pending wakes in dispatch order through
     /// [`Simulator::iter_pending`] — a read-only view, so frequent delta
@@ -1239,92 +1104,6 @@ impl Shard<'_> {
             }
         }
     }
-
-    /// Folds the shard's arenas into a [`ChunkOut`], recomputing each
-    /// home's energy from its (possibly restored) node meters.
-    fn finish(mut self, horizon: SimTime, des_events: u64, max_pending: usize, checkpoints: Vec<(u64, Vec<HomeCheckpoint>)>) -> ChunkOut {
-        self.finish_care(horizon);
-        let acts = self.acts;
-        for (i, lanes) in self.hot.iter_mut().enumerate() {
-            lanes.stats.energy_uj =
-                self.systems[i * acts..(i + 1) * acts].iter().map(Coreda::total_energy_uj).sum();
-        }
-        let care = self.care.map(|care| {
-            let mut out = CareOutput::default();
-            for monitor in care.monitors {
-                out.events.extend_from_slice(monitor.events());
-            }
-            out.analytics = care.analytics;
-            out
-        });
-        ChunkOut {
-            stats: self.hot.into_iter().map(|lanes| lanes.stats).collect(),
-            taps: self.taps,
-            recs: self.recs,
-            wal: self.wal,
-            des_events,
-            max_pending,
-            checkpoints,
-            care,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    cfg: &MetroConfig,
-    ctx: &FleetCtx,
-    first_home: usize,
-    count: usize,
-    record: bool,
-    trace: bool,
-    log: bool,
-    care: Option<&CarePolicy>,
-    stops: &[SimTime],
-    resume: Option<&[HomeCheckpoint]>,
-) -> ChunkOut {
-    let mut shard = Shard::build(cfg, ctx, first_home, count, record, trace, log, care);
-    let horizon_end = SimTime::ZERO + cfg.horizon;
-
-    let mut sim: Simulator<Wake> = match cfg.engine {
-        EngineKind::Wheel => Simulator::new(),
-        EngineKind::Heap => Simulator::with_heap_queue(),
-    };
-
-    // Initial scheduling: a fresh run wakes each home at its first
-    // instant of interest; a resumed run rehydrates the exact pending
-    // wakes the checkpoint drained, in their drained (dispatch) order.
-    match resume {
-        None => match cfg.engine {
-            EngineKind::Wheel => {
-                for (i, s) in shard.hot.iter().enumerate() {
-                    sim.schedule_at(s.sched.next_start, Wake(i));
-                }
-            }
-            EngineKind::Heap => {
-                for (i, s) in shard.hot.iter().enumerate() {
-                    sim.schedule_at(SimTime::from_millis(s.sched.offset_ms), Wake(i));
-                }
-            }
-        },
-        Some(ckpts) => {
-            assert_eq!(ckpts.len(), count, "resume shard size mismatch");
-            for (i, ckpt) in ckpts.iter().enumerate() {
-                shard.restore_home(i, ckpt);
-                for &due in &ckpt.pending {
-                    sim.schedule_at(due, Wake(i));
-                }
-            }
-        }
-    }
-
-    let mut checkpoints = Vec::with_capacity(stops.len());
-    for &stop in stops {
-        shard.segment(&mut sim, cfg.engine, cfg.sched, stop);
-        checkpoints.push(shard.capture(&sim));
-    }
-    shard.segment(&mut sim, cfg.engine, cfg.sched, horizon_end);
-    shard.finish(horizon_end, sim.processed(), sim.max_pending(), checkpoints)
 }
 
 /// Serves `cfg.homes` households for `cfg.horizon`, sharded across
@@ -1616,6 +1395,9 @@ fn run_scale_with(cfg: &MetroConfig, record: bool) -> ScaleReport {
 type InnerRun =
     (TraceOutput, Vec<MetroCheckpoint>, Option<Vec<WalRecord>>, Option<CareOutput>);
 
+/// Every batch entry point lands here: one [`ServeSession`] per
+/// [`ServeCtx::chunks`] shard, driven to each stop (snapshotting there)
+/// and to the horizon, then merged through [`collect_served`].
 #[allow(clippy::too_many_arguments)]
 fn run_scale_inner(
     cfg: &MetroConfig,
@@ -1635,117 +1417,56 @@ fn run_scale_inner(
         stops.iter().all(|&s| s <= horizon_end),
         "checkpoint stops must lie within the horizon"
     );
-    let digest = config_digest(cfg);
+    let ctx = ServeCtx::build(cfg.clone(), care.cloned());
     let mut base_des = 0u64;
     if let Some(ckpt) = resume {
-        if ckpt.digest != digest {
+        if ckpt.digest != ctx.digest {
             return Err(CheckpointError::ConfigMismatch {
                 expected: ckpt.digest,
-                actual: digest,
+                actual: ctx.digest,
             });
         }
-        if ckpt.homes.len() != cfg.homes {
-            return Err(CheckpointError::ConfigMismatch {
-                expected: ckpt.digest,
-                actual: digest,
-            });
-        }
+        ctx.ctx.check_shape(cfg.homes, ckpt)?;
         base_des = ckpt.des_events;
-    }
-    let ctx = FleetCtx::build(cfg);
-
-    // Contiguous chunks, one per worker: flattening shard results in
-    // chunk order reproduces home order whatever the worker count.
-    let shards = cfg.jobs.max(1).min(cfg.homes.max(1));
-    let base = cfg.homes / shards;
-    let extra = cfg.homes % shards;
-    let mut chunks = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    for s in 0..shards {
-        let count = base + usize::from(s < extra);
-        if count > 0 {
-            chunks.push((start, count));
-        }
-        start += count;
     }
 
     let engine = FleetEngine::new(cfg.jobs);
-    let results = engine.map(chunks, |(first, count)| {
-        let shard_resume = resume.map(|ckpt| &ckpt.homes[first..first + count]);
-        run_chunk(cfg, &ctx, first, count, record, trace, log, care, stops, shard_resume)
+    let runs = engine.map(ctx.chunks(), |(first, count)| {
+        let slice = resume.map(|ckpt| &ckpt.homes[first..first + count]);
+        let mut session = ctx.open(first, count, record, trace, log, slice);
+        let captures: Vec<_> = stops
+            .iter()
+            .map(|&stop| {
+                session.serve_until(stop);
+                session.shard.capture(&session.sim)
+            })
+            .collect();
+        session.serve_until(horizon_end);
+        (session.finish(), captures)
     });
 
-    let mut per_home = Vec::with_capacity(cfg.homes);
-    let mut events = record.then(|| Vec::with_capacity(cfg.homes));
-    let mut wal_records = log.then(Vec::new);
-    let mut care_out = care.map(|_| CareOutput::default());
-    let mut telemetry = Telemetry::default();
-    let mut des_events = base_des;
-    let mut peak_pending = 0usize;
     let mut checkpoints: Vec<MetroCheckpoint> = stops
         .iter()
         .map(|&at| MetroCheckpoint {
             at,
-            digest,
+            digest: ctx.digest,
             des_events: base_des,
             homes: Vec::with_capacity(cfg.homes),
         })
         .collect();
-    for chunk in results {
-        per_home.extend(chunk.stats);
-        if let (Some(events), Some(taps)) = (events.as_mut(), chunk.taps) {
-            events.extend(taps);
-        }
-        if let Some(recs) = chunk.recs {
-            // Chunks are contiguous and flattened in chunk order, so this
-            // reproduces home order at any worker count.
-            telemetry.homes.extend(recs);
-        }
-        if let (Some(all), Some(records)) = (wal_records.as_mut(), chunk.wal) {
-            all.extend(records);
-        }
-        if let (Some(out), Some(chunk_care)) = (care_out.as_mut(), chunk.care) {
-            // Chunk order is home order, so events arrive home-major and
-            // the analytics merge is deterministic whatever the worker
-            // count (histogram merge is also order-insensitive).
-            out.events.extend(chunk_care.events);
-            out.analytics.merge(&chunk_care.analytics);
-        }
-        des_events = des_events.saturating_add(chunk.des_events);
-        peak_pending = peak_pending.max(chunk.max_pending);
-        for (ckpt, (processed, homes)) in checkpoints.iter_mut().zip(chunk.checkpoints) {
+    let mut shards = Vec::with_capacity(runs.len());
+    for (shard, captures) in runs {
+        shards.push(shard);
+        for (ckpt, (processed, homes)) in checkpoints.iter_mut().zip(captures) {
             // Shard queues count their own events; fleet-level totals sum
             // them (plus whatever the resume source had already served).
             ckpt.des_events = ckpt.des_events.saturating_add(processed);
             ckpt.homes.extend(homes);
         }
     }
-    let report = ScaleReport {
-        homes: cfg.homes,
-        horizon: cfg.horizon,
-        engine: cfg.engine,
-        per_home,
-        des_events,
-        events,
-    };
-    if trace {
-        let (_, clamped) = report.totals_checked();
-        telemetry.fleet.add(Ctr::TotalsSaturated, clamped);
-    }
-    if let Some(all) = wal_records.as_mut() {
-        // One global sort merges the shard streams — `(at, home)`-ordered
-        // under strict sweeps, home-major per epoch window under tiling —
-        // into the unique fleet-wide order (at most one record per
-        // `(at, home)`), making the log jobs- and sched-invariant.
-        all.sort_unstable_by_key(|r| (r.at, r.home));
-    }
-    if let Some(out) = care_out.as_mut() {
-        // Home-major shard streams → the unique global time order; the
-        // per-home monotone seq breaks same-instant ties so the sorted
-        // log is identical at any worker count.
-        out.events.sort_unstable_by_key(|e| (e.at, e.home, e.seq));
-    }
-    Ok((TraceOutput { report, telemetry, peak_pending }, checkpoints, wal_records, care_out))
+    let (mut out, wal, care_out) = collect_served(cfg, shards);
+    out.report.des_events = out.report.des_events.saturating_add(base_des);
+    Ok((out, checkpoints, log.then_some(wal), care_out))
 }
 
 // ---------------------------------------------------------------------------
@@ -1775,12 +1496,12 @@ impl std::fmt::Display for FleetTooLarge {
 
 impl std::error::Error for FleetTooLarge {}
 
-/// Run-wide shared state for an externally driven (served) fleet: the
-/// configuration plus the immutable [`FleetCtx`] every shard borrows.
-/// Built once per serve; [`ServeCtx::session`] hands out per-shard
-/// sessions whose wake stream is bit-identical to the batch
-/// [`run_scale`] sweep — the serving front end owns *when* wakes are
-/// served (its clock) but never *what* they do.
+/// Run-wide shared state: the configuration plus the immutable fleet
+/// context (specs, trained planner templates, renderer) every shard
+/// borrows, built once per run. [`ServeCtx::session`] hands out
+/// per-shard sessions; a batch [`run_scale`] opens the same sessions, so
+/// the serving front end owns *when* wakes are served (its clock) but
+/// never *what* they do.
 pub struct ServeCtx {
     cfg: MetroConfig,
     ctx: FleetCtx,
@@ -1811,9 +1532,15 @@ impl ServeCtx {
         if cfg.homes.saturating_sub(1) > u32::MAX as usize {
             return Err(FleetTooLarge { homes: cfg.homes });
         }
+        Ok(ServeCtx::build(cfg, None))
+    }
+
+    /// [`ServeCtx::new`] without the wire's fleet-size check: a batch run
+    /// never puts a home id on the wire, so it serves any fleet.
+    fn build(cfg: MetroConfig, care: Option<CarePolicy>) -> ServeCtx {
         let ctx = FleetCtx::build(&cfg);
         let digest = config_digest(&cfg);
-        Ok(ServeCtx { cfg, ctx, digest, care: None })
+        ServeCtx { cfg, ctx, digest, care }
     }
 
     /// Turns the caregiver escalation overlay on for every session this
@@ -1837,54 +1564,74 @@ impl ServeCtx {
         self.digest
     }
 
-    /// The `(first_home, count)` shard layout for `cfg.jobs` — the exact
-    /// contiguous chunking [`run_scale`] uses, so flattening session
-    /// results in chunk order reproduces home order at any worker count.
+    /// The `(first_home, count)` shard layout for `cfg.jobs`, batch and
+    /// served alike: contiguous chunks, so flattening results in chunk
+    /// order reproduces home order at any worker count. An empty fleet is
+    /// one empty chunk, so its merge still carries the run's taps.
     #[must_use]
     pub fn chunks(&self) -> Vec<(usize, usize)> {
         let shards = self.cfg.jobs.max(1).min(self.cfg.homes.max(1));
         let base = self.cfg.homes / shards;
         let extra = self.cfg.homes % shards;
-        let mut chunks = Vec::with_capacity(shards);
         let mut start = 0usize;
-        for s in 0..shards {
-            let count = base + usize::from(s < extra);
-            if count > 0 {
-                chunks.push((start, count));
-            }
-            start += count;
-        }
-        chunks
+        (0..shards)
+            .map(|s| {
+                let count = base + usize::from(s < extra);
+                start += count;
+                (start - count, count)
+            })
+            .collect()
     }
 
     /// Opens a serving session over homes `[first_home, first_home +
     /// count)`. The session always derives delivery records (the log is
     /// on), and optionally taps event streams (`record`) or runs the
-    /// flight recorder (`trace`) — both observation-only, exactly as in
-    /// the batch path.
+    /// flight recorder (`trace`) — both observation-only. Batch runs open
+    /// the same session with their own log flag.
     #[must_use]
     pub fn session(&self, first_home: usize, count: usize, record: bool, trace: bool) -> ServeSession<'_> {
-        let shard =
-            Shard::build(&self.cfg, &self.ctx, first_home, count, record, trace, true, self.care.as_ref());
+        self.open(first_home, count, record, trace, true, None)
+    }
+
+    /// The one session opener: wakes each fresh home at its first instant
+    /// of interest or, given the homes' checkpoint slice, restores them
+    /// and rehydrates their pending wakes in dispatch order.
+    fn open(
+        &self,
+        first_home: usize,
+        count: usize,
+        record: bool,
+        trace: bool,
+        log: bool,
+        resume: Option<&[HomeCheckpoint]>,
+    ) -> ServeSession<'_> {
+        let care = self.care.as_ref();
+        let mut shard =
+            Shard::build(&self.cfg, &self.ctx, first_home, count, record, trace, log, care);
         let mut sim: Simulator<Wake> = match self.cfg.engine {
             EngineKind::Wheel => Simulator::new(),
             EngineKind::Heap => Simulator::with_heap_queue(),
         };
-        // Initial wakes, exactly as `run_chunk` schedules a fresh run.
-        match self.cfg.engine {
-            EngineKind::Wheel => {
-                for (i, s) in shard.hot.iter().enumerate() {
-                    sim.schedule_at(s.sched.next_start, Wake(i));
+        match resume {
+            None => {
+                for (i, lanes) in shard.hot.iter().enumerate() {
+                    let first = match self.cfg.engine {
+                        EngineKind::Wheel => lanes.sched.next_start,
+                        EngineKind::Heap => SimTime::from_millis(lanes.sched.offset_ms),
+                    };
+                    sim.schedule_at(first, Wake(i));
                 }
             }
-            EngineKind::Heap => {
-                for (i, s) in shard.hot.iter().enumerate() {
-                    sim.schedule_at(SimTime::from_millis(s.sched.offset_ms), Wake(i));
+            Some(homes) => {
+                for (i, ckpt) in homes.iter().enumerate() {
+                    shard.restore_home(i, ckpt);
+                    for &due in &ckpt.pending {
+                        sim.schedule_at(due, Wake(i));
+                    }
                 }
             }
         }
         ServeSession {
-            care_cursors: vec![0; shard.len()],
             shard,
             sim,
             engine: self.cfg.engine,
@@ -1903,12 +1650,15 @@ impl ServeCtx {
     }
 }
 
-/// One shard of a served fleet, driven wake-by-wake from outside. The
-/// window/chain structure mirrors [`Shard::epoch_segment`] /
-/// [`Shard::serve_chain`] exactly — same drains, same dedup, same
-/// follow-up routing — so a caller that serves every window's chains in
-/// order reproduces the batch run byte-for-byte, including the DES
-/// event count.
+/// One shard of a fleet, driven wake by wake: the only wake loop. A
+/// serving front end drives it through the chain API
+/// ([`ServeSession::next_epoch_on`], [`ServeSession::next_wake`],
+/// [`ServeSession::serve_wake`]); a batch [`run_scale`] drives the same
+/// private steps (window drain, chain activation, chain walk, serve
+/// step) to each checkpoint stop and the horizon with no transport. So
+/// serving every window's chains reproduces the batch run byte for byte,
+/// DES event count included. Only a [`SchedMode::Strict`] batch run
+/// differs: it keeps the reference sweep epoch tiling is tested against.
 pub struct ServeSession<'a> {
     shard: Shard<'a>,
     sim: Simulator<Wake>,
@@ -1917,24 +1667,22 @@ pub struct ServeSession<'a> {
     horizon_end: SimTime,
     /// Records already drained into per-wake deliveries.
     wal_cursor: usize,
-    /// Per-home care events already drained into `Escalate` frames.
-    care_cursors: Vec<usize>,
-    /// End of the window [`ServeSession::next_epoch`] drained last.
+    /// End of the window drained last.
     epoch_end: SimTime,
     /// The drained window, sorted by `(home, due)` — each home's wakes
     /// form one contiguous, due-ordered chain.
     epoch: Vec<(SimTime, Wake)>,
     /// `(local home, chain start, chain end)` per due home, home-ascending.
     chains: Vec<(usize, usize, usize)>,
-    /// The home whose chain [`ServeSession::next_wake`] is walking.
+    /// The home whose chain is being walked.
     active: Option<usize>,
     chain_cursor: usize,
     chain_end: usize,
     /// In-window follow-ups the active chain spawned; never queued.
     inline: Vec<SimTime>,
-    /// An instant returned by [`ServeSession::next_wake`] but not yet
-    /// consumed by [`ServeSession::serve_wake`] — replayed on re-ask, so
-    /// a caller probing the same home twice cannot lose a wake.
+    /// An instant the chain walk returned but no serve step consumed yet
+    /// — replayed on re-ask, so a caller probing the same home twice
+    /// cannot lose a wake.
     pending_wake: Option<SimTime>,
 }
 
@@ -1950,6 +1698,164 @@ impl std::fmt::Debug for ServeSession<'_> {
 }
 
 impl ServeSession<'_> {
+    /// Waits on `clock` for the next due instant `t0` (if it is by
+    /// `until` and the horizon), drains the window `[t0, end]` (see
+    /// [`ServeSession::next_epoch_on`]; also clipped at `until`, so a
+    /// checkpoint stop sees exactly the wakes due by then served) and
+    /// groups it into per-home chains. Returns `t0`.
+    fn drain_window<K: Clock + ?Sized>(
+        &mut self,
+        until: SimTime,
+        clock: &mut K,
+    ) -> Option<SimTime> {
+        debug_assert!(self.inline.is_empty() && self.pending_wake.is_none());
+        let until = until.min(self.horizon_end);
+        let t0 = self.sim.next_due().filter(|&t| t <= until)?;
+        clock.wait_until(t0);
+        let end = match self.sched {
+            SchedMode::Strict => t0,
+            SchedMode::Epoch => SimTime::from_millis(
+                (t0.as_millis() + EPOCH_MS - 1)
+                    .min(until.as_millis())
+                    .min(clock.servable().max(t0).as_millis()),
+            ),
+        };
+        self.epoch.clear();
+        self.chains.clear();
+        self.active = None;
+        self.sim.drain_until(end, &mut self.epoch);
+        // Group each home's wakes into one contiguous, due-ordered chain.
+        // Duplicate keys are identical tuples, so the unstable sort
+        // cannot reorder anything observable.
+        self.epoch.sort_unstable_by_key(|&(due, Wake(i))| (i, due));
+        self.epoch_end = end;
+        let mut start = 0;
+        for chain in self.epoch.chunk_by(|a, b| a.1 .0 == b.1 .0) {
+            self.chains.push((chain[0].1 .0, start, start + chain.len()));
+            start += chain.len();
+        }
+        Some(t0)
+    }
+
+    /// Starts walking chain `k`, prefetching the next chain's home: one
+    /// chain of pipeline work is ample distance to hide a DRAM load.
+    fn activate(&mut self, k: usize) {
+        let (i, start, end) = self.chains[k];
+        self.active = Some(i);
+        self.chain_cursor = start;
+        self.chain_end = end;
+        if let Some(&(j, _, _)) = self.chains.get(k + 1) {
+            let shard = &self.shard;
+            prefetch(&shard.hot[j]);
+            prefetch(&shard.systems[j * shard.acts]);
+            prefetch(&shard.trackers[j]);
+            prefetch(&shard.roots[j]);
+        }
+    }
+
+    /// Advances the active chain to its next distinct wake instant, over
+    /// drained entries and in-window follow-ups. Every entry at that
+    /// instant is consumed and counted, so duplicates serve once and
+    /// `des_events` matches the strict sweep; a wheel wake for an instant
+    /// already served (a resume rehydrates the one behind the snapshot's
+    /// `last_handled`) is consumed unserved. `None` once the chain is dry.
+    fn chain_next(&mut self) -> Option<SimTime> {
+        if self.pending_wake.is_some() {
+            return self.pending_wake;
+        }
+        let i = self.active?;
+        loop {
+            let queued =
+                (self.chain_cursor < self.chain_end).then(|| self.epoch[self.chain_cursor].0);
+            let Some(now) = queued.into_iter().chain(self.inline.iter().copied()).min() else {
+                self.active = None;
+                return None;
+            };
+            while self.chain_cursor < self.chain_end && self.epoch[self.chain_cursor].0 == now {
+                self.chain_cursor += 1;
+            }
+            let before = self.inline.len();
+            self.inline.retain(|&due| due != now);
+            self.sim.note_processed((before - self.inline.len()) as u64);
+            if self.engine == EngineKind::Wheel && self.shard.hot[i].sched.last_handled == Some(now)
+            {
+                continue;
+            }
+            self.pending_wake = Some(now);
+            return Some(now);
+        }
+    }
+
+    /// Serves local home `i`'s pending wake at `at` and routes its
+    /// follow-ups; with `skip` the wake is consumed untouched.
+    fn serve_step(&mut self, i: usize, at: SimTime, skip: bool) {
+        self.pending_wake = None;
+        self.shard.hot[i].sched.last_handled = Some(at);
+        if skip {
+            return;
+        }
+        self.shard.poll_wake(i, at);
+        // Follow-ups due inside the window stay inline (the chain serves
+        // them next, in due order); later ones go to the queue. Legal
+        // because the simulator clock already sits at the window end.
+        let (sim, inline, end) = (&mut self.sim, &mut self.inline, self.epoch_end);
+        let mut follow = |due| {
+            if due <= end {
+                inline.push(due);
+            } else {
+                sim.schedule_at(due, Wake(i));
+            }
+        };
+        match self.engine {
+            EngineKind::Wheel => {
+                if let Some(run) = &self.shard.episodes[i] {
+                    follow(run.ep.next_tick_at());
+                } else {
+                    let s = self.shard.hot[i].sched;
+                    follow(s.next_start);
+                    if let Some(deadline) = self.shard.trackers[i].idle_deadline() {
+                        follow(align_up(s.offset_ms, deadline));
+                    }
+                }
+            }
+            EngineKind::Heap => follow(at + Coreda::TICK),
+        }
+    }
+
+    /// The batch drive: serves every wake due by `until` through the
+    /// chain steps on the sim clock, or under the strict order through
+    /// the reference sweep. Either way the simulator clock ends at `until`.
+    fn serve_until(&mut self, until: SimTime) {
+        match (self.sched, self.engine) {
+            (SchedMode::Strict, EngineKind::Wheel) => {
+                self.shard.wheel_segment(&mut self.sim, until);
+            }
+            (SchedMode::Strict, EngineKind::Heap) => self.shard.heap_segment(&mut self.sim, until),
+            (SchedMode::Epoch, _) => {
+                while self.drain_window(until, &mut SimClock).is_some() {
+                    for k in 0..self.chains.len() {
+                        self.activate(k);
+                        let i = self.chains[k].0;
+                        while let Some(now) = self.chain_next() {
+                            self.serve_step(i, now, false);
+                        }
+                    }
+                }
+                if until > self.sim.now() {
+                    self.sim.advance_to(until);
+                }
+            }
+        }
+    }
+
+    /// The session-local index of fleet-global `home`.
+    fn local(&self, home: u32) -> usize {
+        (home as usize)
+            .checked_sub(self.shard.first_home)
+            .filter(|&i| i < self.shard.len())
+            .expect("home outside this session")
+    }
+
     /// Fleet-global id of the session's first home.
     #[must_use]
     pub fn first_home(&self) -> usize {
@@ -1965,10 +1871,10 @@ impl ServeSession<'_> {
     /// Drains the next epoch window (up to the horizon) and fills `due`
     /// with the fleet-global home ids owning wakes in it, ascending and
     /// deduplicated. Under [`SchedMode::Epoch`] the window is
-    /// [`EPOCH_MS`] wide; under [`SchedMode::Strict`] it is the single
-    /// next instant, which makes the chain API reproduce the classic
-    /// instant-by-instant sweep exactly. Returns the window's first
-    /// instant, or `None` when the horizon is served.
+    /// `EPOCH_MS` (256 ms) wide; under [`SchedMode::Strict`] it is the
+    /// single next instant, which makes the chain API reproduce the
+    /// classic instant-by-instant sweep exactly. Returns the window's
+    /// first instant, or `None` when the horizon is served.
     ///
     /// Serve the returned homes in order: for each, loop
     /// [`ServeSession::next_wake`] / [`ServeSession::serve_wake`] until
@@ -1998,34 +1904,10 @@ impl ServeSession<'_> {
         clock: &mut K,
     ) -> Option<SimTime> {
         due.clear();
-        debug_assert!(self.inline.is_empty() && self.pending_wake.is_none());
-        let t0 = self.sim.next_due().filter(|&t| t <= self.horizon_end)?;
-        clock.wait_until(t0);
-        let end = match self.sched {
-            SchedMode::Strict => t0,
-            SchedMode::Epoch => SimTime::from_millis(
-                (t0.as_millis() + EPOCH_MS - 1)
-                    .min(self.horizon_end.as_millis())
-                    .min(clock.servable().max(t0).as_millis()),
-            ),
-        };
-        self.epoch.clear();
-        self.chains.clear();
-        self.active = None;
-        self.sim.drain_until(end, &mut self.epoch);
-        self.epoch.sort_unstable_by_key(|&(due, Wake(i))| (i, due));
-        self.epoch_end = end;
-        let mut k = 0;
-        while k < self.epoch.len() {
-            let i = self.epoch[k].1 .0;
-            let mut k_end = k + 1;
-            while k_end < self.epoch.len() && self.epoch[k_end].1 .0 == i {
-                k_end += 1;
-            }
-            self.chains.push((i, k, k_end));
-            due.push(u32::try_from(self.shard.first_home + i).expect("fleets fit in u32"));
-            k = k_end;
-        }
+        let t0 = self.drain_window(self.horizon_end, clock)?;
+        let first = self.shard.first_home;
+        let id = |c: &(usize, _, _)| u32::try_from(first + c.0).expect("fleets fit in u32");
+        due.extend(self.chains.iter().map(id));
         Some(t0)
     }
 
@@ -2040,52 +1922,16 @@ impl ServeSession<'_> {
     ///
     /// Panics if `home` is outside the session's range.
     pub fn next_wake(&mut self, home: u32) -> Option<SimTime> {
-        let i = (home as usize)
-            .checked_sub(self.shard.first_home)
-            .filter(|&i| i < self.shard.len())
-            .expect("home outside this session");
+        let i = self.local(home);
         if self.active != Some(i) {
             debug_assert!(
                 self.inline.is_empty() && self.pending_wake.is_none(),
                 "switched homes with an unserved chain"
             );
             let k = self.chains.binary_search_by_key(&i, |&(h, _, _)| h).ok()?;
-            let (_, start, end) = self.chains[k];
-            self.active = Some(i);
-            self.chain_cursor = start;
-            self.chain_end = end;
+            self.activate(k);
         }
-        if let Some(now) = self.pending_wake {
-            return Some(now);
-        }
-        loop {
-            let queued =
-                (self.chain_cursor < self.chain_end).then(|| self.epoch[self.chain_cursor].0);
-            let inlined = self.inline.iter().copied().min();
-            let now = match (queued, inlined) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => {
-                    self.active = None;
-                    return None;
-                }
-            };
-            while self.chain_cursor < self.chain_end && self.epoch[self.chain_cursor].0 == now {
-                self.chain_cursor += 1;
-            }
-            let before = self.inline.len();
-            self.inline.retain(|&due| due != now);
-            self.sim.note_processed((before - self.inline.len()) as u64);
-            if self.engine == EngineKind::Wheel && self.shard.hot[i].sched.last_handled == Some(now)
-            {
-                // Parity with the batch sweeps: a duplicate wake for an
-                // already-served instant is consumed silently.
-                continue;
-            }
-            self.pending_wake = Some(now);
-            return Some(now);
-        }
+        self.chain_next()
     }
 
     /// Serves the wake [`ServeSession::next_wake`] returned for `home`:
@@ -2104,55 +1950,10 @@ impl ServeSession<'_> {
     ///
     /// Panics if `home` is outside the session's range.
     pub fn serve_wake(&mut self, home: u32, at: SimTime, skip: bool, deliveries: &mut Vec<WalRecord>) {
-        let i = (home as usize)
-            .checked_sub(self.shard.first_home)
-            .filter(|&i| i < self.shard.len())
-            .expect("home outside this session");
+        let i = self.local(home);
         debug_assert_eq!(self.active, Some(i), "serve_wake without a next_wake");
         debug_assert_eq!(self.pending_wake, Some(at), "serve_wake instant mismatch");
-        self.pending_wake = None;
-        self.shard.hot[i].sched.last_handled = Some(at);
-        if skip {
-            return;
-        }
-        self.shard.poll_wake(i, at);
-        match self.engine {
-            EngineKind::Wheel => {
-                if let Some(run) = &self.shard.episodes[i] {
-                    push_follow(
-                        &mut self.sim,
-                        &mut self.inline,
-                        self.epoch_end,
-                        run.ep.next_tick_at(),
-                        i,
-                    );
-                } else {
-                    push_follow(
-                        &mut self.sim,
-                        &mut self.inline,
-                        self.epoch_end,
-                        self.shard.hot[i].sched.next_start,
-                        i,
-                    );
-                    if let Some(deadline) = self.shard.trackers[i].idle_deadline() {
-                        push_follow(
-                            &mut self.sim,
-                            &mut self.inline,
-                            self.epoch_end,
-                            align_up(self.shard.hot[i].sched.offset_ms, deadline),
-                            i,
-                        );
-                    }
-                }
-            }
-            EngineKind::Heap => push_follow(
-                &mut self.sim,
-                &mut self.inline,
-                self.epoch_end,
-                at + Coreda::TICK,
-                i,
-            ),
-        }
+        self.serve_step(i, at, skip);
         let wal = self.shard.wal.as_ref().expect("sessions always log");
         deliveries.extend_from_slice(&wal[self.wal_cursor..]);
         self.wal_cursor = wal.len();
@@ -2167,14 +1968,11 @@ impl ServeSession<'_> {
     ///
     /// Panics if `home` is outside the session's range.
     pub fn drain_care(&mut self, home: u32, out: &mut Vec<CareEvent>) {
-        let i = (home as usize)
-            .checked_sub(self.shard.first_home)
-            .filter(|&i| i < self.shard.len())
-            .expect("home outside this session");
-        let Some(care) = self.shard.care.as_ref() else { return };
+        let i = self.local(home);
+        let Some(care) = self.shard.care.as_mut() else { return };
         let events = care.monitors[i].events();
-        out.extend_from_slice(&events[self.care_cursors[i]..]);
-        self.care_cursors[i] = events.len();
+        out.extend_from_slice(&events[care.cursors[i]..]);
+        care.cursors[i] = events.len();
     }
 
     /// Ends every home's care fold at the horizon and appends the
@@ -2183,55 +1981,88 @@ impl ServeSession<'_> {
     /// without care.
     pub fn finish_care(&mut self, out: &mut Vec<CareEvent>) {
         self.shard.finish_care(self.horizon_end);
-        let Some(care) = self.shard.care.as_ref() else { return };
-        for (i, monitor) in care.monitors.iter().enumerate() {
+        let Some(care) = self.shard.care.as_mut() else { return };
+        for (monitor, cursor) in care.monitors.iter().zip(&mut care.cursors) {
             let events = monitor.events();
-            out.extend_from_slice(&events[self.care_cursors[i]..]);
-            self.care_cursors[i] = events.len();
+            out.extend_from_slice(&events[*cursor..]);
+            *cursor = events.len();
         }
     }
 
-    /// Folds the session into its shard result (recomputing per-home
-    /// energy, as the batch path does at the end of a run).
+    /// Folds the session into its shard result: ends the care fold at
+    /// the horizon and recomputes each home's energy from its (possibly
+    /// restored) node meters.
     #[must_use]
     pub fn finish(self) -> ServedShard {
-        let des_events = self.sim.processed();
-        let max_pending = self.sim.max_pending();
-        let horizon = self.horizon_end;
-        ServedShard { out: self.shard.finish(horizon, des_events, max_pending, Vec::new()) }
+        let mut shard = self.shard;
+        shard.finish_care(self.horizon_end);
+        let acts = shard.acts;
+        for (i, lanes) in shard.hot.iter_mut().enumerate() {
+            lanes.stats.energy_uj =
+                shard.systems[i * acts..(i + 1) * acts].iter().map(Coreda::total_energy_uj).sum();
+        }
+        let care = shard.care.map(|care| {
+            let mut out = CareOutput { events: Vec::new(), analytics: care.analytics };
+            for monitor in &care.monitors {
+                out.events.extend_from_slice(monitor.events());
+            }
+            out
+        });
+        ServedShard {
+            stats: shard.hot.into_iter().map(|lanes| lanes.stats).collect(),
+            taps: shard.taps,
+            recs: shard.recs,
+            wal: shard.wal,
+            des_events: self.sim.processed(),
+            max_pending: self.sim.max_pending(),
+            care,
+        }
     }
 }
 
 /// One finished [`ServeSession`]'s output, opaque until merged through
 /// [`collect_served`].
 pub struct ServedShard {
-    out: ChunkOut,
+    stats: Vec<HomeStats>,
+    taps: Option<Vec<Vec<TapEvent>>>,
+    recs: Option<Vec<HomeRecorder>>,
+    /// Shard-local write-ahead records, in wake order: `(at, home)`
+    /// under the strict sweep, home-major within each epoch window
+    /// under epoch tiling. Either way the global sort in
+    /// [`collect_served`] lands on the same unique `(at, home)` order.
+    wal: Option<Vec<WalRecord>>,
+    des_events: u64,
+    /// Shard-local queue high-water mark — engine- and jobs-dependent.
+    max_pending: usize,
+    /// Shard-local escalation log (home-major, per-home time order) and
+    /// analytics, when the care overlay ran.
+    care: Option<CareOutput>,
 }
 
 impl std::fmt::Debug for ServedShard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServedShard")
-            .field("homes", &self.out.stats.len())
-            .field("des_events", &self.out.des_events)
+            .field("homes", &self.stats.len())
+            .field("des_events", &self.des_events)
             .finish()
     }
 }
 
-/// Merges finished served shards — in [`ServeCtx::chunks`] order — into
-/// the run's [`TraceOutput`] plus the fleet-ordered event log (and the
-/// care output when the context enabled the escalation overlay), with
-/// the exact merge the batch [`run_scale`] path performs. Under the sim
-/// clock the result is bit-identical to the batch run of the same
-/// configuration (grid, telemetry, log, and care) at any worker count
-/// and either engine.
+/// Merges finished shards — in [`ServeCtx::chunks`] order — into the
+/// run's [`TraceOutput`] plus the fleet-ordered event log (and the care
+/// output when the context enabled the escalation overlay). This is the
+/// only shard merge: a batch [`run_scale`] folds its own sessions
+/// through it too. Under the sim clock a served result is therefore
+/// bit-identical to the batch run of the same configuration (grid,
+/// telemetry, log, and care) at any worker count and either engine.
 #[must_use]
 pub fn collect_served(
     cfg: &MetroConfig,
     shards: Vec<ServedShard>,
 ) -> (TraceOutput, Vec<WalRecord>, Option<CareOutput>) {
-    let record = shards.first().is_some_and(|s| s.out.taps.is_some());
-    let trace = shards.first().is_some_and(|s| s.out.recs.is_some());
-    let care = shards.first().is_some_and(|s| s.out.care.is_some());
+    let record = shards.first().is_some_and(|s| s.taps.is_some());
+    let trace = shards.first().is_some_and(|s| s.recs.is_some());
+    let care = shards.first().is_some_and(|s| s.care.is_some());
     let mut per_home = Vec::with_capacity(cfg.homes);
     let mut events = record.then(|| Vec::with_capacity(cfg.homes));
     let mut wal_records = Vec::new();
@@ -2239,8 +2070,7 @@ pub fn collect_served(
     let mut telemetry = Telemetry::default();
     let mut des_events = 0u64;
     let mut peak_pending = 0usize;
-    for shard in shards {
-        let chunk = shard.out;
+    for chunk in shards {
         per_home.extend(chunk.stats);
         if let (Some(events), Some(taps)) = (events.as_mut(), chunk.taps) {
             events.extend(taps);
@@ -2270,6 +2100,9 @@ pub fn collect_served(
         let (_, clamped) = report.totals_checked();
         telemetry.fleet.add(Ctr::TotalsSaturated, clamped);
     }
+    // `(at, home)` is unique per record, and the per-home monotone `seq`
+    // breaks same-instant care ties, so each sort lands on one fleet-wide
+    // order whatever the worker count or sched mode.
     wal_records.sort_unstable_by_key(|r| (r.at, r.home));
     if let Some(out) = care_out.as_mut() {
         out.events.sort_unstable_by_key(|e| (e.at, e.home, e.seq));

@@ -52,6 +52,7 @@
 //! [`coreda_core::run_scale_care`] overlay under the sim clock.
 
 #![warn(missing_docs)]
+#![deny(rustdoc::broken_intra_doc_links, rustdoc::private_intra_doc_links)]
 #![warn(missing_debug_implementations)]
 
 pub mod client;

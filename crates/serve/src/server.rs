@@ -196,9 +196,12 @@ impl<C: Client> Conn<C> {
                     stats.bytes_in += used as u64;
                     match frame {
                         Frame::Report { home: h, at, seq } => {
-                            debug_assert_eq!(h, home);
                             stats.reports += 1;
-                            match classify_report(self.last_seq, seq) {
+                            // A report under another home's id is stale
+                            // here: it moves neither `last_seq` nor the
+                            // watermark.
+                            let class = (h == home).then(|| classify_report(self.last_seq, seq));
+                            match class.unwrap_or(ReportClass::Stale) {
                                 ReportClass::Dup => stats.dup_frames += 1,
                                 ReportClass::Stale => stats.stale_reports += 1,
                                 ReportClass::Fresh => {
@@ -637,6 +640,41 @@ mod tests {
         assert_eq!(delivers, outcome.wire.delivers);
         assert_eq!(escalates, outcome.wire.escalations);
         assert!(escalates > 0, "the eager policy must escalate");
+    }
+
+    /// The faithful client, sending every `Report` under its neighbour's
+    /// home id.
+    struct Impostor(MoteClient);
+
+    impl Client for Impostor {
+        fn on_bytes(&mut self, inbound: &[u8], out: &mut Vec<u8>) {
+            let mut sent = Vec::new();
+            self.0.on_bytes(inbound, &mut sent);
+            let mut rest = &sent[..];
+            while let Some((frame, used)) = try_decode(rest).expect("well-formed") {
+                let frame = match frame {
+                    Frame::Report { home, at, seq } => Frame::Report { home: home ^ 1, at, seq },
+                    other => other,
+                };
+                encode_frame(&frame, out);
+                rest = &rest[used..];
+            }
+        }
+    }
+
+    /// A foreign-id report neither crashes the server nor moves the
+    /// watermark: it is stale, every wake is late, and the served output
+    /// is still the batch run's.
+    #[test]
+    fn reports_under_a_foreign_home_id_are_stale() {
+        let (batch, wal) = run_scale_walled(&cfg(4, 2));
+        let ctx = ServeCtx::new(cfg(4, 2)).expect("fleet fits");
+        let make = |home, digest| Impostor(MoteClient::new(home, digest));
+        let outcome = serve_fleet(&ctx, &ServeOptions::default(), &make, &SimClock);
+        assert_eq!((outcome.output.report, outcome.log), (batch, wal));
+        assert!(outcome.wire.reports > 0, "the clients must report");
+        assert_eq!(outcome.wire.stale_reports, outcome.wire.reports);
+        assert_eq!(outcome.wire.late_reports, outcome.wire.polls);
     }
 
     #[test]

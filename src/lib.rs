@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(rustdoc::broken_intra_doc_links, rustdoc::private_intra_doc_links)]
 
 pub use coreda_adl as adl;
 pub use coreda_core as core;

@@ -8,12 +8,13 @@ use std::sync::OnceLock;
 
 use coreda_core::checkpoint::{
     apply_delta, delta_checkpoint, load_checkpoint, load_delta, save_checkpoint, save_delta,
-    CheckpointError,
+    CheckpointError, MetroCheckpoint,
 };
 use coreda_core::metro::{
     resume_scale, resume_scale_durable, resume_scale_traced, run_scale, run_scale_checkpointed,
     run_scale_checkpointed_traced, run_scale_durable, run_scale_traced, EngineKind, MetroConfig,
 };
+use coreda_core::planning::LearnerKind;
 use coreda_core::wal::{decode_wal, decode_wal_tolerant, encode_wal};
 use coreda_des::time::{SimDuration, SimTime};
 use coreda_sensornet::packet::crc16;
@@ -154,6 +155,100 @@ fn delta_chains_refuse_a_foreign_base() {
 
 /// One mid-run snapshot, encoded once and shared by the robustness
 /// proptests below (capturing it is the expensive part).
+/// A mid-run snapshot of the 6-home fleet with an episode and a session
+/// in flight.
+fn mid_run_snapshot() -> MetroCheckpoint {
+    let stops: Vec<SimTime> = (1..=20).map(|k| SimTime::from_secs(k * 30)).collect();
+    let (_, snaps) = run_scale_checkpointed(&cfg(1, EngineKind::Wheel), &stops);
+    let in_flight = |s: &MetroCheckpoint| {
+        s.homes.iter().any(|h| h.episode.is_some()) && s.homes.iter().any(|h| h.tracker.is_some())
+    };
+    snaps.into_iter().find(in_flight).expect("some stop catches an episode and a session")
+}
+
+/// Resumes a crafted copy of `snap` after a trip through the codec, which
+/// checks bytes, not shape: the resume must return a typed error, not
+/// panic.
+fn resume_crafted(
+    config: &MetroConfig,
+    mut snap: MetroCheckpoint,
+    craft: impl FnOnce(&mut MetroCheckpoint),
+) -> CheckpointError {
+    craft(&mut snap);
+    let back = load_checkpoint(&save_checkpoint(&snap, 2), 2).expect("CRC-valid snapshots decode");
+    resume_scale(config, &back).expect_err("a mis-shaped snapshot must not resume")
+}
+
+fn shape_of(craft: impl FnOnce(&mut MetroCheckpoint)) -> CheckpointError {
+    resume_crafted(&cfg(1, EngineKind::Wheel), mid_run_snapshot(), craft)
+}
+
+fn mismatch(index: usize, bound: usize) -> CheckpointError {
+    CheckpointError::ShapeMismatch { index: index as u32, bound: bound as u32 }
+}
+
+#[test]
+fn a_home_missing_an_activity_system_is_refused() {
+    assert_eq!(shape_of(|s| s.homes[0].systems.truncate(1)), mismatch(1, 2));
+}
+
+#[test]
+fn an_episode_past_the_activity_catalog_is_refused() {
+    let err = shape_of(|s| {
+        let home = s.homes.iter_mut().find(|h| h.episode.is_some()).expect("an episode");
+        home.episode.as_mut().expect("found above").0 = 2;
+    });
+    assert_eq!(err, mismatch(2, 2));
+}
+
+#[test]
+fn a_session_past_the_activity_catalog_is_refused() {
+    let err = shape_of(|s| {
+        let home = s.homes.iter_mut().find(|h| h.tracker.is_some()).expect("a session");
+        home.tracker.as_mut().expect("found above").activity_idx = 7;
+    });
+    assert_eq!(err, mismatch(7, 2));
+}
+
+#[test]
+fn a_system_missing_a_node_is_refused() {
+    let nodes = mid_run_snapshot().homes[0].systems[0].nodes.len();
+    let err = shape_of(|s| s.homes[0].systems[0].nodes.truncate(nodes - 1));
+    assert_eq!(err, mismatch(nodes - 1, nodes));
+}
+
+#[test]
+fn a_learned_table_of_the_wrong_size_is_refused() {
+    let snap = mid_run_snapshot();
+    let cells = snap.homes[0].systems[1].learned.as_ref().expect("Watkins captures").values.len();
+    let err = resume_crafted(&cfg(1, EngineKind::Wheel), snap, |s| {
+        let learned = s.homes[0].systems[1].learned.as_mut().expect("checked above");
+        learned.values.pop();
+        learned.visits.pop();
+    });
+    assert_eq!(err, mismatch(cells - 1, cells));
+}
+
+/// `Coreda::restore_state` refuses a learned table for a learner that
+/// cannot restore one; the resume must report it, not panic on it.
+#[test]
+fn a_learned_table_for_a_learner_without_one_is_refused() {
+    let mut config = cfg(1, EngineKind::Wheel);
+    config.system.planning.learner = LearnerKind::QLearning;
+    let (_, snaps) = run_scale_checkpointed(&config, &[SimTime::from_secs(300)]);
+    let donor = mid_run_snapshot().homes[0].systems[0].learned.clone().expect("Watkins captures");
+    let cells = donor.values.len();
+    let err = resume_crafted(&config, snaps[0].clone(), |s| {
+        s.homes[0].systems[0].learned = Some(donor);
+    });
+    assert_eq!(err, mismatch(cells, 0));
+}
+
+#[test]
+fn a_snapshot_missing_a_home_is_a_shape_error() {
+    assert_eq!(shape_of(|s| s.homes.truncate(5)), mismatch(5, 6));
+}
+
 fn blob() -> &'static [u8] {
     static BLOB: OnceLock<Vec<u8>> = OnceLock::new();
     BLOB.get_or_init(|| {

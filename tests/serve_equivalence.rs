@@ -8,8 +8,8 @@
 
 use coreda::core::escalation::CarePolicy;
 use coreda::core::metro::{
-    run_scale, run_scale_care_traced, run_scale_traced, run_scale_walled, EngineKind, MetroConfig,
-    ServeCtx,
+    run_scale, run_scale_care_traced, run_scale_recorded, run_scale_traced, run_scale_walled,
+    EngineKind, MetroConfig, ServeCtx,
 };
 use coreda::des::rng::SimRng;
 use coreda::des::time::{SimDuration, SimTime};
@@ -147,4 +147,24 @@ fn served_engines_agree_home_for_home() {
         .expect("six homes fit in u32");
     assert_eq!(wheel.output.report.per_home, heap.output.report.per_home);
     assert_eq!(wheel.log, heap.log);
+}
+
+/// An empty fleet keeps the taps it was asked for, served and batch
+/// alike: empty events, fleet telemetry, an empty log and care output.
+#[test]
+fn an_empty_fleet_serves_the_batch_taps() {
+    let policy = eager_policy();
+    let opts = ServeOptions { record: true, trace: true, care: Some(policy.clone()) };
+    for jobs in [1usize, 8] {
+        let empty = MetroConfig { homes: 0, ..cfg(jobs, EngineKind::Wheel) };
+        let recorded = run_scale_recorded(&empty);
+        assert_eq!(recorded.events, Some(Vec::new()), "jobs {jobs}");
+        let (traced, care) = run_scale_care_traced(&empty, &policy);
+        let (_, wal) = run_scale_walled(&empty);
+        let served = serve_scale(empty, &opts).expect("an empty fleet fits in u32");
+        assert_eq!(served.output.report, recorded, "jobs {jobs}");
+        assert_eq!(served.output.telemetry.to_jsonl(), traced.telemetry.to_jsonl(), "jobs {jobs}");
+        assert_eq!(served.log, wal, "jobs {jobs}");
+        assert_eq!(served.care.as_ref(), Some(&care), "jobs {jobs}: care");
+    }
 }
