@@ -59,10 +59,15 @@ bench-scale:
 # the served wire outcome, across jobs and engines, with sched-
 # agnostic checkpoints), the drain_until proptests riding the des
 # suite, the 100k-home smoke serve (epoch-tiled by default), and
-# bench_check's 100k-home throughput floor next to the 10k one.
+# bench_check's 100k-home throughput floor next to the 10k one. The
+# sensing hot path's noise bound gates through a release run of the
+# sensornet proptests at 2048 cases, whose node differential (skip path
+# ≡ eager sampling, down to checkpointed window peaks) needs that many
+# to reach near-threshold draws.
 ci:
 	cargo build --release
 	cargo test -q --workspace
+	PROPTEST_CASES=2048 cargo test -q --release -p coreda-sensornet --test proptests
 	cargo test -q --test fleet_determinism
 	cargo test -q --test scale_determinism
 	cargo test -q --test checkpoint_equivalence

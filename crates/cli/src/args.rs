@@ -22,7 +22,8 @@ impl Parsed {
     /// # Errors
     ///
     /// Returns [`ArgError`] when no subcommand is present, an option has
-    /// no value, or a positional argument appears after the subcommand.
+    /// no value or is given twice, or a positional argument appears after
+    /// the subcommand.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
         let mut it = args.into_iter();
         let command = it.next().ok_or(ArgError::MissingCommand)?;
@@ -36,6 +37,9 @@ impl Parsed {
                 .ok_or_else(|| ArgError::UnexpectedPositional(arg.clone()))?
                 .to_owned();
             let value = it.next().ok_or_else(|| ArgError::MissingValue(key.clone()))?;
+            if options.contains_key(&key) {
+                return Err(ArgError::DuplicateOption(key));
+            }
             options.insert(key, value);
         }
         Ok(Parsed { command, options })
@@ -106,6 +110,8 @@ pub enum ArgError {
     },
     /// A bare word where an option was expected.
     UnexpectedPositional(String),
+    /// The same `--key` given more than once.
+    DuplicateOption(String),
 }
 
 impl fmt::Display for ArgError {
@@ -120,6 +126,7 @@ impl fmt::Display for ArgError {
             ArgError::UnexpectedPositional(a) => {
                 write!(f, "unexpected argument {a:?} (options are --key value)")
             }
+            ArgError::DuplicateOption(k) => write!(f, "option --{k} is given more than once"),
         }
     }
 }
@@ -163,6 +170,13 @@ mod tests {
             parse(&["train", "stray"]),
             Err(ArgError::UnexpectedPositional(_))
         ));
+    }
+
+    #[test]
+    fn duplicate_option_rejected() {
+        let err = parse(&["scale", "--homes", "10", "--seed", "1", "--homes", "20"]).unwrap_err();
+        assert_eq!(err, ArgError::DuplicateOption("homes".to_owned()));
+        assert_eq!(err.to_string(), "option --homes is given more than once");
     }
 
     #[test]

@@ -144,8 +144,10 @@ pub enum CheckpointError {
     /// (a Q-cell index past the table, or a per-system delta list whose
     /// length disagrees with the base's system count), or a snapshot
     /// does not fit the fleet it is resumed into (home count, systems
-    /// per home, nodes per system, learned-table size, or an activity
-    /// index past the catalog).
+    /// per home, nodes per system, learned-table size, an activity
+    /// index past the catalog, a full detector window, a flip rate or
+    /// energy total out of range — reported as the node's position
+    /// against the node count — or a channel for an unknown node).
     ShapeMismatch {
         /// Index or length stored in the delta or snapshot.
         index: u32,

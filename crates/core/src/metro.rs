@@ -52,6 +52,8 @@ use coreda_des::rng::SimRng;
 use coreda_des::sim::Simulator;
 use coreda_des::time::{SimDuration, SimTime};
 use coreda_des::{Clock, SimClock};
+use coreda_sensornet::hw::SAMPLES_PER_WINDOW;
+use coreda_sensornet::node::NodeId;
 
 use crate::checkpoint::{
     compact, config_digest, delta_checkpoint, shape_mismatch, CheckpointError, DeltaCheckpoint,
@@ -63,7 +65,7 @@ use crate::live::StochasticBehavior;
 use crate::planning::PlanningSubsystem;
 use crate::reminding::RemindingSubsystem;
 use crate::sessions::{SessionEvent, SessionTracker};
-use crate::system::{Coreda, CoredaConfig, LiveEpisode};
+use crate::system::{Coreda, CoredaConfig, LiveEpisode, SystemState};
 use crate::telemetry::{Ctr, HomeRecorder, Telemetry, TraceKind};
 use crate::wal::{self, WalRecord};
 
@@ -403,9 +405,10 @@ impl FleetCtx {
 
     /// Checks that a snapshot fits a fleet of `homes` homes before any
     /// home is restored: one system per activity, each with the spec's
-    /// node count and a learned table the planner template can take, and
-    /// every activity index in range. The codec checks bytes, not shape;
-    /// a CRC-valid crafted snapshot fails here instead of mid-restore.
+    /// node count, node state the restore accepts (see [`check_nodes`])
+    /// and a learned table the planner template can take, and every
+    /// activity index in range. The codec checks bytes, not shape; a
+    /// CRC-valid crafted snapshot fails here instead of mid-restore.
     fn check_shape(&self, homes: usize, ckpt: &MetroCheckpoint) -> Result<(), CheckpointError> {
         let fits = |len, bound| if len == bound { Ok(()) } else { Err(shape_mismatch(len, bound)) };
         fits(ckpt.homes.len(), homes)?;
@@ -417,8 +420,10 @@ impl FleetCtx {
             .collect();
         for home in &ckpt.homes {
             fits(home.systems.len(), acts)?;
-            for (state, &(nodes, cells)) in home.systems.iter().zip(&shapes) {
+            let systems = home.systems.iter().zip(&self.specs);
+            for ((state, spec), &(nodes, cells)) in systems.zip(&shapes) {
                 fits(state.nodes.len(), nodes)?;
+                check_nodes(state, spec)?;
                 if let Some(learned) = &state.learned {
                     let cells = cells.ok_or_else(|| shape_mismatch(learned.values.len(), 0))?;
                     fits(learned.values.len(), cells)?;
@@ -434,6 +439,33 @@ impl FleetCtx {
             }
         }
         Ok(())
+    }
+}
+
+/// Checks the node state a restore asserts on. A buffered detector window
+/// of `n` votes must be shorter than a full window (`n` against
+/// [`SAMPLES_PER_WINDOW`]). Flip rates must be probabilities and the
+/// energy total non-negative (the node's position against the node
+/// count). Every radio channel must belong to one of `spec`'s tools (its
+/// node id against the node count).
+fn check_nodes(state: &SystemState, spec: &AdlSpec) -> Result<(), CheckpointError> {
+    let nodes = state.nodes.len();
+    for (at, (node, ..)) in state.nodes.iter().enumerate() {
+        let window = node.detector_window.len();
+        if window >= SAMPLES_PER_WINDOW {
+            return Err(shape_mismatch(window, SAMPLES_PER_WINDOW));
+        }
+        let rates = [node.flip_false_positive, node.flip_false_negative];
+        let in_range = rates.iter().all(|r| (0.0..=1.0).contains(r))
+            && (0.0..f64::INFINITY).contains(&node.energy_uj);
+        if !in_range {
+            return Err(shape_mismatch(at, nodes));
+        }
+    }
+    let known = |id: NodeId| spec.tools().iter().any(|t| t.id().raw() == id.raw());
+    match state.channels.iter().find(|&&(id, ..)| !known(id)) {
+        Some(&(id, ..)) => Err(shape_mismatch(usize::from(id.raw()), nodes)),
+        None => Ok(()),
     }
 }
 

@@ -143,15 +143,30 @@ impl SimRng {
         self.uniform() < p
     }
 
-    /// A standard-normal draw via Box–Muller.
+    /// A standard-normal draw via Box–Muller: [`SimRng::gaussian_uniforms`]
+    /// then [`SimRng::box_muller`].
     pub fn gaussian(&mut self) -> f64 {
+        Self::box_muller(self.gaussian_uniforms())
+    }
+
+    /// The uniforms one Box–Muller draw consumes, in draw order: `u1`,
+    /// rejection-sampled until it exceeds `f64::EPSILON` (so `ln u1` is
+    /// finite), then `u2`.
+    pub fn gaussian_uniforms(&mut self) -> (f64, f64) {
         loop {
             let u1 = self.uniform();
             if u1 > f64::EPSILON {
-                let u2 = self.uniform();
-                return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                return (u1, self.uniform());
             }
         }
+    }
+
+    /// The Box–Muller transform `√(−2 ln u1) · cos(2π u2)` of uniforms
+    /// drawn by [`SimRng::gaussian_uniforms`]. Its magnitude is at most
+    /// `√(−2 ln u1)`.
+    #[must_use]
+    pub fn box_muller((u1, u2): (f64, f64)) -> f64 {
+        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
     /// A normal draw with the given `mean` and standard deviation `sd`.

@@ -113,14 +113,20 @@ impl Thresholds {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Detector {
     thresholds: Thresholds,
-    window: Vec<bool>,
+    /// The partial window's votes, bit `i` for its `i`-th sample.
+    votes: u16,
+    /// Samples buffered toward the next verdict (below
+    /// [`SAMPLES_PER_WINDOW`]).
+    len: u8,
 }
+
+const _: () = assert!(SAMPLES_PER_WINDOW <= u16::BITS as usize, "a window fits the vote mask");
 
 impl Detector {
     /// Creates a detector.
     #[must_use]
     pub fn new(thresholds: Thresholds) -> Self {
-        Detector { thresholds, window: Vec::with_capacity(SAMPLES_PER_WINDOW) }
+        Detector { thresholds, votes: 0, len: 0 }
     }
 
     /// The configured thresholds.
@@ -141,19 +147,22 @@ impl Detector {
         self.push_activation(reading.kind(), reading.activation())
     }
 
-    /// [`Detector::push`] with the activation precomputed by the caller.
-    /// The sampling hot path already evaluates `activation()` for the
-    /// per-window peak tracker; this entry point lets it vote on the same
-    /// value instead of recomputing it (an extra `sqrt` per accel sample).
+    /// [`Detector::push`] with the activation computed by the caller, which
+    /// also folds it into the node's per-window peak.
     pub fn push_activation(&mut self, kind: SensorKind, activation: f64) -> Option<bool> {
-        self.window.push(activation > self.thresholds.for_kind(kind));
-        if self.window.len() == SAMPLES_PER_WINDOW {
-            let votes = self.window.iter().filter(|&&v| v).count();
-            self.window.clear();
-            Some(votes >= DETECTION_VOTES)
-        } else {
-            None
+        self.push_vote(activation > self.thresholds.for_kind(kind))
+    }
+
+    /// Pushes one sample's vote: whether it surpassed its threshold.
+    pub(crate) fn push_vote(&mut self, vote: bool) -> Option<bool> {
+        self.votes |= u16::from(vote) << self.len;
+        self.len += 1;
+        if usize::from(self.len) < SAMPLES_PER_WINDOW {
+            return None;
         }
+        let votes = self.votes.count_ones() as usize;
+        self.reset();
+        Some(votes >= DETECTION_VOTES)
     }
 
     /// Judges a complete window in one call.
@@ -175,19 +184,20 @@ impl Detector {
     /// Number of samples buffered toward the next verdict.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.window.len()
+        usize::from(self.len)
     }
 
     /// Drops any partially filled window.
     pub fn reset(&mut self) {
-        self.window.clear();
+        self.votes = 0;
+        self.len = 0;
     }
 
     /// The buffered per-sample votes of the partially filled window, in
     /// arrival order (checkpointing).
     #[must_use]
-    pub fn window_votes(&self) -> &[bool] {
-        &self.window
+    pub fn window_votes(&self) -> Vec<bool> {
+        (0..self.len).map(|i| self.votes >> i & 1 == 1).collect()
     }
 
     /// Replaces the partially filled window with `votes` so the next
@@ -205,8 +215,8 @@ impl Detector {
             SAMPLES_PER_WINDOW - 1,
             votes.len()
         );
-        self.window.clear();
-        self.window.extend_from_slice(votes);
+        self.votes = votes.iter().rev().fold(0, |mask, &vote| mask << 1 | u16::from(vote));
+        self.len = votes.len() as u8;
     }
 }
 

@@ -13,7 +13,7 @@ use crate::eeprom::Eeprom;
 use crate::energy::{EnergyMeter, EnergyModel};
 use crate::led::{LedBank, LedColor};
 use crate::packet::{Packet, Payload};
-use crate::signal::SignalModel;
+use crate::signal::{NoiseBound, SignalModel};
 
 /// A PAVENET unique ID. CoReDA uses it directly as the tool ID.
 ///
@@ -114,12 +114,25 @@ pub struct NodeState {
 pub struct PavenetNode {
     uid: NodeId,
     signal: SignalModel,
+    /// Clears this node's noise-only samples against its threshold.
+    bound: NoiseBound,
     detector: Detector,
     leds: LedBank,
     eeprom: Eeprom,
     energy: EnergyMeter,
     next_seq: u16,
+    /// Peak activation of the current window's exactly computed samples;
+    /// [`PavenetNode::settled_peak`] adds the skipped ones.
     window_peak_activation: f64,
+    /// `in_use` of each sample of the current window, bit `i` for its
+    /// `i`-th sample.
+    window_in_use: u16,
+    /// Window position of the current window's first skipped sample, if
+    /// any: [`PavenetNode::settled_peak`] replays from there.
+    replay_from: Option<u8>,
+    /// The node's RNG words just before that sample's draws (stale while
+    /// `replay_from` is `None`).
+    replay_words: [u64; 4],
     windows_closed: u64,
     reports_sent: u64,
     /// Fault injection: a crashed node neither samples nor reports.
@@ -139,12 +152,16 @@ impl PavenetNode {
         PavenetNode {
             uid,
             signal,
+            bound: signal.noise_bound(thresholds.for_kind(signal.kind())),
             detector: Detector::new(thresholds),
             leds: LedBank::new(),
             eeprom: Eeprom::new(),
             energy: EnergyMeter::new(EnergyModel::default()),
             next_seq: 0,
             window_peak_activation: 0.0,
+            window_in_use: 0,
+            replay_from: None,
+            replay_words: [0; 4],
             windows_closed: 0,
             reports_sent: 0,
             failed: false,
@@ -216,6 +233,13 @@ impl PavenetNode {
     /// behaviour simulation: is the person manipulating this tool right
     /// now? Returns a `ToolUse` packet when a detection window closes with
     /// a positive verdict.
+    ///
+    /// A quiet sample whose drawn uniforms prove it stays below the
+    /// threshold votes `false` without computing its activation. Every
+    /// tick of a window must draw from one stream that nothing else draws
+    /// from in between (each node of a `Coreda` system owns its stream):
+    /// [`PavenetNode::export_state`] replays the skipped samples from it
+    /// to report the window's exact peak.
     pub fn sample_tick(&mut self, in_use: bool, now_ms: u64, rng: &mut SimRng) -> Option<Packet> {
         if self.failed {
             // A crashed mote draws no power and produces nothing; its RNG
@@ -223,15 +247,29 @@ impl PavenetNode {
             return None;
         }
         self.energy.charge_samples(1);
-        let flip_p = if in_use { self.flip_false_negative } else { self.flip_false_positive };
-        let in_use = if flip_p > 0.0 && rng.chance(flip_p) { !in_use } else { in_use };
-        let reading = self.signal.sample(in_use, rng);
-        let activation = reading.activation();
-        self.window_peak_activation = self.window_peak_activation.max(activation);
-        let verdict = self.detector.push_activation(reading.kind(), activation)?;
+        let at = self.detector.buffered();
+        let before = rng.state_parts().0;
+        let active = self.flip(in_use, rng);
+        self.window_in_use |= u16::from(in_use) << at;
+        let verdict = match self.signal.sample_activation(active, self.bound, rng) {
+            Some(activation) => {
+                self.window_peak_activation = self.window_peak_activation.max(activation);
+                self.detector.push_activation(self.signal.kind(), activation)
+            }
+            None => {
+                if self.replay_from.is_none() {
+                    self.replay_from = Some(at as u8);
+                    self.replay_words = before;
+                }
+                self.detector.push_vote(false)
+            }
+        }?;
         self.windows_closed += 1;
+        // A positive window has at least three samples above the
+        // threshold, all computed exactly, and every skipped sample is at
+        // or below it: the exact samples' peak is the window's.
         let peak = self.window_peak_activation;
-        self.window_peak_activation = 0.0;
+        self.clear_window();
         if !verdict {
             return None;
         }
@@ -267,6 +305,9 @@ impl PavenetNode {
     pub fn set_sensor_flip(&mut self, false_positive: f64, false_negative: f64) {
         assert!((0.0..=1.0).contains(&false_positive), "false_positive must be a probability");
         assert!((0.0..=1.0).contains(&false_negative), "false_negative must be a probability");
+        // The replay draws its flips at the current rates.
+        self.window_peak_activation = self.settled_peak();
+        self.replay_from = None;
         self.flip_false_positive = false_positive;
         self.flip_false_negative = false_negative;
     }
@@ -279,20 +320,52 @@ impl PavenetNode {
     /// Resets detector state (e.g. between experiment trials).
     pub fn reset_detector(&mut self) {
         self.detector.reset();
+        self.clear_window();
+    }
+
+    /// Drops the per-window peak and replay state.
+    fn clear_window(&mut self) {
         self.window_peak_activation = 0.0;
+        self.window_in_use = 0;
+        self.replay_from = None;
+    }
+
+    /// Applies the sensing flip faults to a sample's `in_use`.
+    fn flip(&self, in_use: bool, rng: &mut SimRng) -> bool {
+        let flip_p = if in_use { self.flip_false_negative } else { self.flip_false_positive };
+        if flip_p > 0.0 && rng.chance(flip_p) {
+            !in_use
+        } else {
+            in_use
+        }
+    }
+
+    /// The current window's exact peak activation: the exactly computed
+    /// samples' peak, raised by replaying every sample from the first
+    /// skipped one through [`SignalModel::sample`].
+    fn settled_peak(&self) -> f64 {
+        let Some(from) = self.replay_from else {
+            return self.window_peak_activation;
+        };
+        // Only `next_u64` is drawn, which the base seed does not affect.
+        let mut rng = SimRng::from_state_parts(self.replay_words, 0);
+        (from..self.detector.buffered() as u8).fold(self.window_peak_activation, |peak, at| {
+            let active = self.flip(self.window_in_use >> at & 1 == 1, &mut rng);
+            peak.max(self.signal.sample(active, &mut rng).activation())
+        })
     }
 
     /// Captures the node's resumable mutable state (checkpointing).
     #[must_use]
     pub fn export_state(&self) -> NodeState {
         NodeState {
-            detector_window: self.detector.window_votes().to_vec(),
+            detector_window: self.detector.window_votes(),
             led_green: self.leds.is_on(LedColor::Green),
             led_red: self.leds.is_on(LedColor::Red),
             energy_uj: self.energy.consumed_uj(),
             energy_breakdown: self.energy.breakdown(),
             next_seq: self.next_seq,
-            window_peak_activation: self.window_peak_activation,
+            window_peak_activation: self.settled_peak(),
             windows_closed: self.windows_closed,
             reports_sent: self.reports_sent,
             failed: self.failed,
@@ -316,6 +389,7 @@ impl PavenetNode {
     /// outside `[0, 1]`).
     pub fn restore_state(&mut self, state: &NodeState) {
         self.detector.restore_window(&state.detector_window);
+        self.clear_window();
         self.leds.set(LedColor::Green, state.led_green);
         self.leds.set(LedColor::Red, state.led_red);
         let (samples, tx, rx, led, sleep) = state.energy_breakdown;

@@ -17,6 +17,7 @@ use coreda_core::metro::{
 use coreda_core::planning::LearnerKind;
 use coreda_core::wal::{decode_wal, decode_wal_tolerant, encode_wal};
 use coreda_des::time::{SimDuration, SimTime};
+use coreda_sensornet::node::NodeId;
 use coreda_sensornet::packet::crc16;
 use proptest::prelude::*;
 
@@ -242,6 +243,35 @@ fn a_learned_table_for_a_learner_without_one_is_refused() {
         s.homes[0].systems[0].learned = Some(donor);
     });
     assert_eq!(err, mismatch(cells, 0));
+}
+
+#[test]
+fn a_full_detector_window_is_refused() {
+    let err = shape_of(|s| s.homes[0].systems[0].nodes[0].0.detector_window = vec![true; 12]);
+    assert_eq!(err, mismatch(12, 10));
+}
+
+#[test]
+fn a_flip_rate_outside_zero_to_one_is_refused() {
+    let nodes = mid_run_snapshot().homes[0].systems[0].nodes.len();
+    let err = shape_of(|s| s.homes[0].systems[0].nodes[1].0.flip_false_positive = 2.0);
+    assert_eq!(err, mismatch(1, nodes));
+    let err = shape_of(|s| s.homes[0].systems[0].nodes[2].0.flip_false_negative = -0.5);
+    assert_eq!(err, mismatch(2, nodes));
+}
+
+#[test]
+fn a_negative_energy_total_is_refused() {
+    let nodes = mid_run_snapshot().homes[0].systems[1].nodes.len();
+    let err = shape_of(|s| s.homes[0].systems[1].nodes[0].0.energy_uj = -1.0);
+    assert_eq!(err, mismatch(0, nodes));
+}
+
+#[test]
+fn a_channel_for_an_unknown_node_is_refused() {
+    let nodes = mid_run_snapshot().homes[0].systems[0].nodes.len();
+    let err = shape_of(|s| s.homes[0].systems[0].channels[0].0 = NodeId::new(99));
+    assert_eq!(err, mismatch(99, nodes));
 }
 
 #[test]
