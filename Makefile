@@ -17,20 +17,24 @@ bench:
 bench-fleet:
 	cargo bench -p coreda-bench --bench fleet_micro
 
-# Metro-scale serving grid (100/1k/10k/100k homes), the timing-wheel vs
-# binary-heap engine duel, the epoch-tiled vs strict scheduling duel at
-# the 100k cache cliff, and snapshot encode/restore throughput for a
-# 1k-home checkpoint; writes BENCH_scale.json (release builds only).
+# Metro-scale serving grid (100/1k/10k/100k homes), the recorder and
+# care-overlay overheads, and snapshot/delta codec throughput; writes
+# BENCH_scale.json (release builds only).
 bench-scale:
 	cargo bench -p coreda-bench --bench scale_micro
 
-# The tier-1 gate: release build, every crate's test suite (unit tests,
-# integration tests and proptests across the workspace), the determinism
-# regressions (parallel sweeps, metro serving, and flight-recorder
-# telemetry byte-identical to serial; timing wheel byte-identical to the
-# heap queue), the checkpoint/resume equivalence suite (full snapshots
+# The tier-1 gate: release build, every crate's test suite — unit
+# tests, proptests and every tests/*.rs integration suite, which
+# `--workspace` already covers because the root package is a workspace
+# member — including the determinism regressions (parallel sweeps,
+# metro serving, and flight-recorder telemetry byte-identical to
+# serial; the timing wheel's dispatch order byte-identical to the
+# reference binary-heap queue, which no simulator runs on; event-driven
+# wakes byte-identical to the dense 100 ms polling oracle in metro's
+# unit tests), the checkpoint/resume equivalence suite (full snapshots
 # AND delta-chain + write-ahead-log resume, bit-identical at any
-# cadence/jobs/engine), the wire-format fixture replay, the
+# cadence/jobs, with a stored log that must be a prefix of the
+# replay), the wire-format fixture replay, the
 # trace-summary golden, doc and clippy lints, a fixed-seed
 # simulation-testing fuzz budget (plus a second budget with
 # checkpoint-kill-resume faults injected into every plan — each kill
@@ -43,23 +47,25 @@ bench-scale:
 # byte count — the steady-state 1k-home delta checkpoint no larger than
 # 15 % of a full snapshot. The online serving front end gates too: the
 # serve≡batch differential (report, telemetry, and delivery log
-# byte-identical across jobs 1↔8 and wheel↔heap), the wire-codec
+# byte-identical across jobs 1↔8 and any window cut), the wire-codec
 # proptests (every single-bit flip, truncation and foreign version of
 # every frame kind rejected), the loadgen report goldens (including the
 # explicit zero-deliveries body), a served-path fuzz budget (transport
 # fault plans through the real wire), and a 1k-home load-generator
 # smoke under the sim clock. The caregiver escalation overlay gates
 # alongside: the escalation_consistency suite (escalation logs
-# byte-identical across jobs 1↔8, wheel↔heap, and served≡batch), a
+# byte-identical across jobs 1↔8, window widths, and served≡batch), a
 # care-path fuzz budget drawing caregiver-outage fault plans against
 # the escalation_consistency oracle, and — via bench_check — the
 # committed care-overlay overhead under 5 %. Epoch-tiled wake
-# scheduling gates through the locality_equivalence differential
-# (epoch ≡ strict down to WAL bytes, telemetry JSONL, care logs and
-# the served wire outcome, across jobs and engines, with sched-
-# agnostic checkpoints), the drain_until proptests riding the des
-# suite, the 100k-home smoke serve (epoch-tiled by default), and
-# bench_check's 100k-home throughput floor next to the 10k one. The
+# scheduling gates through the locality_equivalence differential (full
+# epoch windows ≡ the strict (due, seq) sweep down to WAL bytes,
+# telemetry JSONL, care logs and the served wire outcome, at jobs 1
+# and 8, with window-agnostic checkpoints); the strict sweep is a
+# served fleet paced by testkit's single-instant InstantClock, which no
+# production path selects. Then the drain_until proptests riding the
+# des suite, the 100k-home smoke serve, and bench_check's 100k-home
+# throughput floor next to the 10k one. The
 # sensing hot path's noise bound gates through a release run of the
 # sensornet proptests at 2048 cases, whose node differential (skip path
 # ≡ eager sampling, down to checkpointed window peaks) needs that many
@@ -68,15 +74,6 @@ ci:
 	cargo build --release
 	cargo test -q --workspace
 	PROPTEST_CASES=2048 cargo test -q --release -p coreda-sensornet --test proptests
-	cargo test -q --test fleet_determinism
-	cargo test -q --test scale_determinism
-	cargo test -q --test checkpoint_equivalence
-	cargo test -q --test serve_equivalence
-	cargo test -q --test escalation_consistency
-	cargo test -q --test locality_equivalence
-	cargo test -q --test loadgen_report
-	cargo test -q --test wire_format
-	cargo test -q --test trace_summary
 	cargo doc --workspace --no-deps
 	cargo clippy --workspace --all-targets -- -D warnings
 	cargo run --release -p coreda-cli -- fuzz --seconds 30 --seed 2007
@@ -92,7 +89,8 @@ ci:
 # .seed.json repros under fuzz-out/ for triage and corpus promotion.
 # The second budget fuzzes the served ingestion path: transport fault
 # plans (duplicated / reordered / delayed frames, mid-session hangups)
-# through the real wire codec, checked against batch on both engines.
+# through the real wire codec, checked against batch on full and
+# single-instant serving windows.
 # The third fuzzes the caregiver escalation overlay: caregiver-outage
 # plans against the escalation_consistency oracle.
 fuzz:

@@ -1,14 +1,10 @@
 //! Metro-scale serving throughput: homes/sec and events/sec across the
-//! fleet-size grid, plus the timing-wheel vs binary-heap engine duel.
+//! fleet-size grid.
 //!
 //! Besides the criterion group printed to stdout, this bench writes
 //! `BENCH_scale.json` at the repository root: the serving grid (100, 1k,
-//! 10k and 100k homes at 1/2/4/8 workers) and an `engine_compare` entry
-//! measuring the wheel + interned zero-alloc pipeline against the seed's
-//! dense heap-polling path at 1 000 homes on one worker — the speedup
-//! figure the ISSUE's acceptance bar reads — a `locality_duel` entry
-//! pricing epoch-tiled wake scheduling against the strict `(due, seq)`
-//! sweep at the 100k-home cache cliff, plus a `care_overhead`
+//! 10k and 100k homes at 1/2/4/8 workers), a `telemetry_overhead` entry
+//! pricing the flight recorder at 1k homes, a `care_overhead`
 //! entry pricing the caregiver escalation overlay and fleet analytics
 //! reduction at 10k homes (paired-ratio protocol, bar <= 5 %), a
 //! `checkpoint` entry
@@ -17,11 +13,11 @@
 //! interval against a full snapshot at 10k homes, a `phase_breakdown`
 //! entry separating fleet construction from serving at 10k/100k homes,
 //! and a `memory` entry with the marginal bytes-per-home slope
-//! (10k -> 100k) plus a 1M-home stretch probe. `events_per_sec` counts 100 ms
-//! pipeline ticks, which both engines execute in identical number, so the
-//! ratio of their rates is exactly the wall-clock speedup. The host core
-//! count ships with the numbers, and a debug build refuses to write the
-//! file at all — unoptimised timings would be noise.
+//! (10k -> 100k) plus a 1M-home stretch probe. `events_per_sec` counts
+//! 100 ms pipeline ticks, the logical serving work, so rates of runs
+//! that serve the same fleet compare as wall-clock speedups. The host
+//! core count ships with the numbers, and a debug build refuses to write
+//! the file at all — unoptimised timings would be noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,10 +27,8 @@ use coreda_core::checkpoint::{
     compact, config_digest, load_checkpoint, load_delta, save_checkpoint, save_delta,
 };
 use coreda_core::fleet::default_jobs;
-use coreda_core::metro::{
-    run_scale, run_scale_checkpointed, run_scale_durable, run_scale_traced, EngineKind,
-    MetroConfig, SchedMode,
-};
+use coreda_core::escalation::CarePolicy;
+use coreda_core::metro::{run, run_scale, run_scale_durable, MetroConfig, RunOutput, RunSpec};
 use coreda_core::wal::encode_wal;
 use coreda_des::time::{SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -96,25 +90,27 @@ const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const GRID: [(usize, u64); 4] = [(100, 3600), (1000, 1800), (10_000, 360), (100_000, 120)];
 const SEED: u64 = 2007;
 
-fn cfg(homes: usize, secs: u64, jobs: usize, engine: EngineKind) -> MetroConfig {
+fn cfg(homes: usize, secs: u64, jobs: usize) -> MetroConfig {
     MetroConfig {
         homes,
         horizon: SimDuration::from_secs(secs),
         seed: SEED,
         jobs,
-        engine,
         ..MetroConfig::default()
     }
+}
+
+/// A fresh [`run`] observing what `spec` asks for.
+fn observe(config: &MetroConfig, spec: RunSpec<'_>) -> RunOutput {
+    run(config, &spec).expect("a fresh run cannot mismatch")
 }
 
 fn bench_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("metro_scale");
     group.sample_size(2);
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        group.bench_function(&format!("serve/homes=100/engine={engine}"), |b| {
-            b.iter(|| run_scale(&cfg(100, 600, 1, engine)));
-        });
-    }
+    group.bench_function("serve/homes=100", |b| {
+        b.iter(|| run_scale(&cfg(100, 600, 1)));
+    });
     group.finish();
 }
 
@@ -137,7 +133,7 @@ fn grid_json() -> String {
         .iter()
         .flat_map(|&(homes, sim_secs)| {
             JOB_COUNTS.iter().map(move |&jobs| {
-                let (secs, ticks) = measure(&cfg(homes, sim_secs, jobs, EngineKind::Wheel));
+                let (secs, ticks) = measure(&cfg(homes, sim_secs, jobs));
                 format!(
                     "    {{\"homes\": {homes}, \"sim_secs\": {sim_secs}, \"jobs\": {jobs}, \
                      \"secs\": {secs:.4}, \"homes_per_sec\": {:.1}, \
@@ -149,30 +145,6 @@ fn grid_json() -> String {
         })
         .collect();
     format!("  \"grid\": [\n{}\n  ]", rows.join(",\n"))
-}
-
-fn engine_compare_json() -> String {
-    let wheel_cfg = cfg(1000, 1800, 1, EngineKind::Wheel);
-    let heap_cfg = cfg(1000, 1800, 1, EngineKind::Heap);
-    // The two engines must agree home for home before their wall clocks
-    // mean anything.
-    assert_eq!(
-        run_scale(&wheel_cfg).per_home,
-        run_scale(&heap_cfg).per_home,
-        "engines diverged; timings would compare different work"
-    );
-    let (wheel_secs, ticks) = measure(&wheel_cfg);
-    let (heap_secs, _) = measure(&heap_cfg);
-    format!(
-        "  \"engine_compare\": {{\"homes\": 1000, \"sim_secs\": 1800, \"jobs\": 1, \
-         \"pipeline_ticks\": {ticks}, \
-         \"wheel_secs\": {wheel_secs:.4}, \"heap_secs\": {heap_secs:.4}, \
-         \"wheel_events_per_sec\": {:.0}, \"heap_events_per_sec\": {:.0}, \
-         \"speedup\": {:.2}}}",
-        ticks as f64 / wheel_secs,
-        ticks as f64 / heap_secs,
-        heap_secs / wheel_secs
-    )
 }
 
 /// Flight-recorder cost: the same 1k-home serve with the recorder off
@@ -190,8 +162,9 @@ fn engine_compare_json() -> String {
 /// (utime+stime from /proc/self/stat) showed was ~0-3 % — i.e. within
 /// the bar. Keep wall clock here (it is what users feel) but pair it.
 fn telemetry_overhead_json() -> String {
-    let config = cfg(1000, 1800, 1, EngineKind::Wheel);
-    let traced = run_scale_traced(&config);
+    let config = cfg(1000, 1800, 1);
+    let trace = RunSpec { trace: true, ..RunSpec::default() };
+    let traced = observe(&config, trace);
     let plain = run_scale(&config);
     assert_eq!(
         plain.per_home, traced.report.per_home,
@@ -204,7 +177,7 @@ fn telemetry_overhead_json() -> String {
             let _ = run_scale(&config);
             let off = t.elapsed().as_secs_f64();
             let t = Instant::now();
-            let _ = run_scale_traced(&config);
+            let _ = observe(&config, trace);
             (off, t.elapsed().as_secs_f64())
         })
         .collect();
@@ -230,15 +203,14 @@ fn telemetry_overhead_json() -> String {
 /// protocol from `telemetry_overhead_json` (median of per-pair ratios,
 /// both arms back-to-back under the same clock drift).
 fn care_overhead_json() -> String {
-    use coreda_core::escalation::CarePolicy;
-    use coreda_core::metro::run_scale_care;
-
-    let config = cfg(10_000, 360, 1, EngineKind::Wheel);
+    let config = cfg(10_000, 360, 1);
     let policy = CarePolicy::default();
+    let with_care = RunSpec { care: Some(&policy), ..RunSpec::default() };
     let plain = run_scale(&config);
-    let (cared, care) = run_scale_care(&config, &policy);
+    let cared = observe(&config, with_care);
+    let care = cared.care.expect("care was requested");
     assert_eq!(
-        plain, cared,
+        plain, cared.report,
         "the care overlay changed the serve; timings would compare different work"
     );
     let ticks = plain.pipeline_ticks();
@@ -248,7 +220,7 @@ fn care_overhead_json() -> String {
             let _ = run_scale(&config);
             let off = t.elapsed().as_secs_f64();
             let t = Instant::now();
-            let _ = run_scale_care(&config, &policy);
+            let _ = observe(&config, with_care);
             (off, t.elapsed().as_secs_f64())
         })
         .collect();
@@ -275,7 +247,7 @@ fn care_overhead_json() -> String {
 /// states, rebuilt via `compact`) is timed separately from the codec so
 /// the interval cost can be read as diff + encode + log append.
 fn durability_json() -> String {
-    let config = cfg(10_000, 360, 8, EngineKind::Wheel);
+    let config = cfg(10_000, 360, 8);
     let stops: Vec<SimTime> = [120u64, 240, 360].iter().map(|&s| SimTime::from_secs(s)).collect();
     let (_, run) = run_scale_durable(&config, &stops);
     let full_bytes = save_checkpoint(&run.base, 8).len();
@@ -334,11 +306,10 @@ fn durability_json() -> String {
 /// between fleet sizes lives in the serve phase: the struct-of-arrays
 /// fleet state runs ~5.8 kB/home marginal (see `memory`), so a 100k
 /// fleet is ~580 MB against ~58 MB at 10k — a 10x working-set jump
-/// that outruns every cache level and the TLB. Under the strict
-/// `(due, seq)` sweep that cliff cost ~2.5x of throughput; epoch
-/// tiling (the default, priced head-to-head in `locality_duel`) serves
-/// each window's wakes in arena order so consecutive wakes share
-/// lines, closing most of it.
+/// that outruns every cache level and the TLB. Serving wakes in strict
+/// `(due, seq)` order once cost ~2.5x of throughput at that cliff;
+/// epoch tiling serves each window's wakes in arena order so
+/// consecutive wakes share lines, closing most of it.
 fn phase_breakdown_json() -> String {
     let rows: Vec<String> = [(10_000usize, 360u64), (100_000, 120)]
         .iter()
@@ -347,7 +318,7 @@ fn phase_breakdown_json() -> String {
                 (0..2)
                     .map(|_| {
                         let t = Instant::now();
-                        let _ = run_scale(&cfg(homes, secs, 8, EngineKind::Wheel));
+                        let _ = run_scale(&cfg(homes, secs, 8));
                         t.elapsed().as_secs_f64()
                     })
                     .fold(f64::INFINITY, f64::min)
@@ -366,48 +337,14 @@ fn phase_breakdown_json() -> String {
     format!("  \"phase_breakdown\": [\n{}\n  ]", rows.join(",\n"))
 }
 
-/// The scheduling-mode duel at the cache cliff: 100k homes, one
-/// worker, epoch-tiled locality-aware wake order vs the strict
-/// `(due, seq)` sweep. The two modes must agree home for home before
-/// their wall clocks mean anything — epoch tiling is a pure
-/// performance knob, and the `locality_equivalence` suite holds that
-/// line down to WAL bytes. The speedup figure is the acceptance bar
-/// for the epoch-tiling PR: the strict sweep hops arenas in due order
-/// (cold line per wake at this working-set size), the tiled sweep
-/// serves each 256 ms window in ascending arena order with the next
-/// home's lanes prefetched.
-fn locality_duel_json() -> String {
-    let epoch_cfg = cfg(100_000, 120, 1, EngineKind::Wheel);
-    let strict_cfg = MetroConfig {
-        sched: SchedMode::Strict,
-        ..cfg(100_000, 120, 1, EngineKind::Wheel)
-    };
-    assert_eq!(
-        run_scale(&epoch_cfg).per_home,
-        run_scale(&strict_cfg).per_home,
-        "sched modes diverged; timings would compare different work"
-    );
-    let (epoch_secs, ticks) = measure(&epoch_cfg);
-    let (strict_secs, _) = measure(&strict_cfg);
-    format!(
-        "  \"locality_duel\": {{\"homes\": 100000, \"sim_secs\": 120, \"jobs\": 1, \
-         \"pipeline_ticks\": {ticks}, \
-         \"epoch_secs\": {epoch_secs:.4}, \"strict_secs\": {strict_secs:.4}, \
-         \"epoch_events_per_sec\": {:.0}, \"strict_events_per_sec\": {:.0}, \
-         \"speedup\": {:.2}}}",
-        ticks as f64 / epoch_secs,
-        ticks as f64 / strict_secs,
-        strict_secs / epoch_secs
-    )
-}
-
 /// Snapshot codec throughput at fleet scale: encode and restore a
 /// mid-run 1k-home checkpoint, serial vs the sharded (`jobs = 8`) path.
 /// The round trip is asserted exact before anything is timed, so the
 /// rates describe a codec that actually preserves the fleet.
 fn checkpoint_json() -> String {
-    let config = cfg(1000, 1800, 1, EngineKind::Wheel);
-    let (_, snaps) = run_scale_checkpointed(&config, &[SimTime::from_secs(900)]);
+    let config = cfg(1000, 1800, 1);
+    let stops = [SimTime::from_secs(900)];
+    let snaps = observe(&config, RunSpec { stops: &stops, ..RunSpec::default() }).checkpoints;
     let snap = &snaps[0];
     let blob = save_checkpoint(snap, 1);
     assert_eq!(
@@ -456,7 +393,7 @@ fn checkpoint_json() -> String {
 fn memory_json() -> String {
     let peak_at = |homes: usize, secs: u64| {
         peak_during(|| {
-            let _ = run_scale(&cfg(homes, secs, 1, EngineKind::Wheel));
+            let _ = run_scale(&cfg(homes, secs, 1));
         })
     };
     let small = peak_at(10_000, 10);
@@ -481,11 +418,9 @@ fn emit_report(_c: &mut Criterion) {
         return;
     }
     let json = format!(
-        "{{\n\"bench\": \"scale_micro\",\n\"host_cores\": {},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n}}\n",
+        "{{\n\"bench\": \"scale_micro\",\n\"host_cores\": {},\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n}}\n",
         default_jobs(),
         grid_json(),
-        engine_compare_json(),
-        locality_duel_json(),
         telemetry_overhead_json(),
         care_overhead_json(),
         checkpoint_json(),

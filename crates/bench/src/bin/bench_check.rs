@@ -34,7 +34,7 @@
 use std::time::Instant;
 
 use coreda_core::checkpoint::{save_checkpoint, save_delta};
-use coreda_core::metro::{run_scale, run_scale_durable, EngineKind, MetroConfig};
+use coreda_core::metro::{run_scale, run_scale_durable, MetroConfig};
 use coreda_des::time::{SimDuration, SimTime};
 
 const JOBS: usize = 1;
@@ -50,7 +50,6 @@ fn cfg(homes: usize, sim_secs: u64) -> MetroConfig {
         horizon: SimDuration::from_secs(sim_secs),
         seed: 2007,
         jobs: JOBS,
-        engine: EngineKind::Wheel,
         ..MetroConfig::default()
     }
 }
@@ -98,7 +97,6 @@ fn durability_ratio_gate() -> Result<(), String> {
         horizon: SimDuration::from_secs(1800),
         seed: 2007,
         jobs: 8,
-        engine: EngineKind::Wheel,
         ..MetroConfig::default()
     };
     let stops: Vec<SimTime> =

@@ -90,6 +90,19 @@ impl Parsed {
     pub fn require(&self, key: &str) -> Result<&str, ArgError> {
         self.get(key).ok_or_else(|| ArgError::MissingOption(key.to_owned()))
     }
+
+    /// Checks that every option given is one of `accepted`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::UnknownOption`] for the (alphabetically first)
+    /// option outside `accepted`.
+    pub fn check_options(&self, accepted: &[&str]) -> Result<(), ArgError> {
+        match self.options.keys().filter(|k| !accepted.contains(&k.as_str())).min() {
+            Some(key) => Err(ArgError::UnknownOption(key.clone())),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Argument errors.
@@ -112,6 +125,8 @@ pub enum ArgError {
     UnexpectedPositional(String),
     /// The same `--key` given more than once.
     DuplicateOption(String),
+    /// A `--key` the command does not accept.
+    UnknownOption(String),
 }
 
 impl fmt::Display for ArgError {
@@ -127,6 +142,9 @@ impl fmt::Display for ArgError {
                 write!(f, "unexpected argument {a:?} (options are --key value)")
             }
             ArgError::DuplicateOption(k) => write!(f, "option --{k} is given more than once"),
+            ArgError::UnknownOption(k) => {
+                write!(f, "unknown option --{k} for this command (try 'help')")
+            }
         }
     }
 }
@@ -177,6 +195,17 @@ mod tests {
         let err = parse(&["scale", "--homes", "10", "--seed", "1", "--homes", "20"]).unwrap_err();
         assert_eq!(err, ArgError::DuplicateOption("homes".to_owned()));
         assert_eq!(err.to_string(), "option --homes is given more than once");
+    }
+
+    #[test]
+    fn options_outside_the_accepted_set_are_rejected() {
+        let p = parse(&["scale", "--homes", "10", "--zeta", "1", "--alpha", "2"]).unwrap();
+        assert_eq!(p.check_options(&["homes", "zeta", "alpha"]), Ok(()));
+        // The first unknown key in alphabetical order, whatever the map
+        // order, so the message is deterministic.
+        let err = p.check_options(&["homes"]).unwrap_err();
+        assert_eq!(err, ArgError::UnknownOption("alpha".to_owned()));
+        assert_eq!(err.to_string(), "unknown option --alpha for this command (try 'help')");
     }
 
     #[test]

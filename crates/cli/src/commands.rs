@@ -308,37 +308,21 @@ pub fn fleet(p: &Parsed) -> CmdResult {
     Ok(out)
 }
 
-/// Parses the metro knobs shared by `scale`, `checkpoint` and `resume`.
+/// Parses the metro knobs shared by `scale`, `checkpoint`, `resume`,
+/// `serve` and `loadgen`.
 fn metro_config(
     p: &Parsed,
     default_homes: usize,
     default_hours: f64,
 ) -> Result<coreda_core::metro::MetroConfig, Box<dyn Error>> {
     use coreda_core::fleet::default_jobs;
-    use coreda_core::metro::{EngineKind, MetroConfig, SchedMode};
+    use coreda_core::metro::MetroConfig;
     use coreda_des::time::SimDuration;
 
     let homes: usize = p.get_parsed("homes", default_homes)?;
     let hours: f64 = p.get_parsed("hours", default_hours)?;
     let jobs: usize = p.get_parsed("jobs", default_jobs())?;
     let seed: u64 = p.get_parsed("seed", 2007)?;
-    let engine = match p.get_or("engine", "wheel").to_ascii_lowercase().as_str() {
-        "wheel" => EngineKind::Wheel,
-        "heap" => EngineKind::Heap,
-        other => {
-            return Err(format!("unknown engine {other:?}; available: wheel, heap").into())
-        }
-    };
-    // A pure performance knob — results are bit-identical either way —
-    // kept switchable so regressions can be bisected against the
-    // strict-order reference sweep.
-    let sched = match p.get_or("sched", "epoch").to_ascii_lowercase().as_str() {
-        "epoch" => SchedMode::Epoch,
-        "strict" => SchedMode::Strict,
-        other => {
-            return Err(format!("unknown sched {other:?}; available: epoch, strict").into())
-        }
-    };
     if homes == 0 {
         return Err("--homes must be at least 1".into());
     }
@@ -347,7 +331,7 @@ fn metro_config(
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let horizon = SimDuration::from_millis((hours * 3_600_000.0) as u64);
-    Ok(MetroConfig { homes, horizon, seed, jobs, engine, sched, ..MetroConfig::default() })
+    Ok(MetroConfig { homes, horizon, seed, jobs, ..MetroConfig::default() })
 }
 
 /// Encodes each fleet snapshot and writes it as `<prefix>-<N>s.ckpt`,
@@ -372,24 +356,21 @@ fn write_snapshots(
 ///
 /// Runs `--homes` full CoReDA households for `--hours` of simulated time
 /// on the multi-home serving engine, sharded over `--jobs` workers.
-/// Results are bit-identical at any worker count and for either queue
-/// engine; only the header echoes the knobs. `--checkpoint-every` writes
-/// durable fleet snapshots along the way; `--resume-from` continues one
-/// (the resumed report is bit-identical to never having stopped).
+/// Results are bit-identical at any worker count; only the header echoes
+/// the knobs. `--checkpoint-every` writes durable fleet snapshots along
+/// the way; `--resume-from` continues one (the resumed report is
+/// bit-identical to never having stopped). The flags build one
+/// [`RunSpec`](coreda_core::metro::RunSpec).
 pub fn scale(p: &Parsed) -> CmdResult {
     use coreda_core::escalation::CarePolicy;
-    use coreda_core::metro::{
-        resume_scale, resume_scale_checkpointed, resume_scale_traced, run_scale,
-        run_scale_care, run_scale_checkpointed, run_scale_checkpointed_traced,
-        run_scale_durable, run_scale_traced, run_scale_walled,
-    };
+    use coreda_core::metro::{run, RunSpec};
     use coreda_des::time::SimTime;
 
     let cfg = metro_config(p, 16, 0.5)?;
     let hours: f64 = p.get_parsed("hours", 0.5)?;
     let header = format!(
-        "scale: homes={} hours={hours} engine={} jobs={} seed={}\n",
-        cfg.homes, cfg.engine, cfg.jobs, cfg.seed
+        "scale: homes={} hours={hours} jobs={} seed={}\n",
+        cfg.homes, cfg.jobs, cfg.seed
     );
 
     // --care true overlays the caregiver escalation monitor — a pure
@@ -397,28 +378,16 @@ pub fn scale(p: &Parsed) -> CmdResult {
     // run gains the deterministic escalation summary and the fleet
     // analytics quantile rollup. The overlay is not checkpointable
     // state, so it stays plain-run only.
-    if p.get_parsed("care", false)? {
-        if p.get("trace-out").is_some()
+    let care: bool = p.get_parsed("care", false)?;
+    if care
+        && (p.get("trace-out").is_some()
             || p.get("wal-out").is_some()
             || p.get("resume-from").is_some()
-            || p.get("checkpoint-every").is_some()
-        {
-            return Err("--care cannot combine with --trace-out, --wal-out, \
-                        --resume-from, or --checkpoint-every; drop one"
-                .into());
-        }
-        let (report, care) = run_scale_care(&cfg, &CarePolicy::default());
-        let mut out = header;
-        out.push_str(&report.render());
-        out.push_str(&care.render());
-        if let Some(path) = p.get("care-out") {
-            std::fs::write(path, care.render_log())?;
-            out.push_str(&format!(
-                "escalation log -> {path} ({} events)\n",
-                care.events.len()
-            ));
-        }
-        return Ok(out);
+            || p.get("checkpoint-every").is_some())
+    {
+        return Err("--care cannot combine with --trace-out, --wal-out, \
+                    --resume-from, or --checkpoint-every; drop one"
+            .into());
     }
 
     let every_s: u64 = p.get_parsed("checkpoint-every", 0)?;
@@ -456,46 +425,63 @@ pub fn scale(p: &Parsed) -> CmdResult {
         None => None,
     };
 
-    // --trace-out turns the flight recorder on; the report itself is
-    // bit-identical either way (recording draws no randomness).
-    let mut out = header;
-
-    // --wal-out turns the write-ahead event log on. Alone it writes the
-    // whole run's log; with --checkpoint-every it switches the snapshot
+    // --trace-out turns the flight recorder on and --wal-out the
+    // write-ahead event log; the report is bit-identical either way
+    // (recording draws no randomness, logging is derived, never fed
+    // back). With --checkpoint-every, --wal-out switches the snapshot
     // stream to incremental durability — a full base at the first stop,
     // then one compact delta per stop, costs that scale with activity
-    // rather than fleet size. The report is bit-identical either way
-    // (logging is derived, never fed back).
-    if let Some(wal_path) = p.get("wal-out") {
-        if p.get("trace-out").is_some() || resume.is_some() {
-            return Err(
-                "--wal-out cannot combine with --trace-out or --resume-from; drop one".into()
-            );
-        }
-        let digest = coreda_core::config_digest(&cfg);
-        if stops.is_empty() {
-            let (report, wal) = run_scale_walled(&cfg);
-            out.push_str(&report.render());
-            let blob = coreda_core::encode_wal(digest, &wal);
-            std::fs::write(wal_path, &blob)?;
+    // rather than fleet size.
+    let trace_path = p.get("trace-out");
+    let wal_path = p.get("wal-out");
+    if wal_path.is_some() && (trace_path.is_some() || resume.is_some()) {
+        return Err("--wal-out cannot combine with --trace-out or --resume-from; drop one".into());
+    }
+    if trace_path.is_some() && resume.is_some() && !stops.is_empty() {
+        return Err("--trace-out cannot combine with both --resume-from and --checkpoint-every; \
+                    drop one"
+            .into());
+    }
+    let policy = CarePolicy::default();
+    let spec = RunSpec {
+        record: false,
+        trace: trace_path.is_some(),
+        log: wal_path.is_some(),
+        care: care.then_some(&policy),
+        stops: &stops,
+        resume: resume.as_ref(),
+    };
+    let result = run(&cfg, &spec)?;
+
+    let mut out = header;
+    out.push_str(&result.report.render());
+    if let Some(care) = &result.care {
+        out.push_str(&care.render());
+        if let Some(path) = p.get("care-out") {
+            std::fs::write(path, care.render_log())?;
             out.push_str(&format!(
-                "write-ahead log: {} records -> {wal_path} ({} bytes)\n",
-                wal.len(),
-                blob.len()
+                "escalation log -> {path} ({} events)\n",
+                care.events.len()
             ));
-        } else {
-            let prefix = ckpt_prefix.expect("checked above");
-            let (report, run) = run_scale_durable(&cfg, &stops);
-            out.push_str(&report.render());
-            let base_blob = coreda_core::save_checkpoint(&run.base, cfg.jobs);
-            let base_secs = run.base.at.as_millis() / 1000;
+        }
+    }
+    if let Some(path) = trace_path {
+        std::fs::write(path, result.telemetry.to_jsonl())?;
+        out.push_str(&format!("telemetry JSONL -> {path}\n"));
+    }
+    match (wal_path, ckpt_prefix.filter(|_| !stops.is_empty())) {
+        (Some(wal_path), None) => write_wal(wal_path, &cfg, &result.wal, &mut out)?,
+        (Some(wal_path), Some(prefix)) => {
+            let (_, durable) = result.into_durable();
+            let base_blob = coreda_core::save_checkpoint(&durable.base, cfg.jobs);
+            let base_secs = durable.base.at.as_millis() / 1000;
             let base_path = format!("{prefix}-{base_secs}s.ckpt");
             std::fs::write(&base_path, &base_blob)?;
             out.push_str(&format!(
                 "base snapshot @ {base_secs}s -> {base_path} ({} bytes)\n",
                 base_blob.len()
             ));
-            for delta in &run.deltas {
+            for delta in &durable.deltas {
                 let blob = coreda_core::save_delta(delta, cfg.jobs);
                 let secs = delta.at.as_millis() / 1000;
                 let path = format!("{prefix}-{secs}s.delta");
@@ -504,61 +490,32 @@ pub fn scale(p: &Parsed) -> CmdResult {
                     "delta @ {secs}s -> {path} ({} bytes, {} of {} homes dirty)\n",
                     blob.len(),
                     delta.dirty_homes(),
-                    run.base.homes.len()
+                    durable.base.homes.len()
                 ));
             }
-            let blob = coreda_core::encode_wal(digest, &run.wal);
-            std::fs::write(wal_path, &blob)?;
-            out.push_str(&format!(
-                "write-ahead log: {} records -> {wal_path} ({} bytes)\n",
-                run.wal.len(),
-                blob.len()
-            ));
+            write_wal(wal_path, &cfg, &durable.wal, &mut out)?;
         }
-        return Ok(out);
-    }
-
-    match (p.get("trace-out"), resume, stops.is_empty()) {
-        (None, None, true) => out.push_str(&run_scale(&cfg).render()),
-        (None, None, false) => {
-            let (report, ckpts) = run_scale_checkpointed(&cfg, &stops);
-            out.push_str(&report.render());
-            write_snapshots(ckpt_prefix.expect("checked above"), &ckpts, cfg.jobs, &mut out)?;
-        }
-        (Some(path), None, true) => {
-            let traced = run_scale_traced(&cfg);
-            std::fs::write(path, traced.telemetry.to_jsonl())?;
-            out.push_str(&traced.report.render());
-            out.push_str(&format!("telemetry JSONL -> {path}\n"));
-        }
-        (Some(path), None, false) => {
-            let (traced, ckpts) = run_scale_checkpointed_traced(&cfg, &stops);
-            std::fs::write(path, traced.telemetry.to_jsonl())?;
-            out.push_str(&traced.report.render());
-            out.push_str(&format!("telemetry JSONL -> {path}\n"));
-            write_snapshots(ckpt_prefix.expect("checked above"), &ckpts, cfg.jobs, &mut out)?;
-        }
-        (None, Some(ckpt), true) => out.push_str(&resume_scale(&cfg, &ckpt)?.render()),
-        (None, Some(ckpt), false) => {
-            let (report, ckpts) = resume_scale_checkpointed(&cfg, &ckpt, &stops)?;
-            out.push_str(&report.render());
-            write_snapshots(ckpt_prefix.expect("checked above"), &ckpts, cfg.jobs, &mut out)?;
-        }
-        (Some(path), Some(ckpt), true) => {
-            let traced = resume_scale_traced(&cfg, &ckpt)?;
-            std::fs::write(path, traced.telemetry.to_jsonl())?;
-            out.push_str(&traced.report.render());
-            out.push_str(&format!("telemetry JSONL -> {path}\n"));
-        }
-        (Some(_), Some(_), false) => {
-            return Err(
-                "--trace-out cannot combine with both --resume-from and --checkpoint-every; \
-                 drop one"
-                    .into(),
-            )
-        }
+        (None, Some(prefix)) => write_snapshots(prefix, &result.checkpoints, cfg.jobs, &mut out)?,
+        (None, None) => {}
     }
     Ok(out)
+}
+
+/// Encodes the write-ahead log to `path`, appending a line to `out`.
+fn write_wal(
+    path: &str,
+    cfg: &coreda_core::metro::MetroConfig,
+    wal: &[coreda_core::WalRecord],
+    out: &mut String,
+) -> Result<(), Box<dyn Error>> {
+    let blob = coreda_core::encode_wal(coreda_core::config_digest(cfg), wal);
+    std::fs::write(path, &blob)?;
+    out.push_str(&format!(
+        "write-ahead log: {} records -> {path} ({} bytes)\n",
+        wal.len(),
+        blob.len()
+    ));
+    Ok(())
 }
 
 /// `checkpoint` — run a metro fleet and write one durable snapshot.
@@ -568,7 +525,7 @@ pub fn scale(p: &Parsed) -> CmdResult {
 /// is versioned, checksummed, and config-fingerprinted; `resume`
 /// continues it bit-identically.
 pub fn checkpoint(p: &Parsed) -> CmdResult {
-    use coreda_core::metro::run_scale_checkpointed;
+    use coreda_core::metro::{run, RunSpec};
     use coreda_des::time::SimTime;
 
     let cfg = metro_config(p, 16, 0.5)?;
@@ -582,17 +539,16 @@ pub fn checkpoint(p: &Parsed) -> CmdResult {
         )
         .into());
     }
-    let (report, ckpts) = run_scale_checkpointed(&cfg, &[at]);
-    let blob = coreda_core::save_checkpoint(&ckpts[0], cfg.jobs);
+    let result = run(&cfg, &RunSpec { stops: &[at], ..RunSpec::default() })?;
+    let blob = coreda_core::save_checkpoint(&result.checkpoints[0], cfg.jobs);
     std::fs::write(out_path, &blob)?;
     Ok(format!(
-        "checkpoint: homes={} at={at_s}s engine={} jobs={} seed={}\n{}snapshot @ {at_s}s -> \
+        "checkpoint: homes={} at={at_s}s jobs={} seed={}\n{}snapshot @ {at_s}s -> \
          {out_path} ({} bytes)\n",
         cfg.homes,
-        cfg.engine,
         cfg.jobs,
         cfg.seed,
-        report.render(),
+        result.report.render(),
         blob.len()
     ))
 }
@@ -601,7 +557,7 @@ pub fn checkpoint(p: &Parsed) -> CmdResult {
 ///
 /// Loads `--from`, validates its version, checksum and config
 /// fingerprint (`--homes`/`--seed` must match the snapshotted run;
-/// `--jobs`, `--engine` and `--hours` may change freely), and serves to
+/// `--jobs` and `--hours` may change freely), and serves to
 /// the new horizon. The report is bit-identical to a run that was never
 /// interrupted.
 ///
@@ -613,7 +569,7 @@ pub fn checkpoint(p: &Parsed) -> CmdResult {
 /// disagrees with the deterministic replay belongs to a different
 /// history and fails the resume.
 pub fn resume(p: &Parsed) -> CmdResult {
-    use coreda_core::metro::{resume_scale, resume_scale_durable, resume_scale_traced, DurableRun};
+    use coreda_core::metro::{resume_scale_durable, run, DurableRun, RunSpec};
 
     let from = p.require("from")?;
     let mut parts = from.split(',');
@@ -645,10 +601,9 @@ pub fn resume(p: &Parsed) -> CmdResult {
         .into());
     }
     let header = format!(
-        "resume: from={from} at={}s homes={} engine={} jobs={} seed={}{wal_note}\n",
+        "resume: from={from} at={}s homes={} jobs={} seed={}{wal_note}\n",
         at.as_millis() / 1000,
         cfg.homes,
-        cfg.engine,
         cfg.jobs,
         cfg.seed,
         wal_note = if wal.is_empty() {
@@ -663,17 +618,18 @@ pub fn resume(p: &Parsed) -> CmdResult {
                         drop one"
                 .into());
         }
-        let run = DurableRun { base, deltas, wal };
-        return Ok(format!("{header}{}", resume_scale_durable(&cfg, &run)?.render()));
+        let chain = DurableRun { base, deltas, wal };
+        return Ok(format!("{header}{}", resume_scale_durable(&cfg, &chain)?.render()));
     }
-    match p.get("trace-out") {
-        Some(path) => {
-            let traced = resume_scale_traced(&cfg, &base)?;
-            std::fs::write(path, traced.telemetry.to_jsonl())?;
-            Ok(format!("{header}{}telemetry JSONL -> {path}\n", traced.report.render()))
-        }
-        None => Ok(format!("{header}{}", resume_scale(&cfg, &base)?.render())),
+    let trace_path = p.get("trace-out");
+    let spec = RunSpec { trace: trace_path.is_some(), resume: Some(&base), ..RunSpec::default() };
+    let result = run(&cfg, &spec)?;
+    let mut out = format!("{header}{}", result.report.render());
+    if let Some(path) = trace_path {
+        std::fs::write(path, result.telemetry.to_jsonl())?;
+        out.push_str(&format!("telemetry JSONL -> {path}\n"));
     }
+    Ok(out)
 }
 
 /// `trace` — serve a metro fleet with the flight recorder on.
@@ -686,7 +642,7 @@ pub fn resume(p: &Parsed) -> CmdResult {
 /// `--jobs` count; only the header (peak queue depth) varies.
 pub fn trace(p: &Parsed) -> CmdResult {
     use coreda_core::fleet::default_jobs;
-    use coreda_core::metro::{run_scale_traced, run_scale_walled, MetroConfig};
+    use coreda_core::metro::{run, MetroConfig, RunSpec};
     use coreda_des::time::SimDuration;
 
     let homes: usize = p.get_parsed("homes", 8)?;
@@ -708,22 +664,29 @@ pub fn trace(p: &Parsed) -> CmdResult {
     };
     // --replay-home: time-travel replay of one home's logged
     // transitions, reconstructed from the write-ahead event log.
-    if let Some(home) = p.get("replay-home") {
-        let home: u32 = home.parse()?;
-        if home as usize >= homes {
-            return Err(format!(
-                "--replay-home {home} is out of range for a {homes}-home fleet"
-            )
-            .into());
+    let replay_home = match p.get("replay-home") {
+        Some(home) => {
+            let home: u32 = home.parse()?;
+            if home as usize >= homes {
+                return Err(format!(
+                    "--replay-home {home} is out of range for a {homes}-home fleet"
+                )
+                .into());
+            }
+            Some(home)
         }
-        let (_, wal) = run_scale_walled(&cfg);
+        None => None,
+    };
+    let (trace, log) = (replay_home.is_none(), replay_home.is_some());
+    let spec = RunSpec { trace, log, ..RunSpec::default() };
+    let out = run(&cfg, &spec)?;
+    if let Some(home) = replay_home {
         let mut text = format!(
             "trace: homes={homes} seconds={seconds} seed={seed} replay of home {home}\n",
         );
-        text.push_str(&coreda_core::render_home_timeline(&wal, home));
+        text.push_str(&coreda_core::render_home_timeline(&out.wal, home));
         return Ok(text);
     }
-    let out = run_scale_traced(&cfg);
     let mut text = format!(
         "trace: homes={homes} seconds={seconds} jobs={jobs} seed={seed} \
          (peak queue depth {peak})\n",
@@ -745,16 +708,16 @@ pub fn trace(p: &Parsed) -> CmdResult {
 /// ride back as `Deliver` frames — all through the versioned,
 /// CRC-guarded codec. Reports are advisory (they only move a
 /// flow-control watermark), so under the sim clock the served report is
-/// bit-identical to `scale` at any `--jobs` and either `--engine`; the
-/// wire accounting line is the only addition.
+/// bit-identical to `scale` at any `--jobs`; the wire accounting line is
+/// the only addition.
 pub fn serve(p: &Parsed) -> CmdResult {
     use coreda_serve::{serve_scale, ServeOptions};
 
     let cfg = metro_config(p, 16, 0.5)?;
     let hours: f64 = p.get_parsed("hours", 0.5)?;
     let header = format!(
-        "serve: homes={} hours={hours} engine={} jobs={} seed={}\n",
-        cfg.homes, cfg.engine, cfg.jobs, cfg.seed
+        "serve: homes={} hours={hours} jobs={} seed={}\n",
+        cfg.homes, cfg.jobs, cfg.seed
     );
     let trace_out = p.get("trace-out");
     let care: bool = p.get_parsed("care", false)?;
@@ -814,8 +777,9 @@ pub fn loadgen(p: &Parsed) -> CmdResult {
 ///
 /// Expands `--seed` into a stream of fault plans (radio loss bursts,
 /// node crashes, sensor flips, clock skew, non-compliance, severe
-/// lapses, routine drift), serves each under the real pipeline on both
-/// queue engines with every invariant oracle attached, and shrinks any
+/// lapses, routine drift), serves each under the real pipeline with
+/// event-driven wakes and with dense polling, every invariant oracle
+/// attached, and shrinks any
 /// violation to a minimal `.seed.json` repro. Fails (non-zero exit) if
 /// any oracle fires.
 pub fn fuzz(p: &Parsed) -> CmdResult {
@@ -879,6 +843,7 @@ pub fn help() -> String {
 coreda-cli — the CoReDA context-aware ADL reminding system
 
 USAGE: coreda-cli <command> [--option value]...
+       (each command accepts only the options listed under it)
 
 COMMANDS
   list                       show the activity catalog
@@ -886,6 +851,7 @@ COMMANDS
       --adl tea|tooth|dressing activity                   [tea]
       --episodes N           how many                     [120]
       --profile P            unimpaired|mild|moderate|severe [mild]
+      --user NAME            user name for the profile    [anonymous]
       --seed N               rng seed                     [2007]
       --out FILE             write to file instead of stdout
   train                      learn a routine from a dataset
@@ -922,8 +888,6 @@ COMMANDS
   scale                      serve a metro fleet of homes
       --homes N              independent households       [16]
       --hours H              simulated horizon (fractional ok) [0.5]
-      --engine wheel|heap    timing-wheel wakes or dense heap
-                             polling (identical results) [wheel]
       --jobs N               worker threads (results are identical at
                              any N)                      [all cores]
       --seed N               base rng seed                [2007]
@@ -941,13 +905,13 @@ COMMANDS
       --care true            overlay the caregiver escalation monitor:
                              prints the escalation summary and the fleet
                              analytics rollup (bit-identical at any
-                             --jobs and either --engine)   [false]
+                             --jobs)                       [false]
       --care-out FILE        with --care, write the full escalation log
                              here, one line per event
   checkpoint                 run a fleet and write one durable snapshot
       --out FILE             snapshot file                  (required)
       --at S                 snapshot instant, seconds    [the horizon]
-      --homes/--hours/--engine/--jobs/--seed as for scale
+      --homes/--hours/--jobs/--seed as for scale
   resume                     continue a fleet from a snapshot
       --from FILE            snapshot from 'checkpoint' or
                              --checkpoint-every; a comma-separated
@@ -960,7 +924,7 @@ COMMANDS
                              snapshot instant)            [0.5]
       --homes/--seed         must match the snapshotted run (the config
                              fingerprint is enforced)
-      --engine/--jobs        free to change; results are identical
+      --jobs N               free to change; results are identical
       --trace-out FILE       flight-record the resumed run; telemetry
                              merges across the snapshot boundary
   trace                      serve homes with the flight recorder on
@@ -977,7 +941,7 @@ COMMANDS
                              wire connection (versioned, CRC-guarded
                              frames); under the sim clock the report is
                              bit-identical to 'scale'
-      --homes/--hours/--engine/--jobs/--seed as for scale
+      --homes/--hours/--jobs/--seed as for scale
       --care true            caregiver escalations ride back to the
                              clients as Escalate frames; prints the wire
                              escalation count plus the care summary
@@ -987,7 +951,7 @@ COMMANDS
   loadgen                    replay a fleet as concurrent wire clients
       --homes N              independent households       [64]
       --hours H              simulated horizon (fractional ok) [0.25]
-      --engine/--jobs/--seed as for scale
+      --jobs/--seed          as for scale
       --wall S               pace wakes on the wall clock at S x real
                              time instead of the sim clock
   fuzz                       deterministic simulation-testing campaign
@@ -1003,13 +967,13 @@ COMMANDS
       --served true          fuzz the served ingestion path instead:
                              transport fault plans (duplicated, reordered,
                              delayed frames; mid-session hangups) checked
-                             against the batch run on both queue engines
-                                                           [false]
+                             against the batch run on full and
+                             single-instant serving windows [false]
       --care true            fuzz the caregiver escalation overlay
                              instead: caregiver-outage fault plans checked
                              by the escalation_consistency oracle across
-                             both engines, a jobs differential, and the
-                             served path                   [false]
+                             a jobs differential and the served path
+                                                           [false]
       --out DIR              write shrunken .seed.json repros here
       --trace-out DIR        write violation flight records (.trace.jsonl)
                              here                        [--out dir]
@@ -1021,28 +985,67 @@ COMMANDS
     .to_owned()
 }
 
+/// A command: its name, the options it accepts, and its handler.
+type Command = (&'static str, &'static [&'static str], fn(&Parsed) -> CmdResult);
+
+/// Every command with the options it accepts and its handler, in
+/// `help` order. [`dispatch`] rejects any other option before the
+/// command runs, so a misspelt or retired flag fails loudly instead of
+/// being silently ignored.
+const COMMANDS: &[Command] = &[
+    ("list", &[], |_| list()),
+    ("generate", &["adl", "episodes", "profile", "user", "seed", "out"], generate),
+    ("train", &["dataset", "out", "algorithm", "seed"], train),
+    ("evaluate", &["policy", "adl"], evaluate),
+    ("simulate", &["adl", "episodes", "profile", "policy", "user", "verbose", "seed"], simulate),
+    ("sensor-trace", &["adl", "step", "seconds", "seed", "out"], sensor_trace),
+    ("scenario", &["seed"], run_scenario),
+    ("fleet", &["suite", "jobs", "seeds", "seed"], fleet),
+    (
+        "scale",
+        &[
+            "homes",
+            "hours",
+            "jobs",
+            "seed",
+            "trace-out",
+            "checkpoint-every",
+            "checkpoint-out",
+            "resume-from",
+            "wal-out",
+            "care",
+            "care-out",
+        ],
+        scale,
+    ),
+    ("checkpoint", &["out", "at", "homes", "hours", "jobs", "seed"], checkpoint),
+    ("resume", &["from", "wal", "hours", "homes", "jobs", "seed", "trace-out"], resume),
+    ("trace", &["homes", "seconds", "jobs", "seed", "out", "replay-home"], trace),
+    ("serve", &["homes", "hours", "jobs", "seed", "care", "trace-out"], serve),
+    ("loadgen", &["homes", "hours", "jobs", "seed", "wall"], loadgen),
+    (
+        "fuzz",
+        &["seconds", "seed", "jobs", "plans", "kill-resume", "served", "care", "out", "trace-out"],
+        fuzz,
+    ),
+    ("replay", &["file", "dir"], replay),
+    ("help", &[], |_| Ok(help())),
+];
+
 /// Dispatches a parsed command line.
+///
+/// # Errors
+///
+/// An unknown command, an option the command does not accept
+/// ([`ArgError::UnknownOption`](crate::args::ArgError::UnknownOption)),
+/// or whatever the command itself fails with.
 pub fn dispatch(p: &Parsed) -> CmdResult {
-    match p.command() {
-        "list" => list(),
-        "generate" => generate(p),
-        "train" => train(p),
-        "evaluate" => evaluate(p),
-        "simulate" => simulate(p),
-        "sensor-trace" => sensor_trace(p),
-        "scenario" => run_scenario(p),
-        "fleet" => fleet(p),
-        "scale" => scale(p),
-        "checkpoint" => checkpoint(p),
-        "resume" => resume(p),
-        "trace" => trace(p),
-        "serve" => serve(p),
-        "loadgen" => loadgen(p),
-        "fuzz" => fuzz(p),
-        "replay" => replay(p),
-        "help" => Ok(help()),
-        other => Err(format!("unknown command {other:?}; try 'help'").into()),
-    }
+    let Some(&(_, accepted, run)) = COMMANDS.iter().find(|(name, ..)| *name == p.command())
+    else {
+        return Err(format!("unknown command {:?}; try 'help'", p.command()).into());
+    };
+    p.check_options(accepted)?;
+    run(p)
 }
 
 #[cfg(test)]
@@ -1264,8 +1267,6 @@ mod tests {
 
     #[test]
     fn scale_rejects_bad_knobs() {
-        let err = scale(&parse(&["scale", "--engine", "quantum"])).unwrap_err();
-        assert!(err.to_string().contains("unknown engine"));
         let err = scale(&parse(&["scale", "--hours", "-1"])).unwrap_err();
         assert!(err.to_string().contains("positive"));
         let err = scale(&parse(&["scale", "--homes", "0"])).unwrap_err();
@@ -1296,8 +1297,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("snapshot @ 180s ->"), "{out}");
-        // The engine stays wheel (the report echoes it and counts raw DES
-        // events, which are engine-dependent); jobs may change freely.
+        // Jobs may change freely across the snapshot.
         let resumed = resume(&parse(&[
             "resume", "--from", snap.to_str().unwrap(), "--hours", "0.1", "--jobs", "8",
             "--seed", "5",
@@ -1532,7 +1532,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_care_overlay_is_identical_across_jobs_and_engines() {
+    fn scale_care_overlay_is_identical_across_jobs() {
         let base = scale(&parse(&[
             "scale", "--homes", "4", "--hours", "0.2", "--jobs", "1", "--seed", "11",
             "--care", "true",
@@ -1543,19 +1543,68 @@ mod tests {
             "--care", "true",
         ]))
         .unwrap();
-        let heap = scale(&parse(&[
-            "scale", "--homes", "4", "--hours", "0.2", "--jobs", "8", "--seed", "11",
-            "--engine", "heap", "--care", "true",
-        ]))
-        .unwrap();
         assert!(base.contains("caregiver escalations:"), "{base}");
         assert!(base.contains("fleet analytics:"), "{base}");
         let body = |s: &str| s.split_once('\n').unwrap().1.to_owned();
         assert_eq!(body(&base), body(&parallel));
-        // The report counts raw DES events (engine-dependent), but the
-        // care summary and analytics must agree across engines.
-        let care_part = |s: &str| s[s.find("caregiver escalations:").unwrap()..].to_owned();
-        assert_eq!(care_part(&base), care_part(&heap));
+    }
+
+    /// Asserts that `args` fails in [`dispatch`] with
+    /// [`ArgError::UnknownOption`] for `key`.
+    fn assert_unknown_option(args: &[&str], key: &str) {
+        let err = dispatch(&parse(args)).unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<crate::args::ArgError>(),
+            Some(&crate::args::ArgError::UnknownOption(key.to_owned())),
+            "{args:?}: {err}"
+        );
+    }
+
+    /// The retired queue-engine flag fails before anything runs instead
+    /// of quietly serving the default wheel.
+    #[test]
+    fn scale_rejects_the_retired_engine_flag() {
+        assert_unknown_option(&["scale", "--engine", "heap"], "engine");
+    }
+
+    /// The retired wake-order flag fails before the snapshot is even
+    /// looked for.
+    #[test]
+    fn resume_rejects_the_retired_sched_flag() {
+        assert_unknown_option(&["resume", "--sched", "strict"], "sched");
+    }
+
+    /// A misspelt option on a non-metro command fails too.
+    #[test]
+    fn scenario_rejects_a_misspelt_option() {
+        assert_unknown_option(&["scenario", "--sed", "7"], "sed");
+    }
+
+    /// `help` documents exactly the options [`dispatch`] accepts: every
+    /// option line under a command (`--name ...`, or `--a/--b as for
+    /// scale`) names accepted options, and every accepted option has one.
+    #[test]
+    fn help_documents_exactly_the_accepted_options() {
+        let mut documented: Vec<(String, Vec<String>)> = Vec::new();
+        for line in help().lines() {
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                let name = line.split_whitespace().next().unwrap().to_owned();
+                documented.push((name, Vec::new()));
+            } else if line.starts_with("      --") {
+                let flags = line.split_whitespace().next().unwrap();
+                let (_, list) = documented.last_mut().expect("options follow a command");
+                list.extend(flags.split('/').map(|f| f.trim_start_matches("--").to_owned()));
+            }
+        }
+        let names: Vec<&str> = documented.iter().map(|(n, _)| n.as_str()).collect();
+        let commands: Vec<&str> = COMMANDS.iter().map(|&(n, ..)| n).collect();
+        assert_eq!(names, commands, "help lists the commands in dispatch order");
+        for ((name, mut listed), &(_, accepted, _)) in documented.into_iter().zip(COMMANDS) {
+            let mut accepted: Vec<String> = accepted.iter().map(|&a| a.to_owned()).collect();
+            listed.sort();
+            accepted.sort();
+            assert_eq!(listed, accepted, "{name}: help and the accepted options disagree");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! state, session tracking, pending DES wakes, and flight-recorder
 //! telemetry — into a versioned, CRC-protected binary manifest, and
 //! restores it such that *run-to-T, snapshot, resume-to-2T* is
-//! bit-identical to an uninterrupted run to 2T, for any checkpoint tick,
-//! any worker count, and either queue engine.
+//! bit-identical to an uninterrupted run to 2T, for any checkpoint tick
+//! and any worker count.
 //!
 //! The format follows [`crate::persistence`]'s house style — magic +
 //! version + big-endian body + CRC-16 trailer, hand-rolled on [`bytes`]
@@ -21,10 +21,9 @@
 //! the [`MetroConfig`]: ADL specs, planner templates, routine tables,
 //! subsystem wiring, scratch buffers. A [`config_digest`] stored in the
 //! manifest rejects resumes against a different configuration — but
-//! deliberately excludes `jobs`, `horizon` and `engine`, which a resume
-//! is free to change (`jobs` by the determinism guarantee, `horizon`
-//! because the resume's horizon *is* the new target, `engine` because
-//! both engines produce identical per-home results).
+//! deliberately excludes `jobs` and `horizon`, which a resume is free to
+//! change (`jobs` by the determinism guarantee, `horizon` because the
+//! resume's horizon *is* the new target).
 
 use std::error::Error;
 use std::fmt;
@@ -70,15 +69,15 @@ pub struct HomeCheckpoint {
     pub ep_index: u64,
     /// When the next episode starts.
     pub next_start: SimTime,
-    /// Last instant the home's wake handler served (wheel-engine dedup).
+    /// Last instant the home's wake handler served (duplicate-wake dedup).
     pub last_handled: Option<SimTime>,
     /// Statistics so far. `energy_uj` is always zero here: energy lives
     /// in the node meters (inside [`HomeCheckpoint::systems`]) and is
     /// recomputed from them when the resumed run finishes.
     pub stats: HomeStats,
     /// The home's pending DES wakes at the snapshot, in dispatch order.
-    /// A wheel-engine home can hold more than one (an episode-start wake
-    /// plus a session idle-close wake).
+    /// A home can hold more than one (an episode-start wake plus a
+    /// session idle-close wake).
     pub pending: Vec<SimTime>,
     /// Flight-recorder state, when the run was traced.
     pub rec: Option<RecorderState>,
@@ -91,8 +90,8 @@ pub struct MetroCheckpoint {
     pub at: SimTime,
     /// [`config_digest`] of the run's configuration.
     pub digest: u64,
-    /// Raw DES events processed up to the snapshot (engine-dependent,
-    /// like [`crate::metro::ScaleReport::des_events`]).
+    /// Raw DES events processed up to the snapshot (like
+    /// [`crate::metro::ScaleReport::des_events`]).
     pub des_events: u64,
     /// Per-home snapshots, in home-id order.
     pub homes: Vec<HomeCheckpoint>,
@@ -207,9 +206,8 @@ impl Error for CheckpointError {}
 
 /// Digest of everything in a [`MetroConfig`] that shapes the simulated
 /// trajectory: homes, seed, gaps, training, idle-close, and the whole
-/// per-system configuration. Excludes `jobs`, `horizon` and `engine` —
-/// the three knobs a resume may legitimately change (see the module
-/// docs).
+/// per-system configuration. Excludes `jobs` and `horizon` — the two
+/// knobs a resume may legitimately change (see the module docs).
 #[must_use]
 pub fn config_digest(cfg: &MetroConfig) -> u64 {
     // CoredaConfig is a plain tree of numbers/enums; its Debug rendering
@@ -2788,17 +2786,6 @@ mod tests {
             d,
             config_digest(&MetroConfig {
                 horizon: coreda_des::time::SimDuration::from_secs(1),
-                ..base.clone()
-            })
-        );
-        assert_eq!(
-            d,
-            config_digest(&MetroConfig { engine: crate::metro::EngineKind::Heap, ..base.clone() })
-        );
-        assert_eq!(
-            d,
-            config_digest(&MetroConfig {
-                sched: crate::metro::SchedMode::Strict,
                 ..base.clone()
             })
         );

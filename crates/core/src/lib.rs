@@ -87,11 +87,9 @@ pub use live::{EpisodeLog, LogKind, PatientBehavior, ScriptedBehavior, Stochasti
 pub use planning::{LearnerKind, PlanningConfig, PlanningSubsystem, RewardConfig, StateEncoder};
 pub use reminding::{Prompt, Reminder, ReminderLevel, ReminderMethod, RemindingSubsystem, Trigger};
 pub use metro::{
-    collect_served, resume_scale, resume_scale_checkpointed, resume_scale_durable,
-    resume_scale_traced, run_scale, run_scale_care, run_scale_care_traced, run_scale_care_walled,
-    run_scale_checkpointed, run_scale_checkpointed_traced, run_scale_durable, run_scale_walled,
-    DurableRun, EngineKind, FleetTooLarge, HomeStats, MetroConfig, ScaleReport, SchedMode,
-    ServeCtx, ServeSession, ServedShard,
+    collect_served, resume_scale_durable, run, run_scale, run_scale_care_walled,
+    run_scale_durable, DurableRun, FleetTooLarge, HomeStats, MetroConfig, RunOutput, RunSpec,
+    ScaleReport, ServeCtx, ServeSession, ServedShard,
 };
 pub use report::DailyReport;
 pub use sensing::{SensingSubsystem, StepEvent};

@@ -2,45 +2,44 @@
 //!
 //! The ROADMAP north star is a base-station fleet serving millions of
 //! users; this module is the serving-side counterpart of the PR-1
-//! training fleet. [`run_scale`] simulates N independent households —
-//! each a full CoReDA deployment: per-activity [`Coreda`] systems with
-//! their own sensornets and planners, plus a home-wide
-//! [`SessionTracker`] — for a wall of simulated hours, sharded across
-//! [`FleetEngine`] workers.
+//! training fleet. [`run`] simulates N independent households — each a
+//! full CoReDA deployment: per-activity [`Coreda`] systems with their
+//! own sensornets and planners, plus a home-wide [`SessionTracker`] —
+//! for a wall of simulated hours, sharded across [`FleetEngine`]
+//! workers.
 //!
-//! Two engine modes run the *same* per-instant pipeline logic:
-//!
-//! - [`EngineKind::Wheel`] (the metro engine): each shard multiplexes its
-//!   homes over one timing-wheel [`Simulator`]; homes sleep through quiet
-//!   stretches and wake event-driven — at the next episode start, the
-//!   next 100 ms pipeline tick of a running episode, or the session
-//!   tracker's idle-close deadline.
-//! - [`EngineKind::Heap`] (the seed baseline): dense 10 Hz polling of
-//!   every home across the whole horizon on the original binary-heap
-//!   queue — what the pre-metro code would have done.
-//!
-//! Both produce bit-identical [`HomeStats`] because quiet instants draw
-//! no randomness, and results are bit-identical at any `jobs` count
-//! because every random stream is counter-derived per home
-//! ([`derive_seed`]) and homes never interact.
+//! Each shard multiplexes its homes over one timing-wheel [`Simulator`].
+//! Homes sleep through quiet stretches and wake event-driven: at the
+//! next episode start, the next 100 ms pipeline tick of a running
+//! episode, or the session tracker's idle-close deadline. Quiet instants
+//! draw no randomness, so this equals polling every home on its 100 ms
+//! grid (the unit tests hold it to that dense-polling oracle), and
+//! results are bit-identical at any `jobs` count because every random
+//! stream is counter-derived per home ([`derive_seed`]) and homes never
+//! interact.
 //!
 //! There is one wake loop, [`ServeSession`]: every run opens one per
 //! [`ServeCtx::chunks`] shard and merges them through [`collect_served`].
-//! A serving front end drives its sessions from outside; a batch run
-//! ([`run_scale`] and its variants) drives the same sessions with no
-//! transport, so serve ≡ batch holds by construction. Under
-//! [`SchedMode::Epoch`] a session serves bounded windows as per-home
-//! chains in ascending home order; a [`SchedMode::Strict`] batch run
-//! keeps the reference sweep, one instant at a time, due homes ascending.
+//! A serving front end drives its sessions from outside; a batch [`run`]
+//! drives the same sessions with no transport, so serve ≡ batch holds by
+//! construction. A session serves bounded epoch windows as per-home
+//! chains in ascending home order. How wide a window is never shows in
+//! any artifact: a clock that allows only the window's first instant
+//! reproduces the classic instant-by-instant `(due, seq)` sweep, which
+//! the equivalence suites hold epoch tiling against.
+//!
+//! [`RunSpec`] says what a batch run observes (taps, flight recorder,
+//! write-ahead log, care overlay), where it snapshots, and whether it
+//! resumes; [`run`] returns everything as one [`RunOutput`].
 //!
 //! Home state is laid out struct-of-arrays: each worker owns a `Shard`
 //! of parallel vectors indexed by shard-local home id (the per-activity
 //! [`Coreda`] systems live in one home-major arena), and everything
 //! immutable — ADL specs, trained planner templates, the reminding
 //! renderer, the session-tracker name tables — is built once per run in
-//! a `FleetCtx` and shared by reference or `Arc`. Either sweep order
-//! walks the arenas in memory order. See DESIGN.md "Memory layout &
-//! cache locality" for the ownership map and the bytes-per-home budget.
+//! a `FleetCtx` and shared by reference or `Arc`. The chain walk visits
+//! the arenas in memory order. See DESIGN.md "Memory layout & cache
+//! locality" for the ownership map and the bytes-per-home budget.
 
 use std::sync::Arc;
 
@@ -69,53 +68,6 @@ use crate::system::{Coreda, CoredaConfig, LiveEpisode, SystemState};
 use crate::telemetry::{Ctr, HomeRecorder, Telemetry, TraceKind};
 use crate::wal::{self, WalRecord};
 
-/// Which event queue drives the serving loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Timing-wheel queue, event-driven wakes (the metro engine).
-    Wheel,
-    /// Binary-heap queue, dense 10 Hz polling (the seed baseline).
-    Heap,
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EngineKind::Wheel => "wheel",
-            EngineKind::Heap => "heap",
-        })
-    }
-}
-
-/// How the wake loop orders same-window work. Both modes produce
-/// bit-identical output — reports, telemetry, WAL, checkpoints, care
-/// logs, served streams — because the reorder is applied only across
-/// *distinct homes*, which never interact; the mode is excluded from
-/// [`config_digest`] like `jobs` and `engine`, so checkpoints move
-/// freely between modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Epoch-tiled locality scheduling (the default): all wakes inside a
-    /// bounded near-instant window (`EPOCH_MS`, 256 ms) drain in one pass and
-    /// are served grouped by home in ascending arena order, so a 100k-home
-    /// sweep touches each due home's state once per window instead of
-    /// once per instant.
-    Epoch,
-    /// Strict global `(due, seq)` order, batching only wakes that share
-    /// one exact instant — the reference sweep the differential suite
-    /// holds epoch tiling against.
-    Strict,
-}
-
-impl std::fmt::Display for SchedMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SchedMode::Epoch => "epoch",
-            SchedMode::Strict => "strict",
-        })
-    }
-}
-
 /// Configuration of a metro-scale serving run.
 #[derive(Debug, Clone)]
 pub struct MetroConfig {
@@ -128,8 +80,6 @@ pub struct MetroConfig {
     /// Worker threads to shard homes across (results are identical at
     /// any count).
     pub jobs: usize,
-    /// Queue/scheduling mode.
-    pub engine: EngineKind,
     /// Shortest quiet gap between a home's episodes.
     pub gap_min: SimDuration,
     /// Longest quiet gap between a home's episodes.
@@ -142,9 +92,6 @@ pub struct MetroConfig {
     /// the previous session open into the next episode, producing
     /// cross-activity flags and abandoned closes — deliberate overlap.
     pub idle_close: SimDuration,
-    /// Wake-ordering mode. Like `jobs` and `engine`, a pure performance
-    /// knob: results are bit-identical either way.
-    pub sched: SchedMode,
 }
 
 impl Default for MetroConfig {
@@ -154,19 +101,17 @@ impl Default for MetroConfig {
             horizon: SimDuration::from_secs(1800),
             seed: 2007,
             jobs: default_jobs(),
-            engine: EngineKind::Wheel,
             gap_min: SimDuration::from_secs(60),
             gap_max: SimDuration::from_secs(240),
             system: CoredaConfig::default(),
             train_episodes: 150,
             idle_close: SimDuration::from_secs(120),
-            sched: SchedMode::Epoch,
         }
     }
 }
 
-/// What one home did over the horizon. Identical across engines and at
-/// any worker count.
+/// What one home did over the horizon. Identical at any worker count,
+/// batch or served.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HomeStats {
     /// Live episodes begun.
@@ -185,8 +130,7 @@ pub struct HomeStats {
     pub sessions_abandoned: u64,
     /// Foreign-tool-use flags raised.
     pub cross_activity_flags: u64,
-    /// 100 ms pipeline ticks executed (the logical serving work — the
-    /// same count whichever engine ran them).
+    /// 100 ms pipeline ticks executed (the logical serving work).
     pub pipeline_ticks: u64,
     /// Total sensor-node energy consumed, in microjoules.
     pub energy_uj: f64,
@@ -224,8 +168,8 @@ impl HomeStats {
 }
 
 /// One event on a home's serving tap — the ordered stream a differential
-/// harness compares across engines and worker counts (exact per-home
-/// equality is a much stronger check than equal counters).
+/// harness compares across worker counts and wake schedules (exact
+/// per-home equality is a much stronger check than equal counters).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TapEvent {
     /// A live episode began for the home's activity `act`.
@@ -246,24 +190,21 @@ pub enum TapEvent {
     Session(SessionEvent),
 }
 
-/// The result of a [`run_scale`] call.
+/// The serving report of a [`run`] (or a served fleet).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleReport {
     /// Homes served.
     pub homes: usize,
     /// Simulated horizon.
     pub horizon: SimDuration,
-    /// Engine that ran the serve.
-    pub engine: EngineKind,
     /// Per-home statistics, in home order.
     pub per_home: Vec<HomeStats>,
-    /// Raw DES events processed across all shards. Jobs-invariant, but
-    /// engine-*dependent* (dense polling pops far more events than
-    /// event-driven wakes) — excluded from cross-engine comparisons.
+    /// Raw DES events processed across all shards: one per wake
+    /// scheduled and served, whatever the window width. Jobs-invariant.
     pub des_events: u64,
-    /// Per-home serving taps, in home order. `None` unless the run was
-    /// made through [`run_scale_recorded`]; when present, the streams are
-    /// bit-identical across engines and worker counts.
+    /// Per-home serving taps, in home order. `None` unless the run set
+    /// [`RunSpec::record`]; when present, the streams are bit-identical
+    /// at any worker count, batch or served.
     pub events: Option<Vec<Vec<TapEvent>>>,
 }
 
@@ -302,10 +243,9 @@ impl ScaleReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "metro-scale serve: {homes} homes x {secs} s ({engine} engine)",
+            "metro-scale serve: {homes} homes x {secs} s (wheel engine)",
             homes = self.homes,
             secs = self.horizon.as_millis() / 1000,
-            engine = self.engine,
         );
         let _ = writeln!(
             out,
@@ -476,7 +416,7 @@ fn check_nodes(state: &SystemState, spec: &AdlSpec) -> Result<(), CheckpointErro
 struct SchedState {
     ep_index: u64,
     next_start: SimTime,
-    /// Coalesces duplicate same-instant wakes in the wheel engine.
+    /// Coalesces duplicate same-instant wakes.
     last_handled: Option<SimTime>,
     /// Per-home 100 ms grid offset, spreading homes across wheel slots.
     offset_ms: u64,
@@ -625,7 +565,7 @@ struct Shard<'a> {
     trackers: Vec<SessionTracker>,
     /// Root of each home's episode substreams.
     roots: Vec<SimRng>,
-    /// Gap/start draws — drawn at the same points by both engines.
+    /// Gap/start draws.
     sched_rngs: Vec<SimRng>,
     episodes: Vec<Option<RunningEpisode>>,
     /// Hot lanes: per-home scheduling + statistics, one row per home.
@@ -646,8 +586,6 @@ struct Shard<'a> {
     /// Session events buffered during a tick (the report sink cannot
     /// borrow the recorder while `live_tick` holds it).
     scratch_sessions: Vec<SessionEvent>,
-    /// Same-instant wake batch — strict wake-loop scratch.
-    batch: Vec<usize>,
     gap_min_ms: u64,
     gap_max_ms: u64,
 }
@@ -720,7 +658,6 @@ impl<'a> Shard<'a> {
             }),
             behavior: StochasticBehavior::new(PatientProfile::moderate(RESIDENT)),
             scratch_sessions: Vec::new(),
-            batch: Vec::new(),
             gap_min_ms: cfg.gap_min.as_millis(),
             gap_max_ms: cfg.gap_max.as_millis(),
         }
@@ -730,9 +667,10 @@ impl<'a> Shard<'a> {
         self.hot.len()
     }
 
-    /// The canonical per-instant sequence for home `i` — identical code
-    /// for both engines, so cross-engine equality reduces to both engines
-    /// calling it at every instant where anything can change.
+    /// The canonical per-instant sequence for home `i`. A quiet instant
+    /// changes nothing and draws no randomness, so calling it only where
+    /// something can change (the event-driven wakes) equals calling it at
+    /// every instant of the home's 100 ms grid.
     fn poll_instant(&mut self, i: usize, now: SimTime) {
         // 1. Begin the next episode when its start arrives.
         if self.episodes[i].is_none() && now >= self.hot[i].sched.next_start {
@@ -844,10 +782,9 @@ impl<'a> Shard<'a> {
     /// assistance-state transition (episode start/end, reminder, praise,
     /// session event). The record is *derived* — a diff of the home's
     /// counters around the canonical [`Shard::poll_instant`] — so
-    /// logging cannot perturb the simulation, and quiet wakes (the
-    /// overwhelming majority under dense polling) append nothing, which
-    /// is what makes the log identical across engines and O(activity)
-    /// in cost.
+    /// logging cannot perturb the simulation, and quiet wakes append
+    /// nothing, which keeps the log O(activity) in cost and independent
+    /// of how often a home is polled.
     fn poll_wake(&mut self, i: usize, now: SimTime) {
         if self.wal.is_none() && self.care.is_none() {
             self.poll_instant(i, now);
@@ -856,11 +793,10 @@ impl<'a> Shard<'a> {
         let before = self.hot[i].stats;
         let ep_before = self.episodes[i].is_some();
         self.poll_instant(i, now);
-        // Quiet wake — the overwhelming majority under dense polling:
-        // every counter a record could carry is unchanged and the
-        // episode slot did not flip, so the derived record would be
-        // trivial. Bail before building it; this keeps the overlay and
-        // the log at O(activity) rather than O(ticks).
+        // Quiet wake: every counter a record could carry is unchanged
+        // and the episode slot did not flip, so the derived record would
+        // be trivial. Bail before building it; this keeps the overlay
+        // and the log at O(activity) rather than O(ticks).
         {
             let after = &self.hot[i].stats;
             if ep_before == self.episodes[i].is_some()
@@ -920,7 +856,7 @@ impl<'a> Shard<'a> {
             if let Some(care) = self.care.as_mut() {
                 // The monitor is a pure fold over the derived records —
                 // the same stream the log stores — so the escalation log
-                // inherits the WAL's jobs/engine/served invariances.
+                // inherits the WAL's jobs/served invariances.
                 let seen = care.monitors[i].events().len();
                 care.monitors[i].observe(&care.policy, &record, &mut care.analytics);
                 if let Some(recs) = self.recs.as_mut() {
@@ -1012,95 +948,6 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Pops every wake sharing the current instant into `self.batch` and
-    /// returns the instant. The due homes are then swept in ascending
-    /// index order — homes are independent, so cross-home order within
-    /// one instant cannot change any per-home result, and the ascending
-    /// sweep walks the shard's arenas in memory order instead of queue
-    /// order. Each home's own follow-ups keep their relative dispatch
-    /// order (they are always strictly future, so none joins the batch
-    /// being swept).
-    fn collect_batch(&mut self, sim: &mut Simulator<Wake>, first: usize) -> SimTime {
-        let now = sim.now();
-        self.batch.clear();
-        self.batch.push(first);
-        // Dense polling pops whole-fleet instants whose wakes were
-        // scheduled home-by-home in ascending order, so batches usually
-        // arrive already sorted and duplicate-free: detect that while
-        // collecting and skip the re-sort/dedup on the hot path.
-        let mut sorted_unique = true;
-        let mut last = first;
-        while sim.next_due() == Some(now) {
-            if let Some(Wake(i)) = sim.step() {
-                sorted_unique &= i > last;
-                last = i;
-                self.batch.push(i);
-            }
-        }
-        if !sorted_unique {
-            self.batch.sort_unstable();
-            self.batch.dedup();
-        }
-        now
-    }
-
-    /// Serves every wake up to and including `until` with the wheel
-    /// engine's scheduling policy. Shared between the inter-checkpoint
-    /// segments and the final run to the horizon, so stopping mid-run
-    /// reuses the exact loop body an uninterrupted run executes.
-    ///
-    /// Follow-up wakes are scheduled *unconditionally*, even past the
-    /// horizon: `step_until` never pops them, so they cost a queue slot
-    /// and nothing else — and it keeps a snapshot's pending set
-    /// independent of the horizon the capturing run happened to use. A
-    /// checkpoint taken at the very end of a short run must still carry
-    /// each home's natural next wake, or a resume with a longer
-    /// `--hours` would find a dead fleet.
-    fn wheel_segment(&mut self, sim: &mut Simulator<Wake>, until: SimTime) {
-        while let Some(Wake(first)) = sim.step_until(until) {
-            let now = self.collect_batch(sim, first);
-            let mut batch = std::mem::take(&mut self.batch);
-            for &i in &batch {
-                if self.hot[i].sched.last_handled == Some(now) {
-                    // A duplicate wake for an instant already served
-                    // (dedup above catches these; kept for parity with
-                    // the pre-batching loop).
-                    continue;
-                }
-                self.hot[i].sched.last_handled = Some(now);
-                self.poll_wake(i, now);
-                if let Some(run) = &self.episodes[i] {
-                    sim.schedule_at(run.ep.next_tick_at(), Wake(i));
-                } else {
-                    sim.schedule_at(self.hot[i].sched.next_start, Wake(i));
-                    if let Some(deadline) = self.trackers[i].idle_deadline() {
-                        sim.schedule_at(align_up(self.hot[i].sched.offset_ms, deadline), Wake(i));
-                    }
-                }
-            }
-            batch.clear();
-            self.batch = batch;
-        }
-    }
-
-    /// The heap engine's dense 10 Hz loop body, segment-shaped like
-    /// [`Shard::wheel_segment`] (and scheduling unconditionally for the
-    /// same reason). Dense polling makes whole-fleet instants the common
-    /// case, so the same-instant batch sweep pays off most here.
-    fn heap_segment(&mut self, sim: &mut Simulator<Wake>, until: SimTime) {
-        while let Some(Wake(first)) = sim.step_until(until) {
-            let now = self.collect_batch(sim, first);
-            let mut batch = std::mem::take(&mut self.batch);
-            for &i in &batch {
-                self.hot[i].sched.last_handled = Some(now);
-                self.poll_wake(i, now);
-                sim.schedule_at(now + Coreda::TICK, Wake(i));
-            }
-            batch.clear();
-            self.batch = batch;
-        }
-    }
-
     /// Snapshots the shard at the current instant without perturbing it:
     /// walks the queue's pending wakes in dispatch order through
     /// [`Simulator::iter_pending`] — a read-only view, so frequent delta
@@ -1138,308 +985,118 @@ impl<'a> Shard<'a> {
     }
 }
 
-/// Serves `cfg.homes` households for `cfg.horizon`, sharded across
-/// `cfg.jobs` workers. Results are bit-identical at any worker count and
-/// across both [`EngineKind`]s (modulo [`ScaleReport::des_events`]).
-#[must_use]
-pub fn run_scale(cfg: &MetroConfig) -> ScaleReport {
-    run_scale_with(cfg, false)
+/// What a batch [`run`] observes, where it snapshots, and where it
+/// starts. The default is a plain fresh run to the horizon that
+/// observes nothing beyond its [`ScaleReport`]. Every tap is
+/// observation-only: the report is bit-identical whatever is switched
+/// on.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunSpec<'a> {
+    /// Record per-home serving taps into [`ScaleReport::events`].
+    pub record: bool,
+    /// Run the flight recorder: every home collects pipeline counters,
+    /// stage-latency histograms and a bounded ring of trace events,
+    /// merged into [`RunOutput::telemetry`] in home order.
+    pub trace: bool,
+    /// Derive the write-ahead event log into [`RunOutput::wal`]: one
+    /// [`WalRecord`] per observable-transition wake, fleet-ordered by
+    /// `(at, home)`.
+    pub log: bool,
+    /// Run the caregiver escalation overlay under this policy: every
+    /// home's derived transition stream feeds a [`CareMonitor`], and
+    /// [`RunOutput::care`] carries the fleet-ordered escalation log plus
+    /// the fleet analytics rollup.
+    pub care: Option<&'a CarePolicy>,
+    /// Snapshot the whole fleet at each of these instants (sorted
+    /// ascending, within the horizon) into [`RunOutput::checkpoints`].
+    /// Capture reads the queue without draining it, so the run itself
+    /// is unperturbed.
+    pub stops: &'a [SimTime],
+    /// Continue from this fleet snapshot instead of starting fresh. The
+    /// resumed result — statistics, energy, DES event count, telemetry
+    /// when the snapshot was traced — is bit-identical to a run that
+    /// never stopped, at any checkpoint instant and any `cfg.jobs`.
+    pub resume: Option<&'a MetroCheckpoint>,
 }
 
-/// [`run_scale`] with per-home serving taps recorded into
-/// [`ScaleReport::events`] — the input to differential oracles that
-/// compare whole event streams, not just counters.
-#[must_use]
-pub fn run_scale_recorded(cfg: &MetroConfig) -> ScaleReport {
-    run_scale_with(cfg, true)
+/// Everything one [`run`] produced.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The serving report, identical whatever [`RunSpec`] observed.
+    pub report: ScaleReport,
+    /// Per-home flight recorders, merged in home order; empty unless
+    /// [`RunSpec::trace`]. After a resume from a traced snapshot the
+    /// counters and trace rings cover the whole run, not just the tail.
+    pub telemetry: Telemetry,
+    /// Deepest any shard's event queue ever got. Jobs-*dependent*
+    /// (sharding changes how many homes share a queue), so it lives
+    /// outside [`Telemetry`] and is never part of determinism
+    /// comparisons.
+    pub peak_pending: usize,
+    /// One fleet snapshot per [`RunSpec::stops`] instant, in order.
+    pub checkpoints: Vec<MetroCheckpoint>,
+    /// The write-ahead event log; empty unless [`RunSpec::log`].
+    pub wal: Vec<WalRecord>,
+    /// The escalation log and fleet analytics, when [`RunSpec::care`]
+    /// ran the overlay.
+    pub care: Option<CareOutput>,
 }
 
-/// The result of a [`run_scale_traced`] call: the report plus the
-/// flight-recorder telemetry collected alongside it.
+impl RunOutput {
+    /// Splits a run with the log on into its report and its durable
+    /// artifacts: the first checkpoint becomes the base, every later one
+    /// a delta diffed against its predecessor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run took no checkpoint (a durable run needs a base).
+    #[must_use]
+    pub fn into_durable(self) -> (ScaleReport, DurableRun) {
+        let mut iter = self.checkpoints.into_iter();
+        let base = iter.next().expect("a durable run needs at least one checkpoint stop");
+        let mut prev = base.clone();
+        let mut deltas = Vec::new();
+        for cur in iter {
+            deltas.push(delta_checkpoint(&prev, &cur));
+            prev = cur;
+        }
+        (self.report, DurableRun { base, deltas, wal: self.wal })
+    }
+}
+
+/// The merged output of a fleet's finished sessions ([`collect_served`]):
+/// the report plus the flight-recorder telemetry collected alongside it.
 #[derive(Debug)]
 pub struct TraceOutput {
-    /// The serving report — identical to what [`run_scale`] returns for
-    /// the same config (recording draws no randomness and mutates no
-    /// simulation state).
+    /// The serving report.
     pub report: ScaleReport,
     /// Per-home flight recorders, merged deterministically in home order.
     pub telemetry: Telemetry,
-    /// Deepest any shard's event queue ever got. Engine- and
-    /// jobs-*dependent* (sharding changes how many homes share a queue),
-    /// so it lives outside [`Telemetry`] and is never part of
-    /// determinism comparisons.
+    /// Deepest any shard's event queue ever got (jobs-dependent).
     pub peak_pending: usize,
 }
 
-/// [`run_scale`] with the flight recorder on: every home collects
-/// pipeline counters, stage-latency histograms, and a bounded ring of
-/// trace events. The report itself is bit-identical to an untraced run,
-/// and the telemetry is bit-identical at any worker count and across
-/// engines (recorders are merged in home order).
-#[must_use]
-pub fn run_scale_traced(cfg: &MetroConfig) -> TraceOutput {
-    run_scale_inner(cfg, false, true, false, None, &[], None)
-        .expect("a run without a resume source cannot mismatch")
-        .0
-}
-
-/// [`run_scale`] that additionally snapshots the whole fleet at each
-/// instant in `stops` — the run itself is unperturbed (capture drains
-/// and re-schedules the queue non-destructively), so the returned report
-/// is bit-identical to a plain [`run_scale`] of the same config.
+/// Serves `cfg.homes` households for `cfg.horizon`, sharded across
+/// `cfg.jobs` workers, observing what `spec` asks for: one
+/// [`ServeSession`] per [`ServeCtx::chunks`] shard, driven to each stop
+/// (snapshotting there) and to the horizon, then merged through
+/// [`collect_served`]. Results are bit-identical at any worker count.
+///
+/// # Errors
+///
+/// Only a resume can fail: [`CheckpointError::ConfigMismatch`] when the
+/// snapshot's [`config_digest`] does not match `cfg` (a resume may
+/// change only `jobs` and `horizon`), and
+/// [`CheckpointError::ShapeMismatch`] for a snapshot that does not fit
+/// the fleet.
 ///
 /// # Panics
 ///
-/// Panics if `stops` is not sorted ascending or reaches past the
+/// Panics if `spec.stops` is not sorted ascending or reaches past the
 /// horizon. The CLI validates user input before calling; hitting this
 /// from code is a bug.
-#[must_use]
-pub fn run_scale_checkpointed(
-    cfg: &MetroConfig,
-    stops: &[SimTime],
-) -> (ScaleReport, Vec<MetroCheckpoint>) {
-    let (out, ckpts, _, _) = run_scale_inner(cfg, false, false, false, None, stops, None)
-        .expect("a run without a resume source cannot mismatch");
-    (out.report, ckpts)
-}
-
-/// [`run_scale_traced`] with fleet snapshots at each instant in `stops`;
-/// the snapshots carry the flight-recorder state, so a traced resume
-/// continues the same counters and trace rings.
-///
-/// # Panics
-///
-/// Panics on invalid `stops`, as [`run_scale_checkpointed`].
-#[must_use]
-pub fn run_scale_checkpointed_traced(
-    cfg: &MetroConfig,
-    stops: &[SimTime],
-) -> (TraceOutput, Vec<MetroCheckpoint>) {
-    let (out, ckpts, _, _) = run_scale_inner(cfg, false, true, false, None, stops, None)
-        .expect("a run without a resume source cannot mismatch");
-    (out, ckpts)
-}
-
-/// Continues a serve from a fleet snapshot to `cfg.horizon`. The
-/// resumed report — statistics, energy, DES event count — is
-/// bit-identical to an uninterrupted [`run_scale`] of the same config,
-/// for any checkpoint instant, any `cfg.jobs`, and either engine.
-///
-/// # Errors
-///
-/// [`CheckpointError::ConfigMismatch`] when the snapshot's
-/// [`config_digest`] does not match `cfg` (a resume may change only
-/// `jobs`, `horizon` and `engine`).
-pub fn resume_scale(
-    cfg: &MetroConfig,
-    ckpt: &MetroCheckpoint,
-) -> Result<ScaleReport, CheckpointError> {
-    run_scale_inner(cfg, false, false, false, None, &[], Some(ckpt)).map(|(out, ..)| out.report)
-}
-
-/// [`resume_scale`] with the flight recorder on. When the snapshot was
-/// itself traced, counters and trace rings merge across the boundary:
-/// the resumed telemetry describes the whole run, not just the tail.
-///
-/// # Errors
-///
-/// [`CheckpointError::ConfigMismatch`], as [`resume_scale`].
-pub fn resume_scale_traced(
-    cfg: &MetroConfig,
-    ckpt: &MetroCheckpoint,
-) -> Result<TraceOutput, CheckpointError> {
-    run_scale_inner(cfg, false, true, false, None, &[], Some(ckpt)).map(|(out, ..)| out)
-}
-
-/// Resume *and* keep checkpointing: continues from `ckpt` and snapshots
-/// again at each instant in `stops` (which must lie past the snapshot).
-/// This is what a periodically checkpointing server restarts into.
-///
-/// # Errors
-///
-/// [`CheckpointError::ConfigMismatch`], as [`resume_scale`].
-///
-/// # Panics
-///
-/// Panics on invalid `stops`, as [`run_scale_checkpointed`].
-pub fn resume_scale_checkpointed(
-    cfg: &MetroConfig,
-    ckpt: &MetroCheckpoint,
-    stops: &[SimTime],
-) -> Result<(ScaleReport, Vec<MetroCheckpoint>), CheckpointError> {
-    run_scale_inner(cfg, false, false, false, None, stops, Some(ckpt))
-        .map(|(out, ckpts, _, _)| (out.report, ckpts))
-}
-
-/// A durable run's on-disk artifacts: one full base snapshot, a chain of
-/// incremental deltas (each diffed against the snapshot the previous
-/// ones rebuild), and the write-ahead event log of every observable
-/// transition. Steady-state durability cost is the deltas + log tail —
-/// O(activity) — instead of a full snapshot per interval.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DurableRun {
-    /// The full snapshot the chain starts from.
-    pub base: MetroCheckpoint,
-    /// Incremental checkpoints, oldest first.
-    pub deltas: Vec<DeltaCheckpoint>,
-    /// The whole run's event log, `(at, home)`-ordered.
-    pub wal: Vec<WalRecord>,
-}
-
-impl DurableRun {
-    /// The instant the newest checkpoint (base or delta) covers.
-    #[must_use]
-    pub fn last_checkpoint_at(&self) -> SimTime {
-        self.deltas.last().map_or(self.base.at, |d| d.at)
-    }
-
-    /// Folds the delta chain into the base: the full snapshot a
-    /// compaction would persist as the next base.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`compact`]'s failures (a delta diffed against a
-    /// different base, or out-of-order chaining).
-    pub fn compacted(&self) -> Result<MetroCheckpoint, CheckpointError> {
-        compact(&self.base, &self.deltas)
-    }
-}
-
-/// [`run_scale`] with the write-ahead event log on: returns the report
-/// plus one [`WalRecord`] per observable-transition wake, fleet-ordered
-/// by `(at, home)`. The log is bit-identical across engines and at any
-/// worker count, and the report matches an unlogged run exactly
-/// (records are derived from counter diffs, never fed back).
-#[must_use]
-pub fn run_scale_walled(cfg: &MetroConfig) -> (ScaleReport, Vec<WalRecord>) {
-    let (out, _, wal, _) = run_scale_inner(cfg, false, false, true, None, &[], None)
-        .expect("a run without a resume source cannot mismatch");
-    (out.report, wal.expect("wal was requested"))
-}
-
-/// [`run_scale`] with the caregiver escalation overlay on: every home's
-/// derived transition stream feeds a [`CareMonitor`], and the run
-/// returns the fleet-ordered escalation log plus the fleet analytics
-/// quantile rollup. The overlay is observation-only — the report is
-/// bit-identical to a plain [`run_scale`] — and the care output is
-/// bit-identical at any worker count, on either engine, and served ≡
-/// batch.
-#[must_use]
-pub fn run_scale_care(cfg: &MetroConfig, policy: &CarePolicy) -> (ScaleReport, CareOutput) {
-    let (out, _, _, care) = run_scale_inner(cfg, false, false, false, Some(policy), &[], None)
-        .expect("a run without a resume source cannot mismatch");
-    (out.report, care.expect("care was requested"))
-}
-
-/// [`run_scale_care`] with the flight recorder on: the telemetry gains
-/// the `escalations_raised/acked/resolved` and `care_trend_windows`
-/// counters alongside the care output.
-#[must_use]
-pub fn run_scale_care_traced(cfg: &MetroConfig, policy: &CarePolicy) -> (TraceOutput, CareOutput) {
-    let (out, _, _, care) = run_scale_inner(cfg, false, true, false, Some(policy), &[], None)
-        .expect("a run without a resume source cannot mismatch");
-    (out, care.expect("care was requested"))
-}
-
-/// [`run_scale_care`] with the write-ahead log on too — the input the
-/// escalation-consistency oracle cross-checks the care log against.
-#[must_use]
-pub fn run_scale_care_walled(
-    cfg: &MetroConfig,
-    policy: &CarePolicy,
-) -> (ScaleReport, Vec<WalRecord>, CareOutput) {
-    let (out, _, wal, care) = run_scale_inner(cfg, false, false, true, Some(policy), &[], None)
-        .expect("a run without a resume source cannot mismatch");
-    (out.report, wal.expect("wal was requested"), care.expect("care was requested"))
-}
-
-/// Runs a serve with incremental durability: a full snapshot at
-/// `stops[0]` becomes the base, every later stop becomes a delta diffed
-/// against its predecessor, and the write-ahead log covers the whole
-/// horizon. The run itself is unperturbed — the report is bit-identical
-/// to a plain [`run_scale`].
-///
-/// # Panics
-///
-/// Panics if `stops` is empty (a durable run needs at least a base) or
-/// invalid as in [`run_scale_checkpointed`].
-#[must_use]
-pub fn run_scale_durable(cfg: &MetroConfig, stops: &[SimTime]) -> (ScaleReport, DurableRun) {
-    assert!(!stops.is_empty(), "a durable run needs at least one checkpoint stop");
-    let (out, ckpts, wal, _) = run_scale_inner(cfg, false, false, true, None, stops, None)
-        .expect("a run without a resume source cannot mismatch");
-    let mut iter = ckpts.into_iter();
-    let base = iter.next().expect("stops is non-empty");
-    let mut prev = base.clone();
-    let mut deltas = Vec::new();
-    for cur in iter {
-        deltas.push(delta_checkpoint(&prev, &cur));
-        prev = cur;
-    }
-    (out.report, DurableRun { base, deltas, wal: wal.expect("wal was requested") })
-}
-
-/// Resumes from a durable chain: folds base → deltas into the newest
-/// snapshot, replays the simulation from there to `cfg.horizon`, and
-/// cross-checks the replay against the stored log tail — every record
-/// the resumed run regenerates past the checkpoint instant must match
-/// the stored one, or the log and the snapshot chain belong to
-/// different histories. The returned report is bit-identical to an
-/// uninterrupted run at any checkpoint cadence, worker count, and
-/// engine.
-///
-/// # Errors
-///
-/// [`CheckpointError::ConfigMismatch`] / [`CheckpointError::BaseMismatch`]
-/// for a chain that does not belong to `cfg`, and
-/// [`CheckpointError::WalDivergence`] when the stored log disagrees with
-/// the deterministic replay.
-pub fn resume_scale_durable(
-    cfg: &MetroConfig,
-    run: &DurableRun,
-) -> Result<ScaleReport, CheckpointError> {
-    let ckpt = run.compacted()?;
-    let (out, _, regen, _) = run_scale_inner(cfg, false, false, true, None, &[], Some(&ckpt))?;
-    let regen = regen.expect("wal was requested");
-    // The stored tail past the checkpoint and the regenerated stream
-    // must agree record-for-record over their common extent (horizons
-    // may differ: a resume is free to run longer or shorter than the
-    // run that wrote the log).
-    let tail = run.wal.iter().filter(|r| r.at > ckpt.at);
-    for (stored, fresh) in tail.zip(&regen) {
-        if stored != fresh {
-            return Err(CheckpointError::WalDivergence { at: stored.at, home: stored.home });
-        }
-    }
-    Ok(out.report)
-}
-
-fn run_scale_with(cfg: &MetroConfig, record: bool) -> ScaleReport {
-    run_scale_inner(cfg, record, false, false, None, &[], None)
-        .expect("a run without a resume source cannot mismatch")
-        .0
-        .report
-}
-
-/// What one serve produces: trace output, checkpoints at each stop, the
-/// event log when one was requested, and the care output when the
-/// escalation overlay ran.
-type InnerRun =
-    (TraceOutput, Vec<MetroCheckpoint>, Option<Vec<WalRecord>>, Option<CareOutput>);
-
-/// Every batch entry point lands here: one [`ServeSession`] per
-/// [`ServeCtx::chunks`] shard, driven to each stop (snapshotting there)
-/// and to the horizon, then merged through [`collect_served`].
-#[allow(clippy::too_many_arguments)]
-fn run_scale_inner(
-    cfg: &MetroConfig,
-    record: bool,
-    trace: bool,
-    log: bool,
-    care: Option<&CarePolicy>,
-    stops: &[SimTime],
-    resume: Option<&MetroCheckpoint>,
-) -> Result<InnerRun, CheckpointError> {
+pub fn run(cfg: &MetroConfig, spec: &RunSpec<'_>) -> Result<RunOutput, CheckpointError> {
+    let RunSpec { record, trace, log, care, stops, resume } = *spec;
     let horizon_end = SimTime::ZERO + cfg.horizon;
     assert!(
         stops.windows(2).all(|w| w[0] <= w[1]),
@@ -1496,9 +1153,113 @@ fn run_scale_inner(
             ckpt.homes.extend(homes);
         }
     }
-    let (mut out, wal, care_out) = collect_served(cfg, shards);
-    out.report.des_events = out.report.des_events.saturating_add(base_des);
-    Ok((out, checkpoints, log.then_some(wal), care_out))
+    let (TraceOutput { mut report, telemetry, peak_pending }, wal, care) =
+        collect_served(cfg, shards);
+    report.des_events = report.des_events.saturating_add(base_des);
+    Ok(RunOutput { report, telemetry, peak_pending, checkpoints, wal, care })
+}
+
+/// [`run`] with nothing observed: the plain fleet report.
+#[must_use]
+pub fn run_scale(cfg: &MetroConfig) -> ScaleReport {
+    run(cfg, &RunSpec::default()).expect("a run without a resume source cannot mismatch").report
+}
+
+/// [`run`] with the caregiver escalation overlay and the write-ahead
+/// log on — the input the escalation-consistency oracle cross-checks the
+/// care log against.
+#[must_use]
+pub fn run_scale_care_walled(
+    cfg: &MetroConfig,
+    policy: &CarePolicy,
+) -> (ScaleReport, Vec<WalRecord>, CareOutput) {
+    let spec = RunSpec { log: true, care: Some(policy), ..RunSpec::default() };
+    let out = run(cfg, &spec).expect("a run without a resume source cannot mismatch");
+    (out.report, out.wal, out.care.expect("care was requested"))
+}
+
+/// A durable run's on-disk artifacts: one full base snapshot, a chain of
+/// incremental deltas (each diffed against the snapshot the previous
+/// ones rebuild), and the write-ahead event log of every observable
+/// transition. Steady-state durability cost is the deltas + log tail —
+/// O(activity) — instead of a full snapshot per interval.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DurableRun {
+    /// The full snapshot the chain starts from.
+    pub base: MetroCheckpoint,
+    /// Incremental checkpoints, oldest first.
+    pub deltas: Vec<DeltaCheckpoint>,
+    /// The whole run's event log, `(at, home)`-ordered.
+    pub wal: Vec<WalRecord>,
+}
+
+impl DurableRun {
+    /// The instant the newest checkpoint (base or delta) covers.
+    #[must_use]
+    pub fn last_checkpoint_at(&self) -> SimTime {
+        self.deltas.last().map_or(self.base.at, |d| d.at)
+    }
+
+    /// Folds the delta chain into the base: the full snapshot a
+    /// compaction would persist as the next base.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`compact`]'s failures (a delta diffed against a
+    /// different base, or out-of-order chaining).
+    pub fn compacted(&self) -> Result<MetroCheckpoint, CheckpointError> {
+        compact(&self.base, &self.deltas)
+    }
+}
+
+/// Runs a serve with incremental durability: a full snapshot at
+/// `stops[0]` becomes the base, every later stop becomes a delta diffed
+/// against its predecessor ([`RunOutput::into_durable`]), and the
+/// write-ahead log covers the whole horizon. The run itself is
+/// unperturbed — the report is bit-identical to a plain [`run_scale`].
+///
+/// # Panics
+///
+/// Panics if `stops` is empty (a durable run needs at least a base) or
+/// invalid as in [`run`].
+#[must_use]
+pub fn run_scale_durable(cfg: &MetroConfig, stops: &[SimTime]) -> (ScaleReport, DurableRun) {
+    assert!(!stops.is_empty(), "a durable run needs at least one checkpoint stop");
+    let spec = RunSpec { log: true, stops, ..RunSpec::default() };
+    run(cfg, &spec).expect("a run without a resume source cannot mismatch").into_durable()
+}
+
+/// Resumes from a durable chain: folds base → deltas into the newest
+/// snapshot, replays the simulation from there to `cfg.horizon`, and
+/// cross-checks the replay against the stored log. The stored records in
+/// `(checkpoint, horizon]` must be a prefix of the regenerated log: a log
+/// torn by a crash is a prefix, while a longer or different one belongs
+/// to another history. The returned report is bit-identical to an
+/// uninterrupted run at any checkpoint cadence and worker count.
+///
+/// # Errors
+///
+/// [`CheckpointError::ConfigMismatch`] / [`CheckpointError::BaseMismatch`]
+/// for a chain that does not belong to `cfg`, and
+/// [`CheckpointError::WalDivergence`] at the first stored record the
+/// deterministic replay does not regenerate.
+pub fn resume_scale_durable(
+    cfg: &MetroConfig,
+    run: &DurableRun,
+) -> Result<ScaleReport, CheckpointError> {
+    let ckpt = run.compacted()?;
+    let spec = RunSpec { log: true, resume: Some(&ckpt), ..RunSpec::default() };
+    let out = self::run(cfg, &spec)?;
+    // Records past this resume's horizon are out of its reach: a resume
+    // is free to run shorter than the run that wrote the log.
+    let horizon_end = SimTime::ZERO + cfg.horizon;
+    let mut regen = out.wal.iter();
+    for stored in run.wal.iter().filter(|r| r.at > ckpt.at && r.at <= horizon_end) {
+        if regen.next() != Some(stored) {
+            return Err(CheckpointError::WalDivergence { at: stored.at, home: stored.home });
+        }
+    }
+    Ok(out.report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1531,7 +1292,7 @@ impl std::error::Error for FleetTooLarge {}
 /// Run-wide shared state: the configuration plus the immutable fleet
 /// context (specs, trained planner templates, renderer) every shard
 /// borrows, built once per run. [`ServeCtx::session`] hands out
-/// per-shard sessions; a batch [`run_scale`] opens the same sessions, so
+/// per-shard sessions; a batch [`run`] opens the same sessions, so
 /// the serving front end owns *when* wakes are served (its clock) but
 /// never *what* they do.
 pub struct ServeCtx {
@@ -1640,18 +1401,11 @@ impl ServeCtx {
         let care = self.care.as_ref();
         let mut shard =
             Shard::build(&self.cfg, &self.ctx, first_home, count, record, trace, log, care);
-        let mut sim: Simulator<Wake> = match self.cfg.engine {
-            EngineKind::Wheel => Simulator::new(),
-            EngineKind::Heap => Simulator::with_heap_queue(),
-        };
+        let mut sim: Simulator<Wake> = Simulator::new();
         match resume {
             None => {
                 for (i, lanes) in shard.hot.iter().enumerate() {
-                    let first = match self.cfg.engine {
-                        EngineKind::Wheel => lanes.sched.next_start,
-                        EngineKind::Heap => SimTime::from_millis(lanes.sched.offset_ms),
-                    };
-                    sim.schedule_at(first, Wake(i));
+                    sim.schedule_at(lanes.sched.next_start, Wake(i));
                 }
             }
             Some(homes) => {
@@ -1666,8 +1420,6 @@ impl ServeCtx {
         ServeSession {
             shard,
             sim,
-            engine: self.cfg.engine,
-            sched: self.cfg.sched,
             horizon_end: SimTime::ZERO + self.cfg.horizon,
             wal_cursor: 0,
             epoch_end: SimTime::ZERO,
@@ -1685,17 +1437,14 @@ impl ServeCtx {
 /// One shard of a fleet, driven wake by wake: the only wake loop. A
 /// serving front end drives it through the chain API
 /// ([`ServeSession::next_epoch_on`], [`ServeSession::next_wake`],
-/// [`ServeSession::serve_wake`]); a batch [`run_scale`] drives the same
+/// [`ServeSession::serve_wake`]); a batch [`run`] drives the same
 /// private steps (window drain, chain activation, chain walk, serve
 /// step) to each checkpoint stop and the horizon with no transport. So
 /// serving every window's chains reproduces the batch run byte for byte,
-/// DES event count included. Only a [`SchedMode::Strict`] batch run
-/// differs: it keeps the reference sweep epoch tiling is tested against.
+/// DES event count included.
 pub struct ServeSession<'a> {
     shard: Shard<'a>,
     sim: Simulator<Wake>,
-    engine: EngineKind,
-    sched: SchedMode,
     horizon_end: SimTime,
     /// Records already drained into per-wake deliveries.
     wal_cursor: usize,
@@ -1723,7 +1472,6 @@ impl std::fmt::Debug for ServeSession<'_> {
         f.debug_struct("ServeSession")
             .field("first_home", &self.shard.first_home)
             .field("homes", &self.shard.len())
-            .field("engine", &self.engine)
             .field("now", &self.sim.now())
             .finish()
     }
@@ -1744,14 +1492,11 @@ impl ServeSession<'_> {
         let until = until.min(self.horizon_end);
         let t0 = self.sim.next_due().filter(|&t| t <= until)?;
         clock.wait_until(t0);
-        let end = match self.sched {
-            SchedMode::Strict => t0,
-            SchedMode::Epoch => SimTime::from_millis(
-                (t0.as_millis() + EPOCH_MS - 1)
-                    .min(until.as_millis())
-                    .min(clock.servable().max(t0).as_millis()),
-            ),
-        };
+        let end = SimTime::from_millis(
+            (t0.as_millis() + EPOCH_MS - 1)
+                .min(until.as_millis())
+                .min(clock.servable().max(t0).as_millis()),
+        );
         self.epoch.clear();
         self.chains.clear();
         self.active = None;
@@ -1788,9 +1533,10 @@ impl ServeSession<'_> {
     /// Advances the active chain to its next distinct wake instant, over
     /// drained entries and in-window follow-ups. Every entry at that
     /// instant is consumed and counted, so duplicates serve once and
-    /// `des_events` matches the strict sweep; a wheel wake for an instant
-    /// already served (a resume rehydrates the one behind the snapshot's
-    /// `last_handled`) is consumed unserved. `None` once the chain is dry.
+    /// `des_events` counts every wake whatever the window width; a wake
+    /// for an instant already served (a resume rehydrates the one behind
+    /// the snapshot's `last_handled`) is consumed unserved. `None` once
+    /// the chain is dry.
     fn chain_next(&mut self) -> Option<SimTime> {
         if self.pending_wake.is_some() {
             return self.pending_wake;
@@ -1809,8 +1555,7 @@ impl ServeSession<'_> {
             let before = self.inline.len();
             self.inline.retain(|&due| due != now);
             self.sim.note_processed((before - self.inline.len()) as u64);
-            if self.engine == EngineKind::Wheel && self.shard.hot[i].sched.last_handled == Some(now)
-            {
+            if self.shard.hot[i].sched.last_handled == Some(now) {
                 continue;
             }
             self.pending_wake = Some(now);
@@ -1820,6 +1565,14 @@ impl ServeSession<'_> {
 
     /// Serves local home `i`'s pending wake at `at` and routes its
     /// follow-ups; with `skip` the wake is consumed untouched.
+    ///
+    /// Follow-ups are scheduled *unconditionally*, even past the horizon:
+    /// the drain never pops them, so they cost a queue slot and nothing
+    /// else — and it keeps a snapshot's pending set independent of the
+    /// horizon the capturing run happened to use. A checkpoint taken at
+    /// the very end of a short run must still carry each home's natural
+    /// next wake, or a resume with a longer horizon would find a dead
+    /// fleet.
     fn serve_step(&mut self, i: usize, at: SimTime, skip: bool) {
         self.pending_wake = None;
         self.shard.hot[i].sched.last_handled = Some(at);
@@ -1838,45 +1591,32 @@ impl ServeSession<'_> {
                 sim.schedule_at(due, Wake(i));
             }
         };
-        match self.engine {
-            EngineKind::Wheel => {
-                if let Some(run) = &self.shard.episodes[i] {
-                    follow(run.ep.next_tick_at());
-                } else {
-                    let s = self.shard.hot[i].sched;
-                    follow(s.next_start);
-                    if let Some(deadline) = self.shard.trackers[i].idle_deadline() {
-                        follow(align_up(s.offset_ms, deadline));
-                    }
-                }
+        if let Some(run) = &self.shard.episodes[i] {
+            follow(run.ep.next_tick_at());
+        } else {
+            let s = self.shard.hot[i].sched;
+            follow(s.next_start);
+            if let Some(deadline) = self.shard.trackers[i].idle_deadline() {
+                follow(align_up(s.offset_ms, deadline));
             }
-            EngineKind::Heap => follow(at + Coreda::TICK),
         }
     }
 
     /// The batch drive: serves every wake due by `until` through the
-    /// chain steps on the sim clock, or under the strict order through
-    /// the reference sweep. Either way the simulator clock ends at `until`.
+    /// chain steps on the sim clock, then leaves the simulator clock at
+    /// `until`.
     fn serve_until(&mut self, until: SimTime) {
-        match (self.sched, self.engine) {
-            (SchedMode::Strict, EngineKind::Wheel) => {
-                self.shard.wheel_segment(&mut self.sim, until);
-            }
-            (SchedMode::Strict, EngineKind::Heap) => self.shard.heap_segment(&mut self.sim, until),
-            (SchedMode::Epoch, _) => {
-                while self.drain_window(until, &mut SimClock).is_some() {
-                    for k in 0..self.chains.len() {
-                        self.activate(k);
-                        let i = self.chains[k].0;
-                        while let Some(now) = self.chain_next() {
-                            self.serve_step(i, now, false);
-                        }
-                    }
-                }
-                if until > self.sim.now() {
-                    self.sim.advance_to(until);
+        while self.drain_window(until, &mut SimClock).is_some() {
+            for k in 0..self.chains.len() {
+                self.activate(k);
+                let i = self.chains[k].0;
+                while let Some(now) = self.chain_next() {
+                    self.serve_step(i, now, false);
                 }
             }
+        }
+        if until > self.sim.now() {
+            self.sim.advance_to(until);
         }
     }
 
@@ -1902,17 +1642,14 @@ impl ServeSession<'_> {
 
     /// Drains the next epoch window (up to the horizon) and fills `due`
     /// with the fleet-global home ids owning wakes in it, ascending and
-    /// deduplicated. Under [`SchedMode::Epoch`] the window is
-    /// `EPOCH_MS` (256 ms) wide; under [`SchedMode::Strict`] it is the
-    /// single next instant, which makes the chain API reproduce the
-    /// classic instant-by-instant sweep exactly. Returns the window's
-    /// first instant, or `None` when the horizon is served.
+    /// deduplicated. The window is `EPOCH_MS` (256 ms) wide. Returns the
+    /// window's first instant, or `None` when the horizon is served.
     ///
     /// Serve the returned homes in order: for each, loop
     /// [`ServeSession::next_wake`] / [`ServeSession::serve_wake`] until
     /// the chain is dry, then move on. Per-home wake sequences — and
-    /// with them every deliverable — are the same in either mode and at
-    /// any window cut ([`ServeSession::next_epoch_on`]).
+    /// with them every deliverable — are the same at any window cut
+    /// ([`ServeSession::next_epoch_on`]).
     pub fn next_epoch(&mut self, due: &mut Vec<u32>) -> Option<SimTime> {
         self.next_epoch_on(due, &mut SimClock)
     }
@@ -1925,7 +1662,9 @@ impl ServeSession<'_> {
     /// wake while the server keeps up. A late server's clock has run
     /// ahead, which widens the window back to the full `EPOCH_MS` (and the
     /// tiled locality with it). Under [`SimClock`] the window is always
-    /// the full one. [`SchedMode::Strict`] keeps its single instant.
+    /// the full one; a clock whose servable instant never runs ahead
+    /// makes every window the single instant `t0`, which reproduces the
+    /// classic instant-by-instant `(due, seq)` sweep.
     ///
     /// The cut never shows in any artifact: a home's chain is served in
     /// due order whichever window its wakes fall in, and follow-ups past
@@ -1946,7 +1685,7 @@ impl ServeSession<'_> {
     /// Advances `home`'s chain in the current epoch to its next distinct
     /// wake instant and returns it, or `None` when the chain is dry (or
     /// `home` owns no wakes in this window). Duplicate entries are
-    /// consumed and counted exactly as the batch engines dedup them.
+    /// consumed and counted exactly as the batch run dedups them.
     /// Calling again before [`ServeSession::serve_wake`] returns the
     /// same instant.
     ///
@@ -2058,13 +1797,12 @@ pub struct ServedShard {
     stats: Vec<HomeStats>,
     taps: Option<Vec<Vec<TapEvent>>>,
     recs: Option<Vec<HomeRecorder>>,
-    /// Shard-local write-ahead records, in wake order: `(at, home)`
-    /// under the strict sweep, home-major within each epoch window
-    /// under epoch tiling. Either way the global sort in
-    /// [`collect_served`] lands on the same unique `(at, home)` order.
+    /// Shard-local write-ahead records, in wake order: home-major within
+    /// each window. The global sort in [`collect_served`] lands on the
+    /// unique `(at, home)` order whatever the window cuts.
     wal: Option<Vec<WalRecord>>,
     des_events: u64,
-    /// Shard-local queue high-water mark — engine- and jobs-dependent.
+    /// Shard-local queue high-water mark — jobs-dependent.
     max_pending: usize,
     /// Shard-local escalation log (home-major, per-home time order) and
     /// analytics, when the care overlay ran.
@@ -2083,10 +1821,10 @@ impl std::fmt::Debug for ServedShard {
 /// Merges finished shards — in [`ServeCtx::chunks`] order — into the
 /// run's [`TraceOutput`] plus the fleet-ordered event log (and the care
 /// output when the context enabled the escalation overlay). This is the
-/// only shard merge: a batch [`run_scale`] folds its own sessions
-/// through it too. Under the sim clock a served result is therefore
-/// bit-identical to the batch run of the same configuration (grid,
-/// telemetry, log, and care) at any worker count and either engine.
+/// only shard merge: a batch [`run`] folds its own sessions through it
+/// too. Under the sim clock a served result is therefore bit-identical
+/// to the batch run of the same configuration (grid, telemetry, log,
+/// and care) at any worker count.
 #[must_use]
 pub fn collect_served(
     cfg: &MetroConfig,
@@ -2123,7 +1861,6 @@ pub fn collect_served(
     let report = ScaleReport {
         homes: cfg.homes,
         horizon: cfg.horizon,
-        engine: cfg.engine,
         per_home,
         des_events,
         events,
@@ -2134,7 +1871,7 @@ pub fn collect_served(
     }
     // `(at, home)` is unique per record, and the per-home monotone `seq`
     // breaks same-instant care ties, so each sort lands on one fleet-wide
-    // order whatever the worker count or sched mode.
+    // order whatever the worker count or window cuts.
     wal_records.sort_unstable_by_key(|r| (r.at, r.home));
     if let Some(out) = care_out.as_mut() {
         out.events.sort_unstable_by_key(|e| (e.at, e.home, e.seq));
@@ -2185,6 +1922,22 @@ mod tests {
         }
     }
 
+    /// A plain fresh [`run`] with the given taps switched on.
+    fn observe(cfg: &MetroConfig, spec: RunSpec<'_>) -> RunOutput {
+        run(cfg, &spec).expect("a run without a resume source cannot mismatch")
+    }
+
+    /// Resumes `ckpt` and returns the report.
+    fn resume(cfg: &MetroConfig, ckpt: &MetroCheckpoint) -> Result<ScaleReport, CheckpointError> {
+        run(cfg, &RunSpec { resume: Some(ckpt), ..RunSpec::default() }).map(|out| out.report)
+    }
+
+    /// Snapshots a plain run at `stops`.
+    fn snapshots(cfg: &MetroConfig, stops: &[SimTime]) -> (ScaleReport, Vec<MetroCheckpoint>) {
+        let out = observe(cfg, RunSpec { stops, ..RunSpec::default() });
+        (out.report, out.checkpoints)
+    }
+
     #[test]
     fn homes_actually_serve() {
         let report = run_scale(&small_cfg());
@@ -2196,18 +1949,62 @@ mod tests {
         assert!(t.energy_uj > 0.0, "radio traffic costs energy");
     }
 
+    /// Dense 10 Hz polling, the reference event-driven wakes are held
+    /// against: every home runs [`Shard::poll_wake`] at every instant of
+    /// its 100 ms grid up to the horizon. Homes never interact, so
+    /// polling home by home is as good as instant by instant. Returns
+    /// the merged output and the number of polls.
+    fn run_dense(
+        cfg: &MetroConfig,
+        policy: &CarePolicy,
+    ) -> ((TraceOutput, Vec<WalRecord>, Option<CareOutput>), u64) {
+        let ctx = ServeCtx::build(cfg.clone(), Some(policy.clone()));
+        let end = cfg.horizon.as_millis();
+        let mut polls = 0;
+        let mut shards = Vec::new();
+        for (first, count) in ctx.chunks() {
+            let mut session = ctx.open(first, count, true, true, true, None);
+            for i in 0..count {
+                let offset = session.shard.hot[i].sched.offset_ms;
+                for ms in (offset..=end).step_by(Coreda::TICK.as_millis() as usize) {
+                    session.shard.poll_wake(i, SimTime::from_millis(ms));
+                    polls += 1;
+                }
+            }
+            shards.push(session.finish());
+        }
+        (collect_served(cfg, shards), polls)
+    }
+
+    /// Event-driven wakes are exact: a home woken only where something
+    /// can change ends exactly where one polled on every 100 ms grid
+    /// instant does — stats, taps, telemetry JSONL, WAL and the care log
+    /// under an escalating policy — at any worker count.
     #[test]
-    fn wheel_and_heap_engines_agree_per_home() {
-        let wheel = run_scale(&small_cfg());
-        let heap = run_scale(&MetroConfig { engine: EngineKind::Heap, ..small_cfg() });
-        assert_eq!(wheel.per_home, heap.per_home);
-        // Dense polling pops far more raw DES events for the same work.
-        assert!(
-            heap.des_events > wheel.des_events,
-            "heap {h} should exceed wheel {w}",
-            h = heap.des_events,
-            w = wheel.des_events
-        );
+    fn event_driven_wakes_match_dense_polling() {
+        let policy = eager_policy();
+        for jobs in [1, 3] {
+            let cfg = MetroConfig { jobs, ..small_cfg() };
+            let care = Some(&policy);
+            let spec = RunSpec { record: true, trace: true, log: true, care, ..RunSpec::default() };
+            let wakes = observe(&cfg, spec);
+            let ((dense, wal, care), polls) = run_dense(&cfg, &policy);
+            assert_eq!(wakes.report.per_home, dense.report.per_home, "jobs={jobs}: stats");
+            assert_eq!(wakes.report.events, dense.report.events, "jobs={jobs}: taps");
+            assert_eq!(
+                wakes.telemetry.to_jsonl(),
+                dense.telemetry.to_jsonl(),
+                "jobs={jobs}: telemetry"
+            );
+            assert_eq!(wakes.wal, wal, "jobs={jobs}: WAL");
+            assert!(care.as_ref().is_some_and(|c| !c.events.is_empty()), "policy must escalate");
+            assert_eq!(wakes.care, care, "jobs={jobs}: care log");
+            assert!(
+                wakes.report.des_events < polls,
+                "event-driven wakes ({}) should be far fewer than dense polls ({polls})",
+                wakes.report.des_events
+            );
+        }
     }
 
     #[test]
@@ -2218,123 +2015,64 @@ mod tests {
         assert_eq!(serial.render(), parallel.render());
     }
 
-    /// The tentpole determinism rule: epoch tiling is a pure
-    /// performance knob. Report, WAL, care log, and telemetry JSONL are
-    /// bit-identical to the strict-order sweep on either engine at any
-    /// worker count.
-    #[test]
-    fn epoch_and_strict_scheduling_are_bit_identical() {
-        let policy = CarePolicy::default();
-        for engine in [EngineKind::Wheel, EngineKind::Heap] {
-            for jobs in [1, 3] {
-                let epoch = MetroConfig { engine, jobs, sched: SchedMode::Epoch, ..small_cfg() };
-                let strict = MetroConfig { sched: SchedMode::Strict, ..epoch.clone() };
-                let (er, ewal, ecare) = run_scale_care_walled(&epoch, &policy);
-                let (sr, swal, scare) = run_scale_care_walled(&strict, &policy);
-                assert_eq!(er, sr, "{engine} jobs={jobs}: report diverged");
-                assert_eq!(ewal, swal, "{engine} jobs={jobs}: WAL diverged");
-                assert_eq!(ecare, scare, "{engine} jobs={jobs}: care log diverged");
-                let et = run_scale_traced(&epoch);
-                let st = run_scale_traced(&strict);
-                assert_eq!(
-                    et.telemetry.to_jsonl(),
-                    st.telemetry.to_jsonl(),
-                    "{engine} jobs={jobs}: telemetry diverged"
-                );
-            }
+    /// Serves only the window's first instant: every window is one
+    /// instant, the classic `(due, seq)` sweep.
+    struct InstantWindows;
+
+    impl Clock for InstantWindows {
+        fn wait_until(&mut self, _due: SimTime) {}
+
+        fn servable(&self) -> SimTime {
+            SimTime::ZERO
         }
     }
 
-    /// A checkpoint is sched-agnostic like it is jobs- and
-    /// engine-agnostic: captured under one mode, it resumes under the
-    /// other to the exact uninterrupted result.
-    #[test]
-    fn checkpoints_move_between_sched_modes() {
-        let strict = MetroConfig { sched: SchedMode::Strict, ..small_cfg() };
-        let epoch = MetroConfig { sched: SchedMode::Epoch, ..small_cfg() };
-        let full = run_scale(&strict);
-        let stop = SimTime::from_millis(strict.horizon.as_millis() / 2);
-        // Strict capture → epoch resume.
-        let (_, ckpts) = run_scale_checkpointed(&strict, &[stop]);
-        let resumed = resume_scale(&epoch, &ckpts[0]).expect("same config, new sched");
-        assert_eq!(resumed.per_home, full.per_home, "strict→epoch resume diverged");
-        // Epoch capture → strict resume.
-        let (_, ckpts) = run_scale_checkpointed(&epoch, &[stop]);
-        let resumed = resume_scale(&strict, &ckpts[0]).expect("same config, new sched");
-        assert_eq!(resumed.per_home, full.per_home, "epoch→strict resume diverged");
-    }
-
-    /// The epoch chain API (`next_epoch`/`next_wake`/`serve_wake`) must
-    /// reproduce the batch run exactly in *both* scheduling modes — under
-    /// `Strict` the window degenerates to a single instant and the chain
-    /// walk becomes the classic batch sweep — and in either order of a
-    /// window's homes: homes never interact, so serving a window's chains
-    /// last-to-first changes nothing.
+    /// The epoch chain API (`next_epoch_on`/`next_wake`/`serve_wake`)
+    /// must reproduce the batch run exactly, DES event count included,
+    /// whether its windows span the full epoch or a single instant, and
+    /// in either order of a window's homes: homes never interact, so
+    /// serving a window's chains last-to-first changes nothing.
     #[test]
     fn chain_api_reproduces_the_batch_run() {
-        for engine in [EngineKind::Wheel, EngineKind::Heap] {
-            for sched in [SchedMode::Epoch, SchedMode::Strict] {
-                let cfg = MetroConfig { engine, sched, ..small_cfg() };
-                let batch = run_scale(&cfg);
-                let (_, wal) = run_scale_walled(&cfg);
-                let ctx = ServeCtx::new(cfg.clone()).expect("small fleets fit");
-                for descending in [false, true] {
-                    let mut shards = Vec::new();
-                    let mut deliveries = Vec::new();
-                    for (first, count) in ctx.chunks() {
-                        let mut session = ctx.session(first, count, false, false);
-                        let mut due = Vec::new();
-                        while session.next_epoch(&mut due).is_some() {
-                            if descending {
-                                due.reverse();
-                            }
-                            for &home in &due {
-                                while let Some(now) = session.next_wake(home) {
-                                    session.serve_wake(home, now, false, &mut deliveries);
-                                }
+        let cfg = small_cfg();
+        let batch = observe(&cfg, RunSpec { log: true, ..RunSpec::default() });
+        let ctx = ServeCtx::new(cfg.clone()).expect("small fleets fit");
+        for instant in [false, true] {
+            for descending in [false, true] {
+                let mut shards = Vec::new();
+                let mut deliveries = Vec::new();
+                for (first, count) in ctx.chunks() {
+                    let mut session = ctx.session(first, count, false, false);
+                    let mut due = Vec::new();
+                    loop {
+                        let window = if instant {
+                            session.next_epoch_on(&mut due, &mut InstantWindows)
+                        } else {
+                            session.next_epoch(&mut due)
+                        };
+                        if window.is_none() {
+                            break;
+                        }
+                        if descending {
+                            due.reverse();
+                        }
+                        for &home in &due {
+                            while let Some(now) = session.next_wake(home) {
+                                session.serve_wake(home, now, false, &mut deliveries);
                             }
                         }
-                        shards.push(session.finish());
                     }
-                    let (out, merged, care) = collect_served(&cfg, shards);
-                    let case = format!("{engine}/{sched} descending={descending}");
-                    assert!(care.is_none(), "care off ⇒ no care output");
-                    assert_eq!(out.report, batch, "{case}: chain serve diverged");
-                    assert_eq!(merged, wal, "{case}: served log diverged");
-                    deliveries.sort_unstable_by_key(|r| (r.at, r.home));
-                    assert_eq!(deliveries, wal, "{case}: deliveries diverged");
+                    shards.push(session.finish());
                 }
+                let (out, merged, care) = collect_served(&cfg, shards);
+                let case = format!("instant={instant} descending={descending}");
+                assert!(care.is_none(), "care off ⇒ no care output");
+                assert_eq!(out.report, batch.report, "{case}: chain serve diverged");
+                assert_eq!(merged, batch.wal, "{case}: served log diverged");
+                deliveries.sort_unstable_by_key(|r| (r.at, r.home));
+                assert_eq!(deliveries, batch.wal, "{case}: deliveries diverged");
             }
         }
-    }
-
-    /// The sorted-unique fast path and the re-sort slow path of
-    /// [`Shard::collect_batch`] must land on the same batch.
-    #[test]
-    fn collect_batch_handles_sorted_and_unsorted_pops() {
-        let cfg = small_cfg();
-        let ctx = FleetCtx::build(&cfg);
-        let mut shard = Shard::build(&cfg, &ctx, 0, cfg.homes, false, false, false, None);
-        let at = SimTime::from_millis(1_000);
-
-        // Ascending, duplicate-free pops: the fast path must keep them.
-        let mut sim: Simulator<Wake> = Simulator::new();
-        for i in 0..4 {
-            sim.schedule_at(at, Wake(i));
-        }
-        let Some(Wake(first)) = sim.step() else { panic!("scheduled wakes exist") };
-        assert_eq!(shard.collect_batch(&mut sim, first), at);
-        assert_eq!(shard.batch, vec![0, 1, 2, 3]);
-
-        // Out-of-order pops with duplicates: the slow path must restore
-        // the ascending deduplicated sweep order.
-        let mut sim: Simulator<Wake> = Simulator::new();
-        for i in [3usize, 1, 2, 1] {
-            sim.schedule_at(at, Wake(i));
-        }
-        let Some(Wake(first)) = sim.step() else { panic!("scheduled wakes exist") };
-        assert_eq!(shard.collect_batch(&mut sim, first), at);
-        assert_eq!(shard.batch, vec![1, 2, 3]);
     }
 
     /// A skipped (disconnected) home freezes — no further deliveries —
@@ -2378,13 +2116,12 @@ mod tests {
     }
 
     #[test]
-    fn recorded_taps_are_engine_and_jobs_invariant() {
-        let wheel = run_scale_recorded(&small_cfg());
-        let heap = run_scale_recorded(&MetroConfig { engine: EngineKind::Heap, ..small_cfg() });
-        let parallel = run_scale_recorded(&MetroConfig { jobs: 3, ..small_cfg() });
-        assert_eq!(wheel.events, heap.events);
-        assert_eq!(wheel.events, parallel.events);
-        let taps = wheel.events.as_ref().unwrap();
+    fn recorded_taps_are_jobs_invariant() {
+        let record = RunSpec { record: true, ..RunSpec::default() };
+        let serial = observe(&small_cfg(), record).report;
+        let parallel = observe(&MetroConfig { jobs: 3, ..small_cfg() }, record).report;
+        assert_eq!(serial.events, parallel.events);
+        let taps = serial.events.as_ref().unwrap();
         assert_eq!(taps.len(), 4);
         assert!(taps.iter().any(|t| !t.is_empty()), "taps should carry events");
         // The unrecorded path stays tap-free, so full-report equality
@@ -2395,7 +2132,7 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_report() {
         let plain = run_scale(&small_cfg());
-        let traced = run_scale_traced(&small_cfg());
+        let traced = observe(&small_cfg(), RunSpec { trace: true, ..RunSpec::default() });
         assert_eq!(plain, traced.report, "recording must not perturb the simulation");
         assert_eq!(traced.telemetry.homes.len(), 4);
         let agg = traced.telemetry.aggregate();
@@ -2412,16 +2149,17 @@ mod tests {
         assert!(agg.counter(Ctr::SampleWindows) > 0, "sensing stage should be hot");
         assert!(traced.telemetry.events_recorded() > 0, "trace rings should hold events");
         assert!(traced.peak_pending > 0, "the serving queue is never empty mid-run");
+        // Untraced runs carry no recorders.
+        assert!(observe(&small_cfg(), RunSpec::default()).telemetry.homes.is_empty());
     }
 
     #[test]
-    fn traced_run_is_jobs_and_engine_invariant() {
-        let wheel = run_scale_traced(&small_cfg());
-        let heap = run_scale_traced(&MetroConfig { engine: EngineKind::Heap, ..small_cfg() });
-        let parallel = run_scale_traced(&MetroConfig { jobs: 3, ..small_cfg() });
-        assert_eq!(wheel.telemetry, heap.telemetry);
-        assert_eq!(wheel.telemetry, parallel.telemetry);
-        assert_eq!(wheel.telemetry.to_jsonl(), parallel.telemetry.to_jsonl());
+    fn traced_run_is_jobs_invariant() {
+        let trace = RunSpec { trace: true, ..RunSpec::default() };
+        let serial = observe(&small_cfg(), trace);
+        let parallel = observe(&MetroConfig { jobs: 3, ..small_cfg() }, trace);
+        assert_eq!(serial.telemetry, parallel.telemetry);
+        assert_eq!(serial.telemetry.to_jsonl(), parallel.telemetry.to_jsonl());
     }
 
     #[test]
@@ -2441,7 +2179,7 @@ mod tests {
     fn checkpointing_does_not_perturb_the_run() {
         let plain = run_scale(&small_cfg());
         let stops = [SimTime::from_secs(200), SimTime::from_secs(400)];
-        let (report, ckpts) = run_scale_checkpointed(&small_cfg(), &stops);
+        let (report, ckpts) = snapshots(&small_cfg(), &stops);
         assert_eq!(plain, report, "capture must be non-destructive");
         assert_eq!(ckpts.len(), 2);
         assert_eq!(ckpts[0].at, stops[0]);
@@ -2453,41 +2191,45 @@ mod tests {
     fn resume_matches_uninterrupted_run() {
         let cfg = small_cfg();
         let full = run_scale(&cfg);
-        let (_, ckpts) = run_scale_checkpointed(&cfg, &[SimTime::from_secs(300)]);
-        let resumed = resume_scale(&cfg, &ckpts[0]).unwrap();
+        let (_, ckpts) = snapshots(&cfg, &[SimTime::from_secs(300)]);
+        let resumed = resume(&cfg, &ckpts[0]).unwrap();
         assert_eq!(full, resumed, "snapshot-then-resume must be invisible");
     }
 
     #[test]
     fn snapshot_survives_the_codec_and_resumes() {
         let cfg = small_cfg();
-        let (_, ckpts) = run_scale_checkpointed(&cfg, &[SimTime::from_secs(300)]);
+        let (_, ckpts) = snapshots(&cfg, &[SimTime::from_secs(300)]);
         let blob = crate::checkpoint::save_checkpoint(&ckpts[0], 2);
         let back = crate::checkpoint::load_checkpoint(&blob, 2).unwrap();
         assert_eq!(back, ckpts[0]);
-        assert_eq!(resume_scale(&cfg, &back).unwrap(), run_scale(&cfg));
+        assert_eq!(resume(&cfg, &back).unwrap(), run_scale(&cfg));
     }
 
     #[test]
     fn resume_rejects_a_different_config_but_not_resume_knobs() {
         let cfg = small_cfg();
-        let (_, ckpts) = run_scale_checkpointed(&cfg, &[SimTime::from_secs(300)]);
+        let (_, ckpts) = snapshots(&cfg, &[SimTime::from_secs(300)]);
         let reseeded = MetroConfig { seed: 9, ..small_cfg() };
         assert!(matches!(
-            resume_scale(&reseeded, &ckpts[0]),
+            resume(&reseeded, &ckpts[0]),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
         // Worker count is a resume-time free choice.
         let parallel = MetroConfig { jobs: 3, ..small_cfg() };
-        assert_eq!(resume_scale(&parallel, &ckpts[0]).unwrap(), run_scale(&cfg));
+        assert_eq!(resume(&parallel, &ckpts[0]).unwrap(), run_scale(&cfg));
     }
 
     #[test]
     fn traced_resume_merges_counters_across_the_boundary() {
         let cfg = small_cfg();
-        let full = run_scale_traced(&cfg);
-        let (_, ckpts) = run_scale_checkpointed_traced(&cfg, &[SimTime::from_secs(300)]);
-        let resumed = resume_scale_traced(&cfg, &ckpts[0]).unwrap();
+        let full = observe(&cfg, RunSpec { trace: true, ..RunSpec::default() });
+        let stops = [SimTime::from_secs(300)];
+        let ckpts = observe(&cfg, RunSpec { trace: true, stops: &stops, ..RunSpec::default() })
+            .checkpoints;
+        let resumed =
+            run(&cfg, &RunSpec { trace: true, resume: Some(&ckpts[0]), ..RunSpec::default() })
+                .unwrap();
         assert_eq!(resumed.report, full.report);
         assert_eq!(
             resumed.telemetry, full.telemetry,
@@ -2498,15 +2240,18 @@ mod tests {
     #[test]
     fn resume_can_keep_checkpointing() {
         let cfg = small_cfg();
-        let (_, first) = run_scale_checkpointed(&cfg, &[SimTime::from_secs(200)]);
-        let (report, second) =
-            resume_scale_checkpointed(&cfg, &first[0], &[SimTime::from_secs(400)]).unwrap();
-        assert_eq!(report, run_scale(&cfg));
+        let (_, first) = snapshots(&cfg, &[SimTime::from_secs(200)]);
+        let stops = [SimTime::from_secs(400)];
+        let again =
+            run(&cfg, &RunSpec { stops: &stops, resume: Some(&first[0]), ..RunSpec::default() })
+                .unwrap();
+        assert_eq!(again.report, run_scale(&cfg));
         // A re-checkpointed snapshot is as good as one from the original
         // run: resuming it still lands on the uninterrupted result.
-        assert_eq!(resume_scale(&cfg, &second[0]).unwrap(), run_scale(&cfg));
-        let (_, direct) = run_scale_checkpointed(&cfg, &[SimTime::from_secs(400)]);
-        assert_eq!(second[0], direct[0], "chained and direct snapshots agree");
+        let second = &again.checkpoints[0];
+        assert_eq!(resume(&cfg, second).unwrap(), run_scale(&cfg));
+        let (_, direct) = snapshots(&cfg, &stops);
+        assert_eq!(*second, direct[0], "chained and direct snapshots agree");
     }
 
     #[test]
@@ -2518,27 +2263,20 @@ mod tests {
         // would resume into a dead fleet.
         let short = MetroConfig { horizon: SimDuration::from_secs(300), ..small_cfg() };
         let long = MetroConfig { horizon: SimDuration::from_secs(600), ..small_cfg() };
-        let (_, ckpts) = run_scale_checkpointed(&short, &[SimTime::from_secs(300)]);
+        let (_, ckpts) = snapshots(&short, &[SimTime::from_secs(300)]);
         assert!(
             ckpts[0].homes.iter().all(|h| !h.pending.is_empty()),
             "an end-of-run snapshot must still hold every home's next wake"
         );
-        let resumed = resume_scale(&long, &ckpts[0]).unwrap();
+        let resumed = resume(&long, &ckpts[0]).unwrap();
         assert_eq!(resumed, run_scale(&long));
-        // Same through the heap engine.
-        let short_heap = MetroConfig { engine: EngineKind::Heap, ..short };
-        let long_heap = MetroConfig { engine: EngineKind::Heap, ..long };
-        let (_, heap_ckpts) = run_scale_checkpointed(&short_heap, &[SimTime::from_secs(300)]);
-        assert_eq!(
-            resume_scale(&long_heap, &heap_ckpts[0]).unwrap(),
-            run_scale(&long_heap)
-        );
     }
 
     #[test]
     fn logging_does_not_perturb_the_run_and_captures_every_transition() {
         let cfg = small_cfg();
-        let (report, wal) = run_scale_walled(&cfg);
+        let out = observe(&cfg, RunSpec { log: true, ..RunSpec::default() });
+        let (report, wal) = (out.report, out.wal);
         assert_eq!(report, run_scale(&cfg), "the log is derived, never fed back");
         assert!(!wal.is_empty(), "a serving fleet must log transitions");
         assert!(
@@ -2555,16 +2293,16 @@ mod tests {
         let starts =
             wal.iter().filter(|r| r.flags & wal::EPISODE_STARTED != 0).count() as u64;
         assert_eq!(starts, t.episodes_started);
+        // Unlogged runs carry no records.
+        assert!(observe(&cfg, RunSpec::default()).wal.is_empty());
     }
 
     #[test]
-    fn wal_is_engine_and_jobs_invariant() {
-        let cfg = small_cfg();
-        let (_, serial) = run_scale_walled(&cfg);
-        let (_, parallel) = run_scale_walled(&MetroConfig { jobs: 3, ..small_cfg() });
+    fn wal_is_jobs_invariant() {
+        let log = RunSpec { log: true, ..RunSpec::default() };
+        let serial = observe(&small_cfg(), log).wal;
+        let parallel = observe(&MetroConfig { jobs: 3, ..small_cfg() }, log).wal;
         assert_eq!(serial, parallel, "worker count must not reorder or change the log");
-        let (_, heap) = run_scale_walled(&MetroConfig { engine: EngineKind::Heap, ..cfg });
-        assert_eq!(serial, heap, "dense heap polling observes the same transitions");
     }
 
     #[test]
@@ -2577,17 +2315,13 @@ mod tests {
         assert_eq!(run.last_checkpoint_at(), SimTime::from_secs(450));
         // The folded chain is byte-for-byte the snapshot a full-capture
         // run would have taken at the last stop.
-        let (_, direct) = run_scale_checkpointed(&cfg, &[SimTime::from_secs(450)]);
+        let (_, direct) = snapshots(&cfg, &[SimTime::from_secs(450)]);
         assert_eq!(run.compacted().unwrap(), direct[0]);
         // base → deltas → log tail replays into the uninterrupted result,
-        // at another worker count and on the other engine too.
+        // at another worker count too.
         assert_eq!(resume_scale_durable(&cfg, &run).unwrap(), report);
         let parallel = MetroConfig { jobs: 3, ..small_cfg() };
         assert_eq!(resume_scale_durable(&parallel, &run).unwrap(), report);
-        let heap = MetroConfig { engine: EngineKind::Heap, ..small_cfg() };
-        let (heap_report, heap_run) = run_scale_durable(&heap, &stops);
-        assert_eq!(resume_scale_durable(&heap, &heap_run).unwrap(), heap_report);
-        assert_eq!(heap_report.per_home, report.per_home);
     }
 
     #[test]
@@ -2617,6 +2351,41 @@ mod tests {
         }
     }
 
+    /// The stored tail must be a *prefix* of the replay: a torn log (a
+    /// shorter tail) resumes, but a record past the replay's end belongs
+    /// to another history and diverges right there.
+    #[test]
+    fn a_log_longer_than_the_replay_is_caught_as_divergence() {
+        let cfg = small_cfg();
+        let (_, mut run) = run_scale_durable(&cfg, &[SimTime::from_secs(150)]);
+        let horizon_end = SimTime::ZERO + cfg.horizon;
+        let mut torn = run.clone();
+        torn.wal.truncate(torn.wal.len() - 3);
+        assert!(resume_scale_durable(&cfg, &torn).is_ok(), "a torn log is a prefix");
+        let extra = WalRecord {
+            at: horizon_end,
+            home: 0,
+            act: wal::NO_ACT,
+            flags: 0,
+            reminders: 0,
+            praises: 1,
+            sessions_started: 0,
+            sessions_completed: 0,
+            sessions_abandoned: 0,
+            cross_activity: 0,
+        };
+        run.wal.push(extra);
+        match resume_scale_durable(&cfg, &run) {
+            Err(CheckpointError::WalDivergence { at, home }) => {
+                assert_eq!((at, home), (horizon_end, 0));
+            }
+            other => panic!("a record past the replay must diverge, got {other:?}"),
+        }
+        // A shorter resume never reaches the extra record, so it passes.
+        let shorter = MetroConfig { horizon: SimDuration::from_secs(500), ..small_cfg() };
+        assert!(resume_scale_durable(&shorter, &run).is_ok());
+    }
+
     #[test]
     fn durable_chain_refuses_a_foreign_config() {
         let cfg = small_cfg();
@@ -2642,28 +2411,31 @@ mod tests {
     #[test]
     fn care_overlay_is_observation_only_and_invariant() {
         let policy = eager_policy();
+        let care = RunSpec { care: Some(&policy), ..RunSpec::default() };
         let cfg = small_cfg();
-        let (report, care) = run_scale_care(&cfg, &policy);
-        assert_eq!(report, run_scale(&cfg), "care is derived, never fed back");
-        assert!(!care.events.is_empty(), "an eager policy must escalate somewhere");
+        let out = observe(&cfg, care);
+        assert_eq!(out.report, run_scale(&cfg), "care is derived, never fed back");
+        let log = out.care.expect("care was requested");
+        assert!(!log.events.is_empty(), "an eager policy must escalate somewhere");
         assert!(
-            care.events.windows(2).all(|w| {
+            log.events.windows(2).all(|w| {
                 (w[0].at, w[0].home, w[0].seq) < (w[1].at, w[1].home, w[1].seq)
             }),
             "the care log is strictly (at, home, seq)-ordered"
         );
-        let heap = MetroConfig { engine: EngineKind::Heap, ..small_cfg() };
         let parallel = MetroConfig { jobs: 3, ..small_cfg() };
-        assert_eq!(care, run_scale_care(&heap, &policy).1, "engine must not change care");
-        assert_eq!(care, run_scale_care(&parallel, &policy).1, "jobs must not change care");
-        assert!(care.analytics.compliance_pct.total() > 0, "homes sample compliance");
+        assert_eq!(Some(&log), observe(&parallel, care).care.as_ref(), "jobs must not change care");
+        assert!(log.analytics.compliance_pct.total() > 0, "homes sample compliance");
+        assert!(observe(&cfg, RunSpec::default()).care.is_none(), "care off ⇒ no care output");
     }
 
     #[test]
     fn traced_care_counts_the_escalation_lifecycle() {
         let policy = eager_policy();
         let cfg = small_cfg();
-        let (traced, care) = run_scale_care_traced(&cfg, &policy);
+        let spec = RunSpec { trace: true, care: Some(&policy), ..RunSpec::default() };
+        let traced = observe(&cfg, spec);
+        let care = traced.care.expect("care was requested");
         let agg = traced.telemetry.aggregate();
         let count = |kind| care.events.iter().filter(|e| e.kind == kind).count() as u64;
         assert_eq!(agg.counter(Ctr::EscalationsRaised), count(CareEventKind::Raised));
@@ -2674,38 +2446,35 @@ mod tests {
 
     /// The served path must stream the exact batch care log: per-wake
     /// drains plus the finish drain cover every event, and the merged
-    /// output is bit-identical to the batch overlay on either engine.
+    /// output is bit-identical to the batch overlay.
     #[test]
     fn served_care_matches_the_batch_overlay() {
         let policy = eager_policy();
-        for engine in [EngineKind::Wheel, EngineKind::Heap] {
-            let cfg = MetroConfig { engine, ..small_cfg() };
-            let (_, _, batch_care) = run_scale_care_walled(&cfg, &policy);
-            let ctx =
-                ServeCtx::new(cfg.clone()).expect("small fleets fit").with_care(policy.clone());
-            let mut shards = Vec::new();
-            let mut streamed = Vec::new();
-            let mut deliveries = Vec::new();
-            for (first, count) in ctx.chunks() {
-                let mut session = ctx.session(first, count, false, false);
-                let mut due = Vec::new();
-                while session.next_epoch(&mut due).is_some() {
-                    for &home in &due {
-                        while let Some(now) = session.next_wake(home) {
-                            session.serve_wake(home, now, false, &mut deliveries);
-                            session.drain_care(home, &mut streamed);
-                        }
+        let cfg = small_cfg();
+        let (_, _, batch_care) = run_scale_care_walled(&cfg, &policy);
+        let ctx = ServeCtx::new(cfg.clone()).expect("small fleets fit").with_care(policy.clone());
+        let mut shards = Vec::new();
+        let mut streamed = Vec::new();
+        let mut deliveries = Vec::new();
+        for (first, count) in ctx.chunks() {
+            let mut session = ctx.session(first, count, false, false);
+            let mut due = Vec::new();
+            while session.next_epoch(&mut due).is_some() {
+                for &home in &due {
+                    while let Some(now) = session.next_wake(home) {
+                        session.serve_wake(home, now, false, &mut deliveries);
+                        session.drain_care(home, &mut streamed);
                     }
                 }
-                session.finish_care(&mut streamed);
-                shards.push(session.finish());
             }
-            let (_, _, care) = collect_served(&cfg, shards);
-            let care = care.expect("care was enabled on the context");
-            assert_eq!(care, batch_care, "{engine} served care diverged from batch");
-            streamed.sort_unstable_by_key(|e| (e.at, e.home, e.seq));
-            assert_eq!(streamed, care.events, "{engine} streamed frames miss events");
+            session.finish_care(&mut streamed);
+            shards.push(session.finish());
         }
+        let (_, _, care) = collect_served(&cfg, shards);
+        let care = care.expect("care was enabled on the context");
+        assert_eq!(care, batch_care, "served care diverged from batch");
+        streamed.sort_unstable_by_key(|e| (e.at, e.home, e.seq));
+        assert_eq!(streamed, care.events, "streamed frames miss events");
     }
 
     #[test]

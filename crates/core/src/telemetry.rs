@@ -681,10 +681,10 @@ impl MaybeRec<'_> {
 
 /// A whole run's telemetry: one recorder per home, in home-id order.
 ///
-/// Built by `metro::run_scale_traced` by concatenating chunk outputs
-/// in input order, which is what makes the merge deterministic: the
-/// same homes always land at the same indices regardless of worker
-/// count or queue engine.
+/// Built by [`crate::metro::collect_served`] by concatenating shard
+/// outputs in input order, which is what makes the merge deterministic:
+/// the same homes always land at the same indices regardless of worker
+/// count.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Telemetry {
     /// Per-home recorders, indexed by home id.
@@ -692,7 +692,7 @@ pub struct Telemetry {
     /// Fleet-level recorder for quantities that belong to the merged
     /// run rather than any one home (e.g. [`Ctr::TotalsSaturated`]).
     /// Derived deterministically from per-home data, so it is as
-    /// jobs/engine-invariant as the homes themselves.
+    /// jobs-invariant as the homes themselves.
     pub fleet: HomeRecorder,
 }
 

@@ -8,8 +8,9 @@
 //! append nothing: a home's quiet stretch is deterministically
 //! re-derivable from the last snapshot, so logging it would record
 //! entropy-free bytes. That definition also makes the record stream
-//! identical across queue engines (dense polling visits more instants
-//! but observes the same transitions) and at any worker count.
+//! independent of how often a home is woken (polling every 100 ms grid
+//! instant observes the same transitions as event-driven wakes) and of
+//! the worker count.
 //!
 //! The log is *not* replayed to reconstruct state — resume replays the
 //! simulation itself from base + deltas, which is bit-exact by the

@@ -4,7 +4,8 @@
 //! were scheduled (FIFO), which keeps simulations reproducible regardless
 //! of queue internals.
 //!
-//! Two implementations share the [`EventQueueBackend`] contract:
+//! Two implementations, one contract — a min-priority queue keyed by
+//! [`SimTime`] with FIFO tie-breaking at equal dues:
 //!
 //! - [`EventQueue`] — a hierarchical timing wheel (bucketed calendar
 //!   queue). Four levels of 256 slots cover dues up to 2³² ms ahead of
@@ -15,8 +16,8 @@
 //!   100 ms), where a binary heap pays O(log n) cache-missing compares
 //!   per operation.
 //! - [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept
-//!   as the reference for order-equivalence tests and as the baseline
-//!   the `scale_micro` bench measures the wheel against.
+//!   only as the reference the wheel's order-equivalence tests compare
+//!   against. No simulator runs on it.
 //!
 //! Both order events by `(due, seq)` where `seq` is a global insertion
 //! counter, so their dispatch orders are byte-identical (a property
@@ -54,48 +55,6 @@ impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest (due, seq) pops first.
         (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// The contract both queue implementations satisfy: a min-priority queue
-/// of events keyed by [`SimTime`] with FIFO tie-breaking at equal dues.
-pub trait EventQueueBackend<E> {
-    /// Schedules `event` to fire at the absolute instant `due`.
-    fn schedule_at(&mut self, due: SimTime, event: E);
-
-    /// Schedules `event` to fire `delay` after `now`.
-    fn schedule_after(&mut self, now: SimTime, delay: SimDuration, event: E) {
-        self.schedule_at(now + delay, event);
-    }
-
-    /// Removes and returns the earliest event, with its due time.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-
-    /// The due time of the earliest event, if any.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all pending events.
-    fn clear(&mut self);
-
-    /// Removes every event with `due <= until`, appending them to `out`
-    /// in dispatch order (`(due, seq)` FIFO), and returns how many were
-    /// drained. Behaviourally identical to popping while
-    /// `peek_time() <= until`; backends may override it to move whole
-    /// buckets at once instead of extracting events one by one.
-    fn drain_until(&mut self, until: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let start = out.len();
-        while self.peek_time().is_some_and(|due| due <= until) {
-            out.push(self.pop().expect("peeked event exists"));
-        }
-        out.len() - start
     }
 }
 
@@ -442,34 +401,13 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E> EventQueueBackend<E> for EventQueue<E> {
-    fn schedule_at(&mut self, due: SimTime, event: E) {
-        EventQueue::schedule_at(self, due, event);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn clear(&mut self) {
-        EventQueue::clear(self);
-    }
-    fn drain_until(&mut self, until: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        EventQueue::drain_until(self, until, out)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Binary-heap reference implementation
 // ---------------------------------------------------------------------------
 
 /// The original `BinaryHeap`-backed queue: same API and same dispatch
 /// order as [`EventQueue`], retained as the order-equivalence reference
-/// and as the seed baseline in the scale benchmarks.
+/// the wheel's tests and proptests compare against.
 #[derive(Debug)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
@@ -534,41 +472,11 @@ impl<E> HeapEventQueue<E> {
         }
         out.len() - start
     }
-
-    /// Every pending event as `(due, seq, &event)`, sorted into dispatch
-    /// order, without disturbing the heap.
-    pub(crate) fn pending_in_order(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut out: Vec<(SimTime, u64, &E)> =
-            self.heap.iter().map(|s| (s.due, s.seq, &s.event)).collect();
-        out.sort_unstable_by_key(|&(due, seq, _)| (due, seq));
-        out
-    }
 }
 
 impl<E> Default for HeapEventQueue<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<E> EventQueueBackend<E> for HeapEventQueue<E> {
-    fn schedule_at(&mut self, due: SimTime, event: E) {
-        HeapEventQueue::schedule_at(self, due, event);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        HeapEventQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        HeapEventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        HeapEventQueue::len(self)
-    }
-    fn clear(&mut self) {
-        HeapEventQueue::clear(self);
-    }
-    fn drain_until(&mut self, until: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        HeapEventQueue::drain_until(self, until, out)
     }
 }
 

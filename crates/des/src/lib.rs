@@ -11,9 +11,10 @@
 //!
 //! - [`time`]: [`SimTime`]/[`SimDuration`] millisecond-resolution newtypes.
 //! - [`event`] and [`sim`]: a min-priority [`EventQueue`] with FIFO
-//!   tie-breaking — a hierarchical timing wheel, with the original
-//!   binary heap kept as [`HeapEventQueue`] for baselining — wrapped by
-//!   the poll-based [`Simulator`] driver.
+//!   tie-breaking — a hierarchical timing wheel — wrapped by the
+//!   poll-based [`Simulator`] driver. The original binary heap stays as
+//!   [`HeapEventQueue`], the reference the wheel's order-equivalence
+//!   tests compare against.
 //! - [`rng`]: [`SimRng`], a seedable random source with stable independent
 //!   sub-streams per component.
 //!
@@ -55,7 +56,7 @@ pub mod stats;
 pub mod time;
 
 pub use clock::{Clock, SimClock, WallClock};
-pub use event::{EventQueue, EventQueueBackend, HeapEventQueue};
+pub use event::{EventQueue, HeapEventQueue};
 pub use rng::SimRng;
 pub use sim::Simulator;
 pub use stats::{Histogram, RunningStats};

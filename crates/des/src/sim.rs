@@ -5,75 +5,8 @@
 //! scheduling follow-ups. This avoids callback-style borrow tangles and
 //! keeps the control flow of an experiment readable top to bottom.
 
-use crate::event::{EventQueue, HeapEventQueue};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
-
-/// The queue implementation behind a [`Simulator`]. Both dispatch in the
-/// same order; the wheel is the default, the heap is kept selectable for
-/// baseline benchmarking and cross-checks.
-#[derive(Debug)]
-enum Queue<E> {
-    Wheel(EventQueue<E>),
-    Heap(HeapEventQueue<E>),
-}
-
-impl<E> Queue<E> {
-    fn schedule_at(&mut self, due: SimTime, event: E) {
-        match self {
-            Queue::Wheel(q) => q.schedule_at(due, event),
-            Queue::Heap(q) => q.schedule_at(due, event),
-        }
-    }
-
-    fn schedule_after(&mut self, now: SimTime, delay: SimDuration, event: E) {
-        match self {
-            Queue::Wheel(q) => q.schedule_after(now, delay, event),
-            Queue::Heap(q) => q.schedule_after(now, delay, event),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            Queue::Wheel(q) => q.pop(),
-            Queue::Heap(q) => q.pop(),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            Queue::Wheel(q) => q.peek_time(),
-            Queue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(q) => q.len(),
-            Queue::Heap(q) => q.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Queue::Wheel(q) => q.clear(),
-            Queue::Heap(q) => q.clear(),
-        }
-    }
-
-    fn pending_in_order(&self) -> Vec<(SimTime, u64, &E)> {
-        match self {
-            Queue::Wheel(q) => q.pending_in_order(),
-            Queue::Heap(q) => q.pending_in_order(),
-        }
-    }
-
-    fn drain_until(&mut self, until: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        match self {
-            Queue::Wheel(q) => q.drain_until(until, out),
-            Queue::Heap(q) => q.drain_until(until, out),
-        }
-    }
-}
 
 /// A discrete-event simulator over a user-chosen event type `E`.
 ///
@@ -99,7 +32,7 @@ impl<E> Queue<E> {
 /// ```
 #[derive(Debug)]
 pub struct Simulator<E> {
-    queue: Queue<E>,
+    queue: EventQueue<E>,
     now: SimTime,
     processed: u64,
     scheduled: u64,
@@ -112,23 +45,7 @@ impl<E> Simulator<E> {
     #[must_use]
     pub fn new() -> Self {
         Simulator {
-            queue: Queue::Wheel(EventQueue::new()),
-            now: SimTime::ZERO,
-            processed: 0,
-            scheduled: 0,
-            max_pending: 0,
-        }
-    }
-
-    /// Creates a simulator backed by the reference [`HeapEventQueue`].
-    ///
-    /// Dispatch order is identical to [`Simulator::new`]; this exists so
-    /// benchmarks can measure the seed `BinaryHeap` baseline and tests can
-    /// cross-check the two queue implementations.
-    #[must_use]
-    pub fn with_heap_queue() -> Self {
-        Simulator {
-            queue: Queue::Heap(HeapEventQueue::new()),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
             scheduled: 0,
@@ -258,8 +175,8 @@ impl<E> Simulator<E> {
     /// Counts `n` extra events as processed (and scheduled). The epoch
     /// serve path consumes some follow-up events inline, without routing
     /// them through the queue; this keeps [`Simulator::processed`] and
-    /// [`Simulator::scheduled`] equal to what a strict-order sweep, which
-    /// schedules and pops every one of those events, would report.
+    /// [`Simulator::scheduled`] equal to what scheduling and popping
+    /// every one of those events would report.
     pub fn note_processed(&mut self, n: u64) {
         self.scheduled += n;
         self.processed += n;
@@ -385,35 +302,15 @@ mod tests {
     }
 
     #[test]
-    fn heap_backed_simulator_matches_wheel() {
-        let mut wheel = Simulator::new();
-        let mut heap = Simulator::with_heap_queue();
-        for sim in [&mut wheel, &mut heap] {
-            sim.schedule_at(SimTime::from_secs(2), "b");
-            sim.schedule_at(SimTime::from_secs(1), "a");
-            sim.schedule_at(SimTime::from_secs(1), "a2");
-        }
-        loop {
-            let (w, h) = (wheel.step(), heap.step());
-            assert_eq!(w, h);
-            assert_eq!(wheel.now(), heap.now());
-            if w.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn next_due_peeks_without_popping() {
-        for mut sim in [Simulator::new(), Simulator::with_heap_queue()] {
-            assert_eq!(sim.next_due(), None);
-            sim.schedule_at(SimTime::from_secs(2), "b");
-            sim.schedule_at(SimTime::from_secs(1), "a");
-            assert_eq!(sim.next_due(), Some(SimTime::from_secs(1)));
-            assert_eq!(sim.pending(), 2, "peeking must not pop");
-            assert_eq!(sim.step(), Some("a"));
-            assert_eq!(sim.next_due(), Some(SimTime::from_secs(2)));
-        }
+        let mut sim = Simulator::new();
+        assert_eq!(sim.next_due(), None);
+        sim.schedule_at(SimTime::from_secs(2), "b");
+        sim.schedule_at(SimTime::from_secs(1), "a");
+        assert_eq!(sim.next_due(), Some(SimTime::from_secs(1)));
+        assert_eq!(sim.pending(), 2, "peeking must not pop");
+        assert_eq!(sim.step(), Some("a"));
+        assert_eq!(sim.next_due(), Some(SimTime::from_secs(2)));
     }
 
     #[test]
@@ -426,82 +323,78 @@ mod tests {
 
     #[test]
     fn drain_pending_preserves_dispatch_order_and_clock() {
-        for mut sim in [Simulator::new(), Simulator::with_heap_queue()] {
-            sim.schedule_at(SimTime::from_secs(1), "first");
-            sim.schedule_at(SimTime::from_secs(3), "late");
-            sim.schedule_at(SimTime::from_secs(1), "second");
-            assert_eq!(sim.step(), Some("first"));
-            let drained = sim.drain_pending();
-            assert_eq!(
-                drained,
-                vec![
-                    (SimTime::from_secs(1), "second"),
-                    (SimTime::from_secs(3), "late"),
-                ]
-            );
-            assert_eq!(sim.now(), SimTime::from_secs(1), "drain must not move the clock");
-            assert_eq!(sim.processed(), 1, "drained events are not processed");
-            assert_eq!(sim.pending(), 0);
-            // Rehydrating in drained order reproduces the dispatch sequence.
-            for (due, ev) in drained {
-                sim.schedule_at(due, ev);
-            }
-            assert_eq!(sim.step(), Some("second"));
-            assert_eq!(sim.step(), Some("late"));
+        let mut sim = Simulator::new();
+        sim.schedule_at(SimTime::from_secs(1), "first");
+        sim.schedule_at(SimTime::from_secs(3), "late");
+        sim.schedule_at(SimTime::from_secs(1), "second");
+        assert_eq!(sim.step(), Some("first"));
+        let drained = sim.drain_pending();
+        assert_eq!(
+            drained,
+            vec![
+                (SimTime::from_secs(1), "second"),
+                (SimTime::from_secs(3), "late"),
+            ]
+        );
+        assert_eq!(sim.now(), SimTime::from_secs(1), "drain must not move the clock");
+        assert_eq!(sim.processed(), 1, "drained events are not processed");
+        assert_eq!(sim.pending(), 0);
+        // Rehydrating in drained order reproduces the dispatch sequence.
+        for (due, ev) in drained {
+            sim.schedule_at(due, ev);
         }
+        assert_eq!(sim.step(), Some("second"));
+        assert_eq!(sim.step(), Some("late"));
     }
 
     #[test]
     fn iter_pending_matches_drain_without_disturbing_the_queue() {
-        for make in [Simulator::new as fn() -> Simulator<u64>, Simulator::with_heap_queue] {
-            let mut sim = make();
-            // Dues spread across wheel levels, the overflow heap, and
-            // ties at one instant (seq order must survive the borrow).
-            let dues = [5u64, 5, 0, 300, 70_000, 20_000_000, (1 << 33) + 5, 5];
-            for (i, &d) in dues.iter().enumerate() {
-                sim.schedule_at(SimTime::from_millis(d), i as u64);
-            }
-            assert_eq!(sim.step(), Some(2)); // clock at 0
-            sim.schedule_at(SimTime::from_millis(1), 99);
-            let peeked: Vec<(SimTime, u64)> =
-                sim.iter_pending().map(|(t, &e)| (t, e)).collect();
-            assert_eq!(sim.pending(), peeked.len(), "iteration must not pop");
-            assert_eq!(sim.processed(), 1);
-            let drained = sim.drain_pending();
-            assert_eq!(peeked, drained, "borrowed order must equal dispatch order");
+        let mut sim: Simulator<u64> = Simulator::new();
+        // Dues spread across wheel levels, the overflow heap, and
+        // ties at one instant (seq order must survive the borrow).
+        let dues = [5u64, 5, 0, 300, 70_000, 20_000_000, (1 << 33) + 5, 5];
+        for (i, &d) in dues.iter().enumerate() {
+            sim.schedule_at(SimTime::from_millis(d), i as u64);
         }
+        assert_eq!(sim.step(), Some(2)); // clock at 0
+        sim.schedule_at(SimTime::from_millis(1), 99);
+        let peeked: Vec<(SimTime, u64)> =
+            sim.iter_pending().map(|(t, &e)| (t, e)).collect();
+        assert_eq!(sim.pending(), peeked.len(), "iteration must not pop");
+        assert_eq!(sim.processed(), 1);
+        let drained = sim.drain_pending();
+        assert_eq!(peeked, drained, "borrowed order must equal dispatch order");
     }
 
     #[test]
     fn drain_until_advances_clock_and_counts_processed() {
-        for mut sim in [Simulator::new(), Simulator::with_heap_queue()] {
-            sim.schedule_at(SimTime::from_millis(10), "a");
-            sim.schedule_at(SimTime::from_millis(10), "b");
-            sim.schedule_at(SimTime::from_millis(20), "c");
-            sim.schedule_at(SimTime::from_millis(500), "late");
-            let mut out = Vec::new();
-            assert_eq!(sim.drain_until(SimTime::from_millis(255), &mut out), 3);
-            assert_eq!(
-                out,
-                vec![
-                    (SimTime::from_millis(10), "a"),
-                    (SimTime::from_millis(10), "b"),
-                    (SimTime::from_millis(20), "c"),
-                ]
-            );
-            assert_eq!(sim.now(), SimTime::from_millis(255), "clock lands on the window end");
-            assert_eq!(sim.processed(), 3);
-            assert_eq!(sim.pending(), 1);
-            // Inline-consumed chain events keep the strict-order counters.
-            sim.note_processed(2);
-            assert_eq!(sim.processed(), 5);
-            assert_eq!(sim.scheduled(), 6);
-            // The clock is at the window end, so scheduling follow-ups
-            // inside the next window is legal.
-            sim.schedule_at(SimTime::from_millis(300), "follow");
-            assert_eq!(sim.step(), Some("follow"));
-            assert_eq!(sim.step(), Some("late"));
-        }
+        let mut sim = Simulator::new();
+        sim.schedule_at(SimTime::from_millis(10), "a");
+        sim.schedule_at(SimTime::from_millis(10), "b");
+        sim.schedule_at(SimTime::from_millis(20), "c");
+        sim.schedule_at(SimTime::from_millis(500), "late");
+        let mut out = Vec::new();
+        assert_eq!(sim.drain_until(SimTime::from_millis(255), &mut out), 3);
+        assert_eq!(
+            out,
+            vec![
+                (SimTime::from_millis(10), "a"),
+                (SimTime::from_millis(10), "b"),
+                (SimTime::from_millis(20), "c"),
+            ]
+        );
+        assert_eq!(sim.now(), SimTime::from_millis(255), "clock lands on the window end");
+        assert_eq!(sim.processed(), 3);
+        assert_eq!(sim.pending(), 1);
+        // Inline-consumed chain events keep the one-pop-per-event counters.
+        sim.note_processed(2);
+        assert_eq!(sim.processed(), 5);
+        assert_eq!(sim.scheduled(), 6);
+        // The clock is at the window end, so scheduling follow-ups
+        // inside the next window is legal.
+        sim.schedule_at(SimTime::from_millis(300), "follow");
+        assert_eq!(sim.step(), Some("follow"));
+        assert_eq!(sim.step(), Some("late"));
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! home — and only that home — from its next wake on.
 //!
 //! Consequently, under the sim clock ([`coreda_des::SimClock`]) a
-//! served fleet is **bit-identical** to the batch
-//! [`coreda_core::run_scale`] sweep — grid, telemetry, and event log —
-//! at any `jobs` count and either queue engine. Swapping in
+//! served fleet is **bit-identical** to the batch [`coreda_core::run`]
+//! — grid, telemetry, and event log — at any `jobs` count. Swapping in
 //! [`coreda_des::WallClock`] paces the same wakes against real time
 //! without touching what they compute.
 //!
@@ -48,8 +47,8 @@
 //! runs inside each session and its lifecycle events ride the served
 //! path as `Escalate` frames, flushed alongside the prompts of the wake
 //! that tripped them. The escalation log and fleet analytics in
-//! [`ServeOutcome::care`] are bit-identical to the batch
-//! [`coreda_core::run_scale_care`] overlay under the sim clock.
+//! [`ServeOutcome::care`] are bit-identical to the batch overlay
+//! ([`coreda_core::RunSpec::care`]) under the sim clock.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links, rustdoc::private_intra_doc_links)]

@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use coreda_core::metro::{EngineKind, FleetTooLarge, MetroConfig, ServeCtx};
+use coreda_core::metro::{FleetTooLarge, MetroConfig, ServeCtx};
 use coreda_des::stats::Histogram;
 use coreda_des::time::SimDuration;
 use coreda_des::{SimClock, WallClock};
@@ -26,8 +26,6 @@ pub struct LoadgenReport {
     pub homes: usize,
     /// Simulated horizon.
     pub horizon: SimDuration,
-    /// Queue engine the serve ran on.
-    pub engine: EngineKind,
     /// Worker threads.
     pub jobs: usize,
     /// `None` = sim clock (as fast as possible); `Some(s)` = wall clock
@@ -55,7 +53,6 @@ pub fn run_loadgen(
 ) -> Result<LoadgenReport, FleetTooLarge> {
     let homes = cfg.homes;
     let horizon = cfg.horizon;
-    let engine = cfg.engine;
     let jobs = cfg.jobs;
     let ctx = ServeCtx::new(cfg)?;
     let opts = ServeOptions::default();
@@ -68,7 +65,6 @@ pub fn run_loadgen(
     Ok(LoadgenReport {
         homes,
         horizon,
-        engine,
         jobs,
         speedup,
         wire: outcome.wire,
@@ -91,10 +87,9 @@ impl LoadgenReport {
         let w = &self.wire;
         let _ = writeln!(
             out,
-            "coreda-serve loadgen: {} homes x {} s ({} engine, {} jobs, {clock})",
+            "coreda-serve loadgen: {} homes x {} s (wheel engine, {} jobs, {clock})",
             self.homes,
             self.horizon.as_millis() / 1_000,
-            self.engine,
             self.jobs,
         );
         let _ = writeln!(

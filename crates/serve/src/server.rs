@@ -11,8 +11,8 @@
 //! uses as flow-control metadata (late/stale/duplicate accounting).
 //! That inversion is what makes the served path deterministic: under
 //! the sim clock a served fleet is bit-identical to the batch
-//! [`coreda_core::run_scale`] sweep at any worker count and either
-//! queue engine, no matter what the transport does short of a hangup.
+//! [`coreda_core::run`] at any worker count, no matter what the
+//! transport does short of a hangup.
 
 use std::time::Instant;
 
@@ -38,9 +38,11 @@ const LATENCY_BINS: usize = 10_000;
 /// What the served pipeline observes beyond the simulation itself.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeOptions {
-    /// Tap per-home event streams into the report (as `run_scale_traced`).
+    /// Tap per-home event streams into the report (as
+    /// [`coreda_core::RunSpec::record`]).
     pub record: bool,
-    /// Run the per-home flight recorder (as the `trace` paths).
+    /// Run the per-home flight recorder (as
+    /// [`coreda_core::RunSpec::trace`]).
     pub trace: bool,
     /// Run the caregiver escalation overlay: escalation lifecycle
     /// events ride the served path as `Escalate` frames, and the
@@ -127,7 +129,7 @@ pub struct ServeOutcome {
     /// clock.
     pub output: TraceOutput,
     /// Every delivery, sorted `(at, home)` — the served counterpart of
-    /// [`coreda_core::run_scale_walled`]'s event log.
+    /// the batch run's event log ([`coreda_core::RunOutput::wal`]).
     pub log: Vec<WalRecord>,
     /// Wire-level counters across all shards.
     pub wire: WireStats,
@@ -325,9 +327,9 @@ where
     // window), then walk each due home's wake chain contiguously.
     // Per-connection byte streams are per-home, so the cross-home
     // reorder inside a window never changes what any client sees — the
-    // wire outcome is bit-identical to the instant-by-instant sweep
-    // (under `Strict` scheduling the window *is* a single instant and
-    // this loop degenerates to exactly that sweep).
+    // wire outcome is bit-identical to the instant-by-instant sweep (a
+    // clock that never lets time run ahead makes every window a single
+    // instant, and this loop degenerates to exactly that sweep).
     let mut due = Vec::new();
     let mut fresh = Vec::new();
     let mut escalations = Vec::new();
@@ -423,9 +425,8 @@ where
 /// `make_client(home, digest)` connection, wakes paced by `clock`.
 ///
 /// Under [`SimClock`] the outcome's `output` and `log` are bit-identical
-/// to the batch [`coreda_core::run_scale`] /
-/// [`coreda_core::run_scale_walled`] run of the same configuration —
-/// the equivalence `make ci` enforces.
+/// to the batch [`coreda_core::run`] of the same configuration with the
+/// same taps and the log on — the equivalence `make ci` enforces.
 #[must_use]
 pub fn serve_fleet<C, F, K>(
     ctx: &ServeCtx,
@@ -473,8 +474,14 @@ pub fn serve_scale(cfg: MetroConfig, opts: &ServeOptions) -> Result<ServeOutcome
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coreda_core::metro::{run_scale_care_walled, run_scale_walled};
+    use coreda_core::metro::{run, run_scale_care_walled, RunSpec, ScaleReport};
     use coreda_des::time::SimDuration;
+
+    /// The batch run with the write-ahead log on.
+    fn batch_walled(cfg: &MetroConfig) -> (ScaleReport, Vec<WalRecord>) {
+        let out = run(cfg, &RunSpec { log: true, ..RunSpec::default() }).expect("fresh run");
+        (out.report, out.wal)
+    }
 
     fn cfg(homes: usize, jobs: usize) -> MetroConfig {
         MetroConfig {
@@ -497,7 +504,7 @@ mod tests {
 
     #[test]
     fn served_fleet_matches_the_batch_run() {
-        let (batch, wal) = run_scale_walled(&cfg(4, 2));
+        let (batch, wal) = batch_walled(&cfg(4, 2));
         let outcome = serve_scale(cfg(4, 2), &ServeOptions::default()).expect("fleet fits");
         assert_eq!(outcome.output.report, batch);
         assert_eq!(outcome.log, wal);
@@ -667,7 +674,7 @@ mod tests {
     /// is still the batch run's.
     #[test]
     fn reports_under_a_foreign_home_id_are_stale() {
-        let (batch, wal) = run_scale_walled(&cfg(4, 2));
+        let (batch, wal) = batch_walled(&cfg(4, 2));
         let ctx = ServeCtx::new(cfg(4, 2)).expect("fleet fits");
         let make = |home, digest| Impostor(MoteClient::new(home, digest));
         let outcome = serve_fleet(&ctx, &ServeOptions::default(), &make, &SimClock);

@@ -16,7 +16,7 @@ use coreda_des::time::SimDuration;
 ///
 /// The harness flips the two flags from the fault windows before each
 /// pipeline tick, so the extra random draws happen at exactly the same
-/// instants whichever engine drives the run.
+/// instants whichever wake policy drives the run.
 #[derive(Debug)]
 pub struct FaultyBehavior<B> {
     inner: B,

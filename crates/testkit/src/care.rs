@@ -14,15 +14,12 @@
 //!   further threshold crossings.
 //! - **Caregiver outages are honored**: no acknowledgment lands inside
 //!   a no-ack window.
-//! - **Determinism**: the care output is bit-identical across queue
-//!   engines and worker counts, and the served path (escalations as
-//!   `Escalate` frames) equals the batch overlay.
+//! - **Determinism**: the care output is bit-identical across worker
+//!   counts, and the served path (escalations as `Escalate` frames)
+//!   equals the batch overlay.
 
 use coreda_core::escalation::{CareEvent, CareEventKind, CarePolicy, CareTrigger};
-use coreda_core::metro::{
-    resume_scale, run_scale, run_scale_care, run_scale_care_walled, run_scale_checkpointed,
-    EngineKind, MetroConfig,
-};
+use coreda_core::metro::{run, run_scale, run_scale_care_walled, MetroConfig, RunSpec};
 use coreda_core::wal::{WalRecord, EPISODE_COMPLETED, EPISODE_ENDED};
 use coreda_des::time::{SimDuration, SimTime};
 use coreda_serve::{serve_scale, ServeOptions};
@@ -34,19 +31,18 @@ use crate::plan::{FaultKind, FaultPlan};
 pub const ORACLE: &str = "escalation_consistency";
 
 /// Homes per care check: small enough that every plan runs one walled
-/// batch, one heap re-run, and one served fleet quickly; big enough
+/// batch, one parallel re-run, and one served fleet quickly; big enough
 /// that the home-order merge of escalation logs is exercised.
 pub const CARE_HOMES: usize = 3;
 
 /// The fleet configuration a care plan expands to.
 #[must_use]
-pub fn care_config(plan: &FaultPlan, engine: EngineKind, jobs: usize) -> MetroConfig {
+pub fn care_config(plan: &FaultPlan, jobs: usize) -> MetroConfig {
     MetroConfig {
         homes: CARE_HOMES,
         horizon: SimDuration::from_millis(plan.horizon_ms),
         seed: plan.seed,
         jobs,
-        engine,
         train_episodes: 60,
         // Care horizons are short; compress the between-episode gaps so
         // streaks and trend windows actually accumulate (see served.rs).
@@ -304,25 +300,26 @@ fn check_log_shape(
 }
 
 /// Runs a care plan through the full differential: walled batch
-/// reference (wheel, `jobs = 1`), batch heap at `jobs = 2`, served
-/// fleet at `jobs = 2`, plus the WAL re-derivation and log-shape
-/// oracles. Returns the violations (empty = contract holds).
+/// reference (`jobs = 1`), batch re-run at `jobs = 2`, served fleet at
+/// `jobs = 2`, plus the WAL re-derivation and log-shape oracles.
+/// Returns the violations (empty = contract holds).
 #[must_use]
 pub fn check_care(plan: &FaultPlan) -> Vec<Violation> {
     let policy = care_policy(plan);
-    let (_, wal, care) = run_scale_care_walled(&care_config(plan, EngineKind::Wheel, 1), &policy);
+    let (_, wal, care) = run_scale_care_walled(&care_config(plan, 1), &policy);
     let mut violations = Vec::new();
 
-    let (_, care_heap) = run_scale_care(&care_config(plan, EngineKind::Heap, 2), &policy);
-    if care_heap != care {
+    let spec = RunSpec { care: Some(&policy), ..RunSpec::default() };
+    let parallel = run(&care_config(plan, 2), &spec).expect("a fresh run cannot mismatch");
+    if parallel.care.as_ref() != Some(&care) {
         violations.push(Violation {
             oracle: ORACLE,
-            detail: "care output diverged between wheel (jobs 1) and heap (jobs 2)".to_owned(),
+            detail: "care output diverged between jobs 1 and jobs 2".to_owned(),
         });
     }
 
     let opts = ServeOptions { care: Some(policy.clone()), ..ServeOptions::default() };
-    let served = serve_scale(care_config(plan, EngineKind::Wheel, 2), &opts)
+    let served = serve_scale(care_config(plan, 2), &opts)
         .expect("care DST fleets are far below the u32 ceiling");
     if served.care.as_ref() != Some(&care) {
         violations.push(Violation {
@@ -345,8 +342,7 @@ pub fn check_care(plan: &FaultPlan) -> Vec<Violation> {
     // and require the resumed fleet to be bit-identical to the
     // uninterrupted run. Kill ticks are deliberately allowed to land
     // *inside* an epoch window — the tiled sweep must clip the window
-    // exactly at the stop, or the snapshot would carry wakes the
-    // strict-order resume never saw.
+    // exactly at the stop, or the snapshot would carry wakes past it.
     let kills: Vec<SimTime> = {
         let mut ks: Vec<SimTime> = plan
             .faults
@@ -360,12 +356,14 @@ pub fn check_care(plan: &FaultPlan) -> Vec<Violation> {
         ks
     };
     if !kills.is_empty() {
-        let cfg = care_config(plan, EngineKind::Wheel, 1);
+        let cfg = care_config(plan, 1);
         let full = run_scale(&cfg);
-        let (_, ckpts) = run_scale_checkpointed(&cfg, &kills);
+        let ckpts = run(&cfg, &RunSpec { stops: &kills, ..RunSpec::default() })
+            .expect("a fresh run cannot mismatch")
+            .checkpoints;
         for (ckpt, &at) in ckpts.iter().zip(&kills) {
-            match resume_scale(&cfg, ckpt) {
-                Ok(resumed) if resumed == full => {}
+            match run(&cfg, &RunSpec { resume: Some(ckpt), ..RunSpec::default() }) {
+                Ok(resumed) if resumed.report == full => {}
                 Ok(_) => violations.push(Violation {
                     oracle: ORACLE,
                     detail: format!(
@@ -413,7 +411,7 @@ mod tests {
             assert_eq!(check_care(&plan), vec![], "seed {seed}: {plan:?}");
             let policy = care_policy(&plan);
             let (_, _, care) =
-                run_scale_care_walled(&care_config(&plan, EngineKind::Wheel, 1), &policy);
+                run_scale_care_walled(&care_config(&plan, 1), &policy);
             fired |= !care.events.is_empty();
         }
         assert!(fired, "care checks are vacuous: no plan ever escalated");
@@ -435,7 +433,7 @@ mod tests {
         assert_eq!(policy.no_ack_windows, vec![(0, 120_000)]);
         assert_eq!(check_care(&plan), vec![]);
         let (_, _, care) =
-            run_scale_care_walled(&care_config(&plan, EngineKind::Wheel, 1), &policy);
+            run_scale_care_walled(&care_config(&plan, 1), &policy);
         assert!(
             care.events
                 .iter()
@@ -451,7 +449,7 @@ mod tests {
         let plan = FaultPlan::generate_care(0);
         let policy = care_policy(&plan);
         let (_, _, care) =
-            run_scale_care_walled(&care_config(&plan, EngineKind::Wheel, 1), &policy);
+            run_scale_care_walled(&care_config(&plan, 1), &policy);
         let Some(raised) = care
             .events
             .iter()

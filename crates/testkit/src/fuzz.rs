@@ -4,7 +4,8 @@
 //! Plan `i` of a campaign is always `derive_seed(campaign_seed, "plan",
 //! i)` — the stream of plans is fixed by the campaign seed; the wall
 //! clock only decides how far down the stream the run gets. Every plan
-//! runs on both engines with all oracles attached ([`Harness::check`]),
+//! runs under both wake policies with all oracles attached
+//! ([`Harness::check`]),
 //! and passing plans accumulate into batches that re-run through the
 //! fleet engine at `jobs > 1` for the jobs-equivalence differential.
 
@@ -13,10 +14,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use coreda_core::fleet::{derive_seed, FleetEngine};
-use coreda_core::metro::EngineKind;
 use coreda_core::telemetry::Telemetry;
 
-use crate::harness::{Harness, RunResult};
+use crate::harness::{Harness, RunResult, WakePolicy};
 use crate::json;
 use crate::plan::FaultPlan;
 use crate::shrink;
@@ -52,15 +52,15 @@ pub struct FuzzConfig {
     /// pipeline: plans come from [`FaultPlan::generate_served`] (wire
     /// transport faults only) and run through
     /// [`crate::served::check_served`], whose differential already spans
-    /// both engines and two worker counts — so served campaigns skip the
-    /// separate jobs batch.
+    /// full and single-instant serving windows and two worker counts — so
+    /// served campaigns skip the separate jobs batch.
     pub served: bool,
     /// Fuzz the caregiver escalation overlay: plans come from
     /// [`FaultPlan::generate_care`] (caregiver no-ack outage windows)
     /// and run through [`crate::care::check_care`], whose
-    /// `escalation_consistency` differential spans both engines, two
-    /// worker counts, and the served path — so care campaigns also skip
-    /// the separate jobs batch.
+    /// `escalation_consistency` differential spans two worker counts and
+    /// the served path — so care campaigns also skip the separate jobs
+    /// batch.
     pub care: bool,
 }
 
@@ -216,7 +216,7 @@ pub fn fuzz_with(harness: &Harness, cfg: &FuzzConfig) -> std::io::Result<FuzzRep
         let outcome = harness.check(&plan);
         report.plans_run += 1;
         if outcome.violations.is_empty() {
-            batch.push((plan, outcome.wheel));
+            batch.push((plan, outcome.canonical));
             if batch.len() >= JOBS_BATCH {
                 flush_jobs_batch(harness, &engine, &mut batch, cfg, &mut report)?;
             }
@@ -244,7 +244,7 @@ fn flush_jobs_batch(
     }
     let drained: Vec<(FaultPlan, RunResult)> = std::mem::take(batch);
     let (plans, serial): (Vec<FaultPlan>, Vec<RunResult>) = drained.into_iter().unzip();
-    let parallel = engine.map(plans.clone(), |plan| harness.run(&plan, EngineKind::Wheel));
+    let parallel = engine.map(plans.clone(), |plan| harness.run(&plan, WakePolicy::EventDriven));
     report.jobs_checked += plans.len();
     if let Some(violation) = crate::oracles::check_jobs(&serial, &parallel) {
         // Attribute the divergence to the first differing plan so the
@@ -298,7 +298,7 @@ fn record_violation(
         Some(_) if plan.has_frame_faults() || plan.has_care_faults() => None,
         Some(dir) => {
             std::fs::create_dir_all(dir)?;
-            let (_, rec) = harness.run_recorded(&shrunk.plan, EngineKind::Wheel);
+            let (_, rec) = harness.run_recorded(&shrunk.plan, WakePolicy::EventDriven);
             let telemetry = Telemetry { homes: vec![rec], ..Telemetry::default() };
             let trace_path =
                 dir.join(format!("{}-{plan_seed:016x}.trace.jsonl", violation.oracle));

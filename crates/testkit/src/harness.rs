@@ -1,5 +1,6 @@
 //! The deterministic run harness: one simulated home served under a
-//! [`FaultPlan`], on either engine, with every observable event tapped.
+//! [`FaultPlan`], under either [`WakePolicy`], with every observable
+//! event tapped.
 //!
 //! The home mirrors `coreda_core::metro`'s per-instant pipeline — one
 //! [`Coreda`] system per activity, a home-wide [`SessionTracker`], and
@@ -7,8 +8,8 @@
 //! real serving logic, not a test double. Fault windows are applied
 //! lazily at poll instants by comparing *desired* against *applied*
 //! state; because quiet stretches neither draw randomness nor transmit,
-//! lazy application is observationally identical across the wheel and
-//! heap engines.
+//! lazy application is observationally identical whether the home wakes
+//! event-driven or polls every 100 ms grid instant.
 
 use coreda_adl::activity::{catalog, AdlSpec};
 use coreda_adl::patient::PatientProfile;
@@ -21,7 +22,6 @@ use coreda_core::checkpoint::{
 use coreda_core::fleet::derive_seed;
 use coreda_core::metro::HomeStats;
 use coreda_core::live::{EpisodeLog, LogKind, StochasticBehavior};
-use coreda_core::metro::EngineKind;
 use coreda_core::planning::PlanningSubsystem;
 use coreda_core::reminding::{ReminderLevel, ReminderMethod, Trigger};
 use coreda_core::sessions::{SessionEvent, SessionTracker};
@@ -36,6 +36,19 @@ use coreda_sensornet::radio::LossModel;
 use crate::behavior::FaultyBehavior;
 use crate::oracles::{self, Violation};
 use crate::plan::{FaultKind, FaultPlan};
+
+/// How the harness wakes its home. Both policies drive the timing-wheel
+/// [`Simulator`]; the `engine_equivalence` oracle holds them to
+/// bit-identical runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WakePolicy {
+    /// Wake only where something can change — the next episode start,
+    /// the running episode's next pipeline tick, or the session
+    /// tracker's idle-close deadline — as the metro engine does.
+    EventDriven,
+    /// Poll every 100 ms grid instant: the dense reference.
+    Dense,
+}
 
 /// One event on the run's observable tap, in stream order. `Copy` and
 /// fully comparable: differential oracles check whole traces for exact
@@ -149,7 +162,7 @@ pub struct RunStats {
 }
 
 /// Everything one run produced. Two runs of the same plan must compare
-/// equal whatever engine or worker count produced them.
+/// equal whatever wake policy or worker count produced them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// The observable event stream, in order.
@@ -162,18 +175,18 @@ pub struct RunResult {
     /// The write-ahead event log: one compact record per state-mutating
     /// poll instant, derived from the same observable tap the oracles
     /// watch. Part of the differential fingerprint — killed, resumed,
-    /// and cross-engine runs must log identically.
+    /// and densely polled runs must log identically.
     pub wal: Vec<WalRecord>,
 }
 
-/// The outcome of checking one plan: both engines run, all oracles
-/// applied, traces compared.
+/// The outcome of checking one plan: both wake policies run, all
+/// oracles applied, traces compared.
 #[derive(Debug, Clone)]
 pub struct CheckOutcome {
     /// Oracle violations, in detection order (empty = plan passed).
     pub violations: Vec<Violation>,
-    /// The wheel-engine run (the canonical result).
-    pub wheel: RunResult,
+    /// The event-driven run (the canonical result).
+    pub canonical: RunResult,
 }
 
 impl CheckOutcome {
@@ -256,10 +269,10 @@ impl Harness {
             * 1.25
     }
 
-    /// Runs `plan` once on the given engine.
+    /// Runs `plan` once under the given wake policy.
     #[must_use]
-    pub fn run(&self, plan: &FaultPlan, engine: EngineKind) -> RunResult {
-        HomeRun::new(self, plan).drive(engine).0
+    pub fn run(&self, plan: &FaultPlan, wakes: WakePolicy) -> RunResult {
+        HomeRun::new(self, plan).drive(wakes).0
     }
 
     /// [`Harness::run`] with the flight recorder on: returns the run
@@ -267,28 +280,28 @@ impl Harness {
     /// randomness) plus the home's recorder, whose trace ring holds the
     /// last events leading up to whatever happened.
     #[must_use]
-    pub fn run_recorded(&self, plan: &FaultPlan, engine: EngineKind) -> (RunResult, HomeRecorder) {
+    pub fn run_recorded(&self, plan: &FaultPlan, wakes: WakePolicy) -> (RunResult, HomeRecorder) {
         let mut home = HomeRun::new(self, plan);
         home.rec = Some(HomeRecorder::new());
-        let (result, rec) = home.drive(engine);
+        let (result, rec) = home.drive(wakes);
         (result, rec.unwrap_or_default())
     }
 
-    /// The full check: run on both engines, stream the wheel trace
-    /// through every invariant oracle, verify the Q bound, and require
-    /// the two engine traces to be bit-identical. Plans containing
+    /// The full check: run under both wake policies, stream the
+    /// event-driven trace through every invariant oracle, verify the Q
+    /// bound, and require the two runs to be bit-identical. Plans containing
     /// [`FaultKind::CheckpointKillResume`] additionally run a *ghost* —
     /// the same plan with the kills stripped — and require the
     /// killed-and-resumed run to match it exactly.
     #[must_use]
     pub fn check(&self, plan: &FaultPlan) -> CheckOutcome {
-        let wheel = self.run(plan, EngineKind::Wheel);
-        let heap = self.run(plan, EngineKind::Heap);
-        let mut violations = oracles::check_trace(&wheel.trace, plan.horizon_ms);
-        if let Some(v) = oracles::check_q(&wheel.q_values, self.q_bound()) {
+        let canonical = self.run(plan, WakePolicy::EventDriven);
+        let dense = self.run(plan, WakePolicy::Dense);
+        let mut violations = oracles::check_trace(&canonical.trace, plan.horizon_ms);
+        if let Some(v) = oracles::check_q(&canonical.q_values, self.q_bound()) {
             violations.push(v);
         }
-        if let Some(v) = oracles::check_engines(&wheel, &heap) {
+        if let Some(v) = oracles::check_engines(&canonical, &dense) {
             violations.push(v);
         }
         if plan.faults.iter().any(|f| f.kind == FaultKind::CheckpointKillResume) {
@@ -301,12 +314,12 @@ impl Harness {
                     .collect(),
                 ..plan.clone()
             };
-            let ghost = self.run(&ghost_plan, EngineKind::Wheel);
-            if let Some(v) = oracles::check_resume(&wheel, &ghost) {
+            let ghost = self.run(&ghost_plan, WakePolicy::EventDriven);
+            if let Some(v) = oracles::check_resume(&canonical, &ghost) {
                 violations.push(v);
             }
         }
-        CheckOutcome { violations, wheel }
+        CheckOutcome { violations, canonical }
     }
 }
 
@@ -460,7 +473,7 @@ impl<'a> HomeRun<'a> {
     }
 
     /// Applies any delta between desired and applied fault state. Never
-    /// draws randomness, so it is engine-invariant to apply this lazily.
+    /// draws randomness, so applying this lazily is wake-policy-invariant.
     fn apply_faults(&mut self, now: SimTime) {
         let want = self.desired(now.as_millis());
         self.apply_aggregate(want);
@@ -730,10 +743,10 @@ impl<'a> HomeRun<'a> {
         }
     }
 
-    /// Runs the wheel loop until `until`, scheduling follow-up events
-    /// against the full-run horizon `end` (so events past a kill point
-    /// land in the queue and get captured as pending).
-    fn wheel_segment(&mut self, sim: &mut Simulator<()>, until: SimTime, end: SimTime) {
+    /// Runs the event-driven loop until `until`, scheduling follow-up
+    /// events against the full-run horizon `end` (so events past a kill
+    /// point land in the queue and get captured as pending).
+    fn event_segment(&mut self, sim: &mut Simulator<()>, until: SimTime, end: SimTime) {
         while sim.step_until(until).is_some() {
             let now = sim.now();
             if self.last_handled == Some(now) {
@@ -760,8 +773,8 @@ impl<'a> HomeRun<'a> {
         }
     }
 
-    /// Heap-engine counterpart of [`HomeRun::wheel_segment`].
-    fn heap_segment(&mut self, sim: &mut Simulator<()>, until: SimTime, end: SimTime) {
+    /// Dense-polling counterpart of [`HomeRun::event_segment`].
+    fn dense_segment(&mut self, sim: &mut Simulator<()>, until: SimTime, end: SimTime) {
         while sim.step_until(until).is_some() {
             let now = sim.now();
             self.last_handled = Some(now);
@@ -913,31 +926,27 @@ impl<'a> HomeRun<'a> {
         fresh
     }
 
-    fn drive(mut self, engine: EngineKind) -> (RunResult, Option<HomeRecorder>) {
+    fn drive(mut self, wakes: WakePolicy) -> (RunResult, Option<HomeRecorder>) {
         let end = SimTime::ZERO + SimDuration::from_millis(self.plan.horizon_ms);
         let kills = self.kill_ticks();
-        match engine {
-            EngineKind::Wheel => {
-                let mut sim: Simulator<()> = Simulator::new();
+        let mut sim: Simulator<()> = Simulator::new();
+        let segment = match wakes {
+            WakePolicy::EventDriven => {
                 if self.next_start <= end {
                     sim.schedule_at(self.next_start, ());
                 }
-                for &kill in &kills {
-                    self.wheel_segment(&mut sim, kill, end);
-                    self = self.kill_and_resume(&mut sim, kill);
-                }
-                self.wheel_segment(&mut sim, end, end);
+                HomeRun::event_segment
             }
-            EngineKind::Heap => {
-                let mut sim: Simulator<()> = Simulator::with_heap_queue();
+            WakePolicy::Dense => {
                 sim.schedule_at(SimTime::ZERO, ());
-                for &kill in &kills {
-                    self.heap_segment(&mut sim, kill, end);
-                    self = self.kill_and_resume(&mut sim, kill);
-                }
-                self.heap_segment(&mut sim, end, end);
+                HomeRun::dense_segment
             }
+        };
+        for &kill in &kills {
+            segment(&mut self, &mut sim, kill, end);
+            self = self.kill_and_resume(&mut sim, kill);
         }
+        segment(&mut self, &mut sim, end, end);
         self.stats.energy_uj = self.systems.iter().map(|(s, ..)| s.total_energy_uj()).sum();
         let q_values = self
             .systems
@@ -989,7 +998,7 @@ mod tests {
             faults: vec![],
             expect_violation: None,
         };
-        let result = h.run(&plan, EngineKind::Wheel);
+        let result = h.run(&plan, WakePolicy::EventDriven);
         assert!(result.stats.episodes_started >= 2, "{:?}", result.stats);
         assert!(result.stats.pipeline_ticks > 100);
         assert!(result.trace.iter().any(|e| matches!(e, TraceEvent::SessionStarted { .. })));
@@ -1000,17 +1009,17 @@ mod tests {
     fn runs_are_deterministic() {
         let h = harness();
         let plan = FaultPlan::generate(11, h.tool_ids());
-        assert_eq!(h.run(&plan, EngineKind::Wheel), h.run(&plan, EngineKind::Wheel));
+        assert_eq!(h.run(&plan, WakePolicy::EventDriven), h.run(&plan, WakePolicy::EventDriven));
     }
 
     #[test]
-    fn wheel_and_heap_traces_agree_under_faults() {
+    fn event_driven_and_dense_traces_agree_under_faults() {
         let h = harness();
         for seed in [1u64, 2, 3] {
             let plan = FaultPlan::generate(seed, h.tool_ids());
-            let wheel = h.run(&plan, EngineKind::Wheel);
-            let heap = h.run(&plan, EngineKind::Heap);
-            assert_eq!(wheel, heap, "engines diverged on seed {seed}: {plan:?}");
+            let events = h.run(&plan, WakePolicy::EventDriven);
+            let dense = h.run(&plan, WakePolicy::Dense);
+            assert_eq!(events, dense, "wake policies diverged on seed {seed}: {plan:?}");
         }
     }
 
@@ -1018,15 +1027,15 @@ mod tests {
     fn recorded_run_matches_unrecorded_run() {
         let h = harness();
         let plan = FaultPlan::generate(5, h.tool_ids());
-        let plain = h.run(&plan, EngineKind::Wheel);
-        let (recorded, rec) = h.run_recorded(&plan, EngineKind::Wheel);
+        let plain = h.run(&plan, WakePolicy::EventDriven);
+        let (recorded, rec) = h.run_recorded(&plan, WakePolicy::EventDriven);
         assert_eq!(plain, recorded, "recording must not perturb the run");
         assert_eq!(rec.counter(Ctr::EpisodesStarted), plain.stats.episodes_started);
         assert_eq!(rec.counter(Ctr::Praises), plain.stats.praises);
         assert!(!rec.ring().is_empty(), "the trace ring should hold events");
-        let (heap, heap_rec) = h.run_recorded(&plan, EngineKind::Heap);
-        assert_eq!(recorded, heap);
-        assert_eq!(rec, heap_rec, "recorders must agree across engines");
+        let (dense, dense_rec) = h.run_recorded(&plan, WakePolicy::Dense);
+        assert_eq!(recorded, dense);
+        assert_eq!(rec, dense_rec, "recorders must agree across wake policies");
     }
 
 
@@ -1044,11 +1053,11 @@ mod tests {
                     .collect(),
                 ..killed.clone()
             };
-            for engine in [EngineKind::Wheel, EngineKind::Heap] {
+            for wakes in [WakePolicy::EventDriven, WakePolicy::Dense] {
                 assert_eq!(
-                    h.run(&killed, engine),
-                    h.run(&ghost, engine),
-                    "resume diverged from the uninterrupted run: seed {seed}, {engine:?}"
+                    h.run(&killed, wakes),
+                    h.run(&ghost, wakes),
+                    "resume diverged from the uninterrupted run: seed {seed}, {wakes:?}"
                 );
             }
         }
@@ -1066,7 +1075,7 @@ mod tests {
                 to_ms: at,
             });
         }
-        assert_eq!(h.run(&killed, EngineKind::Wheel), h.run(&base, EngineKind::Wheel));
+        assert_eq!(h.run(&killed, WakePolicy::EventDriven), h.run(&base, WakePolicy::EventDriven));
     }
 
     #[test]
@@ -1082,8 +1091,8 @@ mod tests {
                 .collect(),
             ..killed.clone()
         };
-        let (killed_run, killed_rec) = h.run_recorded(&killed, EngineKind::Wheel);
-        let (ghost_run, ghost_rec) = h.run_recorded(&ghost, EngineKind::Wheel);
+        let (killed_run, killed_rec) = h.run_recorded(&killed, WakePolicy::EventDriven);
+        let (ghost_run, ghost_rec) = h.run_recorded(&ghost, WakePolicy::EventDriven);
         assert_eq!(killed_run, ghost_run);
         assert_eq!(
             killed_rec, ghost_rec,
@@ -1123,10 +1132,10 @@ mod tests {
             }],
             expect_violation: None,
         };
-        let faulted = h.run(&plan, EngineKind::Wheel);
+        let faulted = h.run(&plan, WakePolicy::EventDriven);
         let clean = h.run(
             &FaultPlan { faults: vec![], ..plan.clone() },
-            EngineKind::Wheel,
+            WakePolicy::EventDriven,
         );
         assert!(
             faulted.stats.energy_uj < clean.stats.energy_uj,

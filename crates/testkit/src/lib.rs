@@ -5,10 +5,10 @@
 //! crashes, sensing flips, clock skew, patient non-compliance / severe
 //! lapses, and routine drift — which the real [`Coreda`] pipeline then
 //! serves under, while every session event and reminder streams through
-//! the invariant [`oracles`]. Each plan runs on *both* serving engines
-//! (timing wheel and dense heap polling), and batches re-run through the
-//! fleet engine at `jobs > 1`; any divergence is itself an oracle
-//! violation. When an oracle fires, [`shrink`] reduces the plan — drop
+//! the invariant [`oracles`]. Each plan runs under *both* wake policies
+//! (event-driven wakes and dense 100 ms polling), and batches re-run
+//! through the fleet engine at `jobs > 1`; any divergence is itself an
+//! oracle violation. When an oracle fires, [`shrink`] reduces the plan — drop
 //! faults, halve windows, halve the horizon — to a minimal repro that
 //! [`json`] serializes as a `.seed.json` replay file for the regression
 //! corpus.

@@ -91,11 +91,11 @@ pub fn check_q(q_values: &[f64], bound: f64) -> Option<Violation> {
     None
 }
 
-/// Differential oracle: the wheel and heap engines must produce
-/// bit-identical runs for the same plan.
+/// Differential oracle: event-driven wakes and dense 100 ms polling
+/// must produce bit-identical runs for the same plan.
 #[must_use]
-pub fn check_engines(wheel: &RunResult, heap: &RunResult) -> Option<Violation> {
-    differential("engine_equivalence", "wheel", wheel, "heap", heap)
+pub fn check_engines(events: &RunResult, dense: &RunResult) -> Option<Violation> {
+    differential("engine_equivalence", "event-driven", events, "dense", dense)
 }
 
 /// Differential oracle: a run that died at a checkpoint and resumed from

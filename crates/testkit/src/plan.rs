@@ -228,7 +228,7 @@ impl FaultPlan {
     }
 
     /// Expands `seed` into a served-path transport-fault plan: shorter
-    /// horizons (three engines' worth of simulation per check) and only
+    /// horizons (three fleets' worth of simulation per check) and only
     /// the wire-level [`FaultKind::is_frame_fault`] kinds. Disjoint from
     /// [`FaultPlan::generate`] — the in-process campaign never draws
     /// frame faults, and the served campaign never draws pipeline ones.

@@ -9,40 +9,57 @@
 //!
 //! - **Transport invisibility** (`served_batch_equivalence`): reports
 //!   are advisory, so short of a hangup the served fleet must equal the
-//!   batch [`run_scale_walled`] run byte-for-byte — report, telemetry
-//!   grid, and delivery log — no matter how the wire mangles frames.
+//!   batch [`run`] with the log on byte-for-byte — report and delivery
+//!   log — no matter how the wire mangles frames.
 //! - **Disconnect freeze** (`served_disconnect_freeze`): a hangup
 //!   freezes exactly the hung-up home — its deliveries are a strict
 //!   prefix of the batch run's, all before the cut — and every other
 //!   home stays bit-identical to batch.
 //! - **Engine equivalence** (`served_engine_equivalence`): the served
-//!   wheel at `jobs = 1` and the served heap at `jobs = 2` agree on
-//!   every connected home, so the contract holds across both queue
-//!   engines and worker counts at once.
+//!   fleet on full epoch windows at `jobs = 1` and on single-instant
+//!   windows ([`InstantClock`]) at `jobs = 2` agree on every home —
+//!   report, delivery log and wire accounting — so the contract holds
+//!   across window widths and worker counts at once.
 
-use coreda_core::metro::{run_scale_walled, EngineKind, MetroConfig, ScaleReport, ServeCtx};
+use coreda_core::metro::{run, MetroConfig, RunSpec, ScaleReport, ServeCtx};
 use coreda_core::wal::WalRecord;
-use coreda_des::time::SimDuration;
-use coreda_des::SimClock;
+use coreda_des::time::{SimDuration, SimTime};
+use coreda_des::{Clock, SimClock};
 use coreda_serve::{serve_fleet, FaultyPipe, MoteClient, PipeFaults, ServeOptions, ServeOutcome};
 
 use crate::oracles::Violation;
 use crate::plan::{FaultKind, FaultPlan};
 
 /// Homes per served check: small enough that every plan runs one batch
-/// reference plus two served engines quickly, big enough that a frozen
+/// reference plus two served fleets quickly, big enough that a frozen
 /// home has connected neighbours to diverge.
 pub const SERVED_HOMES: usize = 3;
 
+/// A pacing clock that never waits and never lets simulated time run
+/// ahead of a window's first instant, so every serving window it paces
+/// is that single instant: a session served on it walks its wakes in
+/// the strict `(due, seq)` order, one instant at a time. It is the
+/// reference the equivalence suites hold epoch tiling against; no
+/// production path selects it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InstantClock;
+
+impl Clock for InstantClock {
+    fn wait_until(&mut self, _due: SimTime) {}
+
+    fn servable(&self) -> SimTime {
+        SimTime::ZERO
+    }
+}
+
 /// The fleet configuration a served plan expands to.
 #[must_use]
-pub fn served_config(plan: &FaultPlan, engine: EngineKind, jobs: usize) -> MetroConfig {
+pub fn served_config(plan: &FaultPlan, jobs: usize) -> MetroConfig {
     MetroConfig {
         homes: SERVED_HOMES,
         horizon: SimDuration::from_millis(plan.horizon_ms),
         seed: plan.seed,
         jobs,
-        engine,
         train_episodes: 60,
         // Served horizons are short (three simulations per check), so
         // compress the between-episode gaps or most plans would end
@@ -78,13 +95,14 @@ pub fn pipe_faults(plan: &FaultPlan) -> (PipeFaults, Option<(u32, u64)>) {
     (faults, disconnect)
 }
 
-/// Serves `cfg` with every client behind a [`FaultyPipe`] carrying the
-/// plan's transport faults.
+/// Serves `cfg` paced by `clock`, with every client behind a
+/// [`FaultyPipe`] carrying the plan's transport faults.
 #[must_use]
-pub fn serve_with_faults(
+pub fn serve_with_faults<K: Clock + Clone + Sync>(
     cfg: MetroConfig,
     base: &PipeFaults,
     disconnect: Option<(u32, u64)>,
+    clock: &K,
 ) -> ServeOutcome {
     let ctx = ServeCtx::new(cfg).expect("served DST fleets are far below the u32 ceiling");
     let make = |home: u32, digest: u64| {
@@ -96,16 +114,17 @@ pub fn serve_with_faults(
         }
         FaultyPipe::new(MoteClient::new(home, digest), faults)
     };
-    serve_fleet(&ctx, &ServeOptions::default(), &make, &SimClock)
+    serve_fleet(&ctx, &ServeOptions::default(), &make, clock)
 }
 
 fn per_home_log(log: &[WalRecord], home: u32) -> Vec<WalRecord> {
     log.iter().filter(|r| r.home == home).copied().collect()
 }
 
-/// Checks one served outcome against the batch reference.
+/// Checks one served outcome (`leg` names it) against the batch
+/// reference.
 fn check_against_batch(
-    engine: EngineKind,
+    leg: &str,
     served: &ServeOutcome,
     batch: &ScaleReport,
     batch_log: &[WalRecord],
@@ -115,16 +134,15 @@ fn check_against_batch(
     let report = &served.output.report;
     match disconnect {
         None => {
-            // Byte-for-byte: the full report on the same engine, the
-            // full log on either (deliveries are state-derived).
-            let full = engine == batch.engine && *report != *batch;
-            let stats = report.per_home != batch.per_home;
+            // Byte-for-byte: the full report, DES event count included,
+            // and the full log (deliveries are state-derived).
+            let stats = *report != *batch;
             let log = served.log != batch_log;
-            if full || stats || log {
+            if stats || log {
                 violations.push(Violation {
                     oracle: "served_batch_equivalence",
                     detail: format!(
-                        "served {engine} diverged from batch with no disconnect \
+                        "served {leg} diverged from batch with no disconnect \
                          (report differs: {stats}, log differs: {log})",
                     ),
                 });
@@ -136,7 +154,7 @@ fn check_against_batch(
                     violations.push(Violation {
                         oracle: "served_batch_equivalence",
                         detail: format!(
-                            "served {engine}: home {h} diverged from batch but only \
+                            "served {leg}: home {h} diverged from batch but only \
                              home {down} disconnected",
                         ),
                     });
@@ -147,7 +165,7 @@ fn check_against_batch(
                         violations.push(Violation {
                             oracle: "served_batch_equivalence",
                             detail: format!(
-                                "served {engine}: home {h} delivery log diverged from \
+                                "served {leg}: home {h} delivery log diverged from \
                                  batch but only home {down} disconnected",
                             ),
                         });
@@ -162,7 +180,7 @@ fn check_against_batch(
                 violations.push(Violation {
                     oracle: "served_disconnect_freeze",
                     detail: format!(
-                        "served {engine}: home {down} hung up at {cut} ms but its \
+                        "served {leg}: home {down} hung up at {cut} ms but its \
                          deliveries are not a pre-cut prefix of batch \
                          (prefix: {prefix}, all pre-cut: {frozen})",
                     ),
@@ -174,39 +192,33 @@ fn check_against_batch(
 }
 
 /// Runs a served plan through the full differential: batch reference,
-/// served wheel (`jobs = 1`), served heap (`jobs = 2`), with every
-/// oracle attached. Returns the violations (empty = contract holds).
+/// served on full windows (`jobs = 1`), served on single-instant windows
+/// (`jobs = 2`), with every oracle attached. Returns the violations
+/// (empty = contract holds).
 #[must_use]
 pub fn check_served(plan: &FaultPlan) -> Vec<Violation> {
     let (faults, disconnect) = pipe_faults(plan);
-    let (batch, batch_log) = run_scale_walled(&served_config(plan, EngineKind::Wheel, 1));
-    let wheel = serve_with_faults(served_config(plan, EngineKind::Wheel, 1), &faults, disconnect);
-    let heap = serve_with_faults(served_config(plan, EngineKind::Heap, 2), &faults, disconnect);
+    let batch = run(&served_config(plan, 1), &RunSpec { log: true, ..RunSpec::default() })
+        .expect("a fresh run cannot mismatch");
+    let full = serve_with_faults(served_config(plan, 1), &faults, disconnect, &SimClock);
+    let instant = serve_with_faults(served_config(plan, 2), &faults, disconnect, &InstantClock);
 
     let mut violations = Vec::new();
-    violations.extend(check_against_batch(EngineKind::Wheel, &wheel, &batch, &batch_log, disconnect));
-    violations.extend(check_against_batch(EngineKind::Heap, &heap, &batch, &batch_log, disconnect));
+    for (leg, served) in [("full windows", &full), ("instant windows", &instant)] {
+        violations.extend(check_against_batch(leg, served, &batch.report, &batch.wal, disconnect));
+    }
 
-    // Engine/jobs differential on every connected home. The frozen home
-    // is excluded: the freeze lands on the first *wake* past the cut,
-    // and wake granularity is the one thing the engines don't share.
-    let down = disconnect.map(|(h, _)| h);
-    let engines_agree = wheel
-        .output
-        .report
-        .per_home
-        .iter()
-        .zip(&heap.output.report.per_home)
-        .enumerate()
-        .filter(|(h, _)| Some(*h as u32) != down)
-        .all(|(h, (w, p))| {
-            w == p && per_home_log(&wheel.log, h as u32) == per_home_log(&heap.log, h as u32)
-        });
-    if !engines_agree {
+    // Window/jobs differential on every home, the hung-up one included:
+    // faults and hangups key on each connection's own wake instants,
+    // which no window cut moves.
+    let agree = full.output.report == instant.output.report
+        && full.log == instant.log
+        && full.wire == instant.wire;
+    if !agree {
         violations.push(Violation {
             oracle: "served_engine_equivalence",
-            detail: "served wheel (jobs 1) and served heap (jobs 2) diverged on a \
-                     connected home"
+            detail: "served on full windows (jobs 1) and on instant windows (jobs 2) \
+                     diverged"
                 .to_owned(),
         });
     }
@@ -242,7 +254,7 @@ mod tests {
         let (faults, disconnect) = pipe_faults(&plan);
         assert!(disconnect.is_none());
         let outcome =
-            serve_with_faults(served_config(&plan, EngineKind::Wheel, 1), &faults, disconnect);
+            serve_with_faults(served_config(&plan, 1), &faults, disconnect, &SimClock);
         assert!(outcome.wire.dup_frames > 0, "{:?}", outcome.wire);
         assert!(outcome.wire.late_reports > 0, "{:?}", outcome.wire);
     }
@@ -255,7 +267,7 @@ mod tests {
         let (faults, disconnect) = pipe_faults(&plan);
         let (down, _) = disconnect.expect("plan has a disconnect");
         let outcome =
-            serve_with_faults(served_config(&plan, EngineKind::Wheel, 1), &faults, disconnect);
+            serve_with_faults(served_config(&plan, 1), &faults, disconnect, &SimClock);
         assert_eq!(outcome.wire.disconnects, 1);
         assert!(outcome.wire.skipped_wakes > 0, "{:?}", outcome.wire);
         assert!(u64::from(down) < SERVED_HOMES as u64);

@@ -12,7 +12,7 @@ use crate::oracles::Violation;
 use crate::plan::{FaultPlan, TICK_MS};
 
 /// Hard cap on deterministic re-runs per shrink; each run simulates the
-/// whole plan on both engines, so this bounds shrink latency.
+/// whole plan under both wake policies, so this bounds shrink latency.
 pub const MAX_SHRINK_RUNS: usize = 200;
 
 /// Horizons are never shrunk below this — a run needs room for at least

@@ -1,8 +1,8 @@
 //! The durability headline guarantee, as a differential suite:
 //! run-to-T-then-snapshot-then-resume is bit-identical to an
-//! uninterrupted run — for any checkpoint tick, any `jobs` count, and
-//! either queue engine — plus codec-robustness proptests (round-trip
-//! exactness; corruption, truncation, and unknown-version rejection).
+//! uninterrupted run — for any checkpoint tick and any `jobs` count —
+//! plus codec-robustness proptests (round-trip exactness; corruption,
+//! truncation, and unknown-version rejection).
 
 use std::sync::OnceLock;
 
@@ -11,8 +11,7 @@ use coreda_core::checkpoint::{
     CheckpointError, MetroCheckpoint,
 };
 use coreda_core::metro::{
-    resume_scale, resume_scale_durable, resume_scale_traced, run_scale, run_scale_checkpointed,
-    run_scale_checkpointed_traced, run_scale_durable, run_scale_traced, EngineKind, MetroConfig,
+    resume_scale_durable, run, run_scale, run_scale_durable, MetroConfig, RunSpec, ScaleReport,
 };
 use coreda_core::planning::LearnerKind;
 use coreda_core::wal::{decode_wal, decode_wal_tolerant, encode_wal};
@@ -21,18 +20,29 @@ use coreda_sensornet::node::NodeId;
 use coreda_sensornet::packet::crc16;
 use proptest::prelude::*;
 
-fn cfg(jobs: usize, engine: EngineKind) -> MetroConfig {
+fn cfg(jobs: usize) -> MetroConfig {
     MetroConfig {
         homes: 6,
         horizon: SimDuration::from_secs(600),
         seed: 2007,
         jobs,
-        engine,
         gap_min: SimDuration::from_secs(60),
         gap_max: SimDuration::from_secs(180),
         train_episodes: 120,
         ..MetroConfig::default()
     }
+}
+
+/// Snapshots a fresh run at each of `stops`.
+fn snapshots(config: &MetroConfig, stops: &[SimTime]) -> Vec<MetroCheckpoint> {
+    run(config, &RunSpec { stops, ..RunSpec::default() })
+        .expect("a fresh run cannot mismatch")
+        .checkpoints
+}
+
+/// Resumes `snap` to `config`'s horizon.
+fn resume(config: &MetroConfig, snap: &MetroCheckpoint) -> Result<ScaleReport, CheckpointError> {
+    run(config, &RunSpec { resume: Some(snap), ..RunSpec::default() }).map(|out| out.report)
 }
 
 #[test]
@@ -45,18 +55,13 @@ fn resume_equals_uninterrupted_across_the_grid() {
         SimTime::from_secs(300),
         SimTime::from_secs(600),
     ];
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let full = run_scale(&cfg(1, engine));
-        let (_, snaps) = run_scale_checkpointed(&cfg(1, engine), &ticks);
-        for (tick, snap) in ticks.iter().zip(&snaps) {
-            for jobs in [1usize, 8] {
-                let resumed = resume_scale(&cfg(jobs, engine), snap)
-                    .unwrap_or_else(|e| panic!("resume at {tick:?}: {e}"));
-                assert_eq!(
-                    resumed, full,
-                    "resume diverged: tick {tick:?}, jobs {jobs}, {engine:?} engine"
-                );
-            }
+    let full = run_scale(&cfg(1));
+    let snaps = snapshots(&cfg(1), &ticks);
+    for (tick, snap) in ticks.iter().zip(&snaps) {
+        for jobs in [1usize, 8] {
+            let resumed =
+                resume(&cfg(jobs), snap).unwrap_or_else(|e| panic!("resume at {tick:?}: {e}"));
+            assert_eq!(resumed, full, "resume diverged: tick {tick:?}, jobs {jobs}");
         }
     }
 }
@@ -64,8 +69,8 @@ fn resume_equals_uninterrupted_across_the_grid() {
 #[test]
 fn snapshots_are_jobs_invariant_down_to_the_bytes() {
     let ticks = [SimTime::from_secs(120), SimTime::from_secs(480)];
-    let (_, serial) = run_scale_checkpointed(&cfg(1, EngineKind::Wheel), &ticks);
-    let (_, parallel) = run_scale_checkpointed(&cfg(8, EngineKind::Wheel), &ticks);
+    let serial = snapshots(&cfg(1), &ticks);
+    let parallel = snapshots(&cfg(8), &ticks);
     assert_eq!(serial, parallel, "snapshot structs must not depend on sharding");
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(
@@ -77,28 +82,13 @@ fn snapshots_are_jobs_invariant_down_to_the_bytes() {
 }
 
 #[test]
-fn engine_is_a_resume_time_free_choice() {
-    // The digest excludes the engine: a snapshot taken under the wheel
-    // resumes under dense heap polling (and vice versa) onto the same
-    // per-home results. Only `des_events` is engine-shaped.
-    let (_, wheel_snaps) =
-        run_scale_checkpointed(&cfg(1, EngineKind::Wheel), &[SimTime::from_secs(300)]);
-    let heap_resumed = resume_scale(&cfg(1, EngineKind::Heap), &wheel_snaps[0]).unwrap();
-    assert_eq!(heap_resumed.per_home, run_scale(&cfg(1, EngineKind::Heap)).per_home);
-
-    let (_, heap_snaps) =
-        run_scale_checkpointed(&cfg(1, EngineKind::Heap), &[SimTime::from_secs(300)]);
-    let wheel_resumed = resume_scale(&cfg(1, EngineKind::Wheel), &heap_snaps[0]).unwrap();
-    assert_eq!(wheel_resumed.per_home, run_scale(&cfg(1, EngineKind::Wheel)).per_home);
-}
-
-#[test]
 fn resumed_telemetry_merges_and_matches_at_any_jobs() {
-    let full = run_scale_traced(&cfg(1, EngineKind::Wheel));
-    let (_, snaps) =
-        run_scale_checkpointed_traced(&cfg(1, EngineKind::Wheel), &[SimTime::from_secs(240)]);
+    let trace = RunSpec { trace: true, ..RunSpec::default() };
+    let full = run(&cfg(1), &trace).unwrap();
+    let stops = [SimTime::from_secs(240)];
+    let snaps = run(&cfg(1), &RunSpec { stops: &stops, ..trace }).unwrap().checkpoints;
     for jobs in [1usize, 8] {
-        let resumed = resume_scale_traced(&cfg(jobs, EngineKind::Wheel), &snaps[0]).unwrap();
+        let resumed = run(&cfg(jobs), &RunSpec { resume: Some(&snaps[0]), ..trace }).unwrap();
         assert_eq!(resumed.report, full.report, "jobs {jobs}");
         assert_eq!(
             resumed.telemetry, full.telemetry,
@@ -112,25 +102,20 @@ fn durable_resume_equals_uninterrupted_across_the_grid() {
     // The incremental flavour of the headline guarantee: base at the
     // first stop, deltas for the rest, write-ahead log throughout —
     // base → deltas → log-tail replay lands on the uninterrupted
-    // result at any worker count and on either engine.
+    // result at any worker count.
     let stops = [
         SimTime::from_millis(100),
         SimTime::from_secs(59),
         SimTime::from_secs(300),
         SimTime::from_secs(600),
     ];
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let full = run_scale(&cfg(1, engine));
-        let (report, run) = run_scale_durable(&cfg(1, engine), &stops);
-        assert_eq!(report, full, "durable instrumentation must not perturb the run");
-        for jobs in [1usize, 8] {
-            let resumed = resume_scale_durable(&cfg(jobs, engine), &run)
-                .unwrap_or_else(|e| panic!("durable resume, jobs {jobs}, {engine:?}: {e}"));
-            assert_eq!(
-                resumed, full,
-                "durable resume diverged: jobs {jobs}, {engine:?} engine"
-            );
-        }
+    let full = run_scale(&cfg(1));
+    let (report, chain) = run_scale_durable(&cfg(1), &stops);
+    assert_eq!(report, full, "durable instrumentation must not perturb the run");
+    for jobs in [1usize, 8] {
+        let resumed = resume_scale_durable(&cfg(jobs), &chain)
+            .unwrap_or_else(|e| panic!("durable resume, jobs {jobs}: {e}"));
+        assert_eq!(resumed, full, "durable resume diverged: jobs {jobs}");
     }
 }
 
@@ -140,14 +125,14 @@ fn delta_chains_refuse_a_foreign_base() {
     // diffed against: the same run's earlier snapshot is not close
     // enough, and a different seed's snapshot fails on the digest.
     let stops = [SimTime::from_secs(120), SimTime::from_secs(240), SimTime::from_secs(360)];
-    let (_, snaps) = run_scale_checkpointed(&cfg(1, EngineKind::Wheel), &stops);
+    let snaps = snapshots(&cfg(1), &stops);
     let late_delta = delta_checkpoint(&snaps[1], &snaps[2]);
     assert!(matches!(
         apply_delta(&snaps[0], &late_delta),
         Err(CheckpointError::BaseMismatch { .. })
     ));
-    let foreign = MetroConfig { seed: 9, ..cfg(1, EngineKind::Wheel) };
-    let (_, foreign_snaps) = run_scale_checkpointed(&foreign, &[SimTime::from_secs(240)]);
+    let foreign = MetroConfig { seed: 9, ..cfg(1) };
+    let foreign_snaps = snapshots(&foreign, &[SimTime::from_secs(240)]);
     assert!(matches!(
         apply_delta(&foreign_snaps[0], &late_delta),
         Err(CheckpointError::ConfigMismatch { .. })
@@ -160,7 +145,7 @@ fn delta_chains_refuse_a_foreign_base() {
 /// in flight.
 fn mid_run_snapshot() -> MetroCheckpoint {
     let stops: Vec<SimTime> = (1..=20).map(|k| SimTime::from_secs(k * 30)).collect();
-    let (_, snaps) = run_scale_checkpointed(&cfg(1, EngineKind::Wheel), &stops);
+    let snaps = snapshots(&cfg(1), &stops);
     let in_flight = |s: &MetroCheckpoint| {
         s.homes.iter().any(|h| h.episode.is_some()) && s.homes.iter().any(|h| h.tracker.is_some())
     };
@@ -177,11 +162,11 @@ fn resume_crafted(
 ) -> CheckpointError {
     craft(&mut snap);
     let back = load_checkpoint(&save_checkpoint(&snap, 2), 2).expect("CRC-valid snapshots decode");
-    resume_scale(config, &back).expect_err("a mis-shaped snapshot must not resume")
+    resume(config, &back).expect_err("a mis-shaped snapshot must not resume")
 }
 
 fn shape_of(craft: impl FnOnce(&mut MetroCheckpoint)) -> CheckpointError {
-    resume_crafted(&cfg(1, EngineKind::Wheel), mid_run_snapshot(), craft)
+    resume_crafted(&cfg(1), mid_run_snapshot(), craft)
 }
 
 fn mismatch(index: usize, bound: usize) -> CheckpointError {
@@ -222,7 +207,7 @@ fn a_system_missing_a_node_is_refused() {
 fn a_learned_table_of_the_wrong_size_is_refused() {
     let snap = mid_run_snapshot();
     let cells = snap.homes[0].systems[1].learned.as_ref().expect("Watkins captures").values.len();
-    let err = resume_crafted(&cfg(1, EngineKind::Wheel), snap, |s| {
+    let err = resume_crafted(&cfg(1), snap, |s| {
         let learned = s.homes[0].systems[1].learned.as_mut().expect("checked above");
         learned.values.pop();
         learned.visits.pop();
@@ -234,9 +219,9 @@ fn a_learned_table_of_the_wrong_size_is_refused() {
 /// cannot restore one; the resume must report it, not panic on it.
 #[test]
 fn a_learned_table_for_a_learner_without_one_is_refused() {
-    let mut config = cfg(1, EngineKind::Wheel);
+    let mut config = cfg(1);
     config.system.planning.learner = LearnerKind::QLearning;
-    let (_, snaps) = run_scale_checkpointed(&config, &[SimTime::from_secs(300)]);
+    let snaps = snapshots(&config, &[SimTime::from_secs(300)]);
     let donor = mid_run_snapshot().homes[0].systems[0].learned.clone().expect("Watkins captures");
     let cells = donor.values.len();
     let err = resume_crafted(&config, snaps[0].clone(), |s| {
@@ -282,8 +267,7 @@ fn a_snapshot_missing_a_home_is_a_shape_error() {
 fn blob() -> &'static [u8] {
     static BLOB: OnceLock<Vec<u8>> = OnceLock::new();
     BLOB.get_or_init(|| {
-        let (_, snaps) =
-            run_scale_checkpointed(&cfg(1, EngineKind::Wheel), &[SimTime::from_secs(120)]);
+        let snaps = snapshots(&cfg(1), &[SimTime::from_secs(120)]);
         save_checkpoint(&snaps[0], 1).to_vec()
     })
 }
@@ -293,7 +277,7 @@ fn blob() -> &'static [u8] {
 fn durable_blobs() -> &'static (Vec<u8>, Vec<u8>) {
     static BLOBS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     BLOBS.get_or_init(|| {
-        let config = cfg(1, EngineKind::Wheel);
+        let config = cfg(1);
         let stops = [SimTime::from_secs(120), SimTime::from_secs(480)];
         let (_, run) = run_scale_durable(&config, &stops);
         let delta = save_delta(&run.deltas[0], 1).to_vec();
@@ -310,9 +294,9 @@ proptest! {
         let stops = [SimTime::from_millis(base_ms), SimTime::from_millis(base_ms + span_ms)];
         let short = MetroConfig {
             horizon: SimDuration::from_secs(300),
-            ..cfg(jobs, EngineKind::Wheel)
+            ..cfg(jobs)
         };
-        let (_, snaps) = run_scale_checkpointed(&short, &stops);
+        let snaps = snapshots(&short, &stops);
         let delta = delta_checkpoint(&snaps[0], &snaps[1]);
         let decoded = load_delta(&save_delta(&delta, jobs), jobs).expect("fresh delta decodes");
         prop_assert_eq!(&decoded, &delta);
@@ -375,9 +359,9 @@ proptest! {
         let tick = SimTime::from_millis(tick_ms);
         let short = MetroConfig {
             horizon: SimDuration::from_secs(300),
-            ..cfg(jobs, EngineKind::Wheel)
+            ..cfg(jobs)
         };
-        let (_, snaps) = run_scale_checkpointed(&short, &[tick]);
+        let snaps = snapshots(&short, &[tick]);
         let encoded = save_checkpoint(&snaps[0], jobs);
         let decoded = load_checkpoint(&encoded, jobs).expect("fresh snapshot decodes");
         prop_assert_eq!(decoded, snaps[0].clone());

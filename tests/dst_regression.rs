@@ -8,9 +8,8 @@
 
 use std::path::{Path, PathBuf};
 
-use coreda::core::metro::EngineKind;
 use coreda::testkit::corpus;
-use coreda::testkit::harness::Harness;
+use coreda::testkit::harness::{Harness, WakePolicy};
 use coreda::testkit::json;
 
 fn corpus_dir() -> PathBuf {
@@ -27,6 +26,9 @@ fn corpus_replays_match_expectations() {
     assert!(failed.is_empty(), "corpus regressions:\n{}", failed.join("\n"));
 }
 
+/// The harness's `engine_equivalence` differential over the whole
+/// corpus: every plan runs identically with event-driven wakes and with
+/// dense 100 ms polling.
 #[test]
 fn corpus_plans_are_engine_invariant() {
     let harness = Harness::new();
@@ -38,9 +40,9 @@ fn corpus_plans_are_engine_invariant() {
         }
         let text = std::fs::read_to_string(&path).expect("corpus entry");
         let plan = json::from_json(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        let wheel = harness.run(&plan, EngineKind::Wheel);
-        let heap = harness.run(&plan, EngineKind::Heap);
-        assert_eq!(wheel, heap, "engines diverged on {path:?}");
+        let events = harness.run(&plan, WakePolicy::EventDriven);
+        let dense = harness.run(&plan, WakePolicy::Dense);
+        assert_eq!(events, dense, "event-driven and dense wakes diverged on {path:?}");
         checked += 1;
     }
     assert!(checked >= 8, "only {checked} corpus entries checked");

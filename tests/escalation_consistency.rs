@@ -1,29 +1,37 @@
 //! The caregiver escalation overlay inherits the fleet's determinism
 //! contract wholesale: the escalation log — every raise, ack, and
 //! resolution, with its severity and trigger — is bit-identical at any
-//! worker count, on either queue engine, and whether the fleet runs in
-//! batch or behind the online serving front end. The monitor is a pure
-//! fold over the write-ahead event log, so any divergence here means
-//! the underlying event stream itself diverged.
+//! worker count, whatever serving windows the engine tiles its wakes
+//! into, and whether the fleet runs in batch or behind the online
+//! serving front end. The monitor is a pure fold over the write-ahead
+//! event log, so any divergence here means the underlying event stream
+//! itself diverged.
 
-use coreda::core::escalation::CarePolicy;
-use coreda::core::metro::{run_scale, run_scale_care, EngineKind, MetroConfig};
+use coreda::core::escalation::{CareOutput, CarePolicy};
+use coreda::core::metro::{run, run_scale, MetroConfig, RunSpec, ScaleReport, ServeCtx};
 use coreda::des::time::SimDuration;
-use coreda::serve::{serve_scale, ServeOptions};
+use coreda::serve::{serve_fleet, serve_scale, MoteClient, ServeOptions};
+use coreda::testkit::served::InstantClock;
 
-fn metro_cfg(jobs: usize, engine: EngineKind) -> MetroConfig {
+fn metro_cfg(jobs: usize) -> MetroConfig {
     MetroConfig {
         homes: 16,
         horizon: SimDuration::from_secs(900),
         seed: 2007,
         jobs,
-        engine,
         gap_min: SimDuration::from_secs(60),
         gap_max: SimDuration::from_secs(180),
         idle_close: SimDuration::from_secs(120),
         train_episodes: 120,
         ..MetroConfig::default()
     }
+}
+
+/// A batch run with the escalation overlay on.
+fn batch_care(config: &MetroConfig, policy: &CarePolicy) -> (ScaleReport, CareOutput) {
+    let out = run(config, &RunSpec { care: Some(policy), ..RunSpec::default() })
+        .expect("a fresh run cannot mismatch");
+    (out.report, out.care.expect("care was requested"))
 }
 
 /// A policy eager enough that a 900 s horizon raises real escalations —
@@ -43,8 +51,8 @@ fn eager_policy() -> CarePolicy {
 #[test]
 fn escalation_log_is_byte_identical_at_jobs_1_and_8() {
     let policy = eager_policy();
-    let (serial_report, serial) = run_scale_care(&metro_cfg(1, EngineKind::Wheel), &policy);
-    let (parallel_report, parallel) = run_scale_care(&metro_cfg(8, EngineKind::Wheel), &policy);
+    let (serial_report, serial) = batch_care(&metro_cfg(1), &policy);
+    let (parallel_report, parallel) = batch_care(&metro_cfg(8), &policy);
     assert!(!serial.events.is_empty(), "the eager policy must actually fire");
     // Full structural equality of every event, then the rendered bytes.
     assert_eq!(serial.events, parallel.events);
@@ -54,24 +62,33 @@ fn escalation_log_is_byte_identical_at_jobs_1_and_8() {
     assert_eq!(serial_report, parallel_report);
 }
 
+/// The engine's window tiling is invisible to the overlay: the batch
+/// run's full epoch windows and a served fleet paced on single-instant
+/// windows ([`InstantClock`], the strict `(due, seq)` sweep) log the
+/// same escalations.
 #[test]
 fn escalation_log_is_engine_invariant() {
     let policy = eager_policy();
-    let (_, wheel) = run_scale_care(&metro_cfg(1, EngineKind::Wheel), &policy);
-    let (_, heap) = run_scale_care(&metro_cfg(1, EngineKind::Heap), &policy);
-    assert_eq!(wheel.events, heap.events);
-    assert_eq!(wheel.render_log(), heap.render_log());
-    assert_eq!(wheel.analytics, heap.analytics);
+    let (_, batch) = batch_care(&metro_cfg(1), &policy);
+    let ctx =
+        ServeCtx::new(metro_cfg(1)).expect("sixteen homes fit in u32").with_care(policy.clone());
+    let opts = ServeOptions { care: Some(policy), ..ServeOptions::default() };
+    let strict = serve_fleet(&ctx, &opts, &MoteClient::new, &InstantClock);
+    let care = strict.care.expect("care was requested");
+    assert!(!batch.events.is_empty(), "the eager policy must actually fire");
+    assert_eq!(care.events, batch.events);
+    assert_eq!(care.render_log(), batch.render_log());
+    assert_eq!(care.analytics, batch.analytics);
 }
 
 #[test]
 fn served_escalations_equal_the_batch_overlay() {
     let policy = eager_policy();
-    let (_, batch) = run_scale_care(&metro_cfg(1, EngineKind::Wheel), &policy);
+    let (_, batch) = batch_care(&metro_cfg(1), &policy);
     for jobs in [1usize, 8] {
         let opts =
             ServeOptions { record: false, trace: false, care: Some(policy.clone()) };
-        let served = serve_scale(metro_cfg(jobs, EngineKind::Wheel), &opts)
+        let served = serve_scale(metro_cfg(jobs), &opts)
             .expect("sixteen homes fit in u32");
         let care = served.care.as_ref().expect("care was requested");
         // The served overlay — every event having ridden the wire as an
@@ -91,8 +108,8 @@ fn served_escalations_equal_the_batch_overlay() {
 fn the_overlay_never_perturbs_the_fleet() {
     // Care is observation only: the report with the monitor attached is
     // the report without it, bit for bit.
-    let plain = run_scale(&metro_cfg(2, EngineKind::Wheel));
-    let (report, _) = run_scale_care(&metro_cfg(2, EngineKind::Wheel), &eager_policy());
+    let plain = run_scale(&metro_cfg(2));
+    let (report, _) = batch_care(&metro_cfg(2), &eager_policy());
     assert_eq!(plain, report);
     assert_eq!(plain.render(), report.render());
 }

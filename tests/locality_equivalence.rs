@@ -1,33 +1,34 @@
-//! The epoch-tiling headline guarantee, as a differential suite:
-//! locality-aware wake scheduling ([`SchedMode::Epoch`]) is a pure
-//! performance knob. Every deterministic artifact — the per-home grid
-//! and rendered report, the flight-recorder telemetry down to its JSONL
-//! bytes, the write-ahead event log down to its encoded bytes, the care
-//! escalation log, and the served wire outcome — is bit-identical to
-//! the strict `(due, seq)` sweep at any `--jobs`, on either queue
-//! engine, batch or served.
+//! The epoch-tiling headline guarantee, as a differential suite: how
+//! wide a serving window is never shows. Every deterministic artifact of
+//! a run on full epoch windows — the per-home grid and rendered report
+//! with its DES event count, the flight-recorder telemetry down to its
+//! JSONL bytes, the write-ahead event log down to its encoded bytes, the
+//! care escalation log, and the served wire outcome — is bit-identical
+//! to the strict `(due, seq)` sweep at any `--jobs`, batch or served.
+//!
+//! The strict sweep is a served fleet paced by testkit's
+//! [`InstantClock`]: its windows are single instants, so the chain walk
+//! serves wakes one instant at a time in `(due, seq)` order. No
+//! production path selects it.
 //!
 //! The commutativity argument the suite enforces: an epoch window only
 //! reorders wakes *across distinct homes*, and homes never interact, so
 //! per-home sequences (the only state-bearing order) are untouched.
 
 use coreda::core::escalation::CarePolicy;
-use coreda::core::metro::{
-    resume_scale, run_scale_care_walled, run_scale_checkpointed, run_scale_traced, EngineKind,
-    MetroConfig, SchedMode,
-};
+use coreda::core::metro::{run, run_scale_care_walled, MetroConfig, RunSpec, ServeCtx};
 use coreda::core::{config_digest, encode_wal};
 use coreda::des::time::{SimDuration, SimTime};
-use coreda::serve::{serve_scale, ServeOptions};
+use coreda::des::SimClock;
+use coreda::serve::{serve_fleet, MoteClient, ServeOptions, ServeOutcome};
+use coreda::testkit::served::InstantClock;
 
-fn cfg(jobs: usize, engine: EngineKind, sched: SchedMode) -> MetroConfig {
+fn cfg(jobs: usize) -> MetroConfig {
     MetroConfig {
         homes: 24,
         horizon: SimDuration::from_secs(900),
         seed: 2007,
         jobs,
-        engine,
-        sched,
         gap_min: SimDuration::from_secs(60),
         gap_max: SimDuration::from_secs(180),
         idle_close: SimDuration::from_secs(120),
@@ -36,89 +37,107 @@ fn cfg(jobs: usize, engine: EngineKind, sched: SchedMode) -> MetroConfig {
     }
 }
 
-/// Report, WAL bytes, and care log: epoch ≡ strict for every
-/// (jobs, engine) combination, against the single strict jobs=1 wheel
-/// reference where the engine allows (per-home grids are also
-/// engine-invariant, DES event counts are not).
+/// Serves `cfg(jobs)` with the flight recorder and the default care
+/// policy on, every wake over the wire, paced by `clock`.
+fn serve<K: coreda::des::Clock + Clone + Sync>(jobs: usize, clock: &K) -> ServeOutcome {
+    let policy = CarePolicy::default();
+    let ctx = ServeCtx::new(cfg(jobs)).expect("small fleets fit in u32").with_care(policy.clone());
+    let opts = ServeOptions { record: false, trace: true, care: Some(policy) };
+    serve_fleet(&ctx, &opts, &MoteClient::new, clock)
+}
+
+/// Report, WAL bytes, and care log: full windows ≡ strict at jobs 1 and
+/// 8, against the strict jobs=1 reference (which is itself jobs
+/// invariant).
 #[test]
 fn epoch_tiling_matches_strict_order_everywhere() {
     let policy = CarePolicy::default();
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let (strict_report, strict_wal, strict_care) =
-            run_scale_care_walled(&cfg(1, engine, SchedMode::Strict), &policy);
-        for jobs in [1usize, 8] {
-            let (report, wal, care) =
-                run_scale_care_walled(&cfg(jobs, engine, SchedMode::Epoch), &policy);
-            assert_eq!(report, strict_report, "{engine} jobs={jobs}: report diverged");
-            assert_eq!(report.render(), strict_report.render());
-            assert_eq!(wal, strict_wal, "{engine} jobs={jobs}: WAL diverged");
-            // Byte-level: the durable encoding of the log is identical too.
-            let digest = config_digest(&cfg(jobs, engine, SchedMode::Epoch));
-            assert_eq!(
-                encode_wal(digest, &wal),
-                encode_wal(digest, &strict_wal),
-                "{engine} jobs={jobs}: encoded WAL bytes diverged"
-            );
-            assert_eq!(care, strict_care, "{engine} jobs={jobs}: care log diverged");
-        }
+    let strict = serve(1, &InstantClock);
+    let strict_care = strict.care.as_ref().expect("care was requested");
+    for jobs in [1usize, 8] {
+        let (report, wal, care) = run_scale_care_walled(&cfg(jobs), &policy);
+        assert_eq!(report, strict.output.report, "jobs={jobs}: report diverged");
+        assert_eq!(report.render(), strict.output.report.render());
+        assert_eq!(wal, strict.log, "jobs={jobs}: WAL diverged");
+        // Byte-level: the durable encoding of the log is identical too.
+        let digest = config_digest(&cfg(jobs));
+        assert_eq!(
+            encode_wal(digest, &wal),
+            encode_wal(digest, &strict.log),
+            "jobs={jobs}: encoded WAL bytes diverged"
+        );
+        assert_eq!(&care, strict_care, "jobs={jobs}: care log diverged");
+        let parallel = serve(jobs, &InstantClock);
+        assert_eq!(parallel.output.report, strict.output.report, "strict jobs={jobs}");
+        assert_eq!(parallel.log, strict.log, "strict jobs={jobs}: WAL diverged");
+        assert_eq!(parallel.care.as_ref(), Some(strict_care), "strict jobs={jobs}: care");
     }
 }
 
 /// Telemetry equivalence at the serialization boundary: the JSONL the
-/// trace CLI writes is byte-identical between scheduling modes.
+/// trace CLI writes is byte-identical between full and single-instant
+/// windows.
 #[test]
 fn epoch_telemetry_jsonl_is_byte_identical_to_strict() {
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let strict = run_scale_traced(&cfg(1, engine, SchedMode::Strict));
-        for jobs in [1usize, 8] {
-            let epoch = run_scale_traced(&cfg(jobs, engine, SchedMode::Epoch));
-            assert_eq!(epoch.report, strict.report, "{engine} jobs={jobs}");
-            assert_eq!(
-                epoch.telemetry.to_jsonl(),
-                strict.telemetry.to_jsonl(),
-                "{engine} jobs={jobs}: telemetry JSONL diverged"
-            );
-        }
+    let policy = CarePolicy::default();
+    let strict = serve(1, &InstantClock);
+    for jobs in [1usize, 8] {
+        let spec = RunSpec { trace: true, care: Some(&policy), ..RunSpec::default() };
+        let epoch = run(&cfg(jobs), &spec).expect("a fresh run cannot mismatch");
+        assert_eq!(epoch.report, strict.output.report, "jobs={jobs}");
+        assert_eq!(
+            epoch.telemetry.to_jsonl(),
+            strict.output.telemetry.to_jsonl(),
+            "jobs={jobs}: telemetry JSONL diverged"
+        );
     }
 }
 
-/// Served ≡ batch across the mode boundary: an epoch-tiled served fleet
-/// (every wake a `Poll` frame over the wire) reproduces the strict
-/// batch run — report, delivery log, and the wire accounting is itself
-/// sched-invariant.
+/// Served ≡ batch across the window boundary: an epoch-tiled served
+/// fleet (every wake a `Poll` frame over the wire) reproduces the batch
+/// run and the strict run — report, delivery log, telemetry — and the
+/// wire accounting is itself window-invariant.
 #[test]
 fn epoch_served_fleet_matches_the_strict_batch_run() {
-    for engine in [EngineKind::Wheel, EngineKind::Heap] {
-        let (strict_report, strict_wal, _) =
-            run_scale_care_walled(&cfg(1, engine, SchedMode::Strict), &CarePolicy::default());
-        let strict_served = serve_scale(cfg(1, engine, SchedMode::Strict), &ServeOptions::default())
-            .expect("small fleets fit in u32");
-        for jobs in [1usize, 8] {
-            let served = serve_scale(cfg(jobs, engine, SchedMode::Epoch), &ServeOptions::default())
-                .expect("small fleets fit in u32");
-            assert_eq!(served.output.report, strict_report, "{engine} jobs={jobs}");
-            assert_eq!(served.log, strict_wal, "{engine} jobs={jobs}: served log diverged");
-            assert_eq!(
-                served.wire, strict_served.wire,
-                "{engine} jobs={jobs}: wire accounting diverged across sched modes"
-            );
-        }
+    let (batch, batch_wal, _) = run_scale_care_walled(&cfg(1), &CarePolicy::default());
+    let strict = serve(1, &InstantClock);
+    for jobs in [1usize, 8] {
+        let served = serve(jobs, &SimClock);
+        assert_eq!(served.output.report, batch, "jobs={jobs}");
+        assert_eq!(served.log, batch_wal, "jobs={jobs}: served log diverged");
+        assert_eq!(served.output.report, strict.output.report, "jobs={jobs}");
+        assert_eq!(
+            served.output.telemetry.to_jsonl(),
+            strict.output.telemetry.to_jsonl(),
+            "jobs={jobs}: telemetry diverged across window widths"
+        );
+        assert_eq!(
+            served.wire, strict.wire,
+            "jobs={jobs}: wire accounting diverged across window widths"
+        );
     }
 }
 
-/// Checkpoints cross the mode boundary: a fleet snapshot captured under
-/// strict order resumes under epoch tiling (and vice versa) to the
-/// exact uninterrupted per-home grid.
+/// Checkpoints do not depend on where window boundaries fall: a stop
+/// clips the window it lands in, so a run with an extra earlier stop
+/// tiles every later window differently — yet it takes the same
+/// snapshot, and the snapshot resumes to the strict reference exactly.
 #[test]
 fn checkpoints_are_sched_agnostic() {
-    let strict = cfg(1, EngineKind::Wheel, SchedMode::Strict);
-    let epoch = cfg(1, EngineKind::Wheel, SchedMode::Epoch);
-    let (full, _, _) = run_scale_care_walled(&strict, &CarePolicy::default());
-    let stop = SimTime::from_millis(strict.horizon.as_millis() / 3);
-    let (_, ckpts) = run_scale_checkpointed(&strict, &[stop]);
-    let resumed = resume_scale(&epoch, &ckpts[0]).expect("sched is digest-excluded");
-    assert_eq!(resumed.per_home, full.per_home, "strict→epoch resume diverged");
-    let (_, ckpts) = run_scale_checkpointed(&epoch, &[stop]);
-    let resumed = resume_scale(&strict, &ckpts[0]).expect("sched is digest-excluded");
-    assert_eq!(resumed.per_home, full.per_home, "epoch→strict resume diverged");
+    let config = cfg(1);
+    // Off the 256 ms window grid and off every home's 100 ms tick grid.
+    let early = SimTime::from_millis(97_411);
+    let stop = SimTime::from_millis(300_037);
+    let snap = |stops: &[SimTime]| {
+        run(&config, &RunSpec { stops, ..RunSpec::default() })
+            .expect("a fresh run cannot mismatch")
+            .checkpoints
+    };
+    let direct = snap(&[stop]);
+    let retiled = snap(&[early, stop]);
+    assert_eq!(retiled[1], direct[0], "window tiling leaked into the snapshot");
+    let resumed = run(&config, &RunSpec { resume: Some(&direct[0]), ..RunSpec::default() })
+        .expect("a snapshot of this config resumes");
+    let strict = serve(1, &InstantClock);
+    assert_eq!(resumed.report, strict.output.report, "resume diverged from strict order");
 }

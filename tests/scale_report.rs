@@ -4,7 +4,7 @@
 //! exact caregiver-facing summary format: the report is part of the CLI
 //! contract and must not drift silently.
 
-use coreda::core::metro::{EngineKind, HomeStats, ScaleReport};
+use coreda::core::metro::{HomeStats, ScaleReport};
 use coreda::des::time::SimDuration;
 
 fn stats(
@@ -33,7 +33,6 @@ fn report(per_home: Vec<HomeStats>) -> ScaleReport {
     ScaleReport {
         homes: per_home.len(),
         horizon: SimDuration::from_secs(600),
-        engine: EngineKind::Wheel,
         per_home,
         des_events: 12_345,
         events: None,

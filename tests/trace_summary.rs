@@ -3,12 +3,10 @@
 //! The golden file (`tests/golden/trace_summary.txt`) pins the exact
 //! telemetry summary the `trace` CLI command prints below its header:
 //! the summary is part of the CLI contract and must not drift silently.
-//! It is also jobs- and engine-invariant, so one golden file covers
-//! every way of producing it.
+//! It is also jobs-invariant and survives a snapshot boundary, so one
+//! golden file covers every way of producing it.
 
-use coreda::core::metro::{
-    resume_scale_traced, run_scale_checkpointed_traced, run_scale_traced, MetroConfig,
-};
+use coreda::core::metro::{run, MetroConfig, RunSpec};
 use coreda::des::time::{SimDuration, SimTime};
 
 fn golden_cfg() -> MetroConfig {
@@ -30,7 +28,8 @@ fn golden() -> String {
 
 #[test]
 fn trace_summary_matches_the_golden_file() {
-    let out = run_scale_traced(&golden_cfg());
+    let out = run(&golden_cfg(), &RunSpec { trace: true, ..RunSpec::default() })
+        .expect("a fresh run cannot mismatch");
     assert_eq!(
         out.telemetry.render_summary(),
         golden(),
@@ -46,8 +45,13 @@ fn trace_summary_matches_the_golden_file() {
 #[test]
 fn resumed_trace_summary_matches_the_same_golden_file() {
     let cfg = golden_cfg();
-    let (_, snaps) = run_scale_checkpointed_traced(&cfg, &[SimTime::from_secs(300)]);
-    let resumed = resume_scale_traced(&cfg, &snaps[0]).expect("snapshot matches its own config");
+    let trace = RunSpec { trace: true, ..RunSpec::default() };
+    let stops = [SimTime::from_secs(300)];
+    let snaps = run(&cfg, &RunSpec { stops: &stops, ..trace })
+        .expect("a fresh run cannot mismatch")
+        .checkpoints;
+    let resumed = run(&cfg, &RunSpec { resume: Some(&snaps[0]), ..trace })
+        .expect("snapshot matches its own config");
     assert_eq!(
         resumed.telemetry.render_summary(),
         golden(),
