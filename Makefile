@@ -59,13 +59,18 @@ bench-scale:
 # the escalation_consistency oracle, and — via bench_check — the
 # committed care-overlay overhead under 5 %. Epoch-tiled wake
 # scheduling gates through the locality_equivalence differential (full
-# epoch windows ≡ the strict (due, seq) sweep down to WAL bytes,
-# telemetry JSONL, care logs and the served wire outcome, at jobs 1
-# and 8, with window-agnostic checkpoints); the strict sweep is a
-# served fleet paced by testkit's single-instant InstantClock, which no
-# production path selects. Then the drain_until proptests riding the
-# des suite, the 100k-home smoke serve, and bench_check's 100k-home
-# throughput floor next to the 10k one. The
+# windows — on the sim clock one per segment between stops, each
+# home's chain served in one visit — ≡ the strict (due, seq) sweep down
+# to WAL bytes, telemetry JSONL, care logs and the served wire outcome,
+# at jobs 1 and 8, with window-agnostic checkpoints); the strict sweep
+# is a served fleet paced by testkit's single-instant InstantClock,
+# which no production path selects. Then the drain_until proptests
+# riding the des suite, the 100k-home smoke serve, and bench_check's
+# 100k-home throughput floor next to the 10k one. The serving hot
+# path's heap use gates by count, which does not drift with the host:
+# tests/alloc_budget.rs serves a fixed-seed fleet under its own
+# counting allocator and holds a steady-state segment under 0.05
+# allocator calls per pipeline tick. The
 # sensing hot path's noise bound gates through a release run of the
 # sensornet proptests at 2048 cases, whose node differential (skip path
 # ≡ eager sampling, down to checkpointed window peaks) needs that many

@@ -308,8 +308,9 @@ fn durability_json() -> String {
 /// fleet is ~580 MB against ~58 MB at 10k — a 10x working-set jump
 /// that outruns every cache level and the TLB. Serving wakes in strict
 /// `(due, seq)` order once cost ~2.5x of throughput at that cliff;
-/// epoch tiling serves each window's wakes in arena order so
-/// consecutive wakes share lines, closing most of it.
+/// epoch tiling serves each segment between stops as one window of
+/// per-home chains in arena order, so a home's lines are fetched once
+/// per segment and stay hot through its whole chain.
 fn phase_breakdown_json() -> String {
     let rows: Vec<String> = [(10_000usize, 360u64), (100_000, 120)]
         .iter()

@@ -3,9 +3,11 @@
 //! than 10 % below the `events_per_sec` committed in `BENCH_scale.json`
 //! — the `make ci` hook that keeps the scale numbers honest without
 //! re-running the full criterion suite. The 100k cell is the epoch-
-//! tiling guarantee: that row only holds its committed rate while wakes
-//! serve in arena order, so a regression here means the locality
-//! scheduling broke even if every equivalence test still passes.
+//! tiling guarantee: that row only holds its committed rate while each
+//! segment serves as one window of per-home chains in arena order (a
+//! home's state fetched once per segment, not once per wake), so a
+//! regression here means the locality scheduling broke even if every
+//! equivalence test still passes.
 //! Further gates ride along:
 //!
 //! - the committed `telemetry_overhead.overhead_pct` must stay under
@@ -41,7 +43,8 @@ const JOBS: usize = 1;
 
 /// The gated grid cells: (homes, sim_secs). The 10k cell is the
 /// original throughput gate; the 100k cell sits past the cache cliff
-/// and holds the epoch-tiling speedup in place.
+/// and holds the epoch-tiling speedup (one window per segment, each
+/// home's chain served in one visit) in place.
 const GATED_CELLS: [(usize, u64); 2] = [(10_000, 360), (100_000, 120)];
 
 fn cfg(homes: usize, sim_secs: u64) -> MetroConfig {

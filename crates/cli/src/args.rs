@@ -73,13 +73,42 @@ impl Parsed {
         key: &str,
         default: T,
     ) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                key: key.to_owned(),
-                value: v.to_owned(),
-            }),
-        }
+        Ok(self.get_parsed_opt(key)?.unwrap_or(default))
+    }
+
+    /// A parsed option without a default: `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] when present but unparseable.
+    pub fn get_parsed_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| ArgError::BadValue { key: key.to_owned(), value: v.to_owned() })
+            })
+            .transpose()
+    }
+
+    /// A whole-seconds option in milliseconds, `None` when absent. The
+    /// conversion is checked: a value whose milliseconds overflow `u64`
+    /// is an error, never a wrapped or saturated horizon.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] when present but unparseable and
+    /// [`ArgError::OutOfRange`] when it does not fit in milliseconds.
+    pub fn get_secs_in_millis(&self, key: &str) -> Result<Option<u64>, ArgError> {
+        let Some(secs) = self.get_parsed_opt::<u64>(key)? else {
+            return Ok(None);
+        };
+        secs.checked_mul(1000).map(Some).ok_or_else(|| self.out_of_range(key))
+    }
+
+    /// The [`ArgError::OutOfRange`] error for option `key`'s value.
+    #[must_use]
+    pub fn out_of_range(&self, key: &str) -> ArgError {
+        ArgError::OutOfRange { key: key.to_owned(), value: self.get_or(key, "").to_owned() }
     }
 
     /// A required string option.
@@ -121,6 +150,13 @@ pub enum ArgError {
         /// The offending value.
         value: String,
     },
+    /// An option's value parsed but overflows the simulated clock.
+    OutOfRange {
+        /// Option name.
+        key: String,
+        /// The offending value.
+        value: String,
+    },
     /// A bare word where an option was expected.
     UnexpectedPositional(String),
     /// The same `--key` given more than once.
@@ -138,6 +174,11 @@ impl fmt::Display for ArgError {
             ArgError::BadValue { key, value } => {
                 write!(f, "option --{key} got unparseable value {value:?}")
             }
+            ArgError::OutOfRange { key, value } => write!(
+                f,
+                "option --{key} got out-of-range value {value:?} (its milliseconds overflow \
+                 the simulated clock)"
+            ),
             ArgError::UnexpectedPositional(a) => {
                 write!(f, "unexpected argument {a:?} (options are --key value)")
             }
@@ -215,6 +256,19 @@ mod tests {
             p.get_parsed("episodes", 0usize),
             Err(ArgError::BadValue { .. })
         ));
+    }
+
+    #[test]
+    fn seconds_convert_to_milliseconds_with_checked_arithmetic() {
+        let p = parse(&["trace", "--seconds", "900", "--at", "18446744073709552"]).unwrap();
+        assert_eq!(p.get_secs_in_millis("seconds"), Ok(Some(900_000)));
+        assert_eq!(p.get_secs_in_millis("absent"), Ok(None));
+        let err = p.get_secs_in_millis("at").unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::OutOfRange { key: "at".to_owned(), value: "18446744073709552".to_owned() }
+        );
+        assert!(err.to_string().starts_with("option --at got out-of-range value"), "{err}");
     }
 
     #[test]

@@ -203,7 +203,7 @@ pub fn sensor_trace(p: &Parsed) -> CmdResult {
     use coreda_sensornet::trace::SignalTrace;
     let adl = resolve_adl(p.get_or("adl", "tea"))?;
     let step_no: usize = p.get_parsed("step", 1)?;
-    let seconds: u64 = p.get_parsed("seconds", 10)?;
+    let ms = p.get_secs_in_millis("seconds")?.unwrap_or(10_000);
     let seed: u64 = p.get_parsed("seed", 2007)?;
     let step = adl
         .steps()
@@ -212,7 +212,7 @@ pub fn sensor_trace(p: &Parsed) -> CmdResult {
     let tool = adl.tool(step.tool()).expect("spec is validated");
     let mut rng = SimRng::seed_from(seed);
     // One second of stillness, the manipulation, one second of stillness.
-    let ticks = (seconds as usize + 2) * 10;
+    let ticks = usize::try_from(ms / 100 + 20).map_err(|_| p.out_of_range("seconds"))?;
     let active_from = 10;
     let active_to = ticks - 10;
     let trace = SignalTrace::record(
@@ -228,7 +228,7 @@ pub fn sensor_trace(p: &Parsed) -> CmdResult {
         Ok(format!(
             "wrote {}s trace of {} ({}) to {path}
 ",
-            seconds,
+            ms / 1000,
             step.name(),
             tool.name()
         ))
@@ -329,8 +329,14 @@ fn metro_config(
     if !hours.is_finite() || hours <= 0.0 {
         return Err("--hours must be a positive number".into());
     }
+    // An `as` cast saturates, turning a horizon past 2^64 ms into a run
+    // that never ends; refuse it instead.
+    let ms = hours * 3_600_000.0;
+    if ms >= 18_446_744_073_709_551_616.0 {
+        return Err(p.out_of_range("hours").into());
+    }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let horizon = SimDuration::from_millis((hours * 3_600_000.0) as u64);
+    let horizon = SimDuration::from_millis(ms as u64);
     Ok(MetroConfig { homes, horizon, seed, jobs, ..MetroConfig::default() })
 }
 
@@ -379,6 +385,9 @@ pub fn scale(p: &Parsed) -> CmdResult {
     // analytics quantile rollup. The overlay is not checkpointable
     // state, so it stays plain-run only.
     let care: bool = p.get_parsed("care", false)?;
+    if p.get("care-out").is_some() && !care {
+        return Err("--care-out needs --care true".into());
+    }
     if care
         && (p.get("trace-out").is_some()
             || p.get("wal-out").is_some()
@@ -390,23 +399,20 @@ pub fn scale(p: &Parsed) -> CmdResult {
             .into());
     }
 
-    let every_s: u64 = p.get_parsed("checkpoint-every", 0)?;
-    let stops: Vec<SimTime> = if every_s == 0 {
-        Vec::new()
-    } else {
-        (1..)
-            .map(|k| k * every_s * 1000)
-            .take_while(|&ms| ms <= cfg.horizon.as_millis())
-            .map(SimTime::from_millis)
-            .collect()
-    };
-    if every_s > 0 && stops.is_empty() {
-        return Err("--checkpoint-every exceeds the horizon; nothing to snapshot".into());
-    }
     let ckpt_prefix = p.get("checkpoint-out");
-    if !stops.is_empty() && ckpt_prefix.is_none() {
-        return Err("--checkpoint-every needs --checkpoint-out PREFIX".into());
-    }
+    let stops: Vec<SimTime> = match (p.get_secs_in_millis("checkpoint-every")?, ckpt_prefix) {
+        (None, None) => Vec::new(),
+        (None, Some(_)) => return Err("--checkpoint-out needs --checkpoint-every S".into()),
+        (Some(_), None) => return Err("--checkpoint-every needs --checkpoint-out PREFIX".into()),
+        (Some(0), Some(_)) => return Err("--checkpoint-every must be at least 1".into()),
+        (Some(every_ms), Some(_)) => {
+            let horizon_ms = cfg.horizon.as_millis();
+            if every_ms > horizon_ms {
+                return Err("--checkpoint-every exceeds the horizon; nothing to snapshot".into());
+            }
+            (1..=horizon_ms / every_ms).map(|k| SimTime::from_millis(k * every_ms)).collect()
+        }
+    };
     let resume = match p.get("resume-from") {
         Some(path) => {
             let blob = std::fs::read(path)?;
@@ -469,7 +475,7 @@ pub fn scale(p: &Parsed) -> CmdResult {
         std::fs::write(path, result.telemetry.to_jsonl())?;
         out.push_str(&format!("telemetry JSONL -> {path}\n"));
     }
-    match (wal_path, ckpt_prefix.filter(|_| !stops.is_empty())) {
+    match (wal_path, ckpt_prefix) {
         (Some(wal_path), None) => write_wal(wal_path, &cfg, &result.wal, &mut out)?,
         (Some(wal_path), Some(prefix)) => {
             let (_, durable) = result.into_durable();
@@ -530,9 +536,9 @@ pub fn checkpoint(p: &Parsed) -> CmdResult {
 
     let cfg = metro_config(p, 16, 0.5)?;
     let out_path = p.require("out")?;
-    let at_s: u64 = p.get_parsed("at", cfg.horizon.as_millis() / 1000)?;
-    let at = SimTime::from_millis(at_s * 1000);
-    if at == SimTime::ZERO || at.as_millis() > cfg.horizon.as_millis() {
+    let at_ms = p.get_secs_in_millis("at")?.unwrap_or(cfg.horizon.as_millis() / 1000 * 1000);
+    let (at, at_s) = (SimTime::from_millis(at_ms), at_ms / 1000);
+    if at == SimTime::ZERO || at_ms > cfg.horizon.as_millis() {
         return Err(format!(
             "--at must lie in (0, horizon]; got {at_s}s with a {}s horizon",
             cfg.horizon.as_millis() / 1000
@@ -646,7 +652,8 @@ pub fn trace(p: &Parsed) -> CmdResult {
     use coreda_des::time::SimDuration;
 
     let homes: usize = p.get_parsed("homes", 8)?;
-    let seconds: u64 = p.get_parsed("seconds", 900)?;
+    let horizon_ms = p.get_secs_in_millis("seconds")?.unwrap_or(900_000);
+    let seconds = horizon_ms / 1000;
     let jobs: usize = p.get_parsed("jobs", default_jobs())?;
     let seed: u64 = p.get_parsed("seed", 2007)?;
     if homes == 0 {
@@ -657,26 +664,21 @@ pub fn trace(p: &Parsed) -> CmdResult {
     }
     let cfg = MetroConfig {
         homes,
-        horizon: SimDuration::from_secs(seconds),
+        horizon: SimDuration::from_millis(horizon_ms),
         seed,
         jobs,
         ..MetroConfig::default()
     };
     // --replay-home: time-travel replay of one home's logged
     // transitions, reconstructed from the write-ahead event log.
-    let replay_home = match p.get("replay-home") {
-        Some(home) => {
-            let home: u32 = home.parse()?;
-            if home as usize >= homes {
-                return Err(format!(
-                    "--replay-home {home} is out of range for a {homes}-home fleet"
-                )
-                .into());
-            }
-            Some(home)
-        }
-        None => None,
-    };
+    let replay_home: Option<u32> = p.get_parsed_opt("replay-home")?;
+    if let Some(home) = replay_home.filter(|&home| home as usize >= homes) {
+        return Err(format!("--replay-home {home} is out of range for a {homes}-home fleet").into());
+    }
+    if replay_home.is_some() && p.get("out").is_some() {
+        // A replay prints a timeline and runs no flight recorder.
+        return Err("--out cannot combine with --replay-home; drop one".into());
+    }
     let (trace, log) = (replay_home.is_none(), replay_home.is_some());
     let spec = RunSpec { trace, log, ..RunSpec::default() };
     let out = run(&cfg, &spec)?;
@@ -757,16 +759,10 @@ pub fn loadgen(p: &Parsed) -> CmdResult {
     use coreda_serve::run_loadgen;
 
     let cfg = metro_config(p, 64, 0.25)?;
-    let speedup = match p.get("wall") {
-        None => None,
-        Some(_) => {
-            let s: f64 = p.get_parsed("wall", 0.0)?;
-            if !s.is_finite() || s <= 0.0 {
-                return Err("--wall must be a positive speed-up factor".into());
-            }
-            Some(s)
-        }
-    };
+    let speedup: Option<f64> = p.get_parsed_opt("wall")?;
+    if speedup.is_some_and(|s| !s.is_finite() || s <= 0.0) {
+        return Err("--wall must be a positive speed-up factor".into());
+    }
     let report = run_loadgen(cfg, speedup)?;
     let mut out = report.render();
     out.push_str(&report.render_timing());
@@ -896,6 +892,7 @@ COMMANDS
       --checkpoint-every S   write a fleet snapshot every S simulated
                              seconds (needs --checkpoint-out)
       --checkpoint-out P     snapshot path prefix: writes P-<N>s.ckpt
+                             (needs --checkpoint-every)
       --resume-from FILE     continue from a snapshot instead of starting
                              fresh (bit-identical to never stopping)
       --wal-out FILE         write the write-ahead event log here; with
@@ -936,6 +933,7 @@ COMMANDS
       --out FILE             write full telemetry JSONL here
       --replay-home N        time-travel replay: print home N's logged
                              transitions from the write-ahead event log
+                             (instead of the summary; no --out)
   serve                      drive a fleet through the online serving
                              front end: every home behind a byte-level
                              wire connection (versioned, CRC-guarded
@@ -1436,6 +1434,112 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--checkpoint-out"), "{err}");
+    }
+
+    /// `x 1000` wraps this many seconds to 384 ms.
+    const PAST_THE_CLOCK: &str = "18446744073709552";
+
+    fn assert_out_of_range(err: &dyn Error, flag: &str, value: &str) {
+        let want = format!("option --{flag} got out-of-range value \"{value}\"");
+        assert!(err.to_string().starts_with(&want), "{err}");
+    }
+
+    // Time options whose milliseconds overflow u64 are refused by name
+    // before anything runs, instead of wrapping to a few hundred ms or
+    // saturating into a run that never ends.
+
+    #[test]
+    fn trace_rejects_seconds_past_the_clock() {
+        let err = trace(&parse(&["trace", "--homes", "1", "--seconds", PAST_THE_CLOCK]));
+        assert_out_of_range(&*err.unwrap_err(), "seconds", PAST_THE_CLOCK);
+    }
+
+    #[test]
+    fn sensor_trace_rejects_seconds_past_the_clock() {
+        let max = u64::MAX.to_string(); // + 2 wraps to 1
+        let err = sensor_trace(&parse(&["sensor-trace", "--seconds", &max]));
+        assert_out_of_range(&*err.unwrap_err(), "seconds", &max);
+    }
+
+    #[test]
+    fn checkpoint_rejects_an_instant_past_the_clock() {
+        let snap = temp_path("past-the-clock.ckpt");
+        let err = checkpoint(&parse(&[
+            "checkpoint", "--homes", "1", "--hours", "0.01", "--at", PAST_THE_CLOCK,
+            "--out", snap.to_str().unwrap(),
+        ]));
+        assert_out_of_range(&*err.unwrap_err(), "at", PAST_THE_CLOCK);
+        assert!(!snap.exists(), "nothing may be written");
+    }
+
+    #[test]
+    fn scale_rejects_a_checkpoint_interval_past_the_clock() {
+        let prefix = temp_path("past-the-clock");
+        let err = scale(&parse(&[
+            "scale", "--homes", "1", "--hours", "0.001", "--checkpoint-every", PAST_THE_CLOCK,
+            "--checkpoint-out", prefix.to_str().unwrap(),
+        ]));
+        assert_out_of_range(&*err.unwrap_err(), "checkpoint-every", PAST_THE_CLOCK);
+    }
+
+    /// Parsing only: at 1e300 hours a run would never end.
+    #[test]
+    fn hours_past_the_clock_are_rejected_while_parsing() {
+        let err = metro_config(&parse(&["scale", "--hours", "1e300"]), 16, 0.5).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "option --hours got out-of-range value \"1e300\" (its milliseconds overflow the \
+             simulated clock)"
+        );
+        let cfg = metro_config(&parse(&["scale", "--hours", "0.5"]), 16, 0.5).unwrap();
+        assert_eq!(cfg.horizon.as_millis(), 1_800_000);
+    }
+
+    // A flag that would do nothing in its combination is an error, not a
+    // silent no-op.
+
+    #[test]
+    fn scale_rejects_care_out_without_care() {
+        let path = temp_path("inert-care.log");
+        let err = scale(&parse(&[
+            "scale", "--homes", "1", "--hours", "0.01", "--care-out", path.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert_eq!(err.to_string(), "--care-out needs --care true");
+    }
+
+    #[test]
+    fn scale_rejects_checkpoint_out_without_an_interval() {
+        let prefix = temp_path("inert-ckpt");
+        let err = scale(&parse(&[
+            "scale", "--homes", "1", "--hours", "0.01", "--checkpoint-out",
+            prefix.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert_eq!(err.to_string(), "--checkpoint-out needs --checkpoint-every S");
+        let err = scale(&parse(&[
+            "scale", "--homes", "1", "--hours", "0.01", "--checkpoint-every", "0",
+            "--checkpoint-out", prefix.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert_eq!(err.to_string(), "--checkpoint-every must be at least 1");
+    }
+
+    #[test]
+    fn trace_rejects_out_with_a_replay() {
+        let path = temp_path("inert-replay.jsonl");
+        let err = trace(&parse(&[
+            "trace", "--homes", "1", "--seconds", "10", "--replay-home", "0",
+            "--out", path.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert_eq!(err.to_string(), "--out cannot combine with --replay-home; drop one");
+    }
+
+    #[test]
+    fn trace_names_the_flag_of_a_bad_replay_home() {
+        let err = trace(&parse(&["trace", "--homes", "1", "--replay-home", "x"])).unwrap_err();
+        assert_eq!(err.to_string(), "option --replay-home got unparseable value \"x\"");
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //! [`ServeCtx::chunks`] shard and merges them through [`collect_served`].
 //! A serving front end drives its sessions from outside; a batch [`run`]
 //! drives the same sessions with no transport, so serve ≡ batch holds by
-//! construction. A session serves bounded epoch windows as per-home
-//! chains in ascending home order. How wide a window is never shows in
+//! construction. A session serves epoch windows — every wake its clock
+//! already allows, up to the next stop — as per-home chains in ascending
+//! home order, so on the sim clock each home's whole segment is served
+//! in one visit. How wide a window is never shows in
 //! any artifact: a clock that allows only the window's first instant
 //! reproduces the classic instant-by-instant `(due, seq)` sweep, which
 //! the equivalence suites hold epoch tiling against.
@@ -464,14 +466,6 @@ fn align_up(offset_ms: u64, t: SimTime) -> SimTime {
     let steps = rel.div_ceil(Coreda::TICK.as_millis());
     SimTime::from_millis(offset_ms + steps * Coreda::TICK.as_millis())
 }
-
-/// Width of the epoch-tiling window, in milliseconds: one level-0
-/// rotation of the timing wheel. Wakes within one window pop
-/// bucket-by-bucket without a cascade anyway, so draining the whole
-/// window in one pass is pure batching — and the bound keeps a home's
-/// in-window follow-up chain short (a handful of 100 ms pipeline
-/// ticks), so the inline merge stays a linear scan over a tiny vec.
-const EPOCH_MS: u64 = 256;
 
 /// One wake of one home (index local to the shard).
 #[derive(Debug, Clone, Copy)]
@@ -1479,10 +1473,11 @@ impl std::fmt::Debug for ServeSession<'_> {
 
 impl ServeSession<'_> {
     /// Waits on `clock` for the next due instant `t0` (if it is by
-    /// `until` and the horizon), drains the window `[t0, end]` (see
-    /// [`ServeSession::next_epoch_on`]; also clipped at `until`, so a
-    /// checkpoint stop sees exactly the wakes due by then served) and
-    /// groups it into per-home chains. Returns `t0`.
+    /// `until` and the horizon), drains the window `[t0, end]` with
+    /// `end = min(until, horizon, max(t0, clock.servable()))` — every
+    /// wake the clock already allows, so a checkpoint stop sees exactly
+    /// the wakes due by then served — and groups it into per-home
+    /// chains. Returns `t0`.
     fn drain_window<K: Clock + ?Sized>(
         &mut self,
         until: SimTime,
@@ -1492,11 +1487,7 @@ impl ServeSession<'_> {
         let until = until.min(self.horizon_end);
         let t0 = self.sim.next_due().filter(|&t| t <= until)?;
         clock.wait_until(t0);
-        let end = SimTime::from_millis(
-            (t0.as_millis() + EPOCH_MS - 1)
-                .min(until.as_millis())
-                .min(clock.servable().max(t0).as_millis()),
-        );
+        let end = until.min(clock.servable().max(t0));
         self.epoch.clear();
         self.chains.clear();
         self.active = None;
@@ -1642,8 +1633,11 @@ impl ServeSession<'_> {
 
     /// Drains the next epoch window (up to the horizon) and fills `due`
     /// with the fleet-global home ids owning wakes in it, ascending and
-    /// deduplicated. The window is `EPOCH_MS` (256 ms) wide. Returns the
-    /// window's first instant, or `None` when the horizon is served.
+    /// deduplicated. On the sim clock the window runs to the horizon, so
+    /// the first call returns every home with a wake left and the next
+    /// one `None`: each home's whole chain is served in one visit.
+    /// Returns the window's first instant, or `None` when the horizon is
+    /// served.
     ///
     /// Serve the returned homes in order: for each, loop
     /// [`ServeSession::next_wake`] / [`ServeSession::serve_wake`] until
@@ -1656,14 +1650,14 @@ impl ServeSession<'_> {
 
     /// [`ServeSession::next_epoch`] paced by `clock`: waits once for the
     /// window's first instant `t0`, then drains only the wakes the clock
-    /// already lets through — up to `min(t0 + EPOCH_MS - 1, horizon,
-    /// max(t0, clock.servable()))` — so every wake in the window is
-    /// served without another wait, and none waits behind a later-due
-    /// wake while the server keeps up. A late server's clock has run
-    /// ahead, which widens the window back to the full `EPOCH_MS` (and the
-    /// tiled locality with it). Under [`SimClock`] the window is always
-    /// the full one; a clock whose servable instant never runs ahead
-    /// makes every window the single instant `t0`, which reproduces the
+    /// already lets through — up to `min(horizon, max(t0,
+    /// clock.servable()))` — so every wake in the window is served
+    /// without another wait, and none waits behind a later-due wake
+    /// while the server keeps up. A late server's clock has run ahead,
+    /// which widens the window over its whole backlog (and the per-home
+    /// locality with it). Under [`SimClock`] the window runs to the
+    /// horizon; a clock whose servable instant never runs ahead makes
+    /// every window the single instant `t0`, which reproduces the
     /// classic instant-by-instant `(due, seq)` sweep.
     ///
     /// The cut never shows in any artifact: a home's chain is served in
@@ -2029,7 +2023,7 @@ mod tests {
 
     /// The epoch chain API (`next_epoch_on`/`next_wake`/`serve_wake`)
     /// must reproduce the batch run exactly, DES event count included,
-    /// whether its windows span the full epoch or a single instant, and
+    /// whether its windows span the whole horizon or a single instant, and
     /// in either order of a window's homes: homes never interact, so
     /// serving a window's chains last-to-first changes nothing.
     #[test]
@@ -2073,6 +2067,80 @@ mod tests {
                 assert_eq!(deliveries, batch.wal, "{case}: deliveries diverged");
             }
         }
+    }
+
+    /// On the sim clock nothing but the horizon ends a window: a fresh
+    /// session's first window holds every home with a wake by the
+    /// horizon, each home's whole chain is served in that one visit, and
+    /// the next call finds the horizon served.
+    #[test]
+    fn a_sim_clock_window_runs_to_the_horizon() {
+        // A horizon inside the first-episode gap draw: some homes never
+        // wake, and those that do run episodes for ~a minute of ticks.
+        let cfg = MetroConfig { homes: 12, horizon: SimDuration::from_secs(150), ..small_cfg() };
+        let batch = observe(&cfg, RunSpec { log: true, ..RunSpec::default() });
+        let woken: Vec<u32> = (0..)
+            .zip(&batch.report.per_home)
+            .filter(|(_, stats)| stats.episodes_started > 0)
+            .map(|(home, _)| home)
+            .collect();
+        assert!(!woken.is_empty() && woken.len() < cfg.homes, "woken {woken:?}");
+        let ctx = ServeCtx::new(cfg.clone()).expect("small fleets fit");
+        let mut session = ctx.session(0, cfg.homes, false, false);
+        let mut due = Vec::new();
+        let mut deliveries = Vec::new();
+        assert!(session.next_epoch(&mut due).is_some());
+        assert_eq!(due, woken, "the first window holds every home due by the horizon");
+        for &home in &due {
+            while let Some(now) = session.next_wake(home) {
+                session.serve_wake(home, now, false, &mut deliveries);
+            }
+        }
+        assert_eq!(session.next_epoch(&mut due), None, "one window serves the horizon");
+        assert!(due.is_empty());
+        let (out, log, _) = collect_served(&cfg, vec![session.finish()]);
+        assert_eq!(out.report, batch.report);
+        assert_eq!(log, batch.wal);
+    }
+
+    /// [`ServeSession::serve_until`]'s loop, counting the windows it
+    /// drains.
+    fn serve_counting(session: &mut ServeSession<'_>, until: SimTime) -> usize {
+        let mut windows = 0;
+        while session.drain_window(until, &mut SimClock).is_some() {
+            windows += 1;
+            for k in 0..session.chains.len() {
+                session.activate(k);
+                let i = session.chains[k].0;
+                while let Some(now) = session.chain_next() {
+                    session.serve_step(i, now, false);
+                }
+            }
+        }
+        windows
+    }
+
+    /// A batch run drains one window per segment: two checkpoint stops
+    /// and the horizon make three windows, and the run they serve is
+    /// [`run`]'s, snapshots included.
+    #[test]
+    fn a_batch_run_drains_one_window_per_segment() {
+        let cfg = small_cfg();
+        let stops = [SimTime::from_secs(200), SimTime::from_secs(400)];
+        let batch = observe(&cfg, RunSpec { stops: &stops, ..RunSpec::default() });
+        let ctx = ServeCtx::build(cfg.clone(), None);
+        let mut session = ctx.open(0, cfg.homes, false, false, false, None);
+        let mut windows = 0;
+        for (stop, ckpt) in stops.iter().zip(&batch.checkpoints) {
+            windows += serve_counting(&mut session, *stop);
+            let (processed, homes) = session.shard.capture(&session.sim);
+            assert_eq!((processed, &homes), (ckpt.des_events, &ckpt.homes), "at {stop}");
+        }
+        let horizon_end = session.horizon_end;
+        windows += serve_counting(&mut session, horizon_end);
+        assert_eq!(windows, 3, "one window per segment");
+        let (out, ..) = collect_served(&cfg, vec![session.finish()]);
+        assert_eq!(out.report, batch.report);
     }
 
     /// A skipped (disconnected) home freezes — no further deliveries —

@@ -38,8 +38,9 @@ pub trait Clock {
     /// The latest simulated instant servable now: every wake due at or
     /// before it may be served without waiting. A serving loop caps its
     /// drain window here, so a punctual server serves each wake as it
-    /// falls due, and a late one (the instant has run ahead) gets its
-    /// full window back. Clocks that never wait return [`SimTime::MAX`].
+    /// falls due, and a late one (the instant has run ahead) serves its
+    /// whole backlog in one window. Clocks that never wait return
+    /// [`SimTime::MAX`], so their windows run to the next stop.
     fn servable(&self) -> SimTime;
 }
 

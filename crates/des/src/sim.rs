@@ -155,7 +155,11 @@ impl<E> Simulator<E> {
     /// This is the epoch-tiled serve path: the caller re-groups the
     /// drained events by actor and replays each actor's chain in due
     /// order, which is equivalent to popping one event at a time as long
-    /// as distinct actors never interact within the window.
+    /// as distinct actors never interact within the window. The window
+    /// may be as long as the caller likes — the metro engine drains a
+    /// whole segment between checkpoint stops at once — since follow-ups
+    /// an actor spawns inside it are the caller's to serve inline (see
+    /// [`Simulator::note_processed`]).
     ///
     /// # Panics
     ///

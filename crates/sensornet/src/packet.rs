@@ -22,6 +22,13 @@ pub const MAGIC: u8 = 0xCD;
 /// frame).
 pub const MAX_FRAME_LEN: usize = 64;
 
+/// Header bytes before the payload: magic, source, sequence number,
+/// timestamp and payload tag.
+const HEADER_LEN: usize = 1 + 2 + 2 + 8 + 1;
+
+/// Trailer bytes after the payload: the CRC-16.
+const CRC_LEN: usize = 2;
+
 /// CRC-16/CCITT-FALSE over `data` (poly 0x1021, init 0xFFFF).
 ///
 /// Slicing-by-8: eight bytes per step through `CRC16_TABLES`, the
@@ -119,6 +126,15 @@ impl Payload {
             Payload::Heartbeat => Self::TAG_HEARTBEAT,
         }
     }
+
+    /// Encoded payload bytes, after the tag.
+    fn len(&self) -> usize {
+        match self {
+            Payload::ToolUse { .. } | Payload::Ack { .. } => 2,
+            Payload::Led { .. } => 4,
+            Payload::Heartbeat => 0,
+        }
+    }
 }
 
 /// A frame on the wire.
@@ -186,11 +202,10 @@ impl Packet {
     /// Returns a [`PacketError`] when the frame is truncated, has a bad
     /// magic byte, an unknown payload tag, or a CRC mismatch.
     pub fn decode(frame: &[u8]) -> Result<Self, PacketError> {
-        const HEADER: usize = 1 + 2 + 2 + 8 + 1;
-        if frame.len() < HEADER + 2 {
+        if frame.len() < HEADER_LEN + CRC_LEN {
             return Err(PacketError::Truncated { len: frame.len() });
         }
-        let (body, trailer) = frame.split_at(frame.len() - 2);
+        let (body, trailer) = frame.split_at(frame.len() - CRC_LEN);
         let expected = u16::from_be_bytes([trailer[0], trailer[1]]);
         let actual = crc16(body);
         if expected != actual {
@@ -240,10 +255,12 @@ impl Packet {
         Ok(Packet { src, seq, timestamp_ms, payload })
     }
 
-    /// The encoded length in bytes.
+    /// The encoded length in bytes: header, payload and CRC, computed
+    /// without encoding the frame (every transmission's energy charge
+    /// asks for it).
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        HEADER_LEN + self.payload.len() + CRC_LEN
     }
 }
 
@@ -334,6 +351,18 @@ mod tests {
     fn frames_fit_radio_mtu() {
         for p in sample_packets() {
             assert!(p.encoded_len() <= MAX_FRAME_LEN);
+        }
+    }
+
+    /// The computed length is the encoding's, for every payload kind.
+    #[test]
+    fn encoded_len_matches_the_encoding() {
+        let packets = sample_packets();
+        let tags: std::collections::BTreeSet<u8> =
+            packets.iter().map(|p| p.payload.tag()).collect();
+        assert_eq!(tags.len(), 4, "the samples must cover all four payload kinds");
+        for p in packets {
+            assert_eq!(p.encoded_len(), p.encode().len(), "{p:?}");
         }
     }
 

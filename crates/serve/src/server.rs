@@ -323,8 +323,10 @@ where
         .collect();
 
     // Epoch-tiled serving: wait for the next due instant, drain the
-    // wakes the clock already lets through (a bounded near-instant
-    // window), then walk each due home's wake chain contiguously.
+    // wakes the clock already lets through (near-instant while the
+    // server keeps up, its whole backlog when it is late, the whole
+    // horizon on the sim clock), then walk each due home's wake chain
+    // contiguously.
     // Per-connection byte streams are per-home, so the cross-home
     // reorder inside a window never changes what any client sees — the
     // wire outcome is bit-identical to the instant-by-instant sweep (a
