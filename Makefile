@@ -74,11 +74,15 @@ bench-scale:
 # sensing hot path's noise bound gates through a release run of the
 # sensornet proptests at 2048 cases, whose node differential (skip path
 # ≡ eager sampling, down to checkpointed window peaks) needs that many
-# to reach near-threshold draws.
+# to reach near-threshold draws. The delta decoder gates through a
+# release run of the hostile-bytes property at 4096 cases: bytes past a
+# delta's header overwritten or cut, the CRC re-stamped, and load +
+# apply must return a snapshot or a typed error, never panic or abort.
 ci:
 	cargo build --release
 	cargo test -q --workspace
 	PROPTEST_CASES=2048 cargo test -q --release -p coreda-sensornet --test proptests
+	PROPTEST_CASES=4096 cargo test -q --release --test checkpoint_equivalence hostile_delta_bodies
 	cargo doc --workspace --no-deps
 	cargo clippy --workspace --all-targets -- -D warnings
 	cargo run --release -p coreda-cli -- fuzz --seconds 30 --seed 2007

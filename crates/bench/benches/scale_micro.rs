@@ -280,7 +280,7 @@ fn durability_json() -> String {
     let decode_secs = best(&|| {
         let _ = load_delta(&blob, 8).expect("decode");
     });
-    let dirty: usize = last.homes.iter().flatten().count();
+    let dirty = last.dirty_homes();
     let homes = run.base.homes.len();
     format!(
         "  \"durability\": {{\"homes\": {homes}, \"sim_secs\": 360, \"interval_secs\": 120, \

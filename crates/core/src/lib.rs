@@ -74,9 +74,8 @@ pub mod wal;
 pub use baseline::{CanonicalReminder, MdpPlanner, NextStepPredictor};
 pub use checkpoint::{
     apply_delta, checkpoint_fingerprint, compact, config_digest, delta_checkpoint, load_checkpoint,
-    load_delta, save_checkpoint, save_delta, CheckpointError, DeltaCheckpoint, HistoryDelta,
-    HomeCheckpoint, HomeDelta, LearnedDelta, MetroCheckpoint, NodeDelta, RestDelta, SlotsDelta,
-    SystemDelta,
+    load_delta, save_checkpoint, save_delta, CheckpointError, DeltaCheckpoint, HomeCheckpoint,
+    MetroCheckpoint,
 };
 pub use escalation::{
     CareEvent, CareEventKind, CareMonitor, CareOutput, CarePolicy, CareTrigger, FleetAnalytics,

@@ -53,20 +53,21 @@ use coreda_des::rng::SimRng;
 use coreda_des::sim::Simulator;
 use coreda_des::time::{SimDuration, SimTime};
 use coreda_des::{Clock, SimClock};
+use coreda_rl::space::ProblemShape;
 use coreda_sensornet::hw::SAMPLES_PER_WINDOW;
 use coreda_sensornet::node::NodeId;
 
 use crate::checkpoint::{
-    compact, config_digest, delta_checkpoint, shape_mismatch, CheckpointError, DeltaCheckpoint,
-    HomeCheckpoint, MetroCheckpoint,
+    compact, config_digest, delta_checkpoint, fits, shape_mismatch, CheckpointError,
+    DeltaCheckpoint, HomeCheckpoint, MetroCheckpoint,
 };
 use crate::escalation::{CareEvent, CareEventKind, CareMonitor, CareOutput, CarePolicy, FleetAnalytics};
 use crate::fleet::{default_jobs, derive_seed, FleetEngine};
 use crate::live::StochasticBehavior;
-use crate::planning::PlanningSubsystem;
+use crate::planning::{LearnedState, PlanningSubsystem};
 use crate::reminding::RemindingSubsystem;
 use crate::sessions::{SessionEvent, SessionTracker};
-use crate::system::{Coreda, CoredaConfig, LiveEpisode, SystemState};
+use crate::system::{Coreda, CoredaConfig, LiveEpisode, PhaseState, SystemState};
 use crate::telemetry::{Ctr, HomeRecorder, Telemetry, TraceKind};
 use crate::wal::{self, WalRecord};
 
@@ -348,28 +349,34 @@ impl FleetCtx {
     /// Checks that a snapshot fits a fleet of `homes` homes before any
     /// home is restored: one system per activity, each with the spec's
     /// node count, node state the restore accepts (see [`check_nodes`])
-    /// and a learned table the planner template can take, and every
-    /// activity index in range. The codec checks bytes, not shape; a
-    /// CRC-valid crafted snapshot fails here instead of mid-restore.
+    /// and a learned table the planner template can take (see
+    /// [`check_traces`]), every activity index in range, and an in-flight
+    /// episode's step inside its routine. The codec checks bytes, not
+    /// shape; a CRC-valid crafted snapshot fails here instead of
+    /// mid-restore or on the home's first tick.
     fn check_shape(&self, homes: usize, ckpt: &MetroCheckpoint) -> Result<(), CheckpointError> {
-        let fits = |len, bound| if len == bound { Ok(()) } else { Err(shape_mismatch(len, bound)) };
         fits(ckpt.homes.len(), homes)?;
         let acts = self.specs.len();
-        // Per activity: the node count, and the learned-table size the
-        // template restores (`None` for a learner that cannot restore).
-        let shapes: Vec<(usize, Option<usize>)> = (self.specs.iter().zip(&self.templates))
-            .map(|(spec, t)| (spec.tools().len(), t.capture_learned().map(|l| l.values.len())))
+        // Per activity: the node count, the learned-table size the
+        // template restores (`None` for a learner that cannot restore),
+        // and the planner's problem shape.
+        let shapes: Vec<_> = (self.specs.iter().zip(&self.templates))
+            .map(|(spec, t)| {
+                let cells = t.capture_learned().map(|l| l.values.len());
+                (spec.tools().len(), cells, t.encoder().shape())
+            })
             .collect();
         for home in &ckpt.homes {
             fits(home.systems.len(), acts)?;
             let systems = home.systems.iter().zip(&self.specs);
-            for ((state, spec), &(nodes, cells)) in systems.zip(&shapes) {
+            for ((state, spec), &(nodes, cells, shape)) in systems.zip(&shapes) {
                 fits(state.nodes.len(), nodes)?;
                 check_nodes(state, spec)?;
                 if let Some(learned) = &state.learned {
                     let cells = cells.ok_or_else(|| shape_mismatch(learned.values.len(), 0))?;
                     fits(learned.values.len(), cells)?;
                     fits(learned.visits.len(), cells)?;
+                    check_traces(learned, shape)?;
                 }
             }
             let running = home.episode.as_ref().map(|&(act, ..)| act);
@@ -379,9 +386,41 @@ impl FleetCtx {
             if let Some(act) = running.into_iter().chain(session).find(|&act| act >= acts) {
                 return Err(shape_mismatch(act, acts));
             }
+            // The episode's step: the one being performed, or the one a
+            // misusing or frozen patient resumes at.
+            let step = home.episode.as_ref().and_then(|(act, ep, _)| match ep.phase {
+                PhaseState::Performing { idx, .. }
+                | PhaseState::Misusing { resume_idx: idx, .. }
+                | PhaseState::Frozen { resume_idx: idx, .. } => {
+                    Some((idx, self.routines[*act].len()))
+                }
+                PhaseState::Done => None,
+            });
+            if let Some((idx, steps)) = step.filter(|&(idx, steps)| idx >= steps) {
+                return Err(shape_mismatch(idx, steps));
+            }
         }
         Ok(())
     }
+}
+
+/// Checks the eligibility traces a restore hands to the learner: each
+/// trace's state and action must index the planner's table (the id
+/// against the state or action count), and its weight must be finite and
+/// non-negative (the trace's position against the trace count).
+fn check_traces(learned: &LearnedState, shape: ProblemShape) -> Result<(), CheckpointError> {
+    for (at, &(s, a, e)) in learned.traces.iter().enumerate() {
+        if !shape.contains_state(s) {
+            return Err(shape_mismatch(s.index(), shape.states()));
+        }
+        if !shape.contains_action(a) {
+            return Err(shape_mismatch(a.index(), shape.actions()));
+        }
+        if !(0.0..f64::INFINITY).contains(&e) {
+            return Err(shape_mismatch(at, learned.traces.len()));
+        }
+    }
+    Ok(())
 }
 
 /// Checks the node state a restore asserts on. A buffered detector window

@@ -6,6 +6,8 @@
 
 use std::sync::OnceLock;
 
+use coreda_adl::activity::catalog;
+use coreda_adl::tool::ToolId;
 use coreda_core::checkpoint::{
     apply_delta, delta_checkpoint, load_checkpoint, load_delta, save_checkpoint, save_delta,
     CheckpointError, MetroCheckpoint,
@@ -13,9 +15,11 @@ use coreda_core::checkpoint::{
 use coreda_core::metro::{
     resume_scale_durable, run, run_scale, run_scale_durable, MetroConfig, RunSpec, ScaleReport,
 };
-use coreda_core::planning::LearnerKind;
+use coreda_core::planning::{LearnerKind, StateEncoder};
+use coreda_core::system::PhaseState;
 use coreda_core::wal::{decode_wal, decode_wal_tolerant, encode_wal};
 use coreda_des::time::{SimDuration, SimTime};
+use coreda_rl::space::{ActionId, StateId};
 use coreda_sensornet::node::NodeId;
 use coreda_sensornet::packet::crc16;
 use proptest::prelude::*;
@@ -264,6 +268,60 @@ fn a_snapshot_missing_a_home_is_a_shape_error() {
     assert_eq!(shape_of(|s| s.homes.truncate(5)), mismatch(5, 6));
 }
 
+/// An in-flight episode's step index — performed, or resumed at after a
+/// misuse or a freeze — must lie inside its activity's routine; the
+/// first tick would index past it.
+#[test]
+fn an_episode_step_past_the_routine_is_refused() {
+    // The metro fleet serves these activities, in this order.
+    let specs = [catalog::tea_making(), catalog::tooth_brushing()];
+    // Performing until past the horizon; misusing or frozen long enough
+    // to resume at once.
+    let (later, long_ago) = (SimTime::from_secs(3600), SimTime::ZERO);
+    for phase in [
+        PhaseState::Performing { idx: 999, until: later },
+        PhaseState::Misusing { tool: ToolId::new(1), since: long_ago, resume_idx: 999 },
+        PhaseState::Frozen { since: long_ago, resume_idx: 999 },
+    ] {
+        let mut steps = 0;
+        let err = shape_of(|s| {
+            let home = s.homes.iter_mut().find(|h| h.episode.is_some()).expect("an episode");
+            let (act, ep, _) = home.episode.as_mut().expect("found above");
+            steps = specs[*act].steps().len();
+            ep.phase = phase;
+        });
+        assert_eq!(err, mismatch(999, steps), "{phase:?}");
+    }
+}
+
+/// With online learning on, every TD update walks the eligibility
+/// traces: a trace outside the planner's table, or with a negative
+/// weight, must be refused before it reaches the learner.
+#[test]
+fn an_eligibility_trace_outside_the_table_is_refused() {
+    let mut config = cfg(1);
+    config.system.online_learning = true;
+    let stops: Vec<SimTime> = (1..=20).map(|k| SimTime::from_secs(k * 30)).collect();
+    let snap = snapshots(&config, &stops)
+        .into_iter()
+        .find(|s| s.homes.iter().any(|h| h.episode.is_some()))
+        .expect("some stop catches an episode");
+    // Home 0's first system, tea making, is checked first.
+    let shape = StateEncoder::new(&catalog::tea_making()).shape();
+    for (trace, want) in [
+        ((StateId::new(999), ActionId::new(0), 0.5), mismatch(999, shape.states())),
+        ((StateId::new(0), ActionId::new(999), 0.5), mismatch(999, shape.actions())),
+        ((StateId::new(0), ActionId::new(0), -0.5), mismatch(0, 1)),
+    ] {
+        let err = resume_crafted(&config, snap.clone(), |s| {
+            for system in s.homes.iter_mut().flat_map(|h| &mut h.systems) {
+                system.learned.as_mut().expect("Watkins captures").traces = vec![trace];
+            }
+        });
+        assert_eq!(err, want, "{trace:?}");
+    }
+}
+
 fn blob() -> &'static [u8] {
     static BLOB: OnceLock<Vec<u8>> = OnceLock::new();
     BLOB.get_or_init(|| {
@@ -272,18 +330,25 @@ fn blob() -> &'static [u8] {
     })
 }
 
-/// A mid-run delta and the whole run's write-ahead log, encoded once
-/// and shared by the incremental robustness proptests.
-fn durable_blobs() -> &'static (Vec<u8>, Vec<u8>) {
-    static BLOBS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+/// A mid-run delta, the base it was diffed against, and the whole run's
+/// write-ahead log, encoded once and shared by the incremental
+/// robustness proptests.
+fn durable() -> &'static (MetroCheckpoint, Vec<u8>, Vec<u8>) {
+    static BLOBS: OnceLock<(MetroCheckpoint, Vec<u8>, Vec<u8>)> = OnceLock::new();
     BLOBS.get_or_init(|| {
         let config = cfg(1);
         let stops = [SimTime::from_secs(120), SimTime::from_secs(480)];
         let (_, run) = run_scale_durable(&config, &stops);
         let delta = save_delta(&run.deltas[0], 1).to_vec();
         let wal = encode_wal(run.base.digest, &run.wal).to_vec();
-        (delta, wal)
+        (run.base, delta, wal)
     })
+}
+
+/// The encoded delta and log of [`durable`].
+fn durable_blobs() -> (&'static Vec<u8>, &'static Vec<u8>) {
+    let (_, delta, wal) = durable();
+    (delta, wal)
 }
 
 proptest! {
@@ -315,6 +380,41 @@ proptest! {
             load_delta(&bad, 1).is_err(),
             "a flipped bit at delta byte {} slipped through", idx
         );
+    }
+
+    /// Hostile bytes through the one decoder a delta's body meets: 1–4
+    /// bytes past the header words overwritten, sometimes a truncation,
+    /// and the CRC re-stamped so the framing and the body walk — not the
+    /// checksum — must cope. Loading and applying returns a snapshot or a
+    /// typed error; it never panics or aborts.
+    #[test]
+    fn hostile_delta_bodies_are_applied_or_refused(
+        edits in proptest::collection::vec((0.0f64..1.0, any::<u8>()), 1..=4),
+        cut in proptest::option::of(0.0f64..1.0),
+    ) {
+        // Magic, version and the four header words stay intact.
+        const HEADER: usize = 4 + 1 + 4 * 8;
+        let (base, delta, _) = durable();
+        let mut bad = delta[..delta.len() - 2].to_vec();
+        let span = |bad: &Vec<u8>, frac: f64| {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let at = (frac * (bad.len() - HEADER) as f64) as usize;
+            HEADER + at.min(bad.len() - HEADER - 1)
+        };
+        for (frac, byte) in edits {
+            let at = span(&bad, frac);
+            bad[at] = byte;
+        }
+        if let Some(frac) = cut {
+            let keep = span(&bad, frac);
+            bad.truncate(keep);
+        }
+        let crc = crc16(&bad);
+        bad.extend_from_slice(&crc.to_be_bytes());
+        if let Ok(d) = load_delta(&bad, 1) {
+            // A typed error is a refusal; a panic fails the test.
+            let _ = apply_delta(base, &d);
+        }
     }
 
     /// Flipping any single bit anywhere in an encoded log is detected by
