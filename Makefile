@@ -70,7 +70,11 @@ bench-scale:
 # path's heap use gates by count, which does not drift with the host:
 # tests/alloc_budget.rs serves a fixed-seed fleet under its own
 # counting allocator and holds a steady-state segment under 0.05
-# allocator calls per pipeline tick. The
+# allocator calls per pipeline tick, and tests/home_bytes.rs holds a
+# home's footprint under its own live/peak-tracking allocator: the
+# marginal peak heap per home between fixed-seed 1k- and 3k-home fleets
+# at most 3 650 B, and ServeCtx::session at most 4.2 allocator calls
+# per home. The
 # sensing hot path's noise bound gates through a release run of the
 # sensornet proptests at 2048 cases, whose node differential (skip path
 # ≡ eager sampling, down to checkpointed window peaks) needs that many

@@ -10,17 +10,15 @@
 //! `checkpoint` entry
 //! recording snapshot encode/restore throughput for a mid-run 1k-home
 //! fleet, a `durability` entry pricing the steady-state delta + WAL
-//! interval against a full snapshot at 10k homes, a `phase_breakdown`
-//! entry separating fleet construction from serving at 10k/100k homes,
-//! and a `memory` entry with the marginal bytes-per-home slope
-//! (10k -> 100k) plus a 1M-home stretch probe. `events_per_sec` counts
+//! interval against a full snapshot at 10k homes, and a
+//! `phase_breakdown` entry separating fleet construction from serving at
+//! 10k/100k homes. Bytes per home are gated by `tests/home_bytes.rs`,
+//! not measured here. `events_per_sec` counts
 //! 100 ms pipeline ticks, the logical serving work, so rates of runs
 //! that serve the same fleet compare as wall-clock speedups. The host
 //! core count ships with the numbers, and a debug build refuses to write
 //! the file at all — unoptimised timings would be noise.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use coreda_core::checkpoint::{
@@ -32,55 +30,6 @@ use coreda_core::metro::{run, run_scale, run_scale_durable, MetroConfig, RunOutp
 use coreda_core::wal::encode_wal;
 use coreda_des::time::{SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, Criterion};
-
-/// Live/peak-tracking shim over the system allocator. The two relaxed
-/// atomics cost nanoseconds against millisecond-scale serve loops (the
-/// serving path is allocation-free by design), and they buy the
-/// `bytes_per_home` figure: peak live heap deltas between fleet sizes.
-struct CountingAlloc;
-
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-fn on_alloc(size: usize) {
-    let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            on_alloc(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(p, layout);
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
-            on_alloc(new_size);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Peak live heap reached while running `f`, measured from the current
-/// live level (so back-to-back probes don't inherit each other's peak).
-fn peak_during(f: impl FnOnce()) -> usize {
-    PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
-    f();
-    PEAK_BYTES.load(Ordering::Relaxed)
-}
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// (homes, simulated seconds): bigger fleets get shorter walls so every
@@ -304,8 +253,8 @@ fn durability_json() -> String {
 /// yet), and the remainder of the full grid cell is pure serving.
 /// Construction is a few percent and amortises, so whatever gap exists
 /// between fleet sizes lives in the serve phase: the struct-of-arrays
-/// fleet state runs ~5.8 kB/home marginal (see `memory`), so a 100k
-/// fleet is ~580 MB against ~58 MB at 10k — a 10x working-set jump
+/// fleet state runs ~3.5 kB/home marginal (`tests/home_bytes.rs`), so a
+/// 100k fleet is ~350 MB against ~35 MB at 10k — a 10x working-set jump
 /// that outruns every cache level and the TLB. Serving wakes in strict
 /// `(due, seq)` order once cost ~2.5x of throughput at that cliff;
 /// epoch tiling serves each segment between stops as one window of
@@ -384,31 +333,6 @@ fn checkpoint_json() -> String {
     )
 }
 
-/// Heap footprint by fleet size. `bytes_per_home` is the *marginal*
-/// cost from 10k to 100k homes — the slope cancels everything a fleet
-/// pays once (trained planner templates, interned specs, the DES wheel's
-/// fixed slots) and isolates what each additional home actually owns in
-/// the struct-of-arrays arenas. The 1M-home probe is the stretch point:
-/// a single short-horizon serve proving the layout holds at seven
-/// figures, with its own whole-fleet average for comparison.
-fn memory_json() -> String {
-    let peak_at = |homes: usize, secs: u64| {
-        peak_during(|| {
-            let _ = run_scale(&cfg(homes, secs, 1));
-        })
-    };
-    let small = peak_at(10_000, 10);
-    let large = peak_at(100_000, 10);
-    let million = peak_at(1_000_000, 1);
-    let marginal = (large.saturating_sub(small)) as f64 / 90_000.0;
-    format!(
-        "  \"memory\": {{\"peak_bytes_10k\": {small}, \"peak_bytes_100k\": {large}, \
-         \"peak_bytes_1m\": {million}, \"bytes_per_home\": {marginal:.0}, \
-         \"avg_bytes_per_home_1m\": {:.0}}}",
-        million as f64 / 1e6
-    )
-}
-
 fn emit_report(_c: &mut Criterion) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
     if cfg!(debug_assertions) {
@@ -419,15 +343,14 @@ fn emit_report(_c: &mut Criterion) {
         return;
     }
     let json = format!(
-        "{{\n\"bench\": \"scale_micro\",\n\"host_cores\": {},\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n}}\n",
+        "{{\n\"bench\": \"scale_micro\",\n\"host_cores\": {},\n{},\n{},\n{},\n{},\n{},\n{}\n}}\n",
         default_jobs(),
         grid_json(),
         telemetry_overhead_json(),
         care_overhead_json(),
         checkpoint_json(),
         durability_json(),
-        phase_breakdown_json(),
-        memory_json()
+        phase_breakdown_json()
     );
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}\n{json}"),

@@ -20,7 +20,7 @@ fn bench_signal_and_detection(c: &mut Criterion) {
     });
 
     group.bench_function("judge_window_3_of_10", |b| {
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().accel);
         let mut rng = SimRng::seed_from(2);
         let window = model.sample_window(true, &mut rng);
         b.iter(|| det.judge_window(black_box(&window)));

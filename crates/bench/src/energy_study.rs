@@ -54,7 +54,7 @@ pub fn run(episodes: usize, episodes_per_day: f64, seed: u64) -> Vec<EnergyRow> 
         }
     }
 
-    let model = coreda_sensornet::energy::EnergyModel::default();
+    let model = coreda_sensornet::energy::EnergyModel::PAVENET;
     tea.tools()
         .iter()
         .map(|tool| {

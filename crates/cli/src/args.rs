@@ -102,13 +102,14 @@ impl Parsed {
         let Some(secs) = self.get_parsed_opt::<u64>(key)? else {
             return Ok(None);
         };
-        secs.checked_mul(1000).map(Some).ok_or_else(|| self.out_of_range(key))
+        secs.checked_mul(1000).map(Some).ok_or_else(|| self.out_of_range(key, PAST_THE_CLOCK))
     }
 
-    /// The [`ArgError::OutOfRange`] error for option `key`'s value.
+    /// The [`ArgError::OutOfRange`] error for option `key`'s value,
+    /// refused because of `limit`.
     #[must_use]
-    pub fn out_of_range(&self, key: &str) -> ArgError {
-        ArgError::OutOfRange { key: key.to_owned(), value: self.get_or(key, "").to_owned() }
+    pub fn out_of_range(&self, key: &str, limit: &'static str) -> ArgError {
+        ArgError::OutOfRange { key: key.to_owned(), value: self.get_or(key, "").to_owned(), limit }
     }
 
     /// A required string option.
@@ -134,6 +135,10 @@ impl Parsed {
     }
 }
 
+/// The [`ArgError::OutOfRange`] limit of a time option whose
+/// milliseconds do not fit the simulated clock's `u64`.
+pub const PAST_THE_CLOCK: &str = "its milliseconds overflow the simulated clock";
+
 /// Argument errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
@@ -150,12 +155,14 @@ pub enum ArgError {
         /// The offending value.
         value: String,
     },
-    /// An option's value parsed but overflows the simulated clock.
+    /// An option's value parsed but is past what the command accepts.
     OutOfRange {
         /// Option name.
         key: String,
         /// The offending value.
         value: String,
+        /// The limit it is past, e.g. [`PAST_THE_CLOCK`].
+        limit: &'static str,
     },
     /// A bare word where an option was expected.
     UnexpectedPositional(String),
@@ -174,11 +181,9 @@ impl fmt::Display for ArgError {
             ArgError::BadValue { key, value } => {
                 write!(f, "option --{key} got unparseable value {value:?}")
             }
-            ArgError::OutOfRange { key, value } => write!(
-                f,
-                "option --{key} got out-of-range value {value:?} (its milliseconds overflow \
-                 the simulated clock)"
-            ),
+            ArgError::OutOfRange { key, value, limit } => {
+                write!(f, "option --{key} got out-of-range value {value:?} ({limit})")
+            }
             ArgError::UnexpectedPositional(a) => {
                 write!(f, "unexpected argument {a:?} (options are --key value)")
             }
@@ -266,7 +271,11 @@ mod tests {
         let err = p.get_secs_in_millis("at").unwrap_err();
         assert_eq!(
             err,
-            ArgError::OutOfRange { key: "at".to_owned(), value: "18446744073709552".to_owned() }
+            ArgError::OutOfRange {
+                key: "at".to_owned(),
+                value: "18446744073709552".to_owned(),
+                limit: PAST_THE_CLOCK,
+            }
         );
         assert!(err.to_string().starts_with("option --at got out-of-range value"), "{err}");
     }

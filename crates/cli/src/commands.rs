@@ -16,7 +16,7 @@ use coreda_core::scenario;
 use coreda_core::system::{Coreda, CoredaConfig};
 use coreda_des::rng::SimRng;
 
-use crate::args::Parsed;
+use crate::args::{Parsed, PAST_THE_CLOCK};
 
 /// A boxed error for command plumbing.
 pub type CmdResult = Result<String, Box<dyn Error>>;
@@ -198,12 +198,20 @@ pub fn simulate(p: &Parsed) -> CmdResult {
     Ok(out)
 }
 
+/// The longest `sensor-trace --seconds`: one hour, 36,020 readings.
+const MAX_TRACE_MS: u64 = 3_600_000;
+
 /// `sensor-trace` — record a raw 10 Hz signal trace of one step's tool.
 pub fn sensor_trace(p: &Parsed) -> CmdResult {
     use coreda_sensornet::trace::SignalTrace;
     let adl = resolve_adl(p.get_or("adl", "tea"))?;
     let step_no: usize = p.get_parsed("step", 1)?;
     let ms = p.get_secs_in_millis("seconds")?.unwrap_or(10_000);
+    // The trace is collected up front, 32 B a reading: bound it before
+    // anything is allocated.
+    if ms > MAX_TRACE_MS {
+        return Err(p.out_of_range("seconds", "a trace covers at most 3600 s").into());
+    }
     let seed: u64 = p.get_parsed("seed", 2007)?;
     let step = adl
         .steps()
@@ -212,7 +220,7 @@ pub fn sensor_trace(p: &Parsed) -> CmdResult {
     let tool = adl.tool(step.tool()).expect("spec is validated");
     let mut rng = SimRng::seed_from(seed);
     // One second of stillness, the manipulation, one second of stillness.
-    let ticks = usize::try_from(ms / 100 + 20).map_err(|_| p.out_of_range("seconds"))?;
+    let ticks = (ms / 100 + 20) as usize;
     let active_from = 10;
     let active_to = ticks - 10;
     let trace = SignalTrace::record(
@@ -333,7 +341,7 @@ fn metro_config(
     // that never ends; refuse it instead.
     let ms = hours * 3_600_000.0;
     if ms >= 18_446_744_073_709_551_616.0 {
-        return Err(p.out_of_range("hours").into());
+        return Err(p.out_of_range("hours", PAST_THE_CLOCK).into());
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let horizon = SimDuration::from_millis(ms as u64);
@@ -1459,6 +1467,15 @@ mod tests {
         let max = u64::MAX.to_string(); // + 2 wraps to 1
         let err = sensor_trace(&parse(&["sensor-trace", "--seconds", &max]));
         assert_out_of_range(&*err.unwrap_err(), "seconds", &max);
+    }
+
+    #[test]
+    fn sensor_trace_is_bounded_at_one_hour_before_allocating() {
+        let out = sensor_trace(&parse(&["sensor-trace", "--seconds", "3600"])).unwrap();
+        let trace = coreda_sensornet::trace::SignalTrace::from_text(&out).unwrap();
+        assert_eq!(trace.readings.len(), 36_020, "an hour plus 2 s of lead in/out at 10 Hz");
+        let err = sensor_trace(&parse(&["sensor-trace", "--seconds", "3601"]));
+        assert_out_of_range(&*err.unwrap_err(), "seconds", "3601");
     }
 
     #[test]

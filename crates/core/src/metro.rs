@@ -66,8 +66,9 @@ use crate::fleet::{default_jobs, derive_seed, FleetEngine};
 use crate::live::StochasticBehavior;
 use crate::planning::{LearnedState, PlanningSubsystem};
 use crate::reminding::RemindingSubsystem;
+use crate::sensing::SensingSubsystem;
 use crate::sessions::{SessionEvent, SessionTracker};
-use crate::system::{Coreda, CoredaConfig, LiveEpisode, PhaseState, SystemState};
+use crate::system::{Coreda, CoredaConfig, LiveEpisode, PhaseState, SystemState, TickScratch};
 use crate::telemetry::{Ctr, HomeRecorder, Telemetry, TraceKind};
 use crate::wal::{self, WalRecord};
 
@@ -304,16 +305,18 @@ struct RunningEpisode {
 /// the per-home `format!("home-{id}")` the boxed layout allocated.
 const RESIDENT: &str = "resident";
 
-/// Everything immutable a fleet shares, built once per run: ADL specs,
-/// canonical routines, trained planner templates, the reminding renderer
-/// and the session-tracker prototype (whose activity/name tables are
-/// `Arc`-shared, so cloning it per home is two reference bumps). Worker
-/// shards borrow it read-only.
+/// Everything immutable a fleet shares, built once per run: the system
+/// config, ADL specs, canonical routines, trained planner templates, the
+/// reminding renderer, and the sensing and session-tracker prototypes
+/// (whose tables are `Arc`-shared, so cloning them per home is reference
+/// bumps). Worker shards borrow it read-only.
 struct FleetCtx {
+    system: Arc<CoredaConfig>,
     specs: Vec<Arc<AdlSpec>>,
     routines: Vec<Routine>,
     templates: Vec<Arc<PlanningSubsystem>>,
     reminding: Arc<RemindingSubsystem>,
+    sensing: Vec<SensingSubsystem>,
     tracker_proto: SessionTracker,
 }
 
@@ -338,6 +341,8 @@ impl FleetCtx {
             })
             .collect();
         FleetCtx {
+            system: Arc::new(cfg.system),
+            sensing: specs.iter().map(SensingSubsystem::new).collect(),
             specs: specs.into_iter().map(Arc::new).collect(),
             routines,
             templates,
@@ -619,6 +624,8 @@ struct Shard<'a> {
     /// Session events buffered during a tick (the report sink cannot
     /// borrow the recorder while `live_tick` holds it).
     scratch_sessions: Vec<SessionEvent>,
+    /// The pipeline tick's buffers, lent to whichever home ticks.
+    scratch_tick: TickScratch,
     gap_min_ms: u64,
     gap_max_ms: u64,
 }
@@ -641,13 +648,15 @@ impl<'a> Shard<'a> {
         let mut sched_rngs = Vec::with_capacity(count);
         let mut hot = Vec::with_capacity(count);
         for id in first_home..first_home + count {
-            for (act, (spec, template)) in ctx.specs.iter().zip(&ctx.templates).enumerate() {
+            let shared = ctx.specs.iter().zip(&ctx.templates).zip(&ctx.sensing);
+            for (act, ((spec, template), sensing)) in shared.enumerate() {
                 let seed = derive_seed(cfg.seed, "metro-system", (id as u64) * 16 + act as u64);
                 systems.push(Coreda::with_shared(
                     Arc::clone(spec),
                     Arc::clone(template),
                     Arc::clone(&ctx.reminding),
-                    cfg.system,
+                    sensing.clone(),
+                    Arc::clone(&ctx.system),
                     seed,
                 ));
             }
@@ -691,6 +700,7 @@ impl<'a> Shard<'a> {
             }),
             behavior: StochasticBehavior::new(PatientProfile::moderate(RESIDENT)),
             scratch_sessions: Vec::new(),
+            scratch_tick: TickScratch::default(),
             gap_min_ms: cfg.gap_min.as_millis(),
             gap_max_ms: cfg.gap_max.as_millis(),
         }
@@ -744,6 +754,7 @@ impl<'a> Shard<'a> {
                     &mut self.behavior,
                     now,
                     &mut run.rng,
+                    &mut self.scratch_tick,
                     None,
                     self.recs.as_mut().map(|r| &mut r[i]),
                     &mut |src, at| {

@@ -12,6 +12,8 @@
 //!   determined from the statistical data of how long a user will use
 //!   this tool").
 
+use std::sync::Arc;
+
 use coreda_adl::activity::AdlSpec;
 use coreda_adl::step::StepId;
 use coreda_des::time::{SimDuration, SimTime};
@@ -46,8 +48,9 @@ pub struct StepEvent {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensingSubsystem {
-    /// `(step, idle timeout)` per known tool.
-    timeouts: Vec<(StepId, SimDuration)>,
+    /// `(step, idle timeout)` per known tool. Derived from the spec alone,
+    /// so clones share it: a fleet's homes hold one table per activity.
+    timeouts: Arc<[(StepId, SimDuration)]>,
     current: Option<StepId>,
     last_report_at: Option<SimTime>,
     history: Vec<StepEvent>,

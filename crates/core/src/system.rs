@@ -173,7 +173,9 @@ pub struct Coreda {
     /// Immutable after construction; metro fleets share one copy across
     /// every home serving the same activity instead of cloning it.
     spec: Arc<AdlSpec>,
-    config: CoredaConfig,
+    /// Immutable after construction; metro fleets share one copy across
+    /// every home.
+    config: Arc<CoredaConfig>,
     nodes: Vec<(PavenetNode, SimRng)>,
     network: StarNetwork,
     base: BaseStation,
@@ -188,11 +190,20 @@ pub struct Coreda {
     reminding: Arc<RemindingSubsystem>,
     net_rng: SimRng,
     downlink_seq: u16,
-    /// Reused per-tick buffers so live ticks allocate nothing in steady
-    /// state (taken with `mem::take` for the duration of a tick).
-    scratch_outbox: Vec<(usize, coreda_sensornet::packet::Packet)>,
-    scratch_slots: Vec<bool>,
-    scratch_events: Vec<crate::sensing::StepEvent>,
+}
+
+/// The buffers one pipeline tick works in. Nothing in them outlives the
+/// tick, so one set serves every system a caller drives — a metro shard
+/// keeps one for all its homes — and steady-state ticks allocate nothing
+/// once they reach capacity.
+#[derive(Debug, Default)]
+pub struct TickScratch {
+    /// Reports raised this tick: `(node index, packet)`.
+    outbox: Vec<(usize, coreda_sensornet::packet::Packet)>,
+    /// Which of them won the shared medium.
+    slots: Vec<bool>,
+    /// Step events recognised this tick.
+    events: Vec<StepEvent>,
 }
 
 /// An episode log that may be absent: metro-scale serving runs thousands
@@ -336,32 +347,36 @@ impl Coreda {
 
     /// Builds the system: one PAVENET node per tool, a star network, and
     /// the three subsystems. `seed` drives every internal random stream.
-    /// The spec may come in owned or already shared (`Arc<AdlSpec>`) —
-    /// fleet builders pass the same `Arc` to every home.
+    /// The spec and config may come in owned or already shared (`Arc`) —
+    /// fleet builders pass the same `Arc`s to every home.
     #[must_use]
     pub fn new(
         spec: impl Into<Arc<AdlSpec>>,
         user_name: &str,
-        config: CoredaConfig,
+        config: impl Into<Arc<CoredaConfig>>,
         seed: u64,
     ) -> Self {
         let spec = spec.into();
+        let config = config.into();
         let planner = Arc::new(PlanningSubsystem::new(&spec, config.planning));
         let reminding = Arc::new(RemindingSubsystem::new(user_name));
-        Self::with_shared(spec, planner, reminding, config, seed)
+        let sensing = SensingSubsystem::new(&spec);
+        Self::with_shared(spec, planner, reminding, sensing, config, seed)
     }
 
-    /// Builds a system wired to an already-shared planner and reminding
-    /// renderer — the fleet path. Building N homes this way costs N `Arc`
-    /// bumps instead of N planner constructions (Q-table, traces,
-    /// encoder) plus N renderer allocations that would be overwritten
-    /// right after.
+    /// Builds a system wired to already-shared parts — the fleet path.
+    /// Building N homes this way costs N `Arc` bumps instead of N planner
+    /// constructions (Q-table, traces, encoder), N renderer allocations
+    /// that would be overwritten right after, N idle-timeout tables and
+    /// N config copies. `sensing` is a fresh subsystem for `spec`, cloned
+    /// from one the fleet built (its timeout table is shared).
     #[must_use]
     pub fn with_shared(
         spec: Arc<AdlSpec>,
         planner: Arc<PlanningSubsystem>,
         reminding: Arc<RemindingSubsystem>,
-        config: CoredaConfig,
+        sensing: SensingSubsystem,
+        config: Arc<CoredaConfig>,
         seed: u64,
     ) -> Self {
         let root = SimRng::seed_from(seed);
@@ -373,7 +388,6 @@ impl Coreda {
             let stream = root.substream("node", u64::from(tool.id().raw()));
             nodes.push((node, stream));
         }
-        let sensing = SensingSubsystem::new(&spec);
         Coreda {
             spec,
             config,
@@ -385,9 +399,6 @@ impl Coreda {
             reminding,
             net_rng: root.substream("network", 0),
             downlink_seq: 0,
-            scratch_outbox: Vec::new(),
-            scratch_slots: Vec::new(),
-            scratch_events: Vec::new(),
         }
     }
 
@@ -409,21 +420,6 @@ impl Coreda {
     /// leaks into its neighbours.
     pub fn planner_mut(&mut self) -> &mut PlanningSubsystem {
         Arc::make_mut(&mut self.planner)
-    }
-
-    /// Replaces the planner with a shared, already-trained one. Every
-    /// home serving the same activity points at the same allocation: no
-    /// per-home Q-table, trace or encoder copies. Read-only serving
-    /// never splits the share; see [`Coreda::planner_mut`].
-    pub fn share_planner(&mut self, planner: &Arc<PlanningSubsystem>) {
-        self.planner = Arc::clone(planner);
-    }
-
-    /// Replaces the reminding renderer with a shared one (fleet builds:
-    /// one renderer for every home rather than a per-home name string and
-    /// description map).
-    pub fn share_reminding(&mut self, reminding: &Arc<RemindingSubsystem>) {
-        self.reminding = Arc::clone(reminding);
     }
 
     /// The sensing subsystem.
@@ -536,6 +532,7 @@ impl Coreda {
         rng: &mut SimRng,
     ) -> EpisodeLog {
         let mut log = EpisodeLog::new();
+        let mut scratch = TickScratch::default();
         let mut ep = self.begin_live(routine, behavior, SimTime::ZERO, rng, Some(&mut log));
         while !ep.finished {
             let now = ep.next_tick_at();
@@ -545,6 +542,7 @@ impl Coreda {
                 behavior,
                 now,
                 rng,
+                &mut scratch,
                 Some(&mut log),
                 None,
                 &mut |_, _| {},
@@ -596,6 +594,8 @@ impl Coreda {
     /// dense [`Coreda::run_live`] loop — the behavioural test suite holds
     /// the two paths to identical timelines.
     ///
+    /// `scratch` lends the tick its buffers (see [`TickScratch`]).
+    ///
     /// `rec`, when present, captures flight-recorder telemetry
     /// (counters, stage latencies, trace events). Recording reads state
     /// but never mutates it and draws no randomness, so a recorded tick
@@ -608,6 +608,7 @@ impl Coreda {
         behavior: &mut dyn PatientBehavior,
         now: SimTime,
         rng: &mut SimRng,
+        scratch: &mut TickScratch,
         log: Option<&mut EpisodeLog>,
         rec: Option<&mut HomeRecorder>,
         report_sink: &mut dyn FnMut(coreda_sensornet::node::NodeId, SimTime),
@@ -641,10 +642,9 @@ impl Coreda {
             Phase::Misusing { tool, .. } => Some(tool),
             Phase::Frozen { .. } | Phase::Done => None,
         };
-        let mut events = std::mem::take(&mut self.scratch_events);
+        let TickScratch { outbox, slots, events } = scratch;
         // Sample every node first: transmissions raised in the same
         // 100 ms tick contend for the shared medium (CSMA/CA).
-        let mut outbox = std::mem::take(&mut self.scratch_outbox);
         for (idx, (node, node_rng)) in self.nodes.iter_mut().enumerate() {
             let in_use = active_tool == Some(ToolId::new(node.uid().raw()));
             if let Some(packet) = node.sample_tick(in_use, now.as_millis(), node_rng) {
@@ -653,8 +653,7 @@ impl Coreda {
         }
         rec.add(Ctr::SampleWindows, self.nodes.len() as u64);
         rec.add(Ctr::ToolInUseWindows, outbox.len() as u64);
-        let mut slots = std::mem::take(&mut self.scratch_slots);
-        self.config.medium.resolve_slot_into(outbox.len(), &mut self.net_rng, &mut slots);
+        self.config.medium.resolve_slot_into(outbox.len(), &mut self.net_rng, slots);
         for ((idx, packet), won_medium) in outbox.drain(..).zip(slots.iter().copied()) {
             let node = &mut self.nodes[idx].0;
             rec.inc(Ctr::RadioFramesTx);
@@ -696,8 +695,6 @@ impl Coreda {
                 }
             }
         }
-        self.scratch_outbox = outbox;
-        self.scratch_slots = slots;
 
         // 4. Idle detection (situation 1).
         if !ep.completed {
@@ -826,7 +823,6 @@ impl Coreda {
                 }
             }
         }
-        self.scratch_events = events;
 
         // 6. Re-prompt an unanswered reminder, escalated.
         if !ep.completed
@@ -1069,8 +1065,8 @@ impl Coreda {
     /// its RNG stream, the radio channels and counters, the base
     /// station's dedup table, and the network RNG / downlink sequence.
     ///
-    /// Everything else — the spec, config, subsystem wiring, scratch
-    /// buffers — is construction-time and rebuilt from the same inputs.
+    /// Everything else — the spec, config, subsystem wiring — is
+    /// construction-time and rebuilt from the same inputs.
     #[must_use]
     pub fn export_state(&self) -> SystemState {
         let (sensing_current, sensing_last_report, sensing_history) = self.sensing.export_state();
@@ -1464,11 +1460,12 @@ mod tests {
         let mut b = StochasticBehavior::new(PatientProfile::moderate("x"));
         let mut rng = SimRng::seed_from(32);
         let mut log = EpisodeLog::new();
+        let mut scratch = TickScratch::default();
         let mut ep = sys.begin_live(&routine, &mut b, SimTime::ZERO, &mut rng, Some(&mut log));
         for _ in 0..40 {
             assert!(!ep.finished, "episode should outlive the kill point");
             let now = ep.next_tick_at();
-            sys.live_tick(&mut ep, &routine, &mut b, now, &mut rng, Some(&mut log), None, &mut |_, _| {});
+            sys.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, Some(&mut log), None, &mut |_, _| {});
         }
         let sys_state = sys.export_state();
         let ep_state = ep.export_state();
@@ -1483,7 +1480,7 @@ mod tests {
         let mut b = StochasticBehavior::new(PatientProfile::moderate("x"));
         while !ep.finished() {
             let now = ep.next_tick_at();
-            resumed.live_tick(&mut ep, &routine, &mut b, now, &mut rng, Some(&mut log), None, &mut |_, _| {});
+            resumed.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, Some(&mut log), None, &mut |_, _| {});
         }
         assert_eq!(log, glog, "resumed timeline must match the uninterrupted one");
         assert_eq!(

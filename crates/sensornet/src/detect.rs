@@ -91,11 +91,13 @@ impl Thresholds {
     }
 }
 
-/// The 3-of-10 vote detector.
+/// The 3-of-10 vote detector for one sensor kind.
 ///
-/// Samples are pushed one at a time; every full window of ten yields a
-/// verdict. The detector also exposes a one-shot [`Detector::judge_window`]
-/// for batch evaluation (used by the Table 3 harness).
+/// A mote carries one sensor, so its detector holds that kind's
+/// threshold alone ([`Thresholds::for_kind`]) and judges every reading
+/// against it. Samples are pushed one at a time; every full window of
+/// ten yields a verdict. The detector also exposes a one-shot
+/// [`Detector::judge_window`] for batch evaluation.
 ///
 /// # Examples
 ///
@@ -103,7 +105,7 @@ impl Thresholds {
 /// use coreda_sensornet::detect::{Detector, Thresholds};
 /// use coreda_sensornet::sensors::{Reading, Vec3};
 ///
-/// let mut det = Detector::new(Thresholds::default());
+/// let mut det = Detector::new(Thresholds::default().accel);
 /// let still = Reading::Accel(Vec3::new(0.0, 0.0, 1.0));
 /// for _ in 0..9 {
 ///     assert_eq!(det.push(still), None); // no verdict until the window fills
@@ -112,7 +114,8 @@ impl Thresholds {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Detector {
-    thresholds: Thresholds,
+    /// The activation a sample must exceed to vote "in use".
+    threshold: f64,
     /// The partial window's votes, bit `i` for its `i`-th sample.
     votes: u16,
     /// Samples buffered toward the next verdict (below
@@ -123,34 +126,34 @@ pub struct Detector {
 const _: () = assert!(SAMPLES_PER_WINDOW <= u16::BITS as usize, "a window fits the vote mask");
 
 impl Detector {
-    /// Creates a detector.
+    /// Creates a detector voting on readings above `threshold`.
     #[must_use]
-    pub fn new(thresholds: Thresholds) -> Self {
-        Detector { thresholds, votes: 0, len: 0 }
+    pub fn new(threshold: f64) -> Self {
+        Detector { threshold, votes: 0, len: 0 }
     }
 
-    /// The configured thresholds.
+    /// The activation threshold.
     #[must_use]
-    pub const fn thresholds(&self) -> Thresholds {
-        self.thresholds
+    pub const fn threshold(&self) -> f64 {
+        self.threshold
     }
 
-    /// Whether a single reading surpasses its threshold.
+    /// Whether a single reading surpasses the threshold.
     #[must_use]
     pub fn surpasses(&self, reading: &Reading) -> bool {
-        reading.activation() > self.thresholds.for_kind(reading.kind())
+        reading.activation() > self.threshold
     }
 
     /// Pushes one sample. Returns `Some(in_use)` when this sample closes a
     /// ten-sample window, `None` otherwise.
     pub fn push(&mut self, reading: Reading) -> Option<bool> {
-        self.push_activation(reading.kind(), reading.activation())
+        self.push_activation(reading.activation())
     }
 
     /// [`Detector::push`] with the activation computed by the caller, which
     /// also folds it into the node's per-window peak.
-    pub fn push_activation(&mut self, kind: SensorKind, activation: f64) -> Option<bool> {
-        self.push_vote(activation > self.thresholds.for_kind(kind))
+    pub fn push_activation(&mut self, activation: f64) -> Option<bool> {
+        self.push_vote(activation > self.threshold)
     }
 
     /// Pushes one sample's vote: whether it surpassed its threshold.
@@ -237,13 +240,13 @@ mod tests {
 
     #[test]
     fn still_window_not_in_use() {
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().accel);
         assert!(!det.judge_window(&vec![still(); 10]));
     }
 
     #[test]
     fn exactly_three_votes_suffice() {
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().accel);
         let mut w = vec![still(); 10];
         w[0] = shaken();
         w[4] = shaken();
@@ -256,7 +259,7 @@ mod tests {
     fn accidental_single_bump_filtered() {
         // The paper's motivation for the 3-of-10 rule: one accidental knock
         // must not register as usage.
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().accel);
         let mut w = vec![still(); 10];
         w[3] = Reading::Accel(Vec3::new(2.0, 2.0, 2.0));
         assert!(!det.judge_window(&w));
@@ -264,7 +267,7 @@ mod tests {
 
     #[test]
     fn streaming_matches_batch() {
-        let mut det = Detector::new(Thresholds::default());
+        let mut det = Detector::new(Thresholds::default().accel);
         let m = SignalModel::accelerometer(0.03, 0.5, 0.8);
         let mut rng = SimRng::seed_from(9);
         for _ in 0..50 {
@@ -282,7 +285,7 @@ mod tests {
 
     #[test]
     fn push_emits_every_ten_samples() {
-        let mut det = Detector::new(Thresholds::default());
+        let mut det = Detector::new(Thresholds::default().accel);
         let mut verdicts = 0;
         for _ in 0..35 {
             if det.push(still()).is_some() {
@@ -297,7 +300,7 @@ mod tests {
 
     #[test]
     fn pressure_detection_uses_pressure_threshold() {
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().for_kind(SensorKind::Pressure));
         let active = Reading::Pressure(crate::sensors::AMBIENT_PRESSURE_KPA + 3.0);
         let idle = Reading::Pressure(crate::sensors::AMBIENT_PRESSURE_KPA + 0.2);
         assert!(det.surpasses(&active));
@@ -306,7 +309,7 @@ mod tests {
 
     #[test]
     fn motion_any_trigger_counts() {
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().for_kind(SensorKind::Motion));
         assert!(det.surpasses(&Reading::Motion(true)));
         assert!(!det.surpasses(&Reading::Motion(false)));
     }
@@ -314,7 +317,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exactly 10 samples")]
     fn short_window_rejected() {
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().accel);
         let _ = det.judge_window(&vec![still(); 9]);
     }
 
@@ -335,7 +338,7 @@ mod tests {
         assert!(calibrated.accel < 0.45);
         // …and with it, idle windows stay silent while active windows
         // still detect.
-        let det = Detector::new(calibrated);
+        let det = Detector::new(calibrated.accel);
         let mut false_alarms = 0;
         let mut hits = 0;
         for _ in 0..200 {
@@ -373,7 +376,7 @@ mod tests {
     /// never are.
     #[test]
     fn detection_quality_with_default_calibration() {
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().accel);
         let m = SignalModel::accelerometer(0.03, 0.45, 0.85);
         let mut rng = SimRng::seed_from(10);
         let trials = 500;

@@ -31,8 +31,8 @@ use crate::hw::EEPROM_BYTES;
 /// ```
 #[derive(Debug, Clone, Eq, Serialize, Deserialize)]
 pub struct Eeprom {
-    /// Either empty (device never written) or exactly [`EEPROM_BYTES`].
-    data: Vec<u8>,
+    /// `None` until the device is first written.
+    data: Option<Box<[u8; EEPROM_BYTES]>>,
 }
 
 /// What every unwritten device reads as: one 16 KiB zero block in
@@ -57,7 +57,7 @@ impl Eeprom {
     /// A zero-filled EEPROM of the hardware's capacity.
     #[must_use]
     pub fn new() -> Self {
-        Eeprom { data: Vec::new() }
+        Eeprom { data: None }
     }
 
     /// Capacity in bytes.
@@ -67,12 +67,8 @@ impl Eeprom {
     }
 
     /// The full logical contents, materialised or not.
-    fn bytes(&self) -> &[u8] {
-        if self.data.is_empty() {
-            &ZEROS
-        } else {
-            &self.data
-        }
+    fn bytes(&self) -> &[u8; EEPROM_BYTES] {
+        self.data.as_deref().unwrap_or(&ZEROS)
     }
 
     /// Writes `bytes` starting at `addr`.
@@ -89,10 +85,12 @@ impl Eeprom {
         if end > EEPROM_BYTES {
             return Err(EepromError { addr, len: bytes.len(), capacity: self.capacity() });
         }
-        if self.data.is_empty() {
-            self.data = vec![0; EEPROM_BYTES];
-        }
-        self.data[addr..end].copy_from_slice(bytes);
+        let data = self.data.get_or_insert_with(|| {
+            // Zeroed on the heap: a `[0; EEPROM_BYTES]` temporary would
+            // pass through the stack.
+            vec![0; EEPROM_BYTES].into_boxed_slice().try_into().expect("EEPROM_BYTES long")
+        });
+        data[addr..end].copy_from_slice(bytes);
         Ok(())
     }
 

@@ -28,33 +28,33 @@ pub struct EnergyModel {
     pub sleep_ms_uj: f64,
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            sample_uj: 3.0,
-            tx_byte_uj: 8.3,  // 26.7 mA · 3 V · 104 µs
-            rx_byte_uj: 3.7,  // 11.8 mA · 3 V · 104 µs
-            led_ms_uj: 18.0,  // 6 mA · 3 V · 1 ms
-            sleep_ms_uj: 0.03,
-        }
-    }
+impl EnergyModel {
+    /// The PIC18LF4620 + CC1000 figures every PAVENET mote is charged at.
+    pub const PAVENET: EnergyModel = EnergyModel {
+        sample_uj: 3.0,
+        tx_byte_uj: 8.3,  // 26.7 mA · 3 V · 104 µs
+        rx_byte_uj: 3.7,  // 11.8 mA · 3 V · 104 µs
+        led_ms_uj: 18.0,  // 6 mA · 3 V · 1 ms
+        sleep_ms_uj: 0.03,
+    };
 }
 
-/// A per-node energy meter.
+/// A per-node energy meter, charging at [`EnergyModel::PAVENET`]: every
+/// mote is the same hardware, so the model is a constant, not a copy
+/// per meter.
 ///
 /// # Examples
 ///
 /// ```
-/// use coreda_sensornet::energy::{EnergyMeter, EnergyModel};
+/// use coreda_sensornet::energy::EnergyMeter;
 ///
-/// let mut meter = EnergyMeter::new(EnergyModel::default());
+/// let mut meter = EnergyMeter::new();
 /// meter.charge_samples(10);
 /// meter.charge_tx(16);
 /// assert!(meter.consumed_uj() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EnergyMeter {
-    model: EnergyModel,
     consumed_uj: f64,
     samples: u64,
     tx_bytes: u64,
@@ -66,46 +66,38 @@ pub struct EnergyMeter {
 impl EnergyMeter {
     /// Creates a meter with nothing consumed.
     #[must_use]
-    pub fn new(model: EnergyModel) -> Self {
-        EnergyMeter {
-            model,
-            consumed_uj: 0.0,
-            samples: 0,
-            tx_bytes: 0,
-            rx_bytes: 0,
-            led_ms: 0,
-            sleep_ms: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Charges `n` sensor samples.
     pub fn charge_samples(&mut self, n: u64) {
         self.samples += n;
-        self.consumed_uj += self.model.sample_uj * n as f64;
+        self.consumed_uj += EnergyModel::PAVENET.sample_uj * n as f64;
     }
 
     /// Charges a transmission of `bytes`.
     pub fn charge_tx(&mut self, bytes: usize) {
         self.tx_bytes += bytes as u64;
-        self.consumed_uj += self.model.tx_byte_uj * bytes as f64;
+        self.consumed_uj += EnergyModel::PAVENET.tx_byte_uj * bytes as f64;
     }
 
     /// Charges a reception of `bytes`.
     pub fn charge_rx(&mut self, bytes: usize) {
         self.rx_bytes += bytes as u64;
-        self.consumed_uj += self.model.rx_byte_uj * bytes as f64;
+        self.consumed_uj += EnergyModel::PAVENET.rx_byte_uj * bytes as f64;
     }
 
     /// Charges `ms` milliseconds of a lit LED.
     pub fn charge_led(&mut self, ms: u64) {
         self.led_ms += ms;
-        self.consumed_uj += self.model.led_ms_uj * ms as f64;
+        self.consumed_uj += EnergyModel::PAVENET.led_ms_uj * ms as f64;
     }
 
     /// Charges `ms` milliseconds of sleep draw.
     pub fn charge_sleep(&mut self, ms: u64) {
         self.sleep_ms += ms;
-        self.consumed_uj += self.model.sleep_ms_uj * ms as f64;
+        self.consumed_uj += EnergyModel::PAVENET.sleep_ms_uj * ms as f64;
     }
 
     /// Total microjoules consumed.
@@ -136,7 +128,7 @@ impl EnergyMeter {
 
     /// Resets the meter.
     pub fn reset(&mut self) {
-        *self = EnergyMeter::new(self.model);
+        *self = EnergyMeter::new();
     }
 
     /// Restores the meter's accumulated totals from a checkpoint. The
@@ -179,7 +171,7 @@ mod tests {
 
     #[test]
     fn charges_accumulate() {
-        let mut m = EnergyMeter::new(EnergyModel::default());
+        let mut m = EnergyMeter::new();
         m.charge_samples(100);
         m.charge_tx(32);
         m.charge_rx(8);
@@ -193,15 +185,15 @@ mod tests {
 
     #[test]
     fn tx_costs_more_than_rx_per_byte() {
-        let model = EnergyModel::default();
+        let model = EnergyModel::PAVENET;
         assert!(model.tx_byte_uj > model.rx_byte_uj);
     }
 
     #[test]
     fn battery_days_scales_inversely_with_power() {
-        let mut light = EnergyMeter::new(EnergyModel::default());
+        let mut light = EnergyMeter::new();
         light.charge_samples(10);
-        let mut heavy = EnergyMeter::new(EnergyModel::default());
+        let mut heavy = EnergyMeter::new();
         heavy.charge_samples(1000);
         let elapsed = 60_000; // one minute
         let d_light = light.battery_days(TWO_AA_JOULES, elapsed).unwrap();
@@ -212,7 +204,7 @@ mod tests {
     #[test]
     fn sampling_only_node_lasts_months() {
         // 10 Hz sampling with no radio: the dominant deployment mode.
-        let mut m = EnergyMeter::new(EnergyModel::default());
+        let mut m = EnergyMeter::new();
         let hours = 24;
         let ms = hours * 3600 * 1000;
         m.charge_samples(10 * 3600 * hours);
@@ -223,13 +215,13 @@ mod tests {
 
     #[test]
     fn no_consumption_no_estimate() {
-        let m = EnergyMeter::new(EnergyModel::default());
+        let m = EnergyMeter::new();
         assert_eq!(m.battery_days(TWO_AA_JOULES, 1000), None);
     }
 
     #[test]
     fn reset_zeroes() {
-        let mut m = EnergyMeter::new(EnergyModel::default());
+        let mut m = EnergyMeter::new();
         m.charge_tx(10);
         m.reset();
         assert_eq!(m.consumed_uj(), 0.0);

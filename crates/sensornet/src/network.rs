@@ -6,8 +6,6 @@
 //! with acknowledgements, and duplicate suppression at the base station
 //! (a retransmitted frame whose ack was lost arrives twice).
 
-use std::collections::HashMap;
-
 use coreda_des::rng::SimRng;
 use coreda_des::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -122,18 +120,25 @@ impl LinkCounters {
 #[derive(Debug, Clone)]
 pub struct StarNetwork {
     cfg: LinkConfig,
-    links: HashMap<NodeId, RadioLink>,
+    /// Each registered node's channel state, sorted by node id. Every
+    /// link transmits under `cfg.loss`: there is no per-link model.
+    links: Vec<(NodeId, RadioLink)>,
     uplink: LinkCounters,
     downlink: LinkCounters,
 }
 
 impl StarNetwork {
     /// Creates an empty network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the loss model holds an invalid probability.
     #[must_use]
     pub fn new(cfg: LinkConfig) -> Self {
+        cfg.loss.validate();
         StarNetwork {
             cfg,
-            links: HashMap::new(),
+            links: Vec::new(),
             uplink: LinkCounters::default(),
             downlink: LinkCounters::default(),
         }
@@ -141,7 +146,22 @@ impl StarNetwork {
 
     /// Registers a node, creating its link. Re-registering resets the link.
     pub fn register(&mut self, node: NodeId) {
-        self.links.insert(node, RadioLink::new(self.cfg.loss));
+        match self.links.binary_search_by_key(&node, |&(id, _)| id) {
+            Ok(at) => self.links[at].1 = RadioLink::default(),
+            Err(at) => self.links.insert(at, (node, RadioLink::default())),
+        }
+    }
+
+    /// `node`'s link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` was never [`register`ed](Self::register).
+    fn link(&mut self, node: NodeId) -> &mut RadioLink {
+        match self.links.binary_search_by_key(&node, |&(id, _)| id) {
+            Ok(at) => &mut self.links[at].1,
+            Err(_) => panic!("node {node} is not registered"),
+        }
     }
 
     /// Number of registered nodes.
@@ -156,9 +176,9 @@ impl StarNetwork {
         self.cfg
     }
 
-    /// Fault injection: swaps the loss process on every link (and on links
-    /// registered later). Frame counters are preserved; Gilbert–Elliott
-    /// channels restart in the good state.
+    /// Fault injection: swaps the loss process every link transmits
+    /// under (links registered later included). Frame counters are
+    /// preserved; Gilbert–Elliott channels restart in the good state.
     ///
     /// # Panics
     ///
@@ -166,8 +186,8 @@ impl StarNetwork {
     pub fn set_loss(&mut self, loss: LossModel) {
         loss.validate();
         self.cfg.loss = loss;
-        for link in self.links.values_mut() {
-            link.set_loss(loss);
+        for (_, link) in &mut self.links {
+            link.in_bad_state = false;
         }
     }
 
@@ -216,19 +236,15 @@ impl StarNetwork {
     }
 
     /// Per-node link state `(node, in_bad_state, frames_sent, frames_lost)`
-    /// sorted by node id — a deterministic export for checkpointing.
-    /// Loss models are not included: every link's model always equals
-    /// `config().loss` (registration and [`StarNetwork::set_loss`] both
-    /// maintain that invariant), so the snapshot stores it once.
+    /// sorted by node id — a deterministic export for checkpointing. Loss
+    /// models are not included: a link has none of its own, every link
+    /// transmits under `config().loss`, so the snapshot stores it once.
     #[must_use]
     pub fn channel_states(&self) -> Vec<(NodeId, bool, u64, u64)> {
-        let mut out: Vec<_> = self
-            .links
+        self.links
             .iter()
-            .map(|(&id, link)| (id, link.in_bad_state(), link.frames_sent(), link.frames_lost()))
-            .collect();
-        out.sort_unstable_by_key(|&(id, ..)| id.raw());
-        out
+            .map(|&(id, l)| (id, l.in_bad_state, l.frames_sent, l.frames_lost))
+            .collect()
     }
 
     /// Restores per-node link state captured by
@@ -240,12 +256,8 @@ impl StarNetwork {
     ///
     /// Panics if a state refers to an unregistered node.
     pub fn restore_channel_states(&mut self, states: &[(NodeId, bool, u64, u64)]) {
-        for &(id, bad, sent, lost) in states {
-            let link = self
-                .links
-                .get_mut(&id)
-                .unwrap_or_else(|| panic!("node {id} is not registered"));
-            link.restore_channel(bad, sent, lost);
+        for &(id, in_bad_state, frames_sent, frames_lost) in states {
+            *self.link(id) = RadioLink { in_bad_state, frames_sent, frames_lost };
         }
     }
 
@@ -256,10 +268,8 @@ impl StarNetwork {
     }
 
     fn send_via(&mut self, node: NodeId, packet: &Packet, rng: &mut SimRng) -> SendOutcome {
-        let link = self
-            .links
-            .get_mut(&node)
-            .unwrap_or_else(|| panic!("node {node} is not registered"));
+        let cfg = self.cfg;
+        let link = self.link(node);
         let data_len = packet.encoded_len();
         let ack_len =
             Packet::new(packet.src, 0, 0, Payload::Ack { acked_seq: packet.seq }).encoded_len();
@@ -269,19 +279,19 @@ impl StarNetwork {
         let mut delivered_at: Option<(SimDuration, u8)> = None;
         let mut deliveries: u8 = 0;
         let mut attempts: u8 = 0;
-        for attempt in 0..=self.cfg.max_retries {
+        for attempt in 0..=cfg.max_retries {
             if attempt > 0 {
-                latency += self.cfg.retry_backoff;
+                latency += cfg.retry_backoff;
             }
             attempts += 1;
             latency += per_attempt;
-            let data_ok = link.transmit(data_len, rng);
+            let data_ok = link.transmit(&cfg.loss, rng);
             if data_ok {
                 deliveries += 1;
                 if delivered_at.is_none() {
                     delivered_at = Some((latency, attempts));
                 }
-                let ack_ok = link.transmit(ack_len, rng);
+                let ack_ok = link.transmit(&cfg.loss, rng);
                 if ack_ok {
                     break; // sender hears the ack and stops.
                 }
@@ -303,7 +313,8 @@ impl StarNetwork {
 /// The server-side frame sink with duplicate suppression.
 #[derive(Debug, Clone, Default)]
 pub struct BaseStation {
-    last_seq: HashMap<NodeId, u16>,
+    /// Last sequence number seen from each node, sorted by node id.
+    last_seq: Vec<(NodeId, u16)>,
     accepted: u64,
     duplicates: u64,
 }
@@ -318,17 +329,16 @@ impl BaseStation {
     /// Processes one received frame. Returns the packet if it is new, or
     /// `None` if it repeats the last sequence number seen from its source.
     pub fn receive(&mut self, packet: Packet) -> Option<Packet> {
-        match self.last_seq.get(&packet.src) {
-            Some(&last) if last == packet.seq => {
+        match self.last_seq.binary_search_by_key(&packet.src, |&(id, _)| id) {
+            Ok(at) if self.last_seq[at].1 == packet.seq => {
                 self.duplicates += 1;
-                None
+                return None;
             }
-            _ => {
-                self.last_seq.insert(packet.src, packet.seq);
-                self.accepted += 1;
-                Some(packet)
-            }
+            Ok(at) => self.last_seq[at].1 = packet.seq,
+            Err(at) => self.last_seq.insert(at, (packet.src, packet.seq)),
         }
+        self.accepted += 1;
+        Some(packet)
     }
 
     /// Frames accepted as new.
@@ -347,18 +357,17 @@ impl BaseStation {
     /// (checkpointing export).
     #[must_use]
     pub fn last_seqs(&self) -> Vec<(NodeId, u16)> {
-        let mut out: Vec<_> = self.last_seq.iter().map(|(&id, &seq)| (id, seq)).collect();
-        out.sort_unstable_by_key(|&(id, _)| id.raw());
-        out
+        self.last_seq.clone()
     }
 
     /// Restores the dedup history and acceptance counters from a
-    /// checkpoint.
+    /// checkpoint. A node listed twice keeps its last entry.
     pub fn restore_state(&mut self, last_seqs: &[(NodeId, u16)], accepted: u64, duplicates: u64) {
-        self.last_seq.clear();
-        for &(id, seq) in last_seqs {
-            self.last_seq.insert(id, seq);
-        }
+        // A stable sort of the reversed list puts each node's last entry
+        // first, and sorting keeps a crafted unsorted list O(n log n).
+        self.last_seq = last_seqs.iter().rev().copied().collect();
+        self.last_seq.sort_by_key(|&(id, _)| id);
+        self.last_seq.dedup_by_key(|&mut (id, _)| id);
         self.accepted = accepted;
         self.duplicates = duplicates;
     }
@@ -510,6 +519,118 @@ mod tests {
         let mut bs = BaseStation::new();
         assert!(bs.receive(tool_use(1, u16::MAX)).is_some());
         assert!(bs.receive(tool_use(1, 0)).is_some(), "wrapped seq is a new frame");
+    }
+
+    /// Bursty enough that channels are often caught in the bad state.
+    const BURSTY: LossModel = LossModel::GilbertElliott {
+        p_good_to_bad: 0.3,
+        p_bad_to_good: 0.2,
+        loss_good: 0.1,
+        loss_bad: 0.9,
+    };
+
+    /// Nodes 9, 3 and 7, registered in that order, after `rounds` rounds
+    /// of one uplink per node, each frame accepted (or not) by `bs`.
+    fn out_of_order_network(loss: LossModel, rounds: u16, bs: &mut BaseStation) -> StarNetwork {
+        let mut net =
+            StarNetwork::new(LinkConfig { loss, max_retries: 2, ..LinkConfig::default() });
+        for id in [9, 3, 7] {
+            net.register(NodeId::new(id));
+        }
+        let mut rng = SimRng::seed_from(11);
+        for seq in 0..rounds {
+            for id in [9, 3, 7] {
+                let p = tool_use(id, seq);
+                if net.send_uplink(&p, &mut rng).is_delivered() {
+                    let _ = bs.receive(p);
+                }
+            }
+        }
+        net
+    }
+
+    fn ids<T>(states: &[(NodeId, T)]) -> Vec<u16> {
+        states.iter().map(|(id, _)| id.raw()).collect()
+    }
+
+    #[test]
+    fn exports_are_sorted_by_node_id_whatever_the_registration_order() {
+        for loss in [LossModel::Bernoulli { p: 0.3 }, BURSTY] {
+            let mut bs = BaseStation::new();
+            let net = out_of_order_network(loss, 40, &mut bs);
+            let channels = net.channel_states();
+            let sorted: Vec<u16> = channels.iter().map(|c| c.0.raw()).collect();
+            assert_eq!(sorted, [3, 7, 9], "{loss:?}");
+            assert!(
+                channels.iter().all(|&(_, _, sent, lost)| sent >= 40 && lost > 0),
+                "{channels:?}"
+            );
+            assert_eq!(ids(&bs.last_seqs()), [3, 7, 9], "{loss:?}");
+        }
+    }
+
+    #[test]
+    fn channel_and_dedup_state_round_trip_through_their_exports() {
+        for loss in [LossModel::Bernoulli { p: 0.3 }, BURSTY] {
+            let mut bs = BaseStation::new();
+            let net = out_of_order_network(loss, 40, &mut bs);
+            let mut twin = StarNetwork::new(net.config());
+            for id in [7, 9, 3] {
+                twin.register(NodeId::new(id));
+            }
+            twin.restore_channel_states(&net.channel_states());
+            assert_eq!(twin.channel_states(), net.channel_states(), "{loss:?}");
+
+            let mut restored = BaseStation::new();
+            let mut shuffled = bs.last_seqs();
+            shuffled.reverse();
+            restored.restore_state(&shuffled, bs.accepted(), bs.duplicates());
+            assert_eq!(restored.last_seqs(), bs.last_seqs(), "{loss:?}");
+            assert_eq!(
+                (restored.accepted(), restored.duplicates()),
+                (bs.accepted(), bs.duplicates())
+            );
+            // The restored history suppresses exactly what the original does.
+            let (id, seq) = bs.last_seqs()[1];
+            assert!(restored.receive(tool_use(id.raw(), seq)).is_none());
+            assert!(restored.receive(tool_use(id.raw(), seq.wrapping_add(1))).is_some());
+        }
+        let mut bs = BaseStation::new();
+        bs.restore_state(&[(NodeId::new(9), 4), (NodeId::new(3), 1), (NodeId::new(9), 2)], 0, 0);
+        assert_eq!(bs.last_seqs(), [(NodeId::new(3), 1), (NodeId::new(9), 2)], "last entry wins");
+    }
+
+    #[test]
+    fn re_registering_resets_only_that_nodes_link() {
+        let mut bs = BaseStation::new();
+        let mut net = out_of_order_network(BURSTY, 40, &mut bs);
+        let before = net.channel_states();
+        net.register(NodeId::new(7));
+        let after = net.channel_states();
+        assert_eq!(after[1], (NodeId::new(7), false, 0, 0));
+        assert_eq!((after[0], after[2]), (before[0], before[2]));
+        assert_eq!(net.node_count(), 3);
+    }
+
+    #[test]
+    fn set_loss_restarts_every_channel_and_reaches_later_links() {
+        let mut bs = BaseStation::new();
+        let mut net = out_of_order_network(BURSTY, 40, &mut bs);
+        let before = net.channel_states();
+        assert!(before.iter().any(|c| c.1), "some channel should be caught in the bad state");
+        net.set_loss(LossModel::Bernoulli { p: 1.0 });
+        assert_eq!(net.config().loss, LossModel::Bernoulli { p: 1.0 });
+        for (was, now) in before.iter().zip(net.channel_states()) {
+            assert_eq!(now, (was.0, false, was.2, was.3), "counters carry on, state restarts");
+        }
+        net.register(NodeId::new(1));
+        let mut rng = SimRng::seed_from(12);
+        assert_eq!(
+            net.send_uplink(&tool_use(1, 0), &mut rng),
+            SendOutcome::Lost { attempts: 3 },
+            "a link registered after set_loss transmits under the new model"
+        );
+        assert_eq!(net.channel_states()[0], (NodeId::new(1), false, 3, 3));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::detect::{Detector, Thresholds};
 use crate::eeprom::Eeprom;
-use crate::energy::{EnergyMeter, EnergyModel};
+use crate::energy::EnergyMeter;
 use crate::led::{LedBank, LedColor};
 use crate::packet::{Packet, Payload};
 use crate::signal::{NoiseBound, SignalModel};
@@ -149,14 +149,15 @@ impl PavenetNode {
     /// Creates a node attached to a tool with the given signal behaviour.
     #[must_use]
     pub fn new(uid: NodeId, signal: SignalModel, thresholds: Thresholds) -> Self {
+        let threshold = thresholds.for_kind(signal.kind());
         PavenetNode {
             uid,
             signal,
-            bound: signal.noise_bound(thresholds.for_kind(signal.kind())),
-            detector: Detector::new(thresholds),
+            bound: signal.noise_bound(threshold),
+            detector: Detector::new(threshold),
             leds: LedBank::new(),
             eeprom: Eeprom::new(),
-            energy: EnergyMeter::new(EnergyModel::default()),
+            energy: EnergyMeter::new(),
             next_seq: 0,
             window_peak_activation: 0.0,
             window_in_use: 0,
@@ -254,7 +255,7 @@ impl PavenetNode {
         let verdict = match self.signal.sample_activation(active, self.bound, rng) {
             Some(activation) => {
                 self.window_peak_activation = self.window_peak_activation.max(activation);
-                self.detector.push_activation(self.signal.kind(), activation)
+                self.detector.push_activation(activation)
             }
             None => {
                 if self.replay_from.is_none() {

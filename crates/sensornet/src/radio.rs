@@ -57,7 +57,11 @@ impl LossModel {
     }
 }
 
-/// A point-to-point radio link with airtime and loss.
+/// One point-to-point radio link's channel state: the Gilbert–Elliott
+/// state and the frame counters. The loss process is not part of it:
+/// every link of a [`StarNetwork`](crate::network::StarNetwork) follows
+/// the network's one [`LossModel`], which [`RadioLink::transmit`] takes
+/// as an argument.
 ///
 /// # Examples
 ///
@@ -65,45 +69,23 @@ impl LossModel {
 /// use coreda_des::rng::SimRng;
 /// use coreda_sensornet::radio::{LossModel, RadioLink};
 ///
-/// let mut link = RadioLink::new(LossModel::Perfect);
+/// let mut link = RadioLink::default();
 /// let mut rng = SimRng::seed_from(0);
-/// assert!(link.transmit(32, &mut rng));
+/// assert!(link.transmit(&LossModel::Perfect, &mut rng));
 /// assert!(RadioLink::airtime(32).as_millis() >= 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RadioLink {
-    loss: LossModel,
-    /// Gilbert–Elliott channel state (`true` = bad).
-    in_bad_state: bool,
-    frames_sent: u64,
-    frames_lost: u64,
+    /// Whether the Gilbert–Elliott channel is in the bad state (always
+    /// `false` for memoryless models).
+    pub(crate) in_bad_state: bool,
+    /// Frames attempted so far.
+    pub(crate) frames_sent: u64,
+    /// Frames lost so far.
+    pub(crate) frames_lost: u64,
 }
 
 impl RadioLink {
-    /// Creates a link with the given loss process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the loss model holds an invalid probability.
-    #[must_use]
-    pub fn new(loss: LossModel) -> Self {
-        loss.validate();
-        RadioLink { loss, in_bad_state: false, frames_sent: 0, frames_lost: 0 }
-    }
-
-    /// Swaps the loss process in place (fault-window injection). Resets
-    /// the Gilbert–Elliott channel to the good state; frame counters are
-    /// preserved so observed loss rates span the whole run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new model holds an invalid probability.
-    pub fn set_loss(&mut self, loss: LossModel) {
-        loss.validate();
-        self.loss = loss;
-        self.in_bad_state = false;
-    }
-
     /// Time on air for a frame of `len_bytes` at the CC1000's bitrate,
     /// rounded up to the next millisecond (plus one ms of MAC overhead).
     #[must_use]
@@ -113,10 +95,12 @@ impl RadioLink {
         SimDuration::from_millis(micros / 1000 + 1)
     }
 
-    /// Attempts one frame transmission; returns whether it was delivered.
-    pub fn transmit(&mut self, _len_bytes: usize, rng: &mut SimRng) -> bool {
+    /// Attempts one frame transmission under `loss`; returns whether it
+    /// was delivered. The caller validates `loss` (see
+    /// [`LossModel::validate`]).
+    pub fn transmit(&mut self, loss: &LossModel, rng: &mut SimRng) -> bool {
         self.frames_sent += 1;
-        let lost = match self.loss {
+        let lost = match *loss {
             LossModel::Perfect => false,
             LossModel::Bernoulli { p } => p > 0.0 && rng.chance(p),
             LossModel::GilbertElliott { p_good_to_bad, p_bad_to_good, loss_good, loss_bad } => {
@@ -138,18 +122,6 @@ impl RadioLink {
         !lost
     }
 
-    /// Frames attempted so far.
-    #[must_use]
-    pub const fn frames_sent(&self) -> u64 {
-        self.frames_sent
-    }
-
-    /// Frames lost so far.
-    #[must_use]
-    pub const fn frames_lost(&self) -> u64 {
-        self.frames_lost
-    }
-
     /// Observed loss rate.
     #[must_use]
     pub fn loss_rate(&self) -> f64 {
@@ -159,22 +131,6 @@ impl RadioLink {
             self.frames_lost as f64 / self.frames_sent as f64
         }
     }
-
-    /// Whether the Gilbert–Elliott channel is currently in the bad state
-    /// (always `false` for memoryless models). Checkpointing accessor.
-    #[must_use]
-    pub const fn in_bad_state(&self) -> bool {
-        self.in_bad_state
-    }
-
-    /// Restores the channel state and frame counters from a checkpoint.
-    /// Call this *after* any [`RadioLink::set_loss`], which resets the
-    /// channel to the good state.
-    pub fn restore_channel(&mut self, in_bad_state: bool, frames_sent: u64, frames_lost: u64) {
-        self.in_bad_state = in_bad_state;
-        self.frames_sent = frames_sent;
-        self.frames_lost = frames_lost;
-    }
 }
 
 #[cfg(test)]
@@ -183,20 +139,20 @@ mod tests {
 
     #[test]
     fn perfect_link_never_loses() {
-        let mut link = RadioLink::new(LossModel::Perfect);
+        let mut link = RadioLink::default();
         let mut rng = SimRng::seed_from(1);
         for _ in 0..1000 {
-            assert!(link.transmit(32, &mut rng));
+            assert!(link.transmit(&LossModel::Perfect, &mut rng));
         }
         assert_eq!(link.loss_rate(), 0.0);
     }
 
     #[test]
     fn bernoulli_loss_rate_matches() {
-        let mut link = RadioLink::new(LossModel::Bernoulli { p: 0.3 });
+        let mut link = RadioLink::default();
         let mut rng = SimRng::seed_from(2);
         for _ in 0..10_000 {
-            let _ = link.transmit(32, &mut rng);
+            let _ = link.transmit(&LossModel::Bernoulli { p: 0.3 }, &mut rng);
         }
         assert!((link.loss_rate() - 0.3).abs() < 0.02, "rate {}", link.loss_rate());
     }
@@ -209,9 +165,9 @@ mod tests {
             loss_good: 0.01,
             loss_bad: 0.8,
         };
-        let mut link = RadioLink::new(model);
+        let mut link = RadioLink::default();
         let mut rng = SimRng::seed_from(3);
-        let outcomes: Vec<bool> = (0..20_000).map(|_| link.transmit(32, &mut rng)).collect();
+        let outcomes: Vec<bool> = (0..20_000).map(|_| link.transmit(&model, &mut rng)).collect();
         // Burstiness: the probability a loss follows a loss should be well
         // above the marginal loss rate.
         let losses = outcomes.iter().filter(|&&ok| !ok).count() as f64;
@@ -244,16 +200,15 @@ mod tests {
 
     #[test]
     fn counters_track_activity() {
-        let mut link = RadioLink::new(LossModel::Bernoulli { p: 1.0 });
+        let mut link = RadioLink::default();
         let mut rng = SimRng::seed_from(4);
-        assert!(!link.transmit(10, &mut rng));
-        assert_eq!(link.frames_sent(), 1);
-        assert_eq!(link.frames_lost(), 1);
+        assert!(!link.transmit(&LossModel::Bernoulli { p: 1.0 }, &mut rng));
+        assert_eq!((link.frames_sent, link.frames_lost), (1, 1));
     }
 
     #[test]
     #[should_panic(expected = "must be a probability")]
     fn invalid_probability_rejected() {
-        let _ = RadioLink::new(LossModel::Bernoulli { p: 1.5 });
+        LossModel::Bernoulli { p: 1.5 }.validate();
     }
 }

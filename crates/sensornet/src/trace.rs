@@ -186,8 +186,8 @@ mod tests {
         assert_eq!(parsed.period_ms, 100);
         assert_eq!(parsed.readings.len(), trace.readings.len());
         // The replayed trace yields identical detector verdicts.
-        let mut det_a = Detector::new(Thresholds::default());
-        let mut det_b = Detector::new(Thresholds::default());
+        let mut det_a = Detector::new(Thresholds::default().accel);
+        let mut det_b = Detector::new(Thresholds::default().accel);
         for (a, b) in trace.readings.iter().zip(&parsed.readings) {
             assert_eq!(det_a.push(*a), det_b.push(*b));
         }

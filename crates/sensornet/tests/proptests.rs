@@ -2,7 +2,7 @@
 
 use coreda_des::rng::SimRng;
 use coreda_sensornet::detect::{Detector, Thresholds};
-use coreda_sensornet::energy::{EnergyMeter, EnergyModel};
+use coreda_sensornet::energy::EnergyMeter;
 use coreda_sensornet::led::{BlinkPattern, LedColor};
 use coreda_sensornet::node::{NodeId, NodeState, PavenetNode};
 use coreda_sensornet::packet::{crc16, Packet, Payload};
@@ -85,7 +85,7 @@ proptest! {
     /// any pattern of sample activations.
     #[test]
     fn detector_matches_specification(activations in proptest::collection::vec(0.0f64..1.0, 10)) {
-        let det = Detector::new(Thresholds::default());
+        let det = Detector::new(Thresholds::default().accel);
         let window: Vec<Reading> = activations
             .iter()
             // Put all deviation on x so activation ≈ |sqrt(x²+1) − 1|… use
@@ -94,7 +94,7 @@ proptest! {
             .collect();
         let expected = activations
             .iter()
-            .filter(|&&a| a > det.thresholds().accel)
+            .filter(|&&a| a > det.threshold())
             .count()
             >= 3;
         prop_assert_eq!(det.judge_window(&window), expected);
@@ -156,8 +156,8 @@ impl EagerNode {
         EagerNode {
             uid,
             signal,
-            detector: Detector::new(thresholds),
-            energy: EnergyMeter::new(EnergyModel::default()),
+            detector: Detector::new(thresholds.for_kind(signal.kind())),
+            energy: EnergyMeter::new(),
             next_seq: 0,
             peak: 0.0,
             windows_closed: 0,
@@ -177,7 +177,7 @@ impl EagerNode {
         let reading = self.signal.sample(in_use, rng);
         let activation = reading.activation();
         self.peak = self.peak.max(activation);
-        let verdict = self.detector.push_activation(reading.kind(), activation)?;
+        let verdict = self.detector.push_activation(activation)?;
         self.windows_closed += 1;
         let peak = std::mem::replace(&mut self.peak, 0.0);
         if !verdict {

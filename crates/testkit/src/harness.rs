@@ -25,7 +25,7 @@ use coreda_core::live::{EpisodeLog, LogKind, StochasticBehavior};
 use coreda_core::planning::PlanningSubsystem;
 use coreda_core::reminding::{ReminderLevel, ReminderMethod, Trigger};
 use coreda_core::sessions::{SessionEvent, SessionTracker};
-use coreda_core::system::{Coreda, CoredaConfig, LiveEpisode};
+use coreda_core::system::{Coreda, CoredaConfig, LiveEpisode, TickScratch};
 use coreda_core::telemetry::{Ctr, HomeRecorder, TraceKind};
 use coreda_core::wal::{self, decode_wal_tolerant, encode_wal, WalRecord};
 use coreda_des::rng::SimRng;
@@ -357,6 +357,8 @@ struct HomeRun<'a> {
     rec: Option<HomeRecorder>,
     /// Session events buffered while `live_tick` holds the recorder.
     scratch_sessions: Vec<SessionEvent>,
+    /// The pipeline tick's buffers, lent to whichever activity ticks.
+    scratch_tick: TickScratch,
     /// Write-ahead event log, one record per state-mutating poll.
     wal: Vec<WalRecord>,
     /// The previous kill's decoded snapshot: later kills round-trip an
@@ -409,6 +411,7 @@ impl<'a> HomeRun<'a> {
             stats: RunStats::default(),
             rec: None,
             scratch_sessions: Vec::new(),
+            scratch_tick: TickScratch::default(),
             wal: Vec::new(),
             base: None,
         };
@@ -645,6 +648,7 @@ impl<'a> HomeRun<'a> {
                     &mut self.behavior,
                     now,
                     rng,
+                    &mut self.scratch_tick,
                     Some(log),
                     self.rec.as_mut(),
                     &mut |src, at| {

@@ -68,8 +68,8 @@ fn facade_reexports_cover_the_stack() {
     net.register(node.uid());
     assert_eq!(net.node_count(), 1);
 
-    let det = Detector::new(Thresholds::default());
-    assert!(det.thresholds().accel > 0.0);
+    let det = Detector::new(Thresholds::default().accel);
+    assert!(det.threshold() > 0.0);
 
     let t = SimTime::from_secs(13) + SimDuration::from_secs(10);
     assert_eq!(t, SimTime::from_secs(23));

@@ -125,7 +125,7 @@ fn epoch_served_fleet_matches_the_strict_batch_run() {
 #[test]
 fn checkpoints_are_sched_agnostic() {
     let config = cfg(1);
-    // Off the 256 ms window grid and off every home's 100 ms tick grid.
+    // Off every home's 100 ms tick grid: no wake lands exactly on either stop.
     let early = SimTime::from_millis(97_411);
     let stop = SimTime::from_millis(300_037);
     let snap = |stops: &[SimTime]| {
