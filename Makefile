@@ -38,8 +38,10 @@ bench-scale:
 # trace-summary golden, doc and clippy lints, a fixed-seed
 # simulation-testing fuzz budget (plus a second budget with
 # checkpoint-kill-resume faults injected into every plan — each kill
-# exercises the delta codec, torn-WAL recovery and the compaction path;
-# the harness logs every wake to its WAL by construction), the DST
+# stops the production run, round-trips the snapshot through the full
+# or delta codec, tears the write-ahead log mid-chunk and resumes; both
+# budgets serve a three-home fleet through metro::run behind the fault
+# overlay, so they exercise the serving code itself), the DST
 # regression corpus replay (including kill-mid-compaction), a 100k-home
 # arena smoke serve, and the bench-regression gate: fresh 10k-home
 # throughput within 10 % of the committed BENCH_scale.json figure, the

@@ -464,6 +464,7 @@ pub fn scale(p: &Parsed) -> CmdResult {
         care: care.then_some(&policy),
         stops: &stops,
         resume: resume.as_ref(),
+        faults: None,
     };
     let result = run(&cfg, &spec)?;
 
@@ -781,11 +782,10 @@ pub fn loadgen(p: &Parsed) -> CmdResult {
 ///
 /// Expands `--seed` into a stream of fault plans (radio loss bursts,
 /// node crashes, sensor flips, clock skew, non-compliance, severe
-/// lapses, routine drift), serves each under the real pipeline with
-/// event-driven wakes and with dense polling, every invariant oracle
-/// attached, and shrinks any
-/// violation to a minimal `.seed.json` repro. Fails (non-zero exit) if
-/// any oracle fires.
+/// lapses, routine drift), serves each on a small production fleet
+/// behind the fault overlay, at jobs 1 and at `--jobs`, every invariant
+/// oracle attached, and shrinks any violation to a minimal `.seed.json`
+/// repro. Fails (non-zero exit) if any oracle fires.
 pub fn fuzz(p: &Parsed) -> CmdResult {
     use coreda_testkit::fuzz::{fuzz, FuzzConfig};
 
@@ -816,14 +816,10 @@ pub fn fuzz(p: &Parsed) -> CmdResult {
 /// oracle fires again, or (for clean entries) every oracle stays silent.
 pub fn replay(p: &Parsed) -> CmdResult {
     use coreda_testkit::corpus;
-    use coreda_testkit::harness::Harness;
 
-    let harness = Harness::new();
     let outcomes = match (p.get("file"), p.get("dir")) {
-        (Some(file), None) => {
-            vec![corpus::replay_file(&harness, std::path::Path::new(file))?]
-        }
-        (None, Some(dir)) => corpus::replay_dir(&harness, std::path::Path::new(dir))?,
+        (Some(file), None) => vec![corpus::replay_file(std::path::Path::new(file))?],
+        (None, Some(dir)) => corpus::replay_dir(std::path::Path::new(dir))?,
         _ => return Err("replay needs exactly one of --file FILE or --dir DIR".into()),
     };
     let mut out = String::new();

@@ -149,6 +149,66 @@ impl PatientBehavior for ScriptedBehavior {
     }
 }
 
+/// Wraps any behaviour with the fault overlay's patient faults: while
+/// `non_compliant` is set every prompt is ignored; while `lapsing` is set
+/// step boundaries freeze or grab a wrong tool at elevated rates.
+///
+/// A metro shard's behaviour is always one of these. With no fault
+/// schedule both flags stay off and it defers to `inner`; with one, the
+/// overlay sets both flags from the desired state before every wake, so
+/// the extra random draws happen at the same instants however the home
+/// is woken.
+#[derive(Debug)]
+pub struct FaultyBehavior<B> {
+    inner: B,
+    /// Active non-compliance window: ignore every prompt.
+    pub non_compliant: bool,
+    /// Active severe-lapse window: error-prone step boundaries.
+    pub lapsing: bool,
+}
+
+impl<B: PatientBehavior> FaultyBehavior<B> {
+    /// Wraps `inner` with both fault flags off.
+    pub fn new(inner: B) -> Self {
+        FaultyBehavior { inner, non_compliant: false, lapsing: false }
+    }
+}
+
+impl<B: PatientBehavior> PatientBehavior for FaultyBehavior<B> {
+    fn at_boundary(
+        &mut self,
+        idx: usize,
+        routine: &Routine,
+        spec: &AdlSpec,
+        rng: &mut SimRng,
+    ) -> PatientAction {
+        if self.lapsing {
+            let roll = rng.uniform_range(0.0, 1.0);
+            if roll < 0.25 {
+                return PatientAction::Freeze;
+            }
+            if roll < 0.5 && !spec.tools().is_empty() {
+                let tool = rng.choose(spec.tools());
+                return PatientAction::WrongTool(coreda_adl::tool::Tool::id(tool));
+            }
+        }
+        self.inner.at_boundary(idx, routine, spec, rng)
+    }
+
+    fn step_duration(&mut self, step: &Step, rng: &mut SimRng) -> SimDuration {
+        self.inner.step_duration(step, rng)
+    }
+
+    fn complies(&mut self, prompt: &Prompt, rng: &mut SimRng) -> bool {
+        if self.non_compliant {
+            // Deliberately no inner draw: the window overrides the
+            // patient, it does not consult them.
+            return false;
+        }
+        self.inner.complies(prompt, rng)
+    }
+}
+
 /// One entry of a live episode's log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LogKind {
@@ -192,6 +252,11 @@ impl EpisodeLog {
     #[must_use]
     pub fn entries(&self) -> &[(SimTime, LogKind)] {
         &self.entries
+    }
+
+    /// Drops every entry, keeping the buffer for the next episode.
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// The reminders issued, with timestamps.
@@ -302,6 +367,18 @@ mod tests {
         for idx in 1..4 {
             assert_eq!(b.at_boundary(idx, &routine, &tea, &mut rng), PatientAction::Proceed);
         }
+    }
+
+    #[test]
+    fn non_compliance_window_overrides_inner() {
+        let prompt = Prompt { tool: ToolId::new(3), level: ReminderLevel::Minimal };
+        let mut b = FaultyBehavior::new(ScriptedBehavior::new());
+        let mut rng = SimRng::seed_from(1);
+        assert!(b.complies(&prompt, &mut rng), "scripted behavior always complies");
+        b.non_compliant = true;
+        assert!(!b.complies(&prompt, &mut rng));
+        b.non_compliant = false;
+        assert!(b.complies(&prompt, &mut rng));
     }
 
     #[test]

@@ -49,12 +49,15 @@ use coreda_adl::activity::catalog;
 use coreda_adl::activity::AdlSpec;
 use coreda_adl::patient::PatientProfile;
 use coreda_adl::routine::Routine;
+use coreda_adl::step::StepId;
+use coreda_adl::tool::ToolId;
 use coreda_des::rng::SimRng;
 use coreda_des::sim::Simulator;
 use coreda_des::time::{SimDuration, SimTime};
 use coreda_des::{Clock, SimClock};
 use coreda_rl::space::ProblemShape;
 use coreda_sensornet::hw::SAMPLES_PER_WINDOW;
+use coreda_sensornet::network::LinkConfig;
 use coreda_sensornet::node::NodeId;
 
 use crate::checkpoint::{
@@ -63,9 +66,9 @@ use crate::checkpoint::{
 };
 use crate::escalation::{CareEvent, CareEventKind, CareMonitor, CareOutput, CarePolicy, FleetAnalytics};
 use crate::fleet::{default_jobs, derive_seed, FleetEngine};
-use crate::live::StochasticBehavior;
+use crate::live::{EpisodeLog, FaultyBehavior, LogKind, StochasticBehavior};
 use crate::planning::{LearnedState, PlanningSubsystem};
-use crate::reminding::RemindingSubsystem;
+use crate::reminding::{Prompt, ReminderMethod, RemindingSubsystem, Trigger};
 use crate::sensing::SensingSubsystem;
 use crate::sessions::{SessionEvent, SessionTracker};
 use crate::system::{Coreda, CoredaConfig, LiveEpisode, PhaseState, SystemState, TickScratch};
@@ -192,6 +195,177 @@ pub enum TapEvent {
     },
     /// The session tracker recognised an event.
     Session(SessionEvent),
+    /// The sensing subsystem recognised a step ([`StepId::IDLE`] for an
+    /// idle timeout).
+    StepSensed {
+        /// Instant of the step event.
+        at: SimTime,
+        /// The recognised step.
+        step: StepId,
+    },
+    /// A reminder went out: what it prompted, why, and which tool's red
+    /// LED it blinks.
+    Reminder {
+        /// Instant of the reminder.
+        at: SimTime,
+        /// The prompted tool and reminding level.
+        prompt: Prompt,
+        /// What triggered it.
+        trigger: Trigger,
+        /// The tool whose red LED the reminder blinks, if any.
+        red_led: Option<ToolId>,
+    },
+}
+
+impl TapEvent {
+    /// The instant the event happened. A session event carries its own
+    /// instant: an idle close fires at the deadline, not at the wake that
+    /// noticed it.
+    #[must_use]
+    pub const fn at(&self) -> SimTime {
+        match *self {
+            TapEvent::EpisodeStarted { at, .. }
+            | TapEvent::Tick { at, .. }
+            | TapEvent::StepSensed { at, .. }
+            | TapEvent::Reminder { at, .. }
+            | TapEvent::Session(
+                SessionEvent::Started { at, .. }
+                | SessionEvent::Ended { at, .. }
+                | SessionEvent::CrossActivityUse { at, .. },
+            ) => at,
+        }
+    }
+}
+
+/// Moves one pipeline call's episode-log entries onto a home's tap: the
+/// system's own observations — sensed steps and reminders — in log order.
+/// Ground-truth patient entries (froze, misused, started) stay off the
+/// tap, since the pipeline could not know them; praise and completion
+/// ride the tick's [`TapEvent::Tick`].
+fn tap_log(tap: &mut Vec<TapEvent>, log: &mut EpisodeLog) {
+    for (at, kind) in log.entries() {
+        let at = *at;
+        match kind {
+            LogKind::StepSensed(step) => tap.push(TapEvent::StepSensed { at, step: *step }),
+            LogKind::ReminderIssued(reminder) => tap.push(TapEvent::Reminder {
+                at,
+                prompt: reminder.prompt,
+                trigger: reminder.trigger,
+                red_led: reminder.methods.iter().find_map(|m| match m {
+                    ReminderMethod::RedLed { tool, .. } => Some(*tool),
+                    _ => None,
+                }),
+            }),
+            _ => {}
+        }
+    }
+    log.clear();
+}
+
+/// One node's injected faults. The default is a healthy node.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NodeFaults {
+    /// The mote is crashed.
+    pub failed: bool,
+    /// P(report "in use" per sample while the tool is idle).
+    pub false_positive: f64,
+    /// P(report "idle" per sample while the tool is in use).
+    pub false_negative: f64,
+    /// Offset added to the mote's report timestamps, ms.
+    pub skew_ms: i64,
+}
+
+/// Everything the fault overlay applies to a home at one instant. The
+/// default is a fault-free home.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultState {
+    /// The link configuration every radio transmits under; `None` keeps
+    /// the configured [`CoredaConfig::link`].
+    pub link: Option<LinkConfig>,
+    /// Faulted nodes by tool, one entry per tool; a tool not listed is
+    /// healthy.
+    pub nodes: Vec<(ToolId, NodeFaults)>,
+    /// The patient ignores every prompt.
+    pub non_compliant: bool,
+    /// The patient's step boundaries are error-prone.
+    pub lapsing: bool,
+    /// The patient's routine swaps these two step positions (mod the
+    /// routine's length), mid-episode included.
+    pub drift: Option<(u8, u8)>,
+}
+
+impl FaultState {
+    /// `tool`'s faults (healthy when not listed).
+    #[must_use]
+    pub fn node(&self, tool: ToolId) -> NodeFaults {
+        self.nodes.iter().find(|&&(t, _)| t == tool).map_or_else(NodeFaults::default, |n| n.1)
+    }
+
+    /// `tool`'s faults for editing, listing the tool (healthy) if needed.
+    pub fn node_mut(&mut self, tool: ToolId) -> &mut NodeFaults {
+        let at = match self.nodes.iter().position(|&(t, _)| t == tool) {
+            Some(at) => at,
+            None => {
+                self.nodes.push((tool, NodeFaults::default()));
+                self.nodes.len() - 1
+            }
+        };
+        &mut self.nodes[at].1
+    }
+}
+
+/// A fleet's fault windows as the overlay reads them: the desired
+/// [`FaultState`] at any instant. Every home sees the same schedule.
+pub trait FaultSchedule: std::fmt::Debug + Sync {
+    /// The faults in force at `at`.
+    fn at(&self, at: SimTime) -> FaultState;
+}
+
+/// A run's fault overlay ([`RunSpec::faults`]). Before each served wake
+/// it moves the home from the desired state at its previous wake to the
+/// desired state now, through the setters [`Coreda`] already has; so
+/// after a wake the applied state is the desired state at that wake, and
+/// a snapshot's node flags are those at its `last_handled`. The patient
+/// flags are set outright on every wake (one behaviour serves the whole
+/// shard), and a drifting routine is chosen per wake.
+struct Overlay<'a> {
+    schedule: &'a dyn FaultSchedule,
+    /// The drifted routine sets asked for so far: per swap, one routine
+    /// per activity.
+    drifted: Vec<((u8, u8), Vec<Routine>)>,
+}
+
+impl<'a> Overlay<'a> {
+    /// Applies the schedule to home `i` of `shard` for its wake at `at`
+    /// (its previous wake was `prev`) and returns the routines the wake
+    /// runs.
+    fn apply(
+        &mut self,
+        shard: &mut Shard<'a>,
+        i: usize,
+        prev: Option<SimTime>,
+        at: SimTime,
+    ) -> &[Routine] {
+        let ctx = shard.ctx;
+        let was = prev.map_or_else(FaultState::default, |t| self.schedule.at(t));
+        let want = self.schedule.at(at);
+        shard.apply_faults(i, &was, &want);
+        let Some(swap) = want.drift else { return &ctx.routines };
+        let k = match self.drifted.iter().position(|d| d.0 == swap) {
+            Some(k) => k,
+            None => {
+                let drifted = ctx.specs.iter().zip(&ctx.routines).map(|(spec, canonical)| {
+                    let mut steps = canonical.steps().to_vec();
+                    let len = steps.len();
+                    steps.swap(usize::from(swap.0) % len, usize::from(swap.1) % len);
+                    Routine::new(spec, steps)
+                });
+                self.drifted.push((swap, drifted.collect()));
+                self.drifted.len() - 1
+            }
+        };
+        &self.drifted[k].1
+    }
 }
 
 /// The serving report of a [`run`] (or a served fleet).
@@ -619,8 +793,12 @@ struct Shard<'a> {
     /// derived records for escalation triggers.
     care: Option<CareState>,
     /// One behaviour serves the whole shard: it holds only the shared
-    /// profile and call-local scratch, never per-home state.
-    behavior: StochasticBehavior,
+    /// profile, call-local scratch and the fault overlay's patient flags
+    /// (set before every wake of a faulted run), never per-home state.
+    behavior: FaultyBehavior<StochasticBehavior>,
+    /// The pipeline's episode log while the run records taps: filled by
+    /// one `begin_live`/`live_tick` call and moved onto the home's tap.
+    log: EpisodeLog,
     /// Session events buffered during a tick (the report sink cannot
     /// borrow the recorder while `live_tick` holds it).
     scratch_sessions: Vec<SessionEvent>,
@@ -698,7 +876,10 @@ impl<'a> Shard<'a> {
                 cursors: vec![0; count],
                 finished: false,
             }),
-            behavior: StochasticBehavior::new(PatientProfile::moderate(RESIDENT)),
+            behavior: FaultyBehavior::new(StochasticBehavior::new(PatientProfile::moderate(
+                RESIDENT,
+            ))),
+            log: EpisodeLog::new(),
             scratch_sessions: Vec::new(),
             scratch_tick: TickScratch::default(),
             gap_min_ms: cfg.gap_min.as_millis(),
@@ -710,23 +891,25 @@ impl<'a> Shard<'a> {
         self.hot.len()
     }
 
-    /// The canonical per-instant sequence for home `i`. A quiet instant
-    /// changes nothing and draws no randomness, so calling it only where
-    /// something can change (the event-driven wakes) equals calling it at
-    /// every instant of the home's 100 ms grid.
-    fn poll_instant(&mut self, i: usize, now: SimTime) {
+    /// The canonical per-instant sequence for home `i`, performing
+    /// `routines` (one per activity). A quiet instant changes nothing and
+    /// draws no randomness, so calling it only where something can change
+    /// (the event-driven wakes) equals calling it at every instant of the
+    /// home's 100 ms grid.
+    fn poll_instant(&mut self, i: usize, now: SimTime, routines: &[Routine]) {
         // 1. Begin the next episode when its start arrives.
         if self.episodes[i].is_none() && now >= self.hot[i].sched.next_start {
             let ep_index = self.hot[i].sched.ep_index;
             let act = usize::try_from(ep_index).unwrap_or(usize::MAX) % self.acts;
             let mut rng = self.roots[i].substream("episode", ep_index);
             let system = &mut self.systems[i * self.acts + act];
-            let ep =
-                system.begin_live(&self.ctx.routines[act], &mut self.behavior, now, &mut rng, None);
+            let log = self.taps.is_some().then_some(&mut self.log);
+            let ep = system.begin_live(&routines[act], &mut self.behavior, now, &mut rng, log);
             self.episodes[i] = Some(RunningEpisode { act, ep, rng });
             self.hot[i].stats.episodes_started += 1;
             if let Some(taps) = self.taps.as_mut() {
                 taps[i].push(TapEvent::EpisodeStarted { at: now, act });
+                tap_log(&mut taps[i], &mut self.log);
             }
             if let Some(recs) = self.recs.as_mut() {
                 let rec = &mut recs[i];
@@ -746,16 +929,17 @@ impl<'a> Shard<'a> {
                 let system = &mut self.systems[i * self.acts + run.act];
                 let tracker = &mut self.trackers[i];
                 let stats = &mut self.hot[i].stats;
+                let log = self.taps.is_some().then_some(&mut self.log);
                 let taps = &mut self.taps;
                 let scratch = &mut self.scratch_sessions;
                 let out = system.live_tick(
                     &mut run.ep,
-                    &self.ctx.routines[run.act],
+                    &routines[run.act],
                     &mut self.behavior,
                     now,
                     &mut run.rng,
                     &mut self.scratch_tick,
-                    None,
+                    log,
                     self.recs.as_mut().map(|r| &mut r[i]),
                     &mut |src, at| {
                         for ev in tracker.on_report(src, at) {
@@ -774,8 +958,9 @@ impl<'a> Shard<'a> {
                 if out.completed_now {
                     stats.episodes_completed += 1;
                 }
-                if out != crate::system::TickOutcome::default() {
-                    if let Some(taps) = self.taps.as_mut() {
+                if let Some(taps) = self.taps.as_mut() {
+                    tap_log(&mut taps[i], &mut self.log);
+                    if out != crate::system::TickOutcome::default() {
                         taps[i].push(TapEvent::Tick { at: now, out });
                     }
                 }
@@ -829,14 +1014,14 @@ impl<'a> Shard<'a> {
     /// logging cannot perturb the simulation, and quiet wakes append
     /// nothing, which keeps the log O(activity) in cost and independent
     /// of how often a home is polled.
-    fn poll_wake(&mut self, i: usize, now: SimTime) {
+    fn poll_wake(&mut self, i: usize, now: SimTime, routines: &[Routine]) {
         if self.wal.is_none() && self.care.is_none() {
-            self.poll_instant(i, now);
+            self.poll_instant(i, now, routines);
             return;
         }
         let before = self.hot[i].stats;
         let ep_before = self.episodes[i].is_some();
-        self.poll_instant(i, now);
+        self.poll_instant(i, now, routines);
         // Quiet wake: every counter a record could carry is unchanged
         // and the episode slot did not flip, so the derived record would
         // be trivial. Bail before building it; this keeps the overlay
@@ -913,6 +1098,39 @@ impl<'a> Shard<'a> {
         }
     }
 
+    /// Moves home `i` from fault state `was` to `want`: link, node and
+    /// patient faults, each through its setter and only where it changed
+    /// (swapping the link restarts the radio channels, and a crash wipes
+    /// the detector window). The patient flags are shard-wide, so they
+    /// are set outright.
+    fn apply_faults(&mut self, i: usize, was: &FaultState, want: &FaultState) {
+        let systems = &mut self.systems[i * self.acts..(i + 1) * self.acts];
+        if want.link != was.link {
+            let link = want.link.unwrap_or(self.ctx.system.link);
+            for system in systems.iter_mut() {
+                system.set_link(link);
+            }
+        }
+        let healed = was.nodes.iter().filter(|&&(tool, _)| !want.nodes.iter().any(|n| n.0 == tool));
+        for &(tool, _) in want.nodes.iter().chain(healed) {
+            let (old, new) = (was.node(tool), want.node(tool));
+            for system in systems.iter_mut() {
+                if new.failed != old.failed {
+                    system.set_node_failed(tool, new.failed);
+                }
+                let flips = |n: NodeFaults| (n.false_positive, n.false_negative);
+                if flips(new) != flips(old) {
+                    system.set_sensor_flip(tool, new.false_positive, new.false_negative);
+                }
+                if new.skew_ms != old.skew_ms {
+                    system.set_clock_skew(tool, new.skew_ms);
+                }
+            }
+        }
+        self.behavior.non_compliant = want.non_compliant;
+        self.behavior.lapsing = want.lapsing;
+    }
+
     /// Snapshots everything home `i` cannot rebuild from its config:
     /// system states, live session, RNG positions, the in-flight episode,
     /// scheduling state, statistics, and (when traced) the recorder.
@@ -954,15 +1172,29 @@ impl<'a> Shard<'a> {
     /// the shared template (always, for a read-only serve) keeps the home
     /// on the template `Arc` — a resumed fleet stays as deduplicated as a
     /// fresh one.
-    fn restore_home(&mut self, i: usize, ckpt: &HomeCheckpoint) {
+    ///
+    /// Under a fault schedule the snapshot already holds the node faults
+    /// in force at its `last_handled`, but not the link configuration:
+    /// that one is re-applied first, because swapping it restarts the
+    /// channels the snapshot then restores.
+    fn restore_home(
+        &mut self,
+        i: usize,
+        ckpt: &HomeCheckpoint,
+        faults: Option<&dyn FaultSchedule>,
+    ) {
         assert_eq!(
             self.acts,
             ckpt.systems.len(),
             "checkpoint was taken with a different activity set"
         );
+        let link = faults.zip(ckpt.last_handled).and_then(|(f, at)| f.at(at).link);
         for (system, state) in
             self.systems[i * self.acts..(i + 1) * self.acts].iter_mut().zip(&ckpt.systems)
         {
+            if let Some(link) = link {
+                system.set_link(link);
+            }
             system
                 .restore_state(state)
                 .expect("check_shape vetted the state, so the rebuilt system accepts it");
@@ -1061,6 +1293,10 @@ pub struct RunSpec<'a> {
     /// when the snapshot was traced — is bit-identical to a run that
     /// never stopped, at any checkpoint instant and any `cfg.jobs`.
     pub resume: Option<&'a MetroCheckpoint>,
+    /// Serve every home under these fault windows (the fault overlay).
+    /// Unlike the taps this changes what the fleet does. A run resumed
+    /// from a snapshot of a faulted run must pass the same schedule.
+    pub faults: Option<&'a dyn FaultSchedule>,
 }
 
 /// Everything one [`run`] produced.
@@ -1140,7 +1376,7 @@ pub struct TraceOutput {
 /// horizon. The CLI validates user input before calling; hitting this
 /// from code is a bug.
 pub fn run(cfg: &MetroConfig, spec: &RunSpec<'_>) -> Result<RunOutput, CheckpointError> {
-    let RunSpec { record, trace, log, care, stops, resume } = *spec;
+    let RunSpec { record, trace, log, care, stops, resume, faults } = *spec;
     let horizon_end = SimTime::ZERO + cfg.horizon;
     assert!(
         stops.windows(2).all(|w| w[0] <= w[1]),
@@ -1166,7 +1402,7 @@ pub fn run(cfg: &MetroConfig, spec: &RunSpec<'_>) -> Result<RunOutput, Checkpoin
     let engine = FleetEngine::new(cfg.jobs);
     let runs = engine.map(ctx.chunks(), |(first, count)| {
         let slice = resume.map(|ckpt| &ckpt.homes[first..first + count]);
-        let mut session = ctx.open(first, count, record, trace, log, slice);
+        let mut session = ctx.open(first, count, record, trace, log, slice, faults);
         let captures: Vec<_> = stops
             .iter()
             .map(|&stop| {
@@ -1427,21 +1663,24 @@ impl ServeCtx {
     /// the same session with their own log flag.
     #[must_use]
     pub fn session(&self, first_home: usize, count: usize, record: bool, trace: bool) -> ServeSession<'_> {
-        self.open(first_home, count, record, trace, true, None)
+        self.open(first_home, count, record, trace, true, None, None)
     }
 
     /// The one session opener: wakes each fresh home at its first instant
     /// of interest or, given the homes' checkpoint slice, restores them
-    /// and rehydrates their pending wakes in dispatch order.
-    fn open(
-        &self,
+    /// and rehydrates their pending wakes in dispatch order. `faults`
+    /// puts the session behind the fault overlay.
+    #[allow(clippy::too_many_arguments)]
+    fn open<'s>(
+        &'s self,
         first_home: usize,
         count: usize,
         record: bool,
         trace: bool,
         log: bool,
         resume: Option<&[HomeCheckpoint]>,
-    ) -> ServeSession<'_> {
+        faults: Option<&'s dyn FaultSchedule>,
+    ) -> ServeSession<'s> {
         let care = self.care.as_ref();
         let mut shard =
             Shard::build(&self.cfg, &self.ctx, first_home, count, record, trace, log, care);
@@ -1454,7 +1693,7 @@ impl ServeCtx {
             }
             Some(homes) => {
                 for (i, ckpt) in homes.iter().enumerate() {
-                    shard.restore_home(i, ckpt);
+                    shard.restore_home(i, ckpt, faults);
                     for &due in &ckpt.pending {
                         sim.schedule_at(due, Wake(i));
                     }
@@ -1474,6 +1713,7 @@ impl ServeCtx {
             chain_end: 0,
             inline: Vec::new(),
             pending_wake: None,
+            overlay: faults.map(|schedule| Overlay { schedule, drifted: Vec::new() }),
         }
     }
 }
@@ -1509,6 +1749,8 @@ pub struct ServeSession<'a> {
     /// — replayed on re-ask, so a caller probing the same home twice
     /// cannot lose a wake.
     pending_wake: Option<SimTime>,
+    /// The fault overlay, when the run serves under a fault schedule.
+    overlay: Option<Overlay<'a>>,
 }
 
 impl std::fmt::Debug for ServeSession<'_> {
@@ -1521,7 +1763,7 @@ impl std::fmt::Debug for ServeSession<'_> {
     }
 }
 
-impl ServeSession<'_> {
+impl<'a> ServeSession<'a> {
     /// Waits on `clock` for the next due instant `t0` (if it is by
     /// `until` and the horizon), drains the window `[t0, end]` with
     /// `end = min(until, horizon, max(t0, clock.servable()))` — every
@@ -1616,11 +1858,11 @@ impl ServeSession<'_> {
     /// fleet.
     fn serve_step(&mut self, i: usize, at: SimTime, skip: bool) {
         self.pending_wake = None;
-        self.shard.hot[i].sched.last_handled = Some(at);
+        let prev = self.shard.hot[i].sched.last_handled.replace(at);
         if skip {
             return;
         }
-        self.shard.poll_wake(i, at);
+        self.poll(i, prev, at);
         // Follow-ups due inside the window stay inline (the chain serves
         // them next, in due order); later ones go to the queue. Legal
         // because the simulator clock already sits at the window end.
@@ -1641,6 +1883,17 @@ impl ServeSession<'_> {
                 follow(align_up(s.offset_ms, deadline));
             }
         }
+    }
+
+    /// Serves home `i`'s wake at `at` (its previous wake was `prev`),
+    /// behind the fault overlay when the run has one.
+    fn poll(&mut self, i: usize, prev: Option<SimTime>, at: SimTime) {
+        let ctx = self.shard.ctx;
+        let routines = match self.overlay.as_mut() {
+            None => &ctx.routines[..],
+            Some(overlay) => overlay.apply(&mut self.shard, i, prev, at),
+        };
+        self.shard.poll_wake(i, at, routines);
     }
 
     /// The batch drive: serves every wake due by `until` through the
@@ -1926,6 +2179,7 @@ pub fn collect_served(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coreda_sensornet::radio::LossModel;
 
     /// The arena build must point every home's planner and renderer at
     /// the `FleetCtx`'s shared allocations — per-home copies would put
@@ -1994,24 +2248,29 @@ mod tests {
     }
 
     /// Dense 10 Hz polling, the reference event-driven wakes are held
-    /// against: every home runs [`Shard::poll_wake`] at every instant of
-    /// its 100 ms grid up to the horizon. Homes never interact, so
-    /// polling home by home is as good as instant by instant. Returns
-    /// the merged output and the number of polls.
+    /// against: every home is served at every instant of its 100 ms grid
+    /// up to the horizon, behind the fault overlay when `faults` is
+    /// given. Homes never interact, so polling home by home is as good
+    /// as instant by instant. Returns the merged output and the number
+    /// of polls.
     fn run_dense(
         cfg: &MetroConfig,
         policy: &CarePolicy,
+        faults: Option<&dyn FaultSchedule>,
     ) -> ((TraceOutput, Vec<WalRecord>, Option<CareOutput>), u64) {
         let ctx = ServeCtx::build(cfg.clone(), Some(policy.clone()));
         let end = cfg.horizon.as_millis();
         let mut polls = 0;
         let mut shards = Vec::new();
         for (first, count) in ctx.chunks() {
-            let mut session = ctx.open(first, count, true, true, true, None);
+            let mut session = ctx.open(first, count, true, true, true, None, faults);
             for i in 0..count {
                 let offset = session.shard.hot[i].sched.offset_ms;
+                let mut prev = None;
                 for ms in (offset..=end).step_by(Coreda::TICK.as_millis() as usize) {
-                    session.shard.poll_wake(i, SimTime::from_millis(ms));
+                    let now = SimTime::from_millis(ms);
+                    session.poll(i, prev, now);
+                    prev = Some(now);
                     polls += 1;
                 }
             }
@@ -2020,34 +2279,192 @@ mod tests {
         (collect_served(cfg, shards), polls)
     }
 
+    /// One window of a hand-built schedule: `[from, to)` ms and the edit
+    /// it makes to the desired state while open.
+    type Window = (u64, u64, fn(&mut FaultState));
+
+    /// A hand-built fault schedule: each window edits the desired state
+    /// while it is open, later windows last.
+    #[derive(Debug)]
+    struct Windows(Vec<Window>);
+
+    impl FaultSchedule for Windows {
+        fn at(&self, at: SimTime) -> FaultState {
+            let mut state = FaultState::default();
+            for &(from, to, edit) in &self.0 {
+                if (from..to).contains(&at.as_millis()) {
+                    edit(&mut state);
+                }
+            }
+            state
+        }
+    }
+
+    fn window(from_s: u64, to_s: u64, edit: fn(&mut FaultState)) -> Window {
+        (from_s * 1000, to_s * 1000, edit)
+    }
+
+    /// Windows of every in-process fault kind — radio loss, node crash,
+    /// sensor flips, clock skew, non-compliance, severe lapses and two
+    /// routine drifts with their own swaps — overlapping across
+    /// `small_cfg`'s horizon.
+    fn every_kind() -> Windows {
+        Windows(vec![
+            window(30, 200, |s| {
+                s.link = Some(LinkConfig {
+                    loss: LossModel::Bernoulli { p: 0.5 },
+                    max_retries: 1,
+                    ..LinkConfig::default()
+                });
+            }),
+            window(100, 300, |s| s.node_mut(ToolId::new(catalog::TEA_BOX)).failed = true),
+            window(50, 400, |s| {
+                let node = s.node_mut(ToolId::new(catalog::BRUSH));
+                node.false_positive = 0.03;
+                node.false_negative = 0.4;
+            }),
+            window(150, 450, |s| s.node_mut(ToolId::new(catalog::KETTLE)).skew_ms = -20_000),
+            window(200, 320, |s| s.non_compliant = true),
+            window(250, 550, |s| s.lapsing = true),
+            window(60, 250, |s| s.drift = Some((1, 3))),
+            window(300, 600, |s| s.drift = Some((0, 2))),
+        ])
+    }
+
     /// Event-driven wakes are exact: a home woken only where something
     /// can change ends exactly where one polled on every 100 ms grid
     /// instant does — stats, taps, telemetry JSONL, WAL and the care log
-    /// under an escalating policy — at any worker count.
+    /// under an escalating policy — at any worker count, with and
+    /// without fault windows of every kind (the overlay applies a window
+    /// that opened between two wakes at the later one).
     #[test]
     fn event_driven_wakes_match_dense_polling() {
         let policy = eager_policy();
-        for jobs in [1, 3] {
-            let cfg = MetroConfig { jobs, ..small_cfg() };
-            let care = Some(&policy);
-            let spec = RunSpec { record: true, trace: true, log: true, care, ..RunSpec::default() };
-            let wakes = observe(&cfg, spec);
-            let ((dense, wal, care), polls) = run_dense(&cfg, &policy);
-            assert_eq!(wakes.report.per_home, dense.report.per_home, "jobs={jobs}: stats");
-            assert_eq!(wakes.report.events, dense.report.events, "jobs={jobs}: taps");
-            assert_eq!(
-                wakes.telemetry.to_jsonl(),
-                dense.telemetry.to_jsonl(),
-                "jobs={jobs}: telemetry"
-            );
-            assert_eq!(wakes.wal, wal, "jobs={jobs}: WAL");
-            assert!(care.as_ref().is_some_and(|c| !c.events.is_empty()), "policy must escalate");
-            assert_eq!(wakes.care, care, "jobs={jobs}: care log");
-            assert!(
-                wakes.report.des_events < polls,
-                "event-driven wakes ({}) should be far fewer than dense polls ({polls})",
-                wakes.report.des_events
-            );
+        let faulted = every_kind();
+        let clean = observe(&small_cfg(), RunSpec::default()).report;
+        for faults in [None, Some(&faulted as &dyn FaultSchedule)] {
+            for jobs in [1, 3] {
+                let cfg = MetroConfig { jobs, ..small_cfg() };
+                let care = Some(&policy);
+                let spec = RunSpec {
+                    record: true,
+                    trace: true,
+                    log: true,
+                    care,
+                    faults,
+                    ..RunSpec::default()
+                };
+                let wakes = observe(&cfg, spec);
+                let ((dense, wal, care), polls) = run_dense(&cfg, &policy, faults);
+                let case = format!("jobs={jobs} faults={}", faults.is_some());
+                assert_eq!(wakes.report.per_home, dense.report.per_home, "{case}: stats");
+                assert_eq!(wakes.report.events, dense.report.events, "{case}: taps");
+                assert_eq!(
+                    wakes.telemetry.to_jsonl(),
+                    dense.telemetry.to_jsonl(),
+                    "{case}: telemetry"
+                );
+                assert_eq!(wakes.wal, wal, "{case}: WAL");
+                assert!(care.as_ref().is_some_and(|c| !c.events.is_empty()), "must escalate");
+                assert_eq!(wakes.care, care, "{case}: care log");
+                assert!(
+                    wakes.report.des_events < polls,
+                    "event-driven wakes ({}) should be far fewer than dense polls ({polls})",
+                    wakes.report.des_events
+                );
+                assert_eq!(
+                    wakes.report.per_home != clean.per_home,
+                    faults.is_some(),
+                    "{case}: the faults must change the fleet, and only they"
+                );
+            }
+        }
+    }
+
+    /// Crashes `tool` from `from_ms` to the end of the run.
+    #[derive(Debug)]
+    struct CrashFrom(ToolId, u64);
+
+    impl FaultSchedule for CrashFrom {
+        fn at(&self, at: SimTime) -> FaultState {
+            let mut state = FaultState::default();
+            if at.as_millis() >= self.1 {
+                state.node_mut(self.0).failed = true;
+            }
+            state
+        }
+    }
+
+    /// A stop between two wakes of an idle home, just after a crash
+    /// window opened: the snapshot holds the node still up (the overlay
+    /// crashes it at the home's next wake), and the run resumed through
+    /// the codec must equal the uninterrupted one.
+    #[test]
+    fn a_window_opening_between_wakes_survives_a_resume() {
+        let cfg = small_cfg();
+        let plain = observe(&cfg, RunSpec { record: true, ..RunSpec::default() });
+        // Home 0's first (tea) episode ends at `end`; its next wake is at
+        // least the minimum gap later, and its next episode brushes teeth.
+        let end = plain.report.events.as_ref().unwrap()[0]
+            .iter()
+            .find_map(|ev| match *ev {
+                TapEvent::Tick { at, out } if out.finished => Some(at),
+                _ => None,
+            })
+            .expect("home 0 finishes its first episode");
+        let brush = ToolId::new(catalog::BRUSH);
+        let faults = CrashFrom(brush, end.as_millis() + 1_000);
+        let stop = [end + SimDuration::from_secs(2)];
+        let spec = RunSpec { trace: true, log: true, faults: Some(&faults), ..RunSpec::default() };
+        let full = observe(&cfg, RunSpec { stops: &stop, ..spec });
+        let ckpt = &full.checkpoints[0];
+        let home = &ckpt.homes[0];
+        assert_eq!(home.last_handled, Some(end), "the stop must fall between two wakes");
+        let at = catalog::tooth_brushing().tools().iter().position(|t| t.id() == brush).unwrap();
+        assert!(!home.systems[1].nodes[at].0.failed, "the crash is not applied before a wake");
+        assert_ne!(full.report.per_home[0], plain.report.per_home[0], "the crash must matter");
+
+        let bytes = crate::checkpoint::save_checkpoint(ckpt, 1);
+        let back = crate::checkpoint::load_checkpoint(&bytes, 1).unwrap();
+        let resumed = run(&cfg, &RunSpec { resume: Some(&back), ..spec }).unwrap();
+        assert_eq!(resumed.report, full.report);
+        assert_eq!(resumed.telemetry, full.telemetry);
+        let tail: Vec<_> = full.wal.iter().filter(|r| r.at > stop[0]).copied().collect();
+        assert_eq!(resumed.wal, tail);
+    }
+
+    /// Every home's radio under one link configuration for the whole run.
+    #[derive(Debug)]
+    struct Radio(LinkConfig);
+
+    impl FaultSchedule for Radio {
+        fn at(&self, _: SimTime) -> FaultState {
+            FaultState { link: Some(self.0), ..FaultState::default() }
+        }
+    }
+
+    /// A radio window applies its whole link configuration, retry budget
+    /// included: under `p = 1.0` loss a lost frame costs 2 attempts at
+    /// `max_retries` 1 and 4 at 3.
+    #[test]
+    fn a_radio_window_applies_its_retry_budget() {
+        let cfg = small_cfg();
+        let horizon = [SimTime::ZERO + cfg.horizon];
+        for (max_retries, attempts) in [(1u8, 2u64), (3, 4)] {
+            let loss = LossModel::Bernoulli { p: 1.0 };
+            let faults = Radio(LinkConfig { loss, max_retries, ..LinkConfig::default() });
+            let spec = RunSpec { stops: &horizon, faults: Some(&faults), ..RunSpec::default() };
+            let out = observe(&cfg, spec);
+            let links = out.checkpoints[0].homes.iter().flat_map(|h| &h.systems).map(|s| s.uplink);
+            let (mut frames, mut lost, mut tries) = (0, 0, 0);
+            for link in links {
+                frames += link.frames;
+                lost += link.lost;
+                tries += link.attempts;
+            }
+            assert!(frames > 0, "nodes still report into a dead radio");
+            assert_eq!(lost, frames, "max_retries {max_retries}: every frame is lost");
+            assert_eq!(tries, attempts * frames, "max_retries {max_retries}");
         }
     }
 
@@ -2179,7 +2596,7 @@ mod tests {
         let stops = [SimTime::from_secs(200), SimTime::from_secs(400)];
         let batch = observe(&cfg, RunSpec { stops: &stops, ..RunSpec::default() });
         let ctx = ServeCtx::build(cfg.clone(), None);
-        let mut session = ctx.open(0, cfg.homes, false, false, false, None);
+        let mut session = ctx.open(0, cfg.homes, false, false, false, None, None);
         let mut windows = 0;
         for (stop, ckpt) in stops.iter().zip(&batch.checkpoints) {
             windows += serve_counting(&mut session, *stop);
@@ -2241,10 +2658,15 @@ mod tests {
         assert_eq!(serial.events, parallel.events);
         let taps = serial.events.as_ref().unwrap();
         assert_eq!(taps.len(), 4);
-        assert!(taps.iter().any(|t| !t.is_empty()), "taps should carry events");
-        // The unrecorded path stays tap-free, so full-report equality
+        let all = || taps.iter().flatten();
+        assert!(all().any(|ev| matches!(ev, TapEvent::StepSensed { .. })), "sensed steps tapped");
+        assert!(all().any(|ev| matches!(ev, TapEvent::Reminder { .. })), "reminders tapped");
+        // Recording observes the episode log but never feeds it back, and
+        // the unrecorded path stays tap-free, so full-report equality
         // tests keep comparing `None == None`.
-        assert_eq!(run_scale(&small_cfg()).events, None);
+        let plain = run_scale(&small_cfg());
+        assert_eq!(serial.per_home, plain.per_home, "recording must not perturb the run");
+        assert_eq!(plain.events, None);
     }
 
     #[test]

@@ -452,13 +452,14 @@ impl Coreda {
         self.nodes.iter().map(|(n, _)| n.energy().consumed_uj()).sum()
     }
 
-    /// Fault injection: swaps the loss process on every radio link.
+    /// Fault injection: swaps the link configuration — loss process and
+    /// ARQ retry budget — on every radio link.
     ///
     /// # Panics
     ///
-    /// Panics if the model holds an invalid probability.
-    pub fn set_link_loss(&mut self, loss: coreda_sensornet::radio::LossModel) {
-        self.network.set_loss(loss);
+    /// Panics if the loss model holds an invalid probability.
+    pub fn set_link(&mut self, link: coreda_sensornet::network::LinkConfig) {
+        self.network.set_link(link);
     }
 
     /// Fault injection: crashes or reboots the node attached to `tool`.
@@ -1096,10 +1097,10 @@ impl Coreda {
 
     /// Restores state captured by [`Coreda::export_state`] onto a system
     /// freshly built from the *same* spec, config and seed. Apply any
-    /// fault-injected link-loss model (via [`Coreda::set_link_loss`])
+    /// fault-injected link configuration (via [`Coreda::set_link`])
     /// *before* calling — restoring channel states must come after the
-    /// loss model is in place, because swapping the loss model resets
-    /// per-link channel state.
+    /// link is in place, because swapping it resets per-link channel
+    /// state.
     ///
     /// # Errors
     ///

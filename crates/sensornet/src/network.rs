@@ -176,16 +176,17 @@ impl StarNetwork {
         self.cfg
     }
 
-    /// Fault injection: swaps the loss process every link transmits
-    /// under (links registered later included). Frame counters are
+    /// Fault injection: swaps the link configuration every link
+    /// transmits under (links registered later included) — the loss
+    /// process, the ARQ retry budget and the backoff. Frame counters are
     /// preserved; Gilbert–Elliott channels restart in the good state.
     ///
     /// # Panics
     ///
-    /// Panics if the model holds an invalid probability.
-    pub fn set_loss(&mut self, loss: LossModel) {
-        loss.validate();
-        self.cfg.loss = loss;
+    /// Panics if the loss model holds an invalid probability.
+    pub fn set_link(&mut self, cfg: LinkConfig) {
+        cfg.loss.validate();
+        self.cfg = cfg;
         for (_, link) in &mut self.links {
             link.in_bad_state = false;
         }
@@ -248,9 +249,9 @@ impl StarNetwork {
     }
 
     /// Restores per-node link state captured by
-    /// [`StarNetwork::channel_states`]. Apply the snapshot's loss model
-    /// via [`StarNetwork::set_loss`] *before* calling this — swapping the
-    /// model resets Gilbert–Elliott channels.
+    /// [`StarNetwork::channel_states`]. Apply the snapshot's link
+    /// configuration via [`StarNetwork::set_link`] *before* calling this —
+    /// swapping it resets Gilbert–Elliott channels.
     ///
     /// # Panics
     ///
@@ -489,7 +490,7 @@ mod tests {
         net.register(NodeId::new(1));
         let mut rng = SimRng::seed_from(7);
         let _ = net.send_uplink(&tool_use(1, 0), &mut rng);
-        net.set_loss(LossModel::Perfect);
+        net.set_link(LinkConfig { loss: LossModel::Perfect, ..cfg });
         let _ = net.send_uplink(&tool_use(1, 1), &mut rng);
         let _ = net.send_downlink(NodeId::new(1), &tool_use(1, 2), &mut rng);
         let up = net.uplink_counters();
@@ -613,12 +614,12 @@ mod tests {
     }
 
     #[test]
-    fn set_loss_restarts_every_channel_and_reaches_later_links() {
+    fn set_link_restarts_every_channel_and_reaches_later_links() {
         let mut bs = BaseStation::new();
         let mut net = out_of_order_network(BURSTY, 40, &mut bs);
         let before = net.channel_states();
         assert!(before.iter().any(|c| c.1), "some channel should be caught in the bad state");
-        net.set_loss(LossModel::Bernoulli { p: 1.0 });
+        net.set_link(LinkConfig { loss: LossModel::Bernoulli { p: 1.0 }, ..net.config() });
         assert_eq!(net.config().loss, LossModel::Bernoulli { p: 1.0 });
         for (was, now) in before.iter().zip(net.channel_states()) {
             assert_eq!(now, (was.0, false, was.2, was.3), "counters carry on, state restarts");
@@ -628,7 +629,7 @@ mod tests {
         assert_eq!(
             net.send_uplink(&tool_use(1, 0), &mut rng),
             SendOutcome::Lost { attempts: 3 },
-            "a link registered after set_loss transmits under the new model"
+            "a link registered after set_link transmits under the new model"
         );
         assert_eq!(net.channel_states()[0], (NodeId::new(1), false, 3, 3));
     }

@@ -19,11 +19,12 @@
 //!   equals the batch overlay.
 
 use coreda_core::escalation::{CareEvent, CareEventKind, CarePolicy, CareTrigger};
-use coreda_core::metro::{run, run_scale, run_scale_care_walled, MetroConfig, RunSpec};
+use coreda_core::metro::{run, run_scale_care_walled, MetroConfig, RunSpec};
 use coreda_core::wal::{WalRecord, EPISODE_COMPLETED, EPISODE_ENDED};
-use coreda_des::time::{SimDuration, SimTime};
+use coreda_des::time::SimDuration;
 use coreda_serve::{serve_scale, ServeOptions};
 
+use crate::harness::{check_resume, observe};
 use crate::oracles::Violation;
 use crate::plan::{FaultKind, FaultPlan};
 
@@ -301,7 +302,8 @@ fn check_log_shape(
 
 /// Runs a care plan through the full differential: walled batch
 /// reference (`jobs = 1`), batch re-run at `jobs = 2`, served fleet at
-/// `jobs = 2`, plus the WAL re-derivation and log-shape oracles.
+/// `jobs = 2`, the kill-resume drive when the plan carries kills, plus
+/// the WAL re-derivation and log-shape oracles.
 /// Returns the violations (empty = contract holds).
 #[must_use]
 pub fn check_care(plan: &FaultPlan) -> Vec<Violation> {
@@ -338,44 +340,16 @@ pub fn check_care(plan: &FaultPlan) -> Vec<Violation> {
         });
     }
 
-    // Fleet-level process death: snapshot at each kill tick, resume,
-    // and require the resumed fleet to be bit-identical to the
-    // uninterrupted run. Kill ticks are deliberately allowed to land
-    // *inside* an epoch window — the tiled sweep must clip the window
-    // exactly at the stop, or the snapshot would carry wakes past it.
-    let kills: Vec<SimTime> = {
-        let mut ks: Vec<SimTime> = plan
-            .faults
-            .iter()
-            .filter(|f| f.kind == FaultKind::CheckpointKillResume)
-            .map(|f| SimTime::from_millis(f.from_ms))
-            .filter(|&t| t > SimTime::ZERO && t.as_millis() < plan.horizon_ms)
-            .collect();
-        ks.sort_unstable();
-        ks.dedup();
-        ks
-    };
+    // Fleet-level process death: the care fleet dies at each kill tick
+    // and resumes through the codecs, the same drive the in-process
+    // check uses. Kill ticks may land inside an epoch window — the sweep
+    // must clip the window exactly at the stop, or the snapshot would
+    // carry wakes past it.
+    let kills = plan.kills();
     if !kills.is_empty() {
         let cfg = care_config(plan, 1);
-        let full = run_scale(&cfg);
-        let ckpts = run(&cfg, &RunSpec { stops: &kills, ..RunSpec::default() })
-            .expect("a fresh run cannot mismatch")
-            .checkpoints;
-        for (ckpt, &at) in ckpts.iter().zip(&kills) {
-            match run(&cfg, &RunSpec { resume: Some(ckpt), ..RunSpec::default() }) {
-                Ok(resumed) if resumed.report == full => {}
-                Ok(_) => violations.push(Violation {
-                    oracle: ORACLE,
-                    detail: format!(
-                        "kill-resume at {at} diverged from the uninterrupted fleet"
-                    ),
-                }),
-                Err(e) => violations.push(Violation {
-                    oracle: ORACLE,
-                    detail: format!("kill-resume at {at} failed to restore: {e:?}"),
-                }),
-            }
-        }
+        let ghost = observe(&cfg, None, &[]).expect("a run that never dies cannot fail");
+        violations.extend(check_resume(&ghost, &cfg, None, &kills));
     }
 
     violations.extend(check_log_shape(&policy, &care.events, plan.horizon_ms));

@@ -5,11 +5,11 @@
 //! repro of a once-real bug — the named oracle must still fire) or
 //! expects a clean pass (every oracle must stay silent). Replays are
 //! bit-identical to the original fuzz run because a plan carries its own
-//! seed and the harness draws every stream from it.
+//! seed and the fleet draws every stream from it.
 
 use std::path::{Path, PathBuf};
 
-use crate::harness::Harness;
+use crate::harness::{check_plan, JOBS};
 use crate::json;
 use crate::oracles::Violation;
 
@@ -60,18 +60,9 @@ impl ReplayOutcome {
 /// # Errors
 ///
 /// Returns the parse error for malformed text.
-pub fn replay_str(harness: &Harness, text: &str) -> Result<ReplayOutcome, String> {
+pub fn replay_str(text: &str) -> Result<ReplayOutcome, String> {
     let plan = json::from_json(text)?;
-    // Frame-fault plans target the served ingestion path and care plans
-    // the escalation overlay: the in-process harness cannot apply
-    // either, so they replay through their own differentials instead.
-    let violations = if plan.has_care_faults() {
-        crate::care::check_care(&plan)
-    } else if plan.has_frame_faults() {
-        crate::served::check_served(&plan)
-    } else {
-        harness.check(&plan).violations
-    };
+    let violations = check_plan(&plan, JOBS);
     let pass = match &plan.expect_violation {
         Some(oracle) => violations.iter().any(|v| v.oracle == *oracle),
         None => violations.is_empty(),
@@ -90,11 +81,10 @@ pub fn replay_str(harness: &Harness, text: &str) -> Result<ReplayOutcome, String
 /// # Errors
 ///
 /// Returns I/O failures and parse errors as a message naming the file.
-pub fn replay_file(harness: &Harness, path: &Path) -> Result<ReplayOutcome, String> {
+pub fn replay_file(path: &Path) -> Result<ReplayOutcome, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut outcome =
-        replay_str(harness, &text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut outcome = replay_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     outcome.file = Some(path.to_path_buf());
     Ok(outcome)
 }
@@ -106,7 +96,7 @@ pub fn replay_file(harness: &Harness, path: &Path) -> Result<ReplayOutcome, Stri
 /// Fails on an unreadable directory, an unreadable or malformed entry,
 /// or an empty corpus (an empty directory usually means a wrong path —
 /// silently passing would be worse).
-pub fn replay_dir(harness: &Harness, dir: &Path) -> Result<Vec<ReplayOutcome>, String> {
+pub fn replay_dir(dir: &Path) -> Result<Vec<ReplayOutcome>, String> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(Result::ok)
@@ -117,7 +107,7 @@ pub fn replay_dir(harness: &Harness, dir: &Path) -> Result<Vec<ReplayOutcome>, S
     if paths.is_empty() {
         return Err(format!("{}: no .seed.json entries", dir.display()));
     }
-    paths.iter().map(|p| replay_file(harness, p)).collect()
+    paths.iter().map(|p| replay_file(p)).collect()
 }
 
 #[cfg(test)]
@@ -127,35 +117,32 @@ mod tests {
 
     #[test]
     fn clean_plan_replays_as_pass() {
-        let harness = Harness::new();
         let plan = FaultPlan {
             seed: 7,
             horizon_ms: 120_000,
             faults: vec![],
             expect_violation: None,
         };
-        let outcome = replay_str(&harness, &json::to_json(&plan)).unwrap();
+        let outcome = replay_str(&json::to_json(&plan)).unwrap();
         assert!(outcome.pass, "{outcome:?}");
         assert!(outcome.render().starts_with("ok"));
     }
 
     #[test]
     fn wrong_expectation_fails_the_replay() {
-        let harness = Harness::new();
         let plan = FaultPlan {
             seed: 7,
             horizon_ms: 120_000,
             faults: vec![],
             expect_violation: Some("q_bound".into()),
         };
-        let outcome = replay_str(&harness, &json::to_json(&plan)).unwrap();
+        let outcome = replay_str(&json::to_json(&plan)).unwrap();
         assert!(!outcome.pass, "a clean run cannot satisfy an expected violation");
         assert!(outcome.render().starts_with("FAIL"));
     }
 
     #[test]
     fn malformed_text_is_an_error() {
-        let harness = Harness::new();
-        assert!(replay_str(&harness, "not json").is_err());
+        assert!(replay_str("not json").is_err());
     }
 }

@@ -4,27 +4,20 @@
 //! Plan `i` of a campaign is always `derive_seed(campaign_seed, "plan",
 //! i)` — the stream of plans is fixed by the campaign seed; the wall
 //! clock only decides how far down the stream the run gets. Every plan
-//! runs under both wake policies with all oracles attached
-//! ([`Harness::check`]),
-//! and passing plans accumulate into batches that re-run through the
-//! fleet engine at `jobs > 1` for the jobs-equivalence differential.
+//! runs through [`check_plan`] with all oracles attached: an in-process
+//! plan serves the production fleet behind the fault overlay, at jobs 1
+//! and at `jobs` workers ([`harness::check`]).
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use coreda_core::fleet::{derive_seed, FleetEngine};
-use coreda_core::telemetry::Telemetry;
+use coreda_core::fleet::derive_seed;
 
-use crate::harness::{Harness, RunResult, WakePolicy};
+use crate::harness::{self, check_plan, dst_config, observe};
 use crate::json;
 use crate::plan::FaultPlan;
 use crate::shrink;
-
-/// Passing plans per jobs-differential batch: big enough that the
-/// parallel re-run amortises thread startup, small enough that a
-/// divergence is localised to a handful of seeds.
-pub const JOBS_BATCH: usize = 16;
 
 /// A fuzz campaign's knobs.
 #[derive(Debug, Clone)]
@@ -33,7 +26,8 @@ pub struct FuzzConfig {
     pub seconds: u64,
     /// Campaign seed; every plan seed derives from it.
     pub seed: u64,
-    /// Worker count for the jobs-equivalence differential.
+    /// Worker count the in-process jobs-equivalence differential holds
+    /// against jobs 1.
     pub jobs: usize,
     /// Where to write shrunken `.seed.json` repros (`None` = don't).
     pub out_dir: Option<PathBuf>,
@@ -51,16 +45,14 @@ pub struct FuzzConfig {
     /// Fuzz the served ingestion path instead of the in-process
     /// pipeline: plans come from [`FaultPlan::generate_served`] (wire
     /// transport faults only) and run through
-    /// [`crate::served::check_served`], whose differential already spans
-    /// full and single-instant serving windows and two worker counts — so
-    /// served campaigns skip the separate jobs batch.
+    /// [`crate::served::check_served`], whose differential spans full and
+    /// single-instant serving windows and two worker counts.
     pub served: bool,
     /// Fuzz the caregiver escalation overlay: plans come from
     /// [`FaultPlan::generate_care`] (caregiver no-ack outage windows)
     /// and run through [`crate::care::check_care`], whose
     /// `escalation_consistency` differential spans two worker counts and
-    /// the served path — so care campaigns also skip the separate jobs
-    /// batch.
+    /// the served path.
     pub care: bool,
 }
 
@@ -96,8 +88,8 @@ pub struct FoundViolation {
     /// Where the repro was written, when `out_dir` was set.
     pub file: Option<PathBuf>,
     /// Where the flight record was written, when `out_dir` was set: a
-    /// JSONL dump of the shrunk plan re-run with the recorder on, whose
-    /// last trace events lead straight up to the violation.
+    /// JSONL dump of the shrunk plan's fleet run with the recorder on,
+    /// whose last trace events lead straight up to the violation.
     pub trace_file: Option<PathBuf>,
 }
 
@@ -108,8 +100,6 @@ pub struct FuzzReport {
     pub seed: u64,
     /// Distinct fault plans checked.
     pub plans_run: usize,
-    /// Plans re-run through the parallel jobs differential.
-    pub jobs_checked: usize,
     /// Violations found (shrunk, in discovery order).
     pub violations: Vec<FoundViolation>,
     /// Wall-clock time spent.
@@ -128,13 +118,11 @@ impl FuzzReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "fuzz: seed {seed}, {n} plans in {secs:.1}s ({rate:.1}/s), \
-             {jobs} jobs-differential re-runs\n",
+            "fuzz: seed {seed}, {n} plans in {secs:.1}s ({rate:.1}/s)\n",
             seed = self.seed,
             n = self.plans_run,
             secs = self.elapsed.as_secs_f64(),
             rate = self.plans_run as f64 / self.elapsed.as_secs_f64().max(1e-9),
-            jobs = self.jobs_checked,
         ));
         if self.passed() {
             out.push_str("fuzz: no oracle violations\n");
@@ -165,119 +153,56 @@ impl FuzzReport {
     }
 }
 
-/// Runs a campaign on a freshly built [`Harness`].
+/// Runs a campaign.
 ///
 /// # Errors
 ///
 /// Only I/O errors from writing repro files; simulation itself cannot
 /// fail.
 pub fn fuzz(cfg: &FuzzConfig) -> std::io::Result<FuzzReport> {
-    fuzz_with(&Harness::new(), cfg)
-}
-
-/// Runs a campaign on an existing harness (reuses the trained planners).
-///
-/// # Errors
-///
-/// Only I/O errors from writing repro files.
-pub fn fuzz_with(harness: &Harness, cfg: &FuzzConfig) -> std::io::Result<FuzzReport> {
     let start = Instant::now();
     let budget = Duration::from_secs(cfg.seconds);
-    let engine = FleetEngine::new(cfg.jobs);
+    let tools = harness::tool_ids();
     let mut report = FuzzReport { seed: cfg.seed, ..FuzzReport::default() };
-    let mut batch: Vec<(FaultPlan, RunResult)> = Vec::new();
-
     let mut index = 0u64;
     while start.elapsed() < budget && report.plans_run < cfg.max_plans {
         let plan_seed = derive_seed(cfg.seed, "plan", index);
         index += 1;
-        if cfg.served {
-            let plan = FaultPlan::generate_served(plan_seed);
-            let violations = crate::served::check_served(&plan);
-            report.plans_run += 1;
-            for violation in violations {
-                record_violation(harness, cfg, &mut report, plan_seed, &plan, &violation)?;
-            }
-            continue;
-        }
-        if cfg.care {
-            let plan = FaultPlan::generate_care(plan_seed);
-            let violations = crate::care::check_care(&plan);
-            report.plans_run += 1;
-            for violation in violations {
-                record_violation(harness, cfg, &mut report, plan_seed, &plan, &violation)?;
-            }
-            continue;
-        }
-        let mut plan = FaultPlan::generate(plan_seed, harness.tool_ids());
-        if cfg.kill_resume {
-            plan = plan.with_kill_resume();
-        }
-        let outcome = harness.check(&plan);
-        report.plans_run += 1;
-        if outcome.violations.is_empty() {
-            batch.push((plan, outcome.canonical));
-            if batch.len() >= JOBS_BATCH {
-                flush_jobs_batch(harness, &engine, &mut batch, cfg, &mut report)?;
-            }
+        let plan = if cfg.served {
+            FaultPlan::generate_served(plan_seed)
+        } else if cfg.care {
+            FaultPlan::generate_care(plan_seed)
+        } else if cfg.kill_resume {
+            FaultPlan::generate(plan_seed, &tools).with_kill_resume()
         } else {
-            for violation in outcome.violations {
-                record_violation(harness, cfg, &mut report, plan_seed, &plan, &violation)?;
-            }
+            FaultPlan::generate(plan_seed, &tools)
+        };
+        let mut violations = check_plan(&plan, cfg.jobs);
+        report.plans_run += 1;
+        // One repro per oracle: the same oracle firing in several homes
+        // of one plan shrinks to the same file.
+        let mut seen = Vec::new();
+        violations.retain(|v| {
+            let fresh = !seen.contains(&v.oracle);
+            seen.push(v.oracle);
+            fresh
+        });
+        for violation in violations {
+            record_violation(cfg, &mut report, plan_seed, &plan, &violation)?;
         }
     }
-    flush_jobs_batch(harness, &engine, &mut batch, cfg, &mut report)?;
     report.elapsed = start.elapsed();
     Ok(report)
 }
 
-/// Re-runs the batched plans at `jobs > 1` and checks the differential.
-fn flush_jobs_batch(
-    harness: &Harness,
-    engine: &FleetEngine,
-    batch: &mut Vec<(FaultPlan, RunResult)>,
-    cfg: &FuzzConfig,
-    report: &mut FuzzReport,
-) -> std::io::Result<()> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let drained: Vec<(FaultPlan, RunResult)> = std::mem::take(batch);
-    let (plans, serial): (Vec<FaultPlan>, Vec<RunResult>) = drained.into_iter().unzip();
-    let parallel = engine.map(plans.clone(), |plan| harness.run(&plan, WakePolicy::EventDriven));
-    report.jobs_checked += plans.len();
-    if let Some(violation) = crate::oracles::check_jobs(&serial, &parallel) {
-        // Attribute the divergence to the first differing plan so the
-        // repro is a single seed, not the whole batch.
-        let culprit = serial
-            .iter()
-            .zip(&parallel)
-            .position(|(s, p)| s != p)
-            .unwrap_or(0);
-        let plan = &plans[culprit];
-        record_violation(harness, cfg, report, plan.seed, plan, &violation)?;
-    }
-    Ok(())
-}
-
 fn record_violation(
-    harness: &Harness,
     cfg: &FuzzConfig,
     report: &mut FuzzReport,
     plan_seed: u64,
     plan: &FaultPlan,
     violation: &crate::oracles::Violation,
 ) -> std::io::Result<()> {
-    // Served plans shrink through the served differential and care
-    // plans through the escalation one; the in-process harness cannot
-    // reproduce a wire-level or caregiver-channel fault.
-    let shrunk = if plan.has_care_faults() {
-        shrink::shrink_with(crate::care::check_care, plan, violation.oracle)
-    } else if plan.has_frame_faults() {
-        shrink::shrink_with(crate::served::check_served, plan, violation.oracle)
-    } else {
-        shrink::shrink(harness, plan, violation.oracle)
-    };
+    let shrunk = shrink::shrink_with(|p| check_plan(p, cfg.jobs), plan, violation.oracle);
     let file = match &cfg.out_dir {
         Some(dir) => {
             std::fs::create_dir_all(dir)?;
@@ -288,22 +213,22 @@ fn record_violation(
         }
         None => None,
     };
-    // Flight record: re-run the shrunk plan with the recorder on
-    // (bit-identical to the violating run — recording draws no
-    // randomness) and dump it next to the repro. The ring's last events
-    // are the pipeline activity leading up to the violation.
-    // No flight record for served or care plans: the recorder rides the
-    // in-process drive loop, which neither repro path touches.
+    // Flight record: serve the shrunk plan's fleet with the recorder on
+    // (recording draws no randomness) and dump it next to the repro. The
+    // rings' last events are the pipeline activity leading up to the
+    // violation. Served and care plans get none: their faults act on the
+    // wire and the caregiver channel, which the recorder does not see.
     let trace_file = match cfg.trace_dir.as_ref().or(cfg.out_dir.as_ref()) {
         Some(_) if plan.has_frame_faults() || plan.has_care_faults() => None,
         Some(dir) => {
             std::fs::create_dir_all(dir)?;
-            let (_, rec) = harness.run_recorded(&shrunk.plan, WakePolicy::EventDriven);
-            let telemetry = Telemetry { homes: vec![rec], ..Telemetry::default() };
+            let plan = &shrunk.plan;
+            let run = observe(&dst_config(plan, 1), Some(plan), &[])
+                .expect("a run that never dies cannot fail");
             let trace_path =
                 dir.join(format!("{}-{plan_seed:016x}.trace.jsonl", violation.oracle));
             let mut tf = std::fs::File::create(&trace_path)?;
-            tf.write_all(telemetry.to_jsonl().as_bytes())?;
+            tf.write_all(run.telemetry.to_jsonl().as_bytes())?;
             Some(trace_path)
         }
         None => None,
@@ -326,35 +251,29 @@ mod tests {
 
     #[test]
     fn campaign_runs_and_counts_plans() {
-        let harness = Harness::new();
         let cfg = FuzzConfig { seconds: 600, max_plans: 3, jobs: 2, ..FuzzConfig::default() };
-        let report = fuzz_with(&harness, &cfg).unwrap();
+        let report = fuzz(&cfg).unwrap();
         assert_eq!(report.plans_run, 3);
-        // Every passing plan must have gone through the jobs differential.
-        assert!(report.jobs_checked <= report.plans_run);
-        if report.passed() {
-            assert_eq!(report.jobs_checked, report.plans_run, "{report:?}");
-        }
+        assert!(report.passed(), "{report:?}");
         assert!(report.render().contains("3 plans"));
     }
 
     #[test]
     fn violations_dump_an_explanatory_flight_record() {
-        let harness = Harness::new();
         let dir = std::env::temp_dir()
             .join(format!("coreda-fuzz-trace-test-{}", std::process::id()));
         let cfg = FuzzConfig { out_dir: Some(dir.clone()), ..FuzzConfig::default() };
-        let plan = FaultPlan::generate(derive_seed(cfg.seed, "plan", 0), harness.tool_ids());
+        let plan = FaultPlan::generate(derive_seed(cfg.seed, "plan", 0), &harness::tool_ids());
         let violation = crate::oracles::Violation {
             oracle: "synthetic",
             detail: "forced for the dump test".to_owned(),
         };
         let mut report = FuzzReport::default();
-        record_violation(&harness, &cfg, &mut report, plan.seed, &plan, &violation).unwrap();
+        record_violation(&cfg, &mut report, plan.seed, &plan, &violation).unwrap();
         let found = &report.violations[0];
         let trace_path = found.trace_file.as_ref().expect("flight record written");
         let jsonl = std::fs::read_to_string(trace_path).unwrap();
-        assert!(jsonl.lines().count() >= 2, "summary line + home line: {jsonl}");
+        assert!(jsonl.lines().count() > harness::HOMES, "summary line + home lines: {jsonl}");
         assert!(jsonl.contains("\"kind\":\"summary\""), "{jsonl}");
         assert!(jsonl.contains("\"events\""), "per-home trace events: {jsonl}");
         assert!(
@@ -367,9 +286,8 @@ mod tests {
 
     #[test]
     fn plan_stream_is_seed_deterministic() {
-        let harness = Harness::new();
-        let first = FaultPlan::generate(derive_seed(99, "plan", 0), harness.tool_ids());
-        let again = FaultPlan::generate(derive_seed(99, "plan", 0), harness.tool_ids());
+        let first = FaultPlan::generate(derive_seed(99, "plan", 0), &harness::tool_ids());
+        let again = FaultPlan::generate(derive_seed(99, "plan", 0), &harness::tool_ids());
         assert_eq!(first, again);
     }
 }

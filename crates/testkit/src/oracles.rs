@@ -1,12 +1,16 @@
 //! Invariant oracles: properties every run must satisfy under *any*
 //! fault plan.
 //!
-//! Event-stream oracles implement [`Oracle`] and watch the trace one
-//! event at a time; [`check_trace`] runs the standard set. Whole-run
-//! oracles ([`check_q`], [`check_engines`], [`check_jobs`]) compare
-//! final state and cross-run fingerprints.
+//! Event-stream oracles implement [`Oracle`] and watch one home's
+//! serving tap ([`TapEvent`]) one event at a time; [`check_taps`] runs
+//! the standard set. [`check_q`] checks the learned values a run ends
+//! with; the cross-run differentials (`jobs_equivalence`,
+//! `resume_equivalence`) live with the runs they compare, in
+//! [`crate::harness`].
 
-use crate::harness::{RunResult, TraceEvent};
+use coreda_core::metro::TapEvent;
+use coreda_core::reminding::ReminderLevel;
+use coreda_core::sessions::SessionEvent;
 
 /// One oracle violation: which invariant broke and how.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +27,7 @@ pub trait Oracle {
     /// Stable name.
     fn name(&self) -> &'static str;
     /// Observes one event; returns the failure detail on violation.
-    fn observe(&mut self, ev: &TraceEvent) -> Result<(), String>;
+    fn observe(&mut self, ev: &TapEvent) -> Result<(), String>;
     /// Called once after the last event, with the run horizon.
     fn finish(&mut self, _horizon_ms: u64) -> Result<(), String> {
         Ok(())
@@ -41,13 +45,14 @@ pub fn standard_oracles() -> Vec<Box<dyn Oracle>> {
     ]
 }
 
-/// Streams `trace` through the standard oracles; returns every violation.
+/// Streams one home's `taps` through the standard oracles; returns every
+/// violation.
 #[must_use]
-pub fn check_trace(trace: &[TraceEvent], horizon_ms: u64) -> Vec<Violation> {
+pub fn check_taps(taps: &[TapEvent], horizon_ms: u64) -> Vec<Violation> {
     let mut oracles = standard_oracles();
     let mut violations = Vec::new();
     let mut dead: Vec<bool> = vec![false; oracles.len()];
-    for ev in trace {
+    for ev in taps {
         for (oracle, dead) in oracles.iter_mut().zip(dead.iter_mut()) {
             if *dead {
                 continue;
@@ -91,101 +96,11 @@ pub fn check_q(q_values: &[f64], bound: f64) -> Option<Violation> {
     None
 }
 
-/// Differential oracle: event-driven wakes and dense 100 ms polling
-/// must produce bit-identical runs for the same plan.
-#[must_use]
-pub fn check_engines(events: &RunResult, dense: &RunResult) -> Option<Violation> {
-    differential("engine_equivalence", "event-driven", events, "dense", dense)
-}
-
-/// Differential oracle: a run that died at a checkpoint and resumed from
-/// the decoded snapshot — a full one for the first death, an incremental
-/// delta against the previous death's base after that, with the
-/// write-ahead log torn mid-chunk each time — must be bit-identical to
-/// the ghost run that was never interrupted, logged records included.
-#[must_use]
-pub fn check_resume(resumed: &RunResult, ghost: &RunResult) -> Option<Violation> {
-    differential("resume_equivalence", "resumed", resumed, "ghost", ghost)
-}
-
-///// Differential oracle: a batch re-run at `jobs > 1` must reproduce the
-/// serial results element for element.
-#[must_use]
-pub fn check_jobs(serial: &[RunResult], parallel: &[RunResult]) -> Option<Violation> {
-    if serial.len() != parallel.len() {
-        return Some(Violation {
-            oracle: "jobs_equivalence",
-            detail: format!(
-                "batch size diverged: serial {s} vs parallel {p}",
-                s = serial.len(),
-                p = parallel.len()
-            ),
-        });
-    }
-    for (i, (s, p)) in serial.iter().zip(parallel).enumerate() {
-        if let Some(mut v) = differential("jobs_equivalence", "jobs=1", s, "jobs=N", p) {
-            v.detail = format!("plan #{i} in batch: {}", v.detail);
-            return Some(v);
-        }
-    }
-    None
-}
-
-fn differential(
-    oracle: &'static str,
-    left_name: &str,
-    left: &RunResult,
-    right_name: &str,
-    right: &RunResult,
-) -> Option<Violation> {
-    if left == right {
-        return None;
-    }
-    let detail = if left.stats != right.stats {
-        format!(
-            "{left_name} stats {ls:?} != {right_name} stats {rs:?}",
-            ls = left.stats,
-            rs = right.stats
-        )
-    } else if left.trace != right.trace {
-        let at = left
-            .trace
-            .iter()
-            .zip(&right.trace)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| left.trace.len().min(right.trace.len()));
-        format!(
-            "traces diverge at event #{at}: {l:?} vs {r:?} (lengths {ll}/{rl})",
-            l = left.trace.get(at),
-            r = right.trace.get(at),
-            ll = left.trace.len(),
-            rl = right.trace.len()
-        )
-    } else if left.wal != right.wal {
-        let at = left
-            .wal
-            .iter()
-            .zip(&right.wal)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| left.wal.len().min(right.wal.len()));
-        format!(
-            "write-ahead logs diverge at record #{at}: {l:?} vs {r:?} (lengths {ll}/{rl})",
-            l = left.wal.get(at),
-            r = right.wal.get(at),
-            ll = left.wal.len(),
-            rl = right.wal.len()
-        )
-    } else {
-        "q tables diverged".to_string()
-    };
-    Some(Violation { oracle, detail })
-}
-
 /// Session state-machine legality: `Started` only on a closed tracker,
 /// `Ended`/`CrossActivityUse` only on the open session's activity.
 #[derive(Debug, Default)]
 pub struct SessionLegality {
-    open: Option<u32>,
+    open: Option<usize>,
 }
 
 impl Oracle for SessionLegality {
@@ -193,38 +108,41 @@ impl Oracle for SessionLegality {
         "session_legality"
     }
 
-    fn observe(&mut self, ev: &TraceEvent) -> Result<(), String> {
-        match *ev {
-            TraceEvent::SessionStarted { at_ms, activity } => {
+    fn observe(&mut self, ev: &TapEvent) -> Result<(), String> {
+        let TapEvent::Session(ev) = *ev else { return Ok(()) };
+        match ev {
+            SessionEvent::Started { at, activity } => {
+                let activity = activity.index();
                 if let Some(open) = self.open {
                     return Err(format!(
-                        "session for activity {activity} started at {at_ms} ms while activity {open} is still open"
+                        "session for activity {activity} started at {at} while activity {open} is still open"
                     ));
                 }
                 self.open = Some(activity);
             }
-            TraceEvent::SessionEnded { at_ms, activity, .. } => match self.open {
-                Some(open) if open == activity => self.open = None,
+            SessionEvent::Ended { at, activity, .. } => match self.open {
+                Some(open) if open == activity.index() => self.open = None,
                 Some(open) => {
                     return Err(format!(
-                        "session for activity {activity} ended at {at_ms} ms but activity {open} is the one open"
+                        "session for activity {} ended at {at} but activity {open} is the one open",
+                        activity.index()
                     ))
                 }
                 None => {
                     return Err(format!(
-                        "session for activity {activity} ended at {at_ms} ms with no session open"
+                        "session for activity {} ended at {at} with no session open",
+                        activity.index()
                     ))
                 }
             },
-            TraceEvent::CrossActivityUse { at_ms, active, .. } => match self.open {
-                Some(open) if open == active => {}
-                _ => {
+            SessionEvent::CrossActivityUse { at, active, .. } => {
+                if self.open != Some(active.index()) {
                     return Err(format!(
-                        "cross-activity flag at {at_ms} ms names activity {active} but that session is not open"
-                    ))
+                        "cross-activity flag at {at} names activity {} but that session is not open",
+                        active.index()
+                    ));
                 }
-            },
-            _ => {}
+            }
         }
         Ok(())
     }
@@ -241,11 +159,11 @@ impl Oracle for NoRedBlinkOnPromptedTool {
         "no_red_blink_on_prompted_tool"
     }
 
-    fn observe(&mut self, ev: &TraceEvent) -> Result<(), String> {
-        if let TraceEvent::Reminder { at_ms, prompt_tool, red_led_tool: Some(red), .. } = *ev {
-            if red == prompt_tool {
+    fn observe(&mut self, ev: &TapEvent) -> Result<(), String> {
+        if let TapEvent::Reminder { at, prompt, red_led: Some(red), .. } = *ev {
+            if red == prompt.tool {
                 return Err(format!(
-                    "reminder at {at_ms} ms red-blinks tool {red} while prompting that same tool"
+                    "reminder at {at} red-blinks tool {red} while prompting that same tool"
                 ));
             }
         }
@@ -259,11 +177,12 @@ impl Oracle for NoRedBlinkOnPromptedTool {
 ///
 /// Any non-idle sense resets the tracked streak: it may be an advance or
 /// a lookahead resync, both of which legitimately restart escalation,
-/// and the trace alone cannot tell those apart from a wrong-tool use
-/// (which does not reset). The oracle therefore under-approximates — a
-/// stuck escalation counter is still caught by the next reminder of the
-/// streak, which has no sense at its instant — but it never flags the
-/// ambiguous coincidence.
+/// and the tap alone cannot tell those apart from a wrong-tool use
+/// (which does not reset). A praise or an episode's end or start resets
+/// it too; a tick's praise is tapped after the tick's reminders. The
+/// oracle therefore under-approximates — a stuck escalation counter is
+/// still caught by the next reminder of the streak, which has no sense at
+/// its instant — but it never flags the ambiguous coincidence.
 #[derive(Debug, Default)]
 pub struct EscalationMonotonicity {
     streak: u32,
@@ -274,25 +193,20 @@ impl Oracle for EscalationMonotonicity {
         "escalation_monotonicity"
     }
 
-    fn observe(&mut self, ev: &TraceEvent) -> Result<(), String> {
+    fn observe(&mut self, ev: &TapEvent) -> Result<(), String> {
         match *ev {
-            TraceEvent::Reminder { at_ms, specific, .. } => {
-                if self.streak > 0 && !specific {
+            TapEvent::Reminder { at, prompt, .. } => {
+                if self.streak > 0 && prompt.level == ReminderLevel::Minimal {
                     return Err(format!(
-                        "reminder #{n} of the streak at {at_ms} ms regressed to the minimal level",
+                        "reminder #{n} of the streak at {at} regressed to the minimal level",
                         n = self.streak + 1
                     ));
                 }
                 self.streak += 1;
             }
-            TraceEvent::Praise { .. }
-            | TraceEvent::EpisodeStarted { .. }
-            | TraceEvent::EpisodeEnded { .. } => {
-                self.streak = 0;
-            }
-            TraceEvent::StepSensed { step, .. } if step != 0 => {
-                self.streak = 0;
-            }
+            TapEvent::Tick { out, .. } if out.praises > 0 || out.finished => self.streak = 0,
+            TapEvent::EpisodeStarted { .. } => self.streak = 0,
+            TapEvent::StepSensed { step, .. } if !step.is_idle() => self.streak = 0,
             _ => {}
         }
         Ok(())
@@ -332,26 +246,23 @@ impl Oracle for IdleTimeoutLiveness {
         "idle_timeout_liveness"
     }
 
-    fn observe(&mut self, ev: &TraceEvent) -> Result<(), String> {
-        self.check_deadline(ev.at_ms())?;
+    fn observe(&mut self, ev: &TapEvent) -> Result<(), String> {
+        self.check_deadline(ev.at().as_millis())?;
         match *ev {
-            TraceEvent::SessionStarted { .. } => self.session_open = true,
-            TraceEvent::SessionEnded { .. } => {
+            TapEvent::Session(SessionEvent::Started { .. }) => self.session_open = true,
+            TapEvent::Session(SessionEvent::Ended { .. }) => {
                 self.session_open = false;
                 self.pending_idle = None;
             }
-            TraceEvent::StepSensed { at_ms, step } => {
-                if step == 0 {
-                    if self.session_open && self.pending_idle.is_none() {
-                        self.pending_idle = Some(at_ms);
-                    }
-                } else {
+            TapEvent::StepSensed { at, step } => {
+                if !step.is_idle() {
                     self.pending_idle = None;
+                } else if self.session_open && self.pending_idle.is_none() {
+                    self.pending_idle = Some(at.as_millis());
                 }
             }
-            TraceEvent::Reminder { .. } | TraceEvent::EpisodeEnded { .. } => {
-                self.pending_idle = None;
-            }
+            TapEvent::Reminder { .. } => self.pending_idle = None,
+            TapEvent::Tick { out, .. } if out.finished => self.pending_idle = None,
             _ => {}
         }
         Ok(())
@@ -365,83 +276,106 @@ impl Oracle for IdleTimeoutLiveness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coreda_adl::intern::NameId;
+    use coreda_adl::step::StepId;
+    use coreda_adl::tool::ToolId;
+    use coreda_core::reminding::{Prompt, Trigger};
+    use coreda_core::system::TickOutcome;
+    use coreda_des::time::SimTime;
 
-    fn reminder(at_ms: u64, specific: bool) -> TraceEvent {
-        TraceEvent::Reminder { at_ms, prompt_tool: 3, specific, wrong_tool: None, red_led_tool: None }
+    fn ms(at_ms: u64) -> SimTime {
+        SimTime::from_millis(at_ms)
+    }
+
+    fn reminder(at_ms: u64, specific: bool) -> TapEvent {
+        let level = if specific { ReminderLevel::Specific } else { ReminderLevel::Minimal };
+        TapEvent::Reminder {
+            at: ms(at_ms),
+            prompt: Prompt { tool: ToolId::new(3), level },
+            trigger: Trigger::IdleTimeout,
+            red_led: None,
+        }
+    }
+
+    fn wrong_tool(prompted: u16, used: u16) -> TapEvent {
+        TapEvent::Reminder {
+            at: ms(100),
+            prompt: Prompt { tool: ToolId::new(prompted), level: ReminderLevel::Minimal },
+            trigger: Trigger::WrongTool { used: ToolId::new(used) },
+            red_led: Some(ToolId::new(used)),
+        }
+    }
+
+    fn sensed(at_ms: u64, step: u16) -> TapEvent {
+        TapEvent::StepSensed { at: ms(at_ms), step: StepId::from_raw(step) }
+    }
+
+    fn started(at_ms: u64, activity: usize) -> TapEvent {
+        let activity = NameId::from_index(activity);
+        TapEvent::Session(SessionEvent::Started { activity, at: ms(at_ms) })
+    }
+
+    fn ended(at_ms: u64, activity: usize, completed: bool) -> TapEvent {
+        TapEvent::Session(SessionEvent::Ended {
+            activity: NameId::from_index(activity),
+            at: ms(at_ms),
+            completed,
+        })
+    }
+
+    fn praise(at_ms: u64) -> TapEvent {
+        TapEvent::Tick { at: ms(at_ms), out: TickOutcome { praises: 1, ..TickOutcome::default() } }
     }
 
     #[test]
     fn legal_session_stream_passes() {
-        let trace = [
-            TraceEvent::SessionStarted { at_ms: 100, activity: 0 },
-            TraceEvent::CrossActivityUse { at_ms: 200, active: 0, foreign: 1, tool: 9 },
-            TraceEvent::SessionEnded { at_ms: 300, activity: 0, completed: true },
-            TraceEvent::SessionStarted { at_ms: 400, activity: 1 },
-            TraceEvent::SessionEnded { at_ms: 500, activity: 1, completed: false },
-        ];
-        assert_eq!(check_trace(&trace, 1_000), vec![]);
+        let cross = TapEvent::Session(SessionEvent::CrossActivityUse {
+            active: NameId::from_index(0),
+            foreign: NameId::from_index(1),
+            tool: ToolId::new(9),
+            at: ms(200),
+        });
+        let taps =
+            [started(100, 0), cross, ended(300, 0, true), started(400, 1), ended(500, 1, false)];
+        assert_eq!(check_taps(&taps, 1_000), vec![]);
     }
 
     #[test]
     fn double_start_is_flagged() {
-        let trace = [
-            TraceEvent::SessionStarted { at_ms: 100, activity: 0 },
-            TraceEvent::SessionStarted { at_ms: 200, activity: 1 },
-        ];
-        let violations = check_trace(&trace, 1_000);
+        let violations = check_taps(&[started(100, 0), started(200, 1)], 1_000);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].oracle, "session_legality");
     }
 
     #[test]
     fn red_blink_on_prompted_tool_is_flagged() {
-        let trace = [TraceEvent::Reminder {
-            at_ms: 100,
-            prompt_tool: 4,
-            specific: false,
-            wrong_tool: Some(4),
-            red_led_tool: Some(4),
-        }];
-        let violations = check_trace(&trace, 1_000);
+        let violations = check_taps(&[wrong_tool(4, 4)], 1_000);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].oracle, "no_red_blink_on_prompted_tool");
     }
 
     #[test]
     fn red_blink_on_a_different_tool_is_fine() {
-        let trace = [TraceEvent::Reminder {
-            at_ms: 100,
-            prompt_tool: 4,
-            specific: false,
-            wrong_tool: Some(5),
-            red_led_tool: Some(5),
-        }];
-        assert_eq!(check_trace(&trace, 1_000), vec![]);
+        assert_eq!(check_taps(&[wrong_tool(4, 5)], 1_000), vec![]);
     }
 
     #[test]
     fn escalation_regression_is_flagged() {
-        let trace = [reminder(100, false), reminder(15_100, false)];
-        let violations = check_trace(&trace, 20_000);
+        let violations = check_taps(&[reminder(100, false), reminder(15_100, false)], 20_000);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].oracle, "escalation_monotonicity");
     }
 
     #[test]
     fn escalated_streak_passes() {
-        let trace = [reminder(100, false), reminder(15_100, true), reminder(30_100, true)];
-        assert_eq!(check_trace(&trace, 40_000), vec![]);
+        let taps = [reminder(100, false), reminder(15_100, true), reminder(30_100, true)];
+        assert_eq!(check_taps(&taps, 40_000), vec![]);
     }
 
     #[test]
     fn advance_resets_the_streak() {
-        let trace = [
-            reminder(100, false),
-            TraceEvent::StepSensed { at_ms: 5_000, step: 4 },
-            TraceEvent::Praise { at_ms: 5_000 },
-            reminder(40_000, false),
-        ];
-        assert_eq!(check_trace(&trace, 50_000), vec![]);
+        let taps = [reminder(100, false), sensed(5_000, 4), praise(5_000), reminder(40_000, false)];
+        assert_eq!(check_taps(&taps, 50_000), vec![]);
     }
 
     #[test]
@@ -450,13 +384,13 @@ mod tests {
         // ambiguous (wrong-tool use vs resync) and excused — but a stuck
         // escalation counter shows again 15 s later with no sense to
         // hide behind, and that one is flagged.
-        let trace = [
+        let taps = [
             reminder(100, false),
-            TraceEvent::StepSensed { at_ms: 15_100, step: 9 },
+            sensed(15_100, 9),
             reminder(15_100, false),
             reminder(30_100, false),
         ];
-        let violations = check_trace(&trace, 40_000);
+        let violations = check_taps(&taps, 40_000);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].oracle, "escalation_monotonicity");
     }
@@ -466,41 +400,28 @@ mod tests {
         // A lookahead resync resets the product's escalation counter; a
         // re-prompt landing at the same instant may legitimately drop
         // back to minimal.
-        let trace = [
-            reminder(100, false),
-            TraceEvent::StepSensed { at_ms: 15_100, step: 9 },
-            reminder(15_100, false),
-        ];
-        assert_eq!(check_trace(&trace, 20_000), vec![]);
+        let taps = [reminder(100, false), sensed(15_100, 9), reminder(15_100, false)];
+        assert_eq!(check_taps(&taps, 20_000), vec![]);
     }
 
     #[test]
     fn unanswered_idle_with_open_session_is_flagged() {
-        let trace = [
-            TraceEvent::SessionStarted { at_ms: 1_000, activity: 0 },
-            TraceEvent::StepSensed { at_ms: 2_000, step: 0 },
-        ];
-        let violations = check_trace(&trace, 500_000);
+        let violations = check_taps(&[started(1_000, 0), sensed(2_000, 0)], 500_000);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].oracle, "idle_timeout_liveness");
     }
 
     #[test]
     fn idle_answered_by_session_close_passes() {
-        let trace = [
-            TraceEvent::SessionStarted { at_ms: 1_000, activity: 0 },
-            TraceEvent::StepSensed { at_ms: 2_000, step: 0 },
-            TraceEvent::SessionEnded { at_ms: 122_000, activity: 0, completed: false },
-        ];
-        assert_eq!(check_trace(&trace, 500_000), vec![]);
+        let taps = [started(1_000, 0), sensed(2_000, 0), ended(122_000, 0, false)];
+        assert_eq!(check_taps(&taps, 500_000), vec![]);
     }
 
     #[test]
     fn idle_without_a_session_is_exempt() {
         // Total radio blackout: nothing sensed ever opened a session, so
         // there is nothing the server could close or prompt about.
-        let trace = [TraceEvent::StepSensed { at_ms: 2_000, step: 0 }];
-        assert_eq!(check_trace(&trace, 500_000), vec![]);
+        assert_eq!(check_taps(&[sensed(2_000, 0)], 500_000), vec![]);
     }
 
     #[test]

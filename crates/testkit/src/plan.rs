@@ -5,7 +5,10 @@
 //! is bit-identical, which is what makes shrinking and `.seed.json`
 //! replay possible.
 
+use coreda_adl::tool::ToolId;
+use coreda_core::metro::{FaultSchedule, FaultState};
 use coreda_des::rng::SimRng;
+use coreda_des::time::SimTime;
 use coreda_sensornet::network::LinkConfig;
 use coreda_sensornet::radio::LossModel;
 
@@ -62,8 +65,8 @@ pub enum FaultKind {
         swap_b: u8,
     },
     /// The serving process dies at the window start (`from_ms`): the
-    /// home's complete state round-trips through the binary checkpoint
-    /// codec, the event queue is lost, and a freshly rebuilt home
+    /// fleet's complete state round-trips through the binary checkpoint
+    /// codecs, the event queues are lost, and a freshly built fleet
     /// resumes from the decoded snapshot. The window end is ignored — a
     /// kill is an instant, not an interval. Not drawn by
     /// [`FaultPlan::generate`]; injected via
@@ -297,6 +300,20 @@ impl FaultPlan {
         self.faults.iter().any(|f| f.kind.is_care_fault())
     }
 
+    /// The plan's process-death instants, sorted and clamped to the
+    /// horizon.
+    #[must_use]
+    pub fn kills(&self) -> Vec<SimTime> {
+        let mut kills: Vec<SimTime> = self
+            .faults
+            .iter()
+            .filter(|f| f.kind == FaultKind::CheckpointKillResume)
+            .map(|f| SimTime::from_millis(f.from_ms.min(self.horizon_ms)))
+            .collect();
+        kills.sort_unstable();
+        kills
+    }
+
     /// All tool ids the plan's targeted faults touch.
     pub fn targeted_tools(&self) -> impl Iterator<Item = u16> + '_ {
         self.faults.iter().filter_map(|f| match f.kind {
@@ -305,6 +322,40 @@ impl FaultPlan {
             | FaultKind::ClockSkew { tool, .. } => Some(tool),
             _ => None,
         })
+    }
+}
+
+/// The plan's in-process windows as the fault overlay applies them.
+/// Where windows of one kind overlap, the last one in plan order wins:
+/// each `RoutineDrift` window swaps its own steps. Kills, frame and
+/// caregiver faults act outside the pipeline and map to nothing.
+impl FaultSchedule for FaultPlan {
+    fn at(&self, at: SimTime) -> FaultState {
+        let mut want = FaultState::default();
+        for fault in self.faults.iter().filter(|f| f.active_at(at.as_millis())) {
+            match fault.kind {
+                FaultKind::RadioLoss { .. } => want.link = fault.kind.link_config(),
+                FaultKind::NodeCrash { tool } => want.node_mut(ToolId::new(tool)).failed = true,
+                FaultKind::SensorFlip { tool, false_positive, false_negative } => {
+                    let node = want.node_mut(ToolId::new(tool));
+                    node.false_positive = false_positive;
+                    node.false_negative = false_negative;
+                }
+                FaultKind::ClockSkew { tool, skew_ms } => {
+                    want.node_mut(ToolId::new(tool)).skew_ms = skew_ms;
+                }
+                FaultKind::NonCompliance => want.non_compliant = true,
+                FaultKind::SevereLapses => want.lapsing = true,
+                FaultKind::RoutineDrift { swap_a, swap_b } => want.drift = Some((swap_a, swap_b)),
+                FaultKind::CheckpointKillResume
+                | FaultKind::FrameDup
+                | FaultKind::FrameReorder
+                | FaultKind::FrameDelay
+                | FaultKind::FrameDisconnect
+                | FaultKind::CaregiverNoAck => {}
+            }
+        }
+        want
     }
 }
 
@@ -470,11 +521,47 @@ mod tests {
     }
 
     #[test]
+    fn each_drift_window_swaps_its_own_steps() {
+        let drift = |from_ms, to_ms, swap_a, swap_b| Fault {
+            kind: FaultKind::RoutineDrift { swap_a, swap_b },
+            from_ms,
+            to_ms,
+        };
+        let plan = FaultPlan {
+            seed: 1,
+            horizon_ms: 300_000,
+            faults: vec![
+                drift(0, 100_000, 1, 3),
+                drift(150_000, 300_000, 0, 2),
+                drift(200_000, 250_000, 2, 3),
+            ],
+            expect_violation: None,
+        };
+        let at = |ms| plan.at(SimTime::from_millis(ms)).drift;
+        assert_eq!(at(50_000), Some((1, 3)));
+        assert_eq!(at(120_000), None);
+        assert_eq!(at(160_000), Some((0, 2)));
+        assert_eq!(at(220_000), Some((2, 3)), "the last active window wins");
+        assert_eq!(at(260_000), Some((0, 2)));
+    }
+
+    #[test]
     fn radio_faults_convert_to_link_configs() {
         let kind = FaultKind::RadioLoss { model: LossModel::Bernoulli { p: 0.3 }, max_retries: 1 };
         let cfg = kind.link_config().unwrap();
         assert_eq!(cfg.loss, LossModel::Bernoulli { p: 0.3 });
         assert_eq!(cfg.max_retries, 1);
         assert!(FaultKind::NonCompliance.link_config().is_none());
+        // The overlay applies a window's whole link config, retry budget
+        // included, and only while the window is open.
+        let plan = FaultPlan {
+            seed: 1,
+            horizon_ms: 10_000,
+            faults: vec![Fault { kind, from_ms: 1_000, to_ms: 5_000 }],
+            expect_violation: None,
+        };
+        assert_eq!(plan.at(SimTime::from_millis(999)), FaultState::default());
+        assert_eq!(plan.at(SimTime::from_millis(1_000)).link, Some(cfg));
+        assert_eq!(plan.at(SimTime::from_millis(5_000)), FaultState::default());
     }
 }

@@ -7,12 +7,11 @@
 //! the first candidate that still trips the *same* oracle. Passes repeat
 //! from the smaller plan until a fixpoint or the run budget is spent.
 
-use crate::harness::Harness;
 use crate::oracles::Violation;
 use crate::plan::{FaultPlan, TICK_MS};
 
-/// Hard cap on deterministic re-runs per shrink; each run simulates the
-/// whole plan under both wake policies, so this bounds shrink latency.
+/// Hard cap on deterministic re-runs per shrink; each re-run is a whole
+/// plan check (several fleet runs), so this bounds shrink latency.
 pub const MAX_SHRINK_RUNS: usize = 200;
 
 /// Horizons are never shrunk below this — a run needs room for at least
@@ -29,17 +28,9 @@ pub struct Shrunk {
     pub runs: usize,
 }
 
-/// Shrinks `plan` while `oracle` (a [`crate::oracles::Violation::oracle`]
-/// name) keeps firing under [`Harness::check`].
-#[must_use]
-pub fn shrink(harness: &Harness, plan: &FaultPlan, oracle: &str) -> Shrunk {
-    shrink_with(|p| harness.check(p).violations, plan, oracle)
-}
-
-/// Shrinks `plan` under an arbitrary deterministic check — the same
-/// greedy passes as [`shrink`], parameterised so the served-path harness
-/// (whose plans the in-process [`Harness`] cannot reproduce) shrinks
-/// through its own pipeline.
+/// Shrinks `plan` while `oracle` (a [`Violation::oracle`] name) keeps
+/// firing under `check` — usually [`crate::harness::check_plan`], which
+/// routes each plan to the pipeline its faults target.
 #[must_use]
 pub fn shrink_with<F>(check: F, plan: &FaultPlan, oracle: &str) -> Shrunk
 where

@@ -4,6 +4,7 @@
 
 use coreda_testkit::served::InstantClock;
 use coreda_core::metro::{run, run_scale, MetroConfig, RunOutput, RunSpec, ServeCtx};
+use coreda_core::system::CoredaConfig;
 use coreda_des::time::SimDuration;
 use coreda_serve::{serve_fleet, MoteClient, ServeOptions};
 
@@ -27,15 +28,32 @@ fn traced(config: &MetroConfig) -> RunOutput {
     run(config, &spec).expect("a fresh run cannot mismatch")
 }
 
+/// [`metro_cfg`] with online learning on: every home's planner moves
+/// off the shared template as it serves.
+fn learning_cfg(jobs: usize) -> MetroConfig {
+    let system = CoredaConfig { online_learning: true, ..CoredaConfig::default() };
+    MetroConfig { system, ..metro_cfg(jobs) }
+}
+
 #[test]
 fn sixty_four_homes_are_byte_identical_at_jobs_1_and_8() {
-    let serial = run_scale(&metro_cfg(1));
-    let parallel = run_scale(&metro_cfg(8));
-    // Full structural equality: every per-home counter, every energy
-    // figure, and the DES event count.
-    assert_eq!(serial, parallel);
-    // And the rendered report is byte-identical.
-    assert_eq!(serial.render(), parallel.render());
+    for config in [metro_cfg, learning_cfg] {
+        let serial = run_scale(&config(1));
+        let parallel = run_scale(&config(8));
+        // Full structural equality: every per-home counter, every energy
+        // figure, and the DES event count.
+        assert_eq!(serial, parallel);
+        // And the rendered report is byte-identical.
+        assert_eq!(serial.render(), parallel.render());
+    }
+    // Learning moves the planners, so the check is not vacuous.
+    let learned = |config: &MetroConfig| {
+        let end = [coreda_des::time::SimTime::ZERO + config.horizon];
+        let out = run(config, &RunSpec { stops: &end, ..RunSpec::default() }).expect("fresh run");
+        let homes = out.checkpoints[0].homes.iter().flat_map(|h| &h.systems);
+        homes.map(|s| s.learned.clone()).collect::<Vec<_>>()
+    };
+    assert_ne!(learned(&learning_cfg(1)), learned(&metro_cfg(1)), "learning moves the planners");
 }
 
 #[test]

@@ -8,6 +8,7 @@
 
 use coreda::core::escalation::CarePolicy;
 use coreda::core::metro::{run, run_scale, MetroConfig, RunOutput, RunSpec, ServeCtx};
+use coreda::core::system::CoredaConfig;
 use coreda::des::rng::SimRng;
 use coreda::des::time::{SimDuration, SimTime};
 use coreda::des::{Clock, SimClock};
@@ -123,6 +124,38 @@ fn served_equals_batch_on_both_engines_at_any_jobs() {
                 None => sim_wire = Some(served.wire),
                 Some(w) => assert_eq!(&served.wire, w, "{case}"),
             }
+        }
+    }
+}
+
+/// Online learning moves each home's planner as it serves; the served
+/// fleet must move it exactly as the batch run does, on full and on
+/// single-instant windows, at any `--jobs`.
+#[test]
+fn a_learning_fleet_serves_the_batch_run() {
+    let learning = |jobs| MetroConfig {
+        system: CoredaConfig { online_learning: true, ..CoredaConfig::default() },
+        ..cfg(jobs)
+    };
+    let end = [SimTime::ZERO + cfg(1).horizon];
+    let spec = RunSpec { trace: true, log: true, stops: &end, ..RunSpec::default() };
+    let batch = observe(&learning(1), spec);
+    let learned = |out: &RunOutput| {
+        let systems = out.checkpoints[0].homes.iter().flat_map(|h| &h.systems);
+        systems.map(|s| s.learned.clone()).collect::<Vec<_>>()
+    };
+    let frozen = observe(&cfg(1), RunSpec { stops: &end, ..RunSpec::default() });
+    assert_ne!(learned(&batch), learned(&frozen), "learning must move the planners");
+    let opts = ServeOptions { trace: true, ..ServeOptions::default() };
+    for jobs in [1usize, 8] {
+        let ctx = ServeCtx::new(learning(jobs)).expect("six homes fit in u32");
+        let sim = serve_fleet(&ctx, &opts, &MoteClient::new, &SimClock);
+        let instant = serve_fleet(&ctx, &opts, &MoteClient::new, &InstantClock);
+        for (clock, served) in [("sim clock", sim), ("instant windows", instant)] {
+            let case = format!("jobs {jobs} {clock}");
+            assert_eq!(served.output.report, batch.report, "{case}");
+            assert_eq!(served.output.telemetry.to_jsonl(), batch.telemetry.to_jsonl(), "{case}");
+            assert_eq!(served.log, batch.wal, "{case}");
         }
     }
 }
