@@ -35,7 +35,11 @@ bench-scale:
 # AND delta-chain + write-ahead-log resume, bit-identical at any
 # cadence/jobs, with a stored log that must be a prefix of the
 # replay), the wire-format fixture replay, the
-# trace-summary golden, doc and clippy lints, a fixed-seed
+# trace-summary golden, the paper's study goldens (tests/paper_goldens.rs:
+# every repro_* binary's output at the argument lists EXPERIMENTS.md
+# documents, byte-compared with tests/golden/repro_*.txt, and every quote
+# of them in EXPERIMENTS.md held to its file), doc and clippy lints, a
+# fixed-seed
 # simulation-testing fuzz budget (plus a second budget with
 # checkpoint-kill-resume faults injected into every plan — each kill
 # stops the production run, round-trips the snapshot through the full

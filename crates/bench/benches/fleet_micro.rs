@@ -19,11 +19,11 @@ const SEED: u64 = 2007;
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn lambda_sweep(jobs: usize) {
-    let _ = ablation::lambda_sweep_with(FleetEngine::new(jobs), &LAMBDAS, EPISODES, SEEDS, SEED);
+    let _ = ablation::lambda_sweep(FleetEngine::new(jobs), &LAMBDAS, EPISODES, SEEDS, SEED);
 }
 
 fn algorithm_family(jobs: usize) {
-    let _ = ablation::algorithm_family_with(FleetEngine::new(jobs), EPISODES, SEEDS, SEED);
+    let _ = ablation::algorithm_family(FleetEngine::new(jobs), EPISODES, SEEDS, SEED);
 }
 
 fn bench_fleet(c: &mut Criterion) {

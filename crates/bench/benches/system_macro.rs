@@ -12,7 +12,7 @@ use coreda_core::live::StochasticBehavior;
 use coreda_core::planning::{PlanningConfig, PlanningSubsystem, RewardConfig};
 use coreda_core::system::{Coreda, CoredaConfig};
 use coreda_des::rng::SimRng;
-use coreda_sensornet::network::LinkConfig;
+use coreda_sensornet::network::{LinkConfig, StarNetwork};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_training(c: &mut Criterion) {
@@ -133,7 +133,8 @@ fn bench_experiment_units(c: &mut Criterion) {
 
     group.bench_function("table3_one_extract_trial", |b| {
         let mut rng = SimRng::seed_from(5);
-        b.iter(|| extract_trial(black_box(&tea), 1, LinkConfig::default(), &mut rng));
+        let mut net = StarNetwork::new(LinkConfig::default());
+        b.iter(|| extract_trial(black_box(&tea), 1, &mut net, &mut rng));
     });
 
     group.bench_function("figure1_scenario", |b| {

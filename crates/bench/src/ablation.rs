@@ -6,21 +6,20 @@
 //! - **Fast learning** (future work §4.2) — Dyna-Q model replay vs the
 //!   paper's TD(λ), measured in real episodes to convergence.
 //! - **Algorithm family** — Q-learning / SARSA / Expected SARSA / Q(λ).
+//!
+//! Every configuration trains the production [`PlanningSubsystem`] through
+//! [`learning_runs`], so the "Watkins Q(0.8) \[paper\]" rows are the
+//! paper's planner by construction.
 
-use coreda_adl::activity::{catalog, AdlSpec};
+use coreda_adl::activity::catalog;
 use coreda_adl::routine::Routine;
-use coreda_adl::step::StepId;
 use coreda_core::baseline::{routine_accuracy, CertaintyEquivalence};
 use coreda_core::fleet::FleetEngine;
-use coreda_core::planning::{PlanningConfig, PlanningSubsystem, RewardConfig, StateEncoder};
+use coreda_core::planning::{LearnerKind, PlanningConfig, PlanningSubsystem, RewardConfig};
 use coreda_core::reminding::ReminderLevel;
 use coreda_des::rng::SimRng;
-use coreda_rl::algo::{DoubleQLearning, DynaQ, ExpectedSarsa, Outcome, QLearning, Sarsa, TdConfig, TdControl, WatkinsQLambda};
-use coreda_rl::policy::{EpsilonGreedy, Policy};
-use coreda_rl::schedule::Schedule;
-use coreda_rl::traces::TraceKind;
 
-use crate::common::{corrupt_sequence_into, measure_extraction};
+use crate::common::{learning_runs, measure_extraction, LearningRuns};
 use crate::fig4::sustained_crossing;
 
 /// Result of one ablation configuration.
@@ -34,94 +33,6 @@ pub struct AblationPoint {
     pub final_accuracy: f64,
     /// Fraction of intermediate greedy prompts at the minimal level.
     pub minimal_fraction: f64,
-}
-
-/// Trains one [`TdControl`] learner on CoReDA's MDP encoding, replicating
-/// the planning subsystem's episode protocol (used to compare algorithms
-/// the subsystem does not natively embed).
-#[allow(clippy::too_many_arguments)] // mirrors the planner's internal signature
-pub fn train_learner_episode(
-    learner: &mut dyn TdControl,
-    encoder: &StateEncoder,
-    reward: RewardConfig,
-    terminal: StepId,
-    steps: &[StepId],
-    policy: &EpsilonGreedy,
-    ep: u64,
-    rng: &mut SimRng,
-) {
-    let mut seq = Vec::with_capacity(steps.len());
-    train_learner_episode_in(
-        learner, encoder, reward, terminal, steps, policy, ep, rng, &mut seq,
-    );
-}
-
-/// [`train_learner_episode`] with a caller-owned sequence buffer, so a
-/// multi-episode training loop reuses one allocation.
-#[allow(clippy::too_many_arguments)] // mirrors the planner's internal signature
-pub fn train_learner_episode_in(
-    learner: &mut dyn TdControl,
-    encoder: &StateEncoder,
-    reward: RewardConfig,
-    terminal: StepId,
-    steps: &[StepId],
-    policy: &EpsilonGreedy,
-    ep: u64,
-    rng: &mut SimRng,
-    seq: &mut Vec<StepId>,
-) {
-    seq.clear();
-    seq.extend(
-        steps
-            .iter()
-            .copied()
-            .filter(|s| !s.is_idle() && encoder.state_of(*s, *s).is_some()),
-    );
-    if seq.len() < 2 {
-        return;
-    }
-    learner.begin_episode();
-    let mut prev = StepId::IDLE;
-    for i in 0..seq.len() - 1 {
-        let cur = seq[i];
-        let next = seq[i + 1];
-        let s = encoder.state_of(prev, cur).expect("known step");
-        let a = policy.select(learner.q(), s, ep, rng);
-        let prompt = encoder.decode_action(a);
-        let is_terminal = next == terminal;
-        let r = reward.reward(prompt, next, is_terminal);
-        if is_terminal {
-            learner.observe(s, a, r, Outcome::Terminal);
-        } else {
-            let s2 = encoder.state_of(cur, next).expect("known step");
-            let a2 = if i + 2 == seq.len() {
-                learner.q().greedy_action(s2)
-            } else {
-                policy.select(learner.q(), s2, ep, rng)
-            };
-            learner.observe(s, a, r, Outcome::Continue { next_state: s2, next_action: a2 });
-        }
-        prev = cur;
-    }
-}
-
-fn routine_accuracy_of(
-    learner: &dyn TdControl,
-    encoder: &StateEncoder,
-    routine: &Routine,
-) -> f64 {
-    let transitions = routine.transitions();
-    let hits = transitions
-        .iter()
-        .filter(|&&(p, c, n)| {
-            encoder
-                .state_of(p, c)
-                .map(|s| encoder.decode_action(learner.q().greedy_action(s)).tool)
-                .map(StepId::from_tool)
-                == Some(n)
-        })
-        .count();
-    hits as f64 / transitions.len() as f64
 }
 
 fn minimal_fraction_of(planner: &PlanningSubsystem, routine: &Routine) -> f64 {
@@ -140,49 +51,108 @@ fn minimal_fraction_of(planner: &PlanningSubsystem, routine: &Routine) -> f64 {
     hits as f64 / intermediate.len() as f64
 }
 
-/// λ sweep on Tea-making with the paper's protocol.
-#[must_use]
-pub fn lambda_sweep(lambdas: &[f64], episodes: usize, seeds: usize, base_seed: u64) -> Vec<AblationPoint> {
-    lambda_sweep_with(FleetEngine::default(), lambdas, episodes, seeds, base_seed)
+/// Reads one point off a configuration's runs; the minimal-level share
+/// only where `minimal` asks for it (`NaN` renders as "-").
+fn point(label: &str, runs: &LearningRuns, routine: &Routine, minimal: bool) -> AblationPoint {
+    AblationPoint {
+        label: label.to_owned(),
+        converge_95: sustained_crossing(&runs.mean_curve(), 0.95, 3),
+        final_accuracy: runs.mean_of(|p| p.accuracy_vs_routine(routine)),
+        minimal_fraction: if minimal {
+            runs.mean_of(|p| minimal_fraction_of(p, routine))
+        } else {
+            f64::NAN
+        },
+    }
 }
 
-/// [`lambda_sweep`] on an explicit [`FleetEngine`] (results are identical
-/// at any worker count).
+/// Trains each configuration on Tea-making recordings passed through the
+/// sensing pipeline's measured extraction noise.
+fn noisy_points(
+    engine: FleetEngine,
+    configs: &[(String, PlanningConfig)],
+    episodes: usize,
+    seeds: usize,
+    base_seed: u64,
+) -> Vec<AblationPoint> {
+    let tea = catalog::tea_making();
+    let routine = Routine::canonical(&tea);
+    let extraction = measure_extraction(&tea, 200, &mut SimRng::seed_from(base_seed));
+    configs
+        .iter()
+        .map(|(label, cfg)| {
+            let runs = learning_runs(
+                engine,
+                &tea,
+                Some(&extraction),
+                episodes,
+                seeds,
+                |s| base_seed ^ (0xABCD_EF01 * (s + 1)),
+                |_| *cfg,
+            );
+            point(label, &runs, &routine, true)
+        })
+        .collect()
+}
+
+/// A labelled learner, built from its run's seed.
+type Learner = (&'static str, fn(u64) -> LearnerKind);
+
+/// Trains each learner on clean Tea-making recordings with the planner's
+/// other defaults.
+fn clean_points(
+    engine: FleetEngine,
+    learners: &[Learner],
+    stream: u64,
+    episodes: usize,
+    seeds: usize,
+    base_seed: u64,
+) -> Vec<AblationPoint> {
+    let tea = catalog::tea_making();
+    let routine = Routine::canonical(&tea);
+    learners
+        .iter()
+        .map(|(label, learner)| {
+            let runs = learning_runs(
+                engine,
+                &tea,
+                None,
+                episodes,
+                seeds,
+                |s| base_seed ^ (stream * (s + 1)),
+                |seed| PlanningConfig { learner: learner(seed), ..PlanningConfig::default() },
+            );
+            point(label, &runs, &routine, false)
+        })
+        .collect()
+}
+
+/// λ sweep on Tea-making with the paper's protocol.
 #[must_use]
-pub fn lambda_sweep_with(
+pub fn lambda_sweep(
     engine: FleetEngine,
     lambdas: &[f64],
     episodes: usize,
     seeds: usize,
     base_seed: u64,
 ) -> Vec<AblationPoint> {
-    let tea = catalog::tea_making();
-    lambdas
+    let configs: Vec<_> = lambdas
         .iter()
-        .map(|&lambda| {
-            let cfg = PlanningConfig { lambda, ..PlanningConfig::default() };
-            run_planner_config(engine, &tea, cfg, &format!("lambda = {lambda}"), episodes, seeds, base_seed)
-        })
-        .collect()
+        .map(|&lambda| (format!("lambda = {lambda}"), PlanningConfig { lambda, ..PlanningConfig::default() }))
+        .collect();
+    noisy_points(engine, &configs, episodes, seeds, base_seed)
 }
 
 /// Reward-shape ablation: the paper's values, a flat variant with no
 /// level asymmetry, and a broken variant where mismatching prompts score
 /// as well as matching ones.
 #[must_use]
-pub fn reward_shapes(episodes: usize, seeds: usize, base_seed: u64) -> Vec<AblationPoint> {
-    reward_shapes_with(FleetEngine::default(), episodes, seeds, base_seed)
-}
-
-/// [`reward_shapes`] on an explicit [`FleetEngine`].
-#[must_use]
-pub fn reward_shapes_with(
+pub fn reward_shapes(
     engine: FleetEngine,
     episodes: usize,
     seeds: usize,
     base_seed: u64,
 ) -> Vec<AblationPoint> {
-    let tea = catalog::tea_making();
     let shapes = [
         ("paper (1000/100/50, 0 mismatch)", RewardConfig::default()),
         (
@@ -194,152 +164,36 @@ pub fn reward_shapes_with(
             RewardConfig { terminal: 100.0, specific: 100.0, mismatch: 100.0, ..RewardConfig::default() },
         ),
     ];
-    shapes
-        .iter()
-        .map(|(label, reward)| {
-            let cfg = PlanningConfig { reward: *reward, ..PlanningConfig::default() };
-            run_planner_config(engine, &tea, cfg, label, episodes, seeds, base_seed)
-        })
-        .collect()
-}
-
-fn run_planner_config(
-    engine: FleetEngine,
-    spec: &AdlSpec,
-    cfg: PlanningConfig,
-    label: &str,
-    episodes: usize,
-    seeds: usize,
-    base_seed: u64,
-) -> AblationPoint {
-    let routine = Routine::canonical(spec);
-    // Extraction statistics are shared read-only by every seed's job, so
-    // they are measured once up front rather than inside the fan-out.
-    let mut meta = SimRng::seed_from(base_seed);
-    let extraction = measure_extraction(spec, 200, &mut meta);
-    // One fleet job per seed; each derives its own RNG stream from the
-    // seed index, so results do not depend on the worker count.
-    let per_seed = engine.map((0..seeds).collect(), |s| {
-        let mut rng = SimRng::seed_from(base_seed ^ (0xABCD_EF01 * (s as u64 + 1)));
-        let mut planner = PlanningSubsystem::new(spec, cfg);
-        let mut curve = Vec::with_capacity(episodes);
-        let mut obs = Vec::with_capacity(routine.steps().len());
-        for _ in 0..episodes {
-            corrupt_sequence_into(routine.steps(), spec, &extraction, &mut rng, &mut obs);
-            planner.train_episode(&obs, &mut rng);
-            curve.push(planner.accuracy_vs_routine(&routine));
-        }
-        let final_accuracy = planner.accuracy_vs_routine(&routine);
-        let minimal_fraction = minimal_fraction_of(&planner, &routine);
-        (curve, final_accuracy, minimal_fraction)
-    });
-    let mut curves = Vec::with_capacity(seeds);
-    let mut final_accuracy = 0.0;
-    let mut minimal_fraction = 0.0;
-    for (curve, fa, mf) in per_seed {
-        final_accuracy += fa;
-        minimal_fraction += mf;
-        curves.push(curve);
-    }
-    let mean = coreda_core::metrics::mean_curve(&curves);
-    AblationPoint {
-        label: label.to_owned(),
-        converge_95: sustained_crossing(&mean, 0.95, 3),
-        final_accuracy: final_accuracy / seeds as f64,
-        minimal_fraction: minimal_fraction / seeds as f64,
-    }
+    let configs: Vec<_> = shapes
+        .into_iter()
+        .map(|(label, reward)| (label.to_owned(), PlanningConfig { reward, ..PlanningConfig::default() }))
+        .collect();
+    noisy_points(engine, &configs, episodes, seeds, base_seed)
 }
 
 /// The "fast learning" study: Dyna-Q with increasing planning budgets vs
 /// one-step Q-learning and the paper's Watkins Q(λ), all on Tea-making
 /// clean recordings, measured in episodes to perfect routine accuracy.
 #[must_use]
-pub fn fast_learning(episodes: usize, seeds: usize, base_seed: u64) -> Vec<AblationPoint> {
-    fast_learning_with(FleetEngine::default(), episodes, seeds, base_seed)
-}
-
-/// [`fast_learning`] on an explicit [`FleetEngine`].
-#[must_use]
-pub fn fast_learning_with(
+pub fn fast_learning(
     engine: FleetEngine,
     episodes: usize,
     seeds: usize,
     base_seed: u64,
 ) -> Vec<AblationPoint> {
-    let tea = catalog::tea_making();
-    let routine = Routine::canonical(&tea);
-    let encoder = StateEncoder::new(&tea);
-    let reward = RewardConfig::default();
-    let td = TdConfig::new(Schedule::exponential(0.4, 0.997, 0.15), 0.05);
-    let policy = EpsilonGreedy::constant(0.35);
-
-    type SeededFactory = Box<dyn Fn(u64) -> Box<dyn TdControl> + Sync>;
-    let make: Vec<(String, SeededFactory)> = vec![
-        (
-            "Q-learning (one-step)".into(),
-            Box::new(move |_| Box::new(QLearning::new(encoder_shape(), td))),
-        ),
-        (
-            "Watkins Q(0.8) [paper]".into(),
-            Box::new(move |_| {
-                Box::new(WatkinsQLambda::new(encoder_shape(), td, 0.8, TraceKind::Replacing))
-            }),
-        ),
-        (
-            "Dyna-Q, 5 planning steps".into(),
-            Box::new(move |seed| Box::new(DynaQ::new(encoder_shape(), td, 5, seed))),
-        ),
-        (
-            "Dyna-Q, 30 planning steps".into(),
-            Box::new(move |seed| Box::new(DynaQ::new(encoder_shape(), td, 30, seed))),
-        ),
+    let learners: [Learner; 4] = [
+        ("Q-learning (one-step)", |_| LearnerKind::QLearning),
+        ("Watkins Q(0.8) [paper]", |_| LearnerKind::WatkinsQLambda),
+        ("Dyna-Q, 5 planning steps", |seed| LearnerKind::DynaQ { planning_steps: 5, seed }),
+        ("Dyna-Q, 30 planning steps", |seed| LearnerKind::DynaQ { planning_steps: 30, seed }),
     ];
-
-    let mut points: Vec<AblationPoint> = make
-        .into_iter()
-        .map(|(label, factory)| {
-            let per_seed = engine.map((0..seeds).collect(), |s| {
-                let seed = base_seed ^ (0x1357_9BDF * (s as u64 + 1));
-                let mut rng = SimRng::seed_from(seed);
-                let mut learner = factory(seed);
-                let mut curve = Vec::with_capacity(episodes);
-                let mut seq = Vec::with_capacity(routine.steps().len());
-                for ep in 0..episodes {
-                    train_learner_episode_in(
-                        learner.as_mut(),
-                        &encoder,
-                        reward,
-                        routine.last(),
-                        routine.steps(),
-                        &policy,
-                        ep as u64,
-                        &mut rng,
-                        &mut seq,
-                    );
-                    curve.push(routine_accuracy_of(learner.as_ref(), &encoder, &routine));
-                }
-                let final_acc = routine_accuracy_of(learner.as_ref(), &encoder, &routine);
-                (curve, final_acc)
-            });
-            let mut curves = Vec::with_capacity(seeds);
-            let mut final_acc = 0.0;
-            for (curve, fa) in per_seed {
-                final_acc += fa;
-                curves.push(curve);
-            }
-            let mean = coreda_core::metrics::mean_curve(&curves);
-            AblationPoint {
-                label,
-                converge_95: sustained_crossing(&mean, 0.95, 3),
-                final_accuracy: final_acc / seeds as f64,
-                minimal_fraction: f64::NAN,
-            }
-        })
-        .collect();
+    let mut points = clean_points(engine, &learners, 0x1357_9BDF, episodes, seeds, base_seed);
 
     // Certainty equivalence: deterministic given the episodes (no
     // exploration), so one run suffices.
-    let mut ce = CertaintyEquivalence::new(&tea, reward, 0.05);
+    let tea = catalog::tea_making();
+    let routine = Routine::canonical(&tea);
+    let mut ce = CertaintyEquivalence::new(&tea, RewardConfig::default(), 0.05);
     let mut ce_curve = Vec::with_capacity(episodes);
     for _ in 0..episodes {
         ce.observe_episode(routine.steps());
@@ -354,92 +208,23 @@ pub fn fast_learning_with(
     points
 }
 
-fn encoder_shape() -> coreda_rl::space::ProblemShape {
-    StateEncoder::new(&catalog::tea_making()).shape()
-}
-
 /// Algorithm-family comparison on the same protocol as
 /// [`fast_learning`], with SARSA variants included.
 #[must_use]
-pub fn algorithm_family(episodes: usize, seeds: usize, base_seed: u64) -> Vec<AblationPoint> {
-    algorithm_family_with(FleetEngine::default(), episodes, seeds, base_seed)
-}
-
-/// [`algorithm_family`] on an explicit [`FleetEngine`].
-#[must_use]
-pub fn algorithm_family_with(
+pub fn algorithm_family(
     engine: FleetEngine,
     episodes: usize,
     seeds: usize,
     base_seed: u64,
 ) -> Vec<AblationPoint> {
-    let tea = catalog::tea_making();
-    let routine = Routine::canonical(&tea);
-    let encoder = StateEncoder::new(&tea);
-    let reward = RewardConfig::default();
-    let td = TdConfig::new(Schedule::exponential(0.4, 0.997, 0.15), 0.05);
-    let policy = EpsilonGreedy::constant(0.35);
-
-    type Factory = Box<dyn Fn() -> Box<dyn TdControl> + Sync>;
-    let algos: Vec<(String, Factory)> = vec![
-        ("Q-learning".into(), Box::new(move || Box::new(QLearning::new(encoder_shape(), td)))),
-        ("SARSA".into(), Box::new(move || Box::new(Sarsa::new(encoder_shape(), td)))),
-        (
-            "Expected SARSA".into(),
-            Box::new(move || Box::new(ExpectedSarsa::new(encoder_shape(), td, 0.35))),
-        ),
-        (
-            "Double Q-learning".into(),
-            Box::new(move || Box::new(DoubleQLearning::new(encoder_shape(), td, 99))),
-        ),
-        (
-            "Watkins Q(0.8) [paper]".into(),
-            Box::new(move || {
-                Box::new(WatkinsQLambda::new(encoder_shape(), td, 0.8, TraceKind::Replacing))
-            }),
-        ),
+    let learners: [Learner; 5] = [
+        ("Q-learning", |_| LearnerKind::QLearning),
+        ("SARSA", |_| LearnerKind::Sarsa),
+        ("Expected SARSA", |_| LearnerKind::ExpectedSarsa),
+        ("Double Q-learning", |_| LearnerKind::DoubleQ { seed: 99 }),
+        ("Watkins Q(0.8) [paper]", |_| LearnerKind::WatkinsQLambda),
     ];
-
-    algos
-        .into_iter()
-        .map(|(label, factory)| {
-            let per_seed = engine.map((0..seeds).collect(), |s| {
-                let mut rng = SimRng::seed_from(base_seed ^ (0x2468_ACE0 * (s as u64 + 1)));
-                let mut learner = factory();
-                let mut curve = Vec::with_capacity(episodes);
-                let mut seq = Vec::with_capacity(routine.steps().len());
-                for ep in 0..episodes {
-                    train_learner_episode_in(
-                        learner.as_mut(),
-                        &encoder,
-                        reward,
-                        routine.last(),
-                        routine.steps(),
-                        &policy,
-                        ep as u64,
-                        &mut rng,
-                        &mut seq,
-                    );
-                    curve.push(routine_accuracy_of(learner.as_ref(), &encoder, &routine));
-                }
-                let final_acc = routine_accuracy_of(learner.as_ref(), &encoder, &routine);
-                (curve, final_acc)
-            });
-            let mut curves = Vec::with_capacity(seeds);
-            let mut final_acc = 0.0;
-            for (curve, fa) in per_seed {
-                final_acc += fa;
-                curves.push(curve);
-            }
-            let mean = coreda_core::metrics::mean_curve(&curves);
-            AblationPoint {
-                label,
-                converge_95: sustained_crossing(&mean, 0.95, 3),
-                final_accuracy: final_acc / seeds as f64,
-                minimal_fraction: f64::NAN,
-            }
-        })
-        .collect()
+    clean_points(engine, &learners, 0x2468_ACE0, episodes, seeds, base_seed)
 }
 
 /// Renders ablation points as a table.
@@ -481,7 +266,7 @@ mod tests {
         // The 100-vs-50 level gap is a quarter of the match-vs-mismatch
         // gap, so the level preference emerges noticeably later than the
         // routine itself — hence the longer horizon here.
-        let points = reward_shapes(250, 8, 2007);
+        let points = reward_shapes(FleetEngine::default(), 250, 8, 2007);
         assert_eq!(points.len(), 3);
         let paper = &points[0];
         let flat = &points[1];
@@ -503,7 +288,7 @@ mod tests {
 
     #[test]
     fn dyna_q_accelerates_learning() {
-        let points = fast_learning(60, 8, 2007);
+        let points = fast_learning(FleetEngine::default(), 60, 8, 2007);
         let one_step = points[0].converge_95.unwrap_or(usize::MAX);
         let dyna30 = points[3].converge_95.unwrap_or(usize::MAX);
         assert!(
@@ -525,7 +310,7 @@ mod tests {
 
     #[test]
     fn lambda_sweep_runs_and_converges() {
-        let points = lambda_sweep(&[0.0, 0.8], 80, 6, 2007);
+        let points = lambda_sweep(FleetEngine::default(), &[0.0, 0.8], 80, 6, 2007);
         assert_eq!(points.len(), 2);
         for p in &points {
             assert!(p.final_accuracy > 0.85, "{p:?}");
@@ -534,7 +319,7 @@ mod tests {
 
     #[test]
     fn algorithm_family_all_solve_the_task() {
-        let points = algorithm_family(100, 6, 2007);
+        let points = algorithm_family(FleetEngine::default(), 100, 6, 2007);
         assert_eq!(points.len(), 5);
         for p in &points {
             assert!(p.final_accuracy > 0.85, "{p:?}");

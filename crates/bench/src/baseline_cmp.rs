@@ -33,18 +33,12 @@ pub struct AccuracyRow {
 }
 
 /// Runs the prediction-accuracy comparison over `users` random
-/// personalised routines of `spec` (plus the canonical one).
+/// personalised routines of `spec` (plus the canonical one). The
+/// personalised routines are drawn from one sequential stream up front
+/// (their shuffles depend on draw order); the per-routine training jobs
+/// then fan out, each with its own fixed-seed stream.
 #[must_use]
-pub fn accuracy_study(spec: &AdlSpec, users: usize, seed: u64) -> Vec<AccuracyRow> {
-    accuracy_study_with(FleetEngine::default(), spec, users, seed)
-}
-
-/// [`accuracy_study`] on an explicit [`FleetEngine`]. The personalised
-/// routines are drawn from one sequential stream up front (their shuffles
-/// depend on draw order); the per-routine training jobs then fan out,
-/// each with its own fixed-seed stream.
-#[must_use]
-pub fn accuracy_study_with(
+pub fn accuracy_study(
     engine: FleetEngine,
     spec: &AdlSpec,
     users: usize,
@@ -97,15 +91,10 @@ pub struct LiveRow {
 /// Live comparison: a moderately impaired patient runs `episodes`
 /// tea-making episodes under (a) a trained CoReDA and (b) an untrained
 /// one (whose prompts are useless, leaving the patient to self-recover).
+/// One fleet job per planner condition (each condition already has its
+/// own derived RNG streams).
 #[must_use]
-pub fn live_study(episodes: usize, seed: u64) -> Vec<LiveRow> {
-    live_study_with(FleetEngine::default(), episodes, seed)
-}
-
-/// [`live_study`] on an explicit [`FleetEngine`]: one job per planner
-/// condition (each condition already has its own derived RNG streams).
-#[must_use]
-pub fn live_study_with(engine: FleetEngine, episodes: usize, seed: u64) -> Vec<LiveRow> {
+pub fn live_study(engine: FleetEngine, episodes: usize, seed: u64) -> Vec<LiveRow> {
     let tea = catalog::tea_making();
     let routine = Routine::canonical(&tea);
 
@@ -196,7 +185,7 @@ mod tests {
     #[test]
     fn coreda_matches_oracle_and_beats_preplanned() {
         let tea = catalog::tea_making();
-        let rows = accuracy_study(&tea, 4, 2007);
+        let rows = accuracy_study(FleetEngine::default(), &tea, 4, 2007);
         assert_eq!(rows.len(), 5);
         // On the canonical user everyone is perfect.
         assert_eq!(rows[0].coreda, 1.0);
@@ -220,7 +209,7 @@ mod tests {
 
     #[test]
     fn trained_system_outperforms_untrained_live() {
-        let rows = live_study(12, 2007);
+        let rows = live_study(FleetEngine::default(), 12, 2007);
         let trained = &rows[0];
         let untrained = &rows[1];
         assert!(trained.completion_rate >= untrained.completion_rate);

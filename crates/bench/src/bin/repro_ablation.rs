@@ -2,25 +2,6 @@
 //! (Dyna-Q), and the TD-algorithm family comparison.
 //! Usage: `cargo run -p coreda-bench --bin repro_ablation [seeds] [seed] [--jobs N]`
 
-use coreda_bench::ablation;
-use coreda_bench::common::engine_from_args;
-
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let engine = engine_from_args(&mut raw);
-    let mut args = raw.into_iter();
-    let seeds: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-
-    let lam = ablation::lambda_sweep_with(engine, &[0.0, 0.3, 0.6, 0.9], 120, seeds, seed);
-    print!("{}", ablation::render("eligibility-trace lambda (Tea-making)", &lam));
-
-    let rew = ablation::reward_shapes_with(engine, 250, seeds, seed);
-    print!("{}", ablation::render("reward shape (Tea-making)", &rew));
-
-    let fast = ablation::fast_learning_with(engine, 60, seeds, seed);
-    print!("{}", ablation::render("fast learning / Dyna-Q (future work 4.2)", &fast));
-
-    let fam = ablation::algorithm_family_with(engine, 120, seeds, seed);
-    print!("{}", ablation::render("TD-control algorithm family", &fam));
+    coreda_bench::common::main(coreda_bench::repro::ablation);
 }

@@ -2,14 +2,6 @@
 //! floored vs fully decayed learning schedules (paper §3.2 discussion).
 //! Usage: `cargo run -p coreda-bench --bin repro_adaptation [phase] [seeds] [seed]`
 
-use coreda_bench::adaptation;
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let phase: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(150);
-    let seeds: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let points = adaptation::run(phase, seeds, seed);
-    print!("{}", adaptation::render(&points));
-    println!("\n({phase} episodes per phase, {seeds} runs, seed {seed})");
+    coreda_bench::common::main(coreda_bench::repro::adaptation);
 }

@@ -3,21 +3,6 @@
 //! completion-time outcomes.
 //! Usage: `cargo run -p coreda-bench --bin repro_baselines [users] [episodes] [seed] [--jobs N]`
 
-use coreda_adl::activity::catalog;
-use coreda_bench::baseline_cmp;
-use coreda_bench::common::engine_from_args;
-
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let engine = engine_from_args(&mut raw);
-    let mut args = raw.into_iter();
-    let users: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(5);
-    let episodes: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-
-    let acc = baseline_cmp::accuracy_study_with(engine, &catalog::tea_making(), users, seed);
-    print!("{}", baseline_cmp::render_accuracy(&acc));
-
-    let live = baseline_cmp::live_study_with(engine, episodes, seed);
-    print!("{}", baseline_cmp::render_live(&live));
+    coreda_bench::common::main(coreda_bench::repro::baselines);
 }

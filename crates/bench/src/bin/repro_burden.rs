@@ -3,15 +3,6 @@
 //! completion times with vs without assistance.
 //! Usage: `cargo run -p coreda-bench --bin repro_burden [days] [stride] [episodes] [seed]`
 
-use coreda_bench::burden;
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let days: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(360);
-    let stride: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(60);
-    let episodes: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let points = burden::run(days, stride, episodes, seed);
-    print!("{}", burden::render(&points));
-    println!("\n({episodes} episodes per sampled day, seed {seed})");
+    coreda_bench::common::main(coreda_bench::repro::burden);
 }

@@ -2,15 +2,6 @@
 //! up concurrently on the shared CC1000 channel.
 //! Usage: `cargo run -p coreda-bench --bin repro_contention [trials] [seed] [--jobs N]`
 
-use coreda_bench::common::engine_from_args;
-use coreda_bench::contention;
-
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let engine = engine_from_args(&mut raw);
-    let mut args = raw.into_iter();
-    let trials: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(80);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let points = contention::run_on(engine, trials, seed);
-    print!("{}", contention::render(&points));
+    coreda_bench::common::main(coreda_bench::repro::contention);
 }

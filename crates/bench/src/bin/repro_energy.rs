@@ -2,14 +2,6 @@
 //! extrapolation for the PAVENET nodes.
 //! Usage: `cargo run -p coreda-bench --bin repro_energy [episodes] [per_day] [seed]`
 
-use coreda_bench::energy_study;
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let episodes: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let per_day: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(3.0);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let rows = energy_study::run(episodes, per_day, seed);
-    print!("{}", energy_study::render(&rows));
-    println!("\n({episodes} simulated episodes, {per_day} episodes/day assumed, seed {seed})");
+    coreda_bench::common::main(coreda_bench::repro::energy);
 }

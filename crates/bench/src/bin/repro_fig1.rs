@@ -3,16 +3,6 @@
 //! the resulting timeline.
 //! Usage: `cargo run -p coreda-bench --bin repro_fig1 [seed]`
 
-use coreda_core::scenario;
-
 fn main() {
-    let seed: u64 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let log = scenario::figure1(seed);
-    println!("\n== Figure 1: a typical scenario of CoReDA (seed {seed}) ==\n");
-    print!("{}", log.render());
-    let reminders = log.reminders();
-    println!("\nsummary: {} reminders, {} praises, completed: {}",
-        reminders.len(),
-        log.praise_count(),
-        log.completed_at().map_or("no".to_owned(), |t| format!("yes at {t}")));
+    coreda_bench::common::main(coreda_bench::repro::fig1);
 }

@@ -2,17 +2,6 @@
 //! ADLs, with convergence read-outs at the 95 % and 98 % conditions.
 //! Usage: `cargo run -p coreda-bench --bin repro_fig4 [episodes] [seeds] [seed] [--jobs N]`
 
-use coreda_bench::common::engine_from_args;
-use coreda_bench::fig4;
-
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let engine = engine_from_args(&mut raw);
-    let mut args = raw.into_iter();
-    let episodes: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(120);
-    let seeds: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(30);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let curves = fig4::run_with(engine, episodes, seeds, seed);
-    print!("{}", fig4::render(&curves));
-    println!("\n({episodes} episodes, {seeds} independent runs, base seed {seed})");
+    coreda_bench::common::main(coreda_bench::repro::fig4);
 }

@@ -2,15 +2,6 @@
 //! under increasingly lossy radio links.
 //! Usage: `cargo run -p coreda-bench --bin repro_radio_loss [trials] [seed] [--jobs N]`
 
-use coreda_bench::common::engine_from_args;
-use coreda_bench::radio_loss;
-
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let engine = engine_from_args(&mut raw);
-    let mut args = raw.into_iter();
-    let trials: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(120);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let points = radio_loss::run_on(engine, trials, 120, 10, seed);
-    print!("{}", radio_loss::render(&points));
+    coreda_bench::common::main(coreda_bench::repro::radio_loss);
 }

@@ -2,16 +2,6 @@
 //! per tool (320 samples total, like the paper). Usage:
 //! `cargo run -p coreda-bench --bin repro_table3 [trials] [seed] [--jobs N]`
 
-use coreda_bench::common::engine_from_args;
-use coreda_bench::table3;
-
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let engine = engine_from_args(&mut raw);
-    let mut args = raw.into_iter();
-    let trials: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(40);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let rows = table3::run_with_link_on(engine, trials, seed, Default::default());
-    print!("{}", table3::render(&rows));
-    println!("\n({trials} trials per step, seed {seed})");
+    coreda_bench::common::main(coreda_bench::repro::table3);
 }

@@ -2,16 +2,6 @@
 //! with the two reminder-trigger situations examined equally.
 //! Usage: `cargo run -p coreda-bench --bin repro_table4 [samples] [seed] [--jobs N]`
 
-use coreda_bench::common::engine_from_args;
-use coreda_bench::table4;
-
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let engine = engine_from_args(&mut raw);
-    let mut args = raw.into_iter();
-    let samples: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(30);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2007);
-    let rows = table4::run_on(engine, samples, seed);
-    print!("{}", table4::render(&rows));
-    println!("\n({samples} test samples per ADL, seed {seed})");
+    coreda_bench::common::main(coreda_bench::repro::table4);
 }

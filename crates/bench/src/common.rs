@@ -1,8 +1,15 @@
-//! Shared experiment plumbing: trial protocols and table rendering.
+//! Shared experiment plumbing: the repro binaries' argument reader, the
+//! extraction trial, the learning-curve loop every learning study runs,
+//! and chart rendering.
+
+use std::str::FromStr;
 
 use coreda_adl::activity::AdlSpec;
+use coreda_adl::routine::Routine;
 use coreda_adl::step::StepId;
 use coreda_core::fleet::FleetEngine;
+use coreda_core::metrics::mean_curve;
+use coreda_core::planning::{PlanningConfig, PlanningSubsystem};
 use coreda_des::rng::SimRng;
 use coreda_sensornet::detect::Thresholds;
 use coreda_sensornet::network::{LinkConfig, StarNetwork};
@@ -11,21 +18,97 @@ use coreda_sensornet::node::PavenetNode;
 /// Number of 100 ms samples per second (the PAVENET rate).
 pub const TICKS_PER_SEC: u64 = 10;
 
-/// Pulls a `--jobs N` option out of a raw argument list (so the caller's
-/// positional parsing still works) and returns the matching engine.
-/// `--jobs` with a missing or unparsable value falls back to the default
-/// worker count; no `--jobs` at all does the same.
-#[must_use]
-pub fn engine_from_args(args: &mut Vec<String>) -> FleetEngine {
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let engine = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .map_or_else(FleetEngine::default, FleetEngine::new);
-        args.drain(i..(i + 2).min(args.len()));
-        engine
-    } else {
-        FleetEngine::default()
+/// A repro binary's command line: positional values in a fixed order,
+/// each falling back to its default once the list runs out, plus
+/// `--jobs N` anywhere in the list for the studies that fan out on a
+/// [`FleetEngine`]. Reading ends with [`Args::engine`] or
+/// [`Args::finish`], which reject whatever is left over.
+#[derive(Debug)]
+pub struct Args {
+    values: std::vec::IntoIter<String>,
+    jobs: Option<usize>,
+}
+
+impl Args {
+    /// Splits `--jobs N` off `raw`.
+    ///
+    /// # Errors
+    ///
+    /// `--jobs` repeated, or not followed by a worker count.
+    pub fn new<S: Into<String>>(raw: impl IntoIterator<Item = S>) -> Result<Args, String> {
+        let mut raw = raw.into_iter().map(Into::into);
+        let mut values = Vec::new();
+        let mut jobs = None;
+        while let Some(arg) = raw.next() {
+            if arg != "--jobs" {
+                values.push(arg);
+                continue;
+            }
+            if jobs.is_some() {
+                return Err("--jobs given twice".to_owned());
+            }
+            let value = raw.next().ok_or("--jobs needs a worker count")?;
+            jobs = Some(
+                value.parse().map_err(|_| format!("--jobs got {value:?}, not a worker count"))?,
+            );
+        }
+        Ok(Args { values: values.into_iter(), jobs })
+    }
+
+    /// The next positional value, called `name` in errors; `default`
+    /// once the list has run out.
+    ///
+    /// # Errors
+    ///
+    /// The value does not parse as a `T`.
+    pub fn next<T: FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+        match self.values.next() {
+            None => Ok(default),
+            Some(value) => value.parse().map_err(|_| format!("{name} got {value:?}, which does not parse")),
+        }
+    }
+
+    /// Ends the list of a study that fans out, returning the engine
+    /// `--jobs` asked for (the default worker count without it).
+    ///
+    /// # Errors
+    ///
+    /// A positional value is left over.
+    pub fn engine(mut self) -> Result<FleetEngine, String> {
+        self.no_surplus()?;
+        Ok(self.jobs.map_or_else(FleetEngine::default, FleetEngine::new))
+    }
+
+    /// Ends the list of a study that runs on one thread.
+    ///
+    /// # Errors
+    ///
+    /// A positional value is left over, or `--jobs` was given.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.no_surplus()?;
+        match self.jobs {
+            Some(_) => Err("--jobs: this study runs on one thread".to_owned()),
+            None => Ok(()),
+        }
+    }
+
+    fn no_surplus(&mut self) -> Result<(), String> {
+        match self.values.next() {
+            Some(value) => Err(format!("unexpected argument {value:?}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A repro binary's `main`: reads the process's arguments, prints what
+/// `study` returns, or reports its error on stderr and exits 2.
+pub fn main(study: fn(Args) -> Result<String, String>) {
+    match Args::new(std::env::args().skip(1)).and_then(study) {
+        Ok(out) => print!("{out}"),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -34,21 +117,10 @@ pub fn engine_from_args(args: &mut Vec<String>) -> FleetEngine {
 /// least one `ToolUse` report to the base station while the step runs.
 ///
 /// This is the paper's Table 3 trial: "when we pick up tea-box and take
-/// tea-leaf from it, whether it can be extracted as the ADL step".
+/// tea-leaf from it, whether it can be extracted as the ADL step". The
+/// caller's network is reused across trials: each trial re-registers the
+/// node, which resets its link, so it behaves as a fresh network.
 pub fn extract_trial(
-    spec: &AdlSpec,
-    step_idx: usize,
-    link: LinkConfig,
-    rng: &mut SimRng,
-) -> bool {
-    let mut net = StarNetwork::new(link);
-    extract_trial_in(spec, step_idx, &mut net, rng)
-}
-
-/// Like [`extract_trial`], but reuses a caller-owned network so the link
-/// table is not reallocated per trial. Each trial re-registers the node,
-/// which resets its link — behaviour is identical to a fresh network.
-pub fn extract_trial_in(
     spec: &AdlSpec,
     step_idx: usize,
     net: &mut StarNetwork,
@@ -80,30 +152,17 @@ pub fn measure_extraction(spec: &AdlSpec, trials: usize, rng: &mut SimRng) -> Ve
     (0..spec.steps().len())
         .map(|i| {
             let hits = (0..trials)
-                .filter(|_| extract_trial_in(spec, i, &mut net, rng))
+                .filter(|_| extract_trial(spec, i, &mut net, rng))
                 .count();
             hits as f64 / trials as f64
         })
         .collect()
 }
 
-/// Applies extraction noise to a clean StepID sequence: each step is
-/// dropped with its per-step miss probability (`1 − extraction`), the way
-/// a missed detection removes it from the sensed sequence.
+/// Applies extraction noise to a clean StepID sequence, into `out`: each
+/// step is dropped with its per-step miss probability (`1 − extraction`),
+/// the way a missed detection removes it from the sensed sequence.
 pub fn corrupt_sequence(
-    steps: &[StepId],
-    spec: &AdlSpec,
-    extraction: &[f64],
-    rng: &mut SimRng,
-) -> Vec<StepId> {
-    let mut out = Vec::with_capacity(steps.len());
-    corrupt_sequence_into(steps, spec, extraction, rng, &mut out);
-    out
-}
-
-/// [`corrupt_sequence`] into a caller-owned buffer, so a training loop
-/// running hundreds of episodes reuses one allocation.
-pub fn corrupt_sequence_into(
     steps: &[StepId],
     spec: &AdlSpec,
     extraction: &[f64],
@@ -117,6 +176,72 @@ pub fn corrupt_sequence_into(
             None => true, // idles / foreign steps pass through
         }
     }));
+}
+
+/// Every seed's run of [`learning_runs`], in seed order.
+#[derive(Debug, Clone)]
+pub struct LearningRuns {
+    /// Each run's routine accuracy after each training episode.
+    pub curves: Vec<Vec<f64>>,
+    /// Each run's planner as its last episode left it.
+    pub planners: Vec<PlanningSubsystem>,
+}
+
+impl LearningRuns {
+    /// The mean accuracy after each episode, over the runs.
+    #[must_use]
+    pub fn mean_curve(&self) -> Vec<f64> {
+        mean_curve(&self.curves)
+    }
+
+    /// The mean of `f` over the runs' trained planners.
+    pub fn mean_of(&self, f: impl Fn(&PlanningSubsystem) -> f64) -> f64 {
+        self.planners.iter().map(f).fold(0.0, |sum, x| sum + x) / self.planners.len() as f64
+    }
+}
+
+/// The learning-curve protocol every learning study shares: one fleet
+/// job per seed index `s`, which trains a new planner on `cfg_of(seed)`
+/// for `episodes` recordings of `spec`'s canonical routine, drawing all
+/// of its randomness from `SimRng::seed_from(seed)` with
+/// `seed = seed_of(s)`, and records the routine accuracy after each
+/// episode. With `extraction`, each recording first loses steps at
+/// their miss rates ([`corrupt_sequence`]); without it, recordings are
+/// clean and draw no corruption randomness. Each job owns its stream, so
+/// the runs are identical at any worker count.
+pub fn learning_runs(
+    engine: FleetEngine,
+    spec: &AdlSpec,
+    extraction: Option<&[f64]>,
+    episodes: usize,
+    seeds: usize,
+    seed_of: impl Fn(u64) -> u64 + Sync,
+    cfg_of: impl Fn(u64) -> PlanningConfig + Sync,
+) -> LearningRuns {
+    let routine = Routine::canonical(spec);
+    let (curves, planners) = engine
+        .map((0..seeds as u64).collect(), |s| {
+            let seed = seed_of(s);
+            let mut rng = SimRng::seed_from(seed);
+            let mut planner = PlanningSubsystem::new(spec, cfg_of(seed));
+            let mut curve = Vec::with_capacity(episodes);
+            let mut observed = Vec::with_capacity(routine.steps().len());
+            for _ in 0..episodes {
+                let recording = match extraction {
+                    Some(extraction) => {
+                        corrupt_sequence(routine.steps(), spec, extraction, &mut rng, &mut observed);
+                        observed.as_slice()
+                    }
+                    None => routine.steps(),
+                };
+                planner.train_episode(recording, &mut rng);
+                curve.push(planner.accuracy_vs_routine(&routine));
+            }
+            (curve, planner)
+        })
+        .into_iter()
+        .unzip();
+    LearningRuns { curves, planners }
 }
 
 /// Renders a y-range-normalised ASCII line chart of `series` (values in
@@ -165,19 +290,6 @@ pub fn ascii_chart(series: &[f64], height: usize, max_width: usize) -> String {
     out
 }
 
-/// Renders an aligned two-column table (label, value).
-#[must_use]
-pub fn render_table(title: &str, rows: &[(String, String)]) -> String {
-    use std::fmt::Write as _;
-    let width = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0).max(10);
-    let mut out = String::new();
-    let _ = writeln!(out, "\n== {title} ==");
-    for (label, value) in rows {
-        let _ = writeln!(out, "  {label:<width$}  {value}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,9 +299,9 @@ mod tests {
     fn extract_trial_usually_succeeds_on_long_steps() {
         let tea = catalog::tea_making();
         let mut rng = SimRng::seed_from(1);
+        let mut net = StarNetwork::new(LinkConfig::default());
         // Step 0 (tea-box, 6 s, duty 0.6) should essentially always extract.
-        let hits =
-            (0..50).filter(|_| extract_trial(&tea, 0, LinkConfig::default(), &mut rng)).count();
+        let hits = (0..50).filter(|_| extract_trial(&tea, 0, &mut net, &mut rng)).count();
         assert!(hits >= 48, "tea-box extraction too weak: {hits}/50");
     }
 
@@ -200,8 +312,27 @@ mod tests {
         let mut rng = SimRng::seed_from(2);
         // Kill step 1 always, keep the rest.
         let ext = vec![1.0, 0.0, 1.0, 1.0];
-        let corrupted = corrupt_sequence(&ids, &tea, &ext, &mut rng);
+        let mut corrupted = vec![ids[1]];
+        corrupt_sequence(&ids, &tea, &ext, &mut rng, &mut corrupted);
         assert_eq!(corrupted, vec![ids[0], ids[2], ids[3]]);
+    }
+
+    #[test]
+    fn learning_runs_are_seeded_per_run_and_clean_runs_learn() {
+        let tea = catalog::tea_making();
+        let runs = |jobs| {
+            learning_runs(FleetEngine::new(jobs), &tea, None, 60, 3, |s| 7 + s, |_| {
+                PlanningConfig::default()
+            })
+        };
+        let (serial, parallel) = (runs(1), runs(3));
+        assert_eq!(serial.curves, parallel.curves);
+        assert_eq!(serial.curves.len(), 3);
+        assert!(serial.curves.iter().all(|c| c.len() == 60));
+        assert_ne!(serial.curves[0], serial.curves[1], "each run draws its own stream");
+        let routine = Routine::canonical(&tea);
+        assert_eq!(serial.mean_of(|p| p.accuracy_vs_routine(&routine)), serial.mean_curve()[59]);
+        assert!(serial.mean_curve()[59] > 0.9, "{:?}", serial.mean_curve());
     }
 
     #[test]
@@ -228,28 +359,44 @@ mod tests {
         assert!(one.contains('█'));
     }
 
-    #[test]
-    fn render_table_aligns() {
-        let s = render_table("T", &[("a".into(), "1".into()), ("long label".into(), "2".into())]);
-        assert!(s.contains("== T =="));
-        assert!(s.contains("long label"));
+    fn args(raw: &[&str]) -> Result<Args, String> {
+        Args::new(raw.iter().copied())
     }
 
     #[test]
-    fn engine_from_args_extracts_jobs() {
-        let mut args: Vec<String> =
-            ["40", "--jobs", "3", "2007"].iter().map(|s| (*s).to_owned()).collect();
-        let engine = engine_from_args(&mut args);
-        assert_eq!(engine.jobs(), 3);
-        assert_eq!(args, vec!["40".to_owned(), "2007".to_owned()]);
+    fn args_read_positionals_with_defaults_and_jobs_anywhere() {
+        let mut a = args(&["40", "--jobs", "3", "2007"]).unwrap();
+        assert_eq!(a.next("trials", 1usize), Ok(40));
+        assert_eq!(a.next("seed", 1u64), Ok(2007));
+        assert_eq!(a.next("spare", 5usize), Ok(5), "a missing value takes its default");
+        assert_eq!(a.engine().unwrap().jobs(), 3);
 
-        let mut bare: Vec<String> = vec!["40".to_owned()];
-        let _ = engine_from_args(&mut bare);
-        assert_eq!(bare, vec!["40".to_owned()]);
+        let mut a = args(&[]).unwrap();
+        assert_eq!(a.next("trials", 40usize), Ok(40));
+        assert!(a.engine().unwrap().jobs() >= 1);
+        args(&[]).unwrap().finish().unwrap();
+    }
 
-        // A trailing `--jobs` with no value falls back to the default.
-        let mut dangling: Vec<String> = vec!["--jobs".to_owned()];
-        assert!(engine_from_args(&mut dangling).jobs() >= 1);
-        assert!(dangling.is_empty());
+    #[test]
+    fn args_reject_what_they_cannot_read() {
+        // A value that does not parse names its argument.
+        let mut a = args(&["4O", "2007"]).unwrap();
+        assert_eq!(a.next("trials", 40usize), Err("trials got \"4O\", which does not parse".into()));
+        let mut a = args(&["120", "sixty"]).unwrap();
+        a.next("episodes", 120usize).unwrap();
+        assert!(a.next("seeds", 30usize).unwrap_err().starts_with("seeds got \"sixty\""));
+        // A surplus value.
+        let mut a = args(&["10", "2007", "extra"]).unwrap();
+        a.next("seeds", 10usize).unwrap();
+        a.next("seed", 2007u64).unwrap();
+        assert_eq!(a.engine().unwrap_err(), "unexpected argument \"extra\"");
+        // `--jobs` without a count, with a bad one, twice, or where the
+        // study takes none.
+        assert_eq!(args(&["--jobs"]).unwrap_err(), "--jobs needs a worker count");
+        assert!(args(&["--jobs", "two"]).unwrap_err().starts_with("--jobs got \"two\""));
+        assert_eq!(args(&["--jobs", "2", "--jobs", "3"]).unwrap_err(), "--jobs given twice");
+        let mut a = args(&["150", "--jobs", "4"]).unwrap();
+        a.next("phase", 150usize).unwrap();
+        assert!(a.finish().unwrap_err().starts_with("--jobs"));
     }
 }

@@ -31,8 +31,7 @@ pub struct ContentionPoint {
 
 /// Simulates `trials` six-second steps with `active_tools` tools all in
 /// use at once, contending on a medium with the given `window`.
-#[must_use]
-pub fn run_point(active_tools: usize, window: u8, trials: usize, seed: u64) -> ContentionPoint {
+fn run_point(active_tools: usize, window: u8, trials: usize, seed: u64) -> ContentionPoint {
     let medium = SharedMedium::new(window);
     let mut rng = SimRng::seed_from(seed);
     let model = SignalModel::accelerometer(0.03, 0.45, 0.6);
@@ -102,17 +101,11 @@ pub fn run_point(active_tools: usize, window: u8, trials: usize, seed: u64) -> C
     }
 }
 
-/// The standard sweep: 1–12 concurrent tools at windows 8 and 32.
+/// The standard sweep: 1–12 concurrent tools at windows 8 and 32, one
+/// fleet job per sweep point, each already seeded independently, so the
+/// sweep is identical at any worker count.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Vec<ContentionPoint> {
-    run_on(FleetEngine::default(), trials, seed)
-}
-
-/// [`run`] on an explicit [`FleetEngine`]: one job per sweep point, each
-/// already seeded independently, so the sweep is identical at any worker
-/// count.
-#[must_use]
-pub fn run_on(engine: FleetEngine, trials: usize, seed: u64) -> Vec<ContentionPoint> {
+pub fn run(engine: FleetEngine, trials: usize, seed: u64) -> Vec<ContentionPoint> {
     let mut cells = Vec::new();
     for &window in &[8u8, 32] {
         for &k in &[1usize, 2, 4, 8, 12] {

@@ -11,13 +11,11 @@
 //! learns more slowly than Tooth-brushing, exactly as in the paper.
 
 use coreda_adl::activity::{catalog, AdlSpec};
-use coreda_adl::routine::Routine;
 use coreda_core::fleet::FleetEngine;
-use coreda_core::metrics::mean_curve;
-use coreda_core::planning::{PlanningConfig, PlanningSubsystem};
+use coreda_core::planning::PlanningConfig;
 use coreda_des::rng::SimRng;
 
-use crate::common::{corrupt_sequence_into, measure_extraction};
+use crate::common::{learning_runs, measure_extraction};
 
 /// The learning curve of one ADL.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,45 +61,24 @@ pub fn sustained_crossing(curve: &[f64], threshold: f64, window: usize) -> Optio
 }
 
 /// Runs the Figure 4 protocol for one ADL.
-#[must_use]
-pub fn run_adl(
-    spec: &AdlSpec,
-    cfg: PlanningConfig,
-    episodes: usize,
-    seeds: usize,
-    base_seed: u64,
-) -> Curve {
-    run_adl_with(FleetEngine::default(), spec, cfg, episodes, seeds, base_seed)
-}
-
-/// [`run_adl`] on an explicit [`FleetEngine`] (results are identical at
-/// any worker count: one job per seed, each with its own derived stream).
-#[must_use]
-pub fn run_adl_with(
+fn run_adl(
     engine: FleetEngine,
     spec: &AdlSpec,
-    cfg: PlanningConfig,
     episodes: usize,
     seeds: usize,
     base_seed: u64,
 ) -> Curve {
-    let routine = Routine::canonical(spec);
-    let mut meta_rng = SimRng::seed_from(base_seed);
-    let extraction = measure_extraction(spec, 300, &mut meta_rng);
-
-    let curves = engine.map((0..seeds).collect(), |s| {
-        let mut rng = SimRng::seed_from(base_seed ^ (0x9E37_79B9 * (s as u64 + 1)));
-        let mut planner = PlanningSubsystem::new(spec, cfg);
-        let mut curve = Vec::with_capacity(episodes);
-        let mut observed = Vec::with_capacity(routine.steps().len());
-        for _ in 0..episodes {
-            corrupt_sequence_into(routine.steps(), spec, &extraction, &mut rng, &mut observed);
-            planner.train_episode(&observed, &mut rng);
-            curve.push(planner.accuracy_vs_routine(&routine));
-        }
-        curve
-    });
-    let accuracy = mean_curve(&curves);
+    let extraction = measure_extraction(spec, 300, &mut SimRng::seed_from(base_seed));
+    let runs = learning_runs(
+        engine,
+        spec,
+        Some(&extraction),
+        episodes,
+        seeds,
+        |s| base_seed ^ (0x9E37_79B9 * (s + 1)),
+        |_| PlanningConfig::default(),
+    );
+    let accuracy = runs.mean_curve();
     Curve {
         adl: spec.name().to_owned(),
         converge_95: sustained_crossing(&accuracy, 0.95, 3),
@@ -110,18 +87,14 @@ pub fn run_adl_with(
     }
 }
 
-/// Runs the full Figure 4 experiment over both catalog ADLs.
+/// Runs the full Figure 4 experiment over both catalog ADLs: one fleet
+/// job per seed, each with its own derived stream, so the curves are
+/// identical at any worker count.
 #[must_use]
-pub fn run(episodes: usize, seeds: usize, base_seed: u64) -> Vec<Curve> {
-    run_with(FleetEngine::default(), episodes, seeds, base_seed)
-}
-
-/// [`run`] on an explicit [`FleetEngine`].
-#[must_use]
-pub fn run_with(engine: FleetEngine, episodes: usize, seeds: usize, base_seed: u64) -> Vec<Curve> {
+pub fn run(engine: FleetEngine, episodes: usize, seeds: usize, base_seed: u64) -> Vec<Curve> {
     catalog::paper_adls()
         .iter()
-        .map(|adl| run_adl_with(engine, adl, PlanningConfig::default(), episodes, seeds, base_seed))
+        .map(|adl| run_adl(engine, adl, episodes, seeds, base_seed))
         .collect()
 }
 
@@ -178,7 +151,7 @@ mod tests {
     /// Tea-making — whose sensing is noisier — is slower.
     #[test]
     fn shape_matches_paper() {
-        let curves = run(120, 40, 2007);
+        let curves = run(FleetEngine::default(), 120, 40, 2007);
         assert_eq!(curves.len(), 2);
         let tooth = &curves[0];
         let tea = &curves[1];
@@ -208,20 +181,9 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run_adl(
-            &catalog::tooth_brushing(),
-            PlanningConfig::default(),
-            30,
-            3,
-            7,
-        );
-        let b = run_adl(
-            &catalog::tooth_brushing(),
-            PlanningConfig::default(),
-            30,
-            3,
-            7,
-        );
+        let tooth = catalog::tooth_brushing();
+        let a = run_adl(FleetEngine::default(), &tooth, 30, 3, 7);
+        let b = run_adl(FleetEngine::default(), &tooth, 30, 3, 7);
         assert_eq!(a, b);
     }
 }

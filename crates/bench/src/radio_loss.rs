@@ -7,15 +7,14 @@
 
 use coreda_adl::activity::catalog;
 use coreda_adl::routine::Routine;
-use coreda_core::fleet::{derive_seed, FleetEngine};
-use coreda_core::metrics::mean_curve;
-use coreda_core::planning::{PlanningConfig, PlanningSubsystem};
-use coreda_des::rng::SimRng;
-use coreda_sensornet::network::{LinkConfig, StarNetwork};
+use coreda_core::fleet::FleetEngine;
+use coreda_core::planning::PlanningConfig;
+use coreda_sensornet::network::LinkConfig;
 use coreda_sensornet::radio::LossModel;
 
-use crate::common::{corrupt_sequence_into, extract_trial_in};
+use crate::common::learning_runs;
 use crate::fig4::sustained_crossing;
+use crate::table3;
 
 /// One sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,96 +54,46 @@ pub fn standard_links() -> Vec<(String, LinkConfig)> {
     links
 }
 
-/// Runs the sweep.
+/// Runs the sweep: per link, Table 3's extraction rows under the link's
+/// label, then Tea-making learning under the tea rows' extraction.
 #[must_use]
-pub fn run(extract_trials: usize, episodes: usize, seeds: usize, base_seed: u64) -> Vec<LossPoint> {
-    run_on(FleetEngine::default(), extract_trials, episodes, seeds, base_seed)
-}
-
-/// [`run`] on an explicit [`FleetEngine`]: each link point fans its
-/// extraction rows and training seeds out as independent jobs with
-/// counter-based RNG streams.
-#[must_use]
-pub fn run_on(
+pub fn run(
     engine: FleetEngine,
     extract_trials: usize,
     episodes: usize,
     seeds: usize,
     base_seed: u64,
 ) -> Vec<LossPoint> {
+    let tea = catalog::tea_making();
+    let routine = Routine::canonical(&tea);
     standard_links()
         .into_iter()
-        .map(|(label, link)| run_point(engine, &label, link, extract_trials, episodes, seeds, base_seed))
+        .map(|(label, link)| {
+            let rows = table3::sweep(engine, extract_trials, base_seed, &label, link);
+            let hits: u64 = rows.iter().map(|r| r.precision.hits()).sum();
+            let total: u64 = rows.iter().map(|r| r.precision.total()).sum();
+            let tea_extraction: Vec<f64> = rows
+                .iter()
+                .filter(|r| r.adl == tea.name())
+                .map(|r| r.precision.hits() as f64 / extract_trials as f64)
+                .collect();
+            let runs = learning_runs(
+                engine,
+                &tea,
+                Some(&tea_extraction),
+                episodes,
+                seeds,
+                |s| base_seed ^ (0x1111_2222 * (s + 1)),
+                |_| PlanningConfig::default(),
+            );
+            LossPoint {
+                link: label,
+                mean_extraction: hits as f64 / total as f64,
+                converge_95: sustained_crossing(&runs.mean_curve(), 0.95, 3),
+                final_accuracy: runs.mean_of(|p| p.accuracy_vs_routine(&routine)),
+            }
+        })
         .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_point(
-    engine: FleetEngine,
-    label: &str,
-    link: LinkConfig,
-    extract_trials: usize,
-    episodes: usize,
-    seeds: usize,
-    base_seed: u64,
-) -> LossPoint {
-    // Extraction across all steps of both ADLs under this link: one job
-    // per step, each with a stream derived from the link label and row.
-    let tea = catalog::tea_making();
-    let adls = catalog::paper_adls();
-    let mut cells = Vec::new();
-    for (ai, adl) in adls.iter().enumerate() {
-        for idx in 0..adl.steps().len() {
-            cells.push((cells.len(), ai, idx));
-        }
-    }
-    let rows = engine.map(cells, |(row, ai, idx)| {
-        let mut rng = SimRng::seed_from(derive_seed(base_seed, label, row as u64));
-        let mut net = StarNetwork::new(link);
-        let ok = (0..extract_trials)
-            .filter(|_| extract_trial_in(&adls[ai], idx, &mut net, &mut rng))
-            .count();
-        (ai, ok)
-    });
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    let mut tea_extraction = Vec::new();
-    for (ai, ok) in rows {
-        hits += ok;
-        total += extract_trials;
-        if adls[ai].name() == tea.name() {
-            tea_extraction.push(ok as f64 / extract_trials as f64);
-        }
-    }
-
-    // Learning under this link's extraction, Tea-making: one job per seed.
-    let routine = Routine::canonical(&tea);
-    let per_seed = engine.map((0..seeds).collect(), |s| {
-        let mut srng = SimRng::seed_from(base_seed ^ (0x1111_2222 * (s as u64 + 1)));
-        let mut planner = PlanningSubsystem::new(&tea, PlanningConfig::default());
-        let mut curve = Vec::with_capacity(episodes);
-        let mut observed = Vec::with_capacity(routine.steps().len());
-        for _ in 0..episodes {
-            corrupt_sequence_into(routine.steps(), &tea, &tea_extraction, &mut srng, &mut observed);
-            planner.train_episode(&observed, &mut srng);
-            curve.push(planner.accuracy_vs_routine(&routine));
-        }
-        let final_acc = planner.accuracy_vs_routine(&routine);
-        (curve, final_acc)
-    });
-    let mut curves = Vec::with_capacity(seeds);
-    let mut final_acc = 0.0;
-    for (curve, fa) in per_seed {
-        final_acc += fa;
-        curves.push(curve);
-    }
-    let mean = mean_curve(&curves);
-    LossPoint {
-        link: label.to_owned(),
-        mean_extraction: hits as f64 / total as f64,
-        converge_95: sustained_crossing(&mean, 0.95, 3),
-        final_accuracy: final_acc / seeds as f64,
-    }
 }
 
 /// Renders the sweep.
@@ -180,7 +129,7 @@ mod tests {
     fn arq_absorbs_moderate_loss() {
         // Stop-and-wait with 3 retries keeps extraction essentially flat
         // up to 30 % loss; heavy loss finally bites.
-        let points = run(60, 60, 4, 2007);
+        let points = run(FleetEngine::default(), 60, 60, 4, 2007);
         let by_name = |n: &str| points.iter().find(|p| p.link.starts_with(n)).unwrap();
         let perfect = by_name("perfect").mean_extraction;
         let b30 = by_name("bernoulli 30%").mean_extraction;
@@ -193,7 +142,7 @@ mod tests {
     fn learning_survives_loss() {
         // Enough extraction trials and seeds that the band below measures
         // the learner, not Monte-Carlo noise in the extraction estimate.
-        let points = run(80, 100, 6, 11);
+        let points = run(FleetEngine::default(), 80, 100, 6, 11);
         for p in &points {
             assert!(
                 p.final_accuracy > 0.8,

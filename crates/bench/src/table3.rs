@@ -5,13 +5,13 @@
 //! two short steps lowest ("Dry with a towel" 85 %, "Pour hot water into
 //! kettle" 80 %).
 
-use coreda_adl::activity::{catalog, AdlSpec};
+use coreda_adl::activity::catalog;
 use coreda_core::fleet::{derive_seed, FleetEngine};
 use coreda_core::metrics::PrecisionCounter;
 use coreda_des::rng::SimRng;
 use coreda_sensornet::network::{LinkConfig, StarNetwork};
 
-use crate::common::extract_trial_in;
+use crate::common::extract_trial;
 
 /// One row of the reproduced table.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,24 +38,20 @@ pub fn paper_values() -> Vec<f64> {
 /// Runs the Table 3 protocol: `trials` performances of every step of both
 /// catalog ADLs over a perfect radio link.
 #[must_use]
-pub fn run(trials: usize, seed: u64) -> Vec<ExtractRow> {
-    run_with_link(trials, seed, LinkConfig::default())
+pub fn run(engine: FleetEngine, trials: usize, seed: u64) -> Vec<ExtractRow> {
+    sweep(engine, trials, seed, "table3", LinkConfig::default())
 }
 
-/// Same, with a custom radio link (used by the loss-sweep experiment).
+/// Table 3's row sweep over `link`: one fleet job per row, drawing from
+/// `derive_seed(seed, label, row)`, so the table is identical at any
+/// worker count. The radio-loss sweep runs it once per link, under the
+/// link's own label.
 #[must_use]
-pub fn run_with_link(trials: usize, seed: u64, link: LinkConfig) -> Vec<ExtractRow> {
-    run_with_link_on(FleetEngine::default(), trials, seed, link)
-}
-
-/// [`run_with_link`] on an explicit [`FleetEngine`]: one job per table
-/// row, each with a counter-based RNG stream derived from the row index,
-/// so the table is identical at any worker count.
-#[must_use]
-pub fn run_with_link_on(
+pub fn sweep(
     engine: FleetEngine,
     trials: usize,
     seed: u64,
+    label: &str,
     link: LinkConfig,
 ) -> Vec<ExtractRow> {
     let paper = paper_values();
@@ -68,11 +64,11 @@ pub fn run_with_link_on(
     }
     engine.map(cells, |(row, ai, idx)| {
         let adl = &adls[ai];
-        let mut rng = SimRng::seed_from(derive_seed(seed, "table3", row as u64));
+        let mut rng = SimRng::seed_from(derive_seed(seed, label, row as u64));
         let mut net = StarNetwork::new(link);
         let mut counter = PrecisionCounter::new();
         for _ in 0..trials {
-            counter.record(extract_trial_in(adl, idx, &mut net, &mut rng));
+            counter.record(extract_trial(adl, idx, &mut net, &mut rng));
         }
         ExtractRow {
             adl: adl.name().to_owned(),
@@ -80,22 +76,6 @@ pub fn run_with_link_on(
             precision: counter,
             paper: paper[row],
         }
-    })
-}
-
-/// Runs Table 3 for a single custom ADL (generalisation demo).
-#[must_use]
-pub fn run_for(spec: &AdlSpec, trials: usize, seed: u64) -> Vec<(String, PrecisionCounter)> {
-    let engine = FleetEngine::default();
-    let cells: Vec<usize> = (0..spec.steps().len()).collect();
-    engine.map(cells, |idx| {
-        let mut rng = SimRng::seed_from(derive_seed(seed, "table3-custom", idx as u64));
-        let mut net = StarNetwork::new(LinkConfig::default());
-        let mut counter = PrecisionCounter::new();
-        for _ in 0..trials {
-            counter.record(extract_trial_in(spec, idx, &mut net, &mut rng));
-        }
-        (spec.steps()[idx].name().to_owned(), counter)
     })
 }
 
@@ -130,7 +110,7 @@ mod tests {
     /// because the duration of these two steps are relatively shorter").
     #[test]
     fn shape_matches_paper() {
-        let rows = run(120, 2007);
+        let rows = run(FleetEngine::default(), 120, 2007);
         for r in &rows {
             let p = r.precision.precision();
             assert!(
@@ -155,19 +135,19 @@ mod tests {
 
     #[test]
     fn row_count_matches_table() {
-        let rows = run(5, 1);
+        let rows = run(FleetEngine::default(), 5, 1);
         assert_eq!(rows.len(), 8, "two ADLs × four steps");
         assert_eq!(paper_values().len(), 8);
     }
 
     #[test]
     fn deterministic_under_seed() {
-        assert_eq!(run(20, 9), run(20, 9));
+        assert_eq!(run(FleetEngine::default(), 20, 9), run(FleetEngine::new(3), 20, 9));
     }
 
     #[test]
     fn render_contains_all_steps() {
-        let rows = run(5, 1);
+        let rows = run(FleetEngine::default(), 5, 1);
         let s = render(&rows);
         for r in &rows {
             assert!(s.contains(&r.step));

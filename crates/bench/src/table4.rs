@@ -37,8 +37,9 @@ pub fn train_planner(spec: &AdlSpec, episodes: usize, seed: u64) -> PlanningSubs
     let mut rng = SimRng::seed_from(seed);
     let extraction = measure_extraction(spec, 300, &mut rng);
     let mut planner = PlanningSubsystem::new(spec, PlanningConfig::default());
+    let mut observed = Vec::with_capacity(routine.steps().len());
     for _ in 0..episodes {
-        let observed = corrupt_sequence(routine.steps(), spec, &extraction, &mut rng);
+        corrupt_sequence(routine.steps(), spec, &extraction, &mut rng, &mut observed);
         planner.train_episode(&observed, &mut rng);
     }
     planner
@@ -46,12 +47,10 @@ pub fn train_planner(spec: &AdlSpec, episodes: usize, seed: u64) -> PlanningSubs
 
 /// Runs the Table 4 protocol for one ADL with `samples` test trials split
 /// evenly between the two trigger situations and across non-initial steps.
-#[must_use]
-pub fn run_adl(spec: &AdlSpec, samples: usize, seed: u64) -> Vec<PredictRow> {
+fn run_adl(spec: &AdlSpec, samples: usize, seed: u64) -> Vec<PredictRow> {
     let planner = train_planner(spec, 120, seed);
     let routine = Routine::canonical(spec);
     let steps = routine.steps();
-    let mut rng = SimRng::seed_from(seed ^ 0xDEAD_BEEF);
 
     let mut counters: Vec<PrecisionCounter> = vec![PrecisionCounter::new(); steps.len()];
     for trial in 0..samples {
@@ -82,7 +81,6 @@ pub fn run_adl(spec: &AdlSpec, samples: usize, seed: u64) -> Vec<PredictRow> {
             predicted == steps[j].tool() && predicted != Some(wrong)
         };
         counters[j].record(correct);
-        let _ = &mut rng;
     }
 
     steps
@@ -96,15 +94,10 @@ pub fn run_adl(spec: &AdlSpec, samples: usize, seed: u64) -> Vec<PredictRow> {
         .collect()
 }
 
-/// Runs the full Table 4 experiment (30 samples per ADL, like the paper).
+/// Runs the full Table 4 experiment (30 samples per ADL, like the
+/// paper): one training job per ADL.
 #[must_use]
-pub fn run(samples: usize, seed: u64) -> Vec<PredictRow> {
-    run_on(FleetEngine::default(), samples, seed)
-}
-
-/// [`run`] on an explicit [`FleetEngine`]: one training job per ADL.
-#[must_use]
-pub fn run_on(engine: FleetEngine, samples: usize, seed: u64) -> Vec<PredictRow> {
+pub fn run(engine: FleetEngine, samples: usize, seed: u64) -> Vec<PredictRow> {
     let adls: Vec<AdlSpec> = catalog::paper_adls().into_iter().collect();
     engine
         .map(adls, |adl| run_adl(&adl, samples, seed))
@@ -138,7 +131,7 @@ mod tests {
     /// step predicts at 100 %, and the first step has no entry.
     #[test]
     fn shape_matches_paper() {
-        let rows = run(30, 2007);
+        let rows = run(FleetEngine::default(), 30, 2007);
         assert_eq!(rows.len(), 8);
         for (i, r) in rows.iter().enumerate() {
             let first_of_adl = i % 4 == 0;
@@ -172,7 +165,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        assert_eq!(run(30, 5), run(30, 5));
+        assert_eq!(run(FleetEngine::default(), 30, 5), run(FleetEngine::new(2), 30, 5));
     }
 
     #[test]

@@ -272,38 +272,31 @@ pub fn fleet(p: &Parsed) -> CmdResult {
     );
     match suite.to_ascii_lowercase().as_str() {
         "ablation" => {
-            let lam = ablation::lambda_sweep_with(engine, &[0.0, 0.3, 0.6, 0.9], 120, seeds, seed);
+            let lam = ablation::lambda_sweep(engine, &[0.0, 0.3, 0.6, 0.9], 120, seeds, seed);
             out.push_str(&ablation::render("Eligibility-trace decay (lambda)", &lam));
-            let algos = ablation::algorithm_family_with(engine, 120, seeds, seed);
+            let algos = ablation::algorithm_family(engine, 120, seeds, seed);
             out.push_str(&ablation::render("Algorithm family", &algos));
         }
         "fig4" => {
-            out.push_str(&fig4::render(&fig4::run_with(engine, 160, seeds, seed)));
+            out.push_str(&fig4::render(&fig4::run(engine, 160, seeds, seed)));
         }
         "table3" => {
-            out.push_str(&table3::render(&table3::run_with_link_on(
-                engine,
-                200,
-                seed,
-                Default::default(),
-            )));
+            out.push_str(&table3::render(&table3::run(engine, 200, seed)));
         }
         "table4" => {
-            out.push_str(&table4::render(&table4::run_on(engine, 200, seed)));
+            out.push_str(&table4::render(&table4::run(engine, 200, seed)));
         }
         "radio-loss" => {
-            out.push_str(&radio_loss::render(&radio_loss::run_on(engine, 120, 120, seeds, seed)));
+            out.push_str(&radio_loss::render(&radio_loss::run(engine, 120, 120, seeds, seed)));
         }
         "contention" => {
-            out.push_str(&contention::render(&contention::run_on(engine, 60, seed)));
+            out.push_str(&contention::render(&contention::run(engine, 60, seed)));
         }
         "baselines" => {
             let tea = catalog::tea_making();
-            let rows = baseline_cmp::accuracy_study_with(engine, &tea, seeds.max(1), seed);
+            let rows = baseline_cmp::accuracy_study(engine, &tea, seeds.max(1), seed);
             out.push_str(&baseline_cmp::render_accuracy(&rows));
-            out.push_str(&baseline_cmp::render_live(&baseline_cmp::live_study_with(
-                engine, 12, seed,
-            )));
+            out.push_str(&baseline_cmp::render_live(&baseline_cmp::live_study(engine, 12, seed)));
         }
         other => {
             return Err(format!(

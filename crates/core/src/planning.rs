@@ -16,7 +16,8 @@ use coreda_adl::step::StepId;
 use coreda_adl::tool::ToolId;
 use coreda_des::rng::SimRng;
 use coreda_rl::algo::{
-    DoubleQLearning, DynaQ, Outcome, QLearning, Sarsa, TdConfig, TdControl, WatkinsQLambda,
+    DoubleQLearning, DynaQ, ExpectedSarsa, Outcome, QLearning, Sarsa, TdConfig, TdControl,
+    WatkinsQLambda,
 };
 use coreda_rl::policy::{EpsilonGreedy, Policy};
 use coreda_rl::schedule::Schedule;
@@ -190,6 +191,9 @@ pub enum LearnerKind {
     QLearning,
     /// One-step SARSA (on-policy).
     Sarsa,
+    /// Expected SARSA, its expectation taken under the planner's own
+    /// exploration rate at episode 0 (`epsilon.value(0)`).
+    ExpectedSarsa,
     /// Double Q-learning (bias-corrected; seeded from the planner seed).
     DoubleQ {
         /// Seed for the internal coin.
@@ -210,6 +214,7 @@ enum Learner {
     WatkinsQLambda(WatkinsQLambda),
     QLearning(QLearning),
     Sarsa(Sarsa),
+    ExpectedSarsa(ExpectedSarsa),
     DoubleQ(DoubleQLearning),
     DynaQ(DynaQ),
 }
@@ -220,6 +225,7 @@ impl Learner {
             Learner::WatkinsQLambda(l) => l,
             Learner::QLearning(l) => l,
             Learner::Sarsa(l) => l,
+            Learner::ExpectedSarsa(l) => l,
             Learner::DoubleQ(l) => l,
             Learner::DynaQ(l) => l,
         }
@@ -230,6 +236,7 @@ impl Learner {
             Learner::WatkinsQLambda(l) => l,
             Learner::QLearning(l) => l,
             Learner::Sarsa(l) => l,
+            Learner::ExpectedSarsa(l) => l,
             Learner::DoubleQ(l) => l,
             Learner::DynaQ(l) => l,
         }
@@ -331,6 +338,9 @@ impl PlanningSubsystem {
             )),
             LearnerKind::QLearning => Learner::QLearning(QLearning::new(shape, td)),
             LearnerKind::Sarsa => Learner::Sarsa(Sarsa::new(shape, td)),
+            LearnerKind::ExpectedSarsa => {
+                Learner::ExpectedSarsa(ExpectedSarsa::new(shape, td, cfg.epsilon.value(0)))
+            }
             LearnerKind::DoubleQ { seed } => {
                 Learner::DoubleQ(DoubleQLearning::new(shape, td, seed))
             }
@@ -635,47 +645,6 @@ pub struct LearnedState {
     pub episodes_trained: u64,
 }
 
-/// Measures a learning curve by training a fresh planner and evaluating
-/// accuracy against a reference routine after each episode.
-///
-/// Returns per-episode accuracies (length = `episodes.len()`).
-pub fn learning_curve(
-    spec: &AdlSpec,
-    cfg: PlanningConfig,
-    episodes: &[Vec<StepId>],
-    reference: &Routine,
-    rng: &mut SimRng,
-) -> Vec<f64> {
-    let mut planner = PlanningSubsystem::new(spec, cfg);
-    let mut out = Vec::with_capacity(episodes.len());
-    for ep in episodes {
-        planner.train_episode(ep, rng);
-        out.push(planner.accuracy_vs_routine(reference));
-    }
-    out
-}
-
-/// Mean learning curve over `seeds` independently seeded runs, one fleet
-/// job per seed. Each run draws its exploration stream from a
-/// counter-based seed ([`crate::fleet::derive_seed`]), so the result is
-/// identical at any worker count.
-pub fn learning_curve_fleet(
-    engine: crate::fleet::FleetEngine,
-    spec: &AdlSpec,
-    cfg: PlanningConfig,
-    episodes: &[Vec<StepId>],
-    reference: &Routine,
-    seeds: usize,
-    base_seed: u64,
-) -> Vec<f64> {
-    let curves = engine.map((0..seeds).collect(), |s| {
-        let seed = crate::fleet::derive_seed(base_seed, "learning-curve", s as u64);
-        let mut rng = SimRng::seed_from(seed);
-        learning_curve(spec, cfg, episodes, reference, &mut rng)
-    });
-    crate::metrics::mean_curve(&curves)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,6 +840,7 @@ mod tests {
             LearnerKind::WatkinsQLambda,
             LearnerKind::QLearning,
             LearnerKind::Sarsa,
+            LearnerKind::ExpectedSarsa,
             LearnerKind::DoubleQ { seed: 7 },
             LearnerKind::DynaQ { planning_steps: 10, seed: 7 },
         ] {
@@ -886,46 +856,5 @@ mod tests {
                 "{kind:?} should learn the routine"
             );
         }
-    }
-
-    #[test]
-    fn learning_curve_rises_to_one() {
-        let tea = catalog::tea_making();
-        let routine = Routine::canonical(&tea);
-        let episodes: Vec<Vec<StepId>> = (0..400).map(|_| routine.steps().to_vec()).collect();
-        let mut rng = SimRng::seed_from(6);
-        let curve = learning_curve(&tea, PlanningConfig::default(), &episodes, &routine, &mut rng);
-        assert_eq!(curve.len(), 400);
-        assert_eq!(*curve.last().unwrap(), 1.0);
-        // Accuracy starts low: an untrained table predicts the first tool
-        // (tie-break) everywhere.
-        assert!(curve[0] < 1.0);
-    }
-
-    #[test]
-    fn learning_curve_fleet_is_worker_count_invariant() {
-        let tea = catalog::tea_making();
-        let routine = Routine::canonical(&tea);
-        let episodes: Vec<Vec<StepId>> = (0..60).map(|_| routine.steps().to_vec()).collect();
-        let serial = learning_curve_fleet(
-            crate::fleet::FleetEngine::new(1),
-            &tea,
-            PlanningConfig::default(),
-            &episodes,
-            &routine,
-            4,
-            2007,
-        );
-        let parallel = learning_curve_fleet(
-            crate::fleet::FleetEngine::new(8),
-            &tea,
-            PlanningConfig::default(),
-            &episodes,
-            &routine,
-            4,
-            2007,
-        );
-        assert_eq!(serial, parallel, "mean curve must not depend on worker count");
-        assert!(*parallel.last().unwrap() > 0.9);
     }
 }

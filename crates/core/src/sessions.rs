@@ -186,12 +186,10 @@ pub struct SessionTracker {
     active: Option<Active>,
     /// Silence after which an open session is closed.
     idle_close: SimDuration,
-    /// Consecutive foreign reports that constitute a session switch.
-    switch_threshold: u32,
 }
 
 impl SessionTracker {
-    /// Default number of consecutive foreign reports treated as a switch.
+    /// Number of consecutive foreign reports treated as a switch.
     pub const DEFAULT_SWITCH_THRESHOLD: u32 = 3;
 
     /// Creates a tracker over `specs`.
@@ -229,20 +227,7 @@ impl SessionTracker {
             names: Arc::new(names),
             active: None,
             idle_close,
-            switch_threshold: Self::DEFAULT_SWITCH_THRESHOLD,
         }
-    }
-
-    /// Overrides the foreign-run switch threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn with_switch_threshold(mut self, n: u32) -> Self {
-        assert!(n > 0, "switch threshold must be positive");
-        self.switch_threshold = n;
-        self
     }
 
     /// The activity currently in session, if any.
@@ -332,7 +317,7 @@ impl SessionTracker {
                     tool,
                     at,
                 });
-                if run >= self.switch_threshold {
+                if run >= Self::DEFAULT_SWITCH_THRESHOLD {
                     // The user really did move on.
                     let old = active.idx;
                     let completed = active.saw_terminal;

@@ -16,6 +16,10 @@ use coreda_sensornet::radio::LossModel;
 /// reasoned about on the same 100 ms grid.
 pub const TICK_MS: u64 = 100;
 
+/// Steps in each served routine (both catalog activities have four), the
+/// range generated [`FaultKind::RoutineDrift`] positions are drawn from.
+const ROUTINE_STEPS: u8 = 4;
+
 /// One kind of injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
@@ -313,16 +317,6 @@ impl FaultPlan {
         kills.sort_unstable();
         kills
     }
-
-    /// All tool ids the plan's targeted faults touch.
-    pub fn targeted_tools(&self) -> impl Iterator<Item = u16> + '_ {
-        self.faults.iter().filter_map(|f| match f.kind {
-            FaultKind::NodeCrash { tool }
-            | FaultKind::SensorFlip { tool, .. }
-            | FaultKind::ClockSkew { tool, .. } => Some(tool),
-            _ => None,
-        })
-    }
 }
 
 /// The plan's in-process windows as the fault overlay applies them.
@@ -396,10 +390,12 @@ fn generate_fault(rng: &mut SimRng, tools: &[u16], horizon_ms: u64) -> Fault {
         },
         4 => FaultKind::NonCompliance,
         5 => FaultKind::SevereLapses,
-        _ => FaultKind::RoutineDrift {
-            swap_a: rng.uniform_range(0.0, 8.0) as u8,
-            swap_b: rng.uniform_range(0.0, 8.0) as u8,
-        },
+        _ => {
+            // Two distinct positions, so every drift window permutes.
+            let swap_a = rng.uniform_range(0.0, f64::from(ROUTINE_STEPS)) as u8;
+            let offset = 1 + rng.uniform_range(0.0, f64::from(ROUTINE_STEPS - 1)) as u8;
+            FaultKind::RoutineDrift { swap_a, swap_b: (swap_a + offset) % ROUTINE_STEPS }
+        }
     };
     Fault { kind, from_ms, to_ms }
 }
@@ -407,6 +403,7 @@ fn generate_fault(rng: &mut SimRng, tools: &[u16], horizon_ms: u64) -> Fault {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coreda_adl::activity::catalog;
 
     const TOOLS: &[u16] = &[3, 4, 5, 6];
 
@@ -543,6 +540,23 @@ mod tests {
         assert_eq!(at(160_000), Some((0, 2)));
         assert_eq!(at(220_000), Some((2, 3)), "the last active window wins");
         assert_eq!(at(260_000), Some((0, 2)));
+    }
+
+    #[test]
+    fn generated_drift_windows_swap_two_distinct_steps() {
+        for spec in [catalog::tea_making(), catalog::tooth_brushing()] {
+            assert_eq!(spec.steps().len(), usize::from(ROUTINE_STEPS), "{}", spec.name());
+        }
+        let mut drifts = 0;
+        for seed in 0..5000 {
+            for f in FaultPlan::generate(seed, TOOLS).faults {
+                if let FaultKind::RoutineDrift { swap_a, swap_b } = f.kind {
+                    drifts += 1;
+                    assert_ne!(swap_a % ROUTINE_STEPS, swap_b % ROUTINE_STEPS, "seed {seed}: {f:?}");
+                }
+            }
+        }
+        assert!(drifts > 1000, "only {drifts} drift windows drawn");
     }
 
     #[test]

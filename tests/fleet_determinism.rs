@@ -17,8 +17,8 @@ fn ablation_sweeps_are_worker_count_invariant() {
     let (serial, parallel) = engines();
     let lambdas = [0.0, 0.6];
 
-    let a = ablation::lambda_sweep_with(serial, &lambdas, 40, 3, 2007);
-    let b = ablation::lambda_sweep_with(parallel, &lambdas, 40, 3, 2007);
+    let a = ablation::lambda_sweep(serial, &lambdas, 40, 3, 2007);
+    let b = ablation::lambda_sweep(parallel, &lambdas, 40, 3, 2007);
     assert_eq!(a, b, "lambda sweep must not depend on worker count");
     // The rendered report is byte-identical too — the strongest form of
     // "same results" a caller can observe.
@@ -27,20 +27,20 @@ fn ablation_sweeps_are_worker_count_invariant() {
     // The algorithm-family points carry a NaN field (minimal_fraction is
     // not applicable there), and NaN != NaN under PartialEq; the debug
     // string is still a bit-exact float comparison.
-    let a = ablation::algorithm_family_with(serial, 40, 2, 2007);
-    let b = ablation::algorithm_family_with(parallel, 40, 2, 2007);
+    let a = ablation::algorithm_family(serial, 40, 2, 2007);
+    let b = ablation::algorithm_family(parallel, 40, 2, 2007);
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
         "algorithm family must not depend on worker count"
     );
 
-    let a = ablation::reward_shapes_with(serial, 40, 2, 2007);
-    let b = ablation::reward_shapes_with(parallel, 40, 2, 2007);
+    let a = ablation::reward_shapes(serial, 40, 2, 2007);
+    let b = ablation::reward_shapes(parallel, 40, 2, 2007);
     assert_eq!(a, b, "reward shapes must not depend on worker count");
 
-    let a = ablation::fast_learning_with(serial, 30, 2, 2007);
-    let b = ablation::fast_learning_with(parallel, 30, 2, 2007);
+    let a = ablation::fast_learning(serial, 30, 2, 2007);
+    let b = ablation::fast_learning(parallel, 30, 2, 2007);
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
@@ -51,8 +51,8 @@ fn ablation_sweeps_are_worker_count_invariant() {
 #[test]
 fn figure4_curves_are_worker_count_invariant() {
     let (serial, parallel) = engines();
-    let a = fig4::run_with(serial, 40, 4, 2007);
-    let b = fig4::run_with(parallel, 40, 4, 2007);
+    let a = fig4::run(serial, 40, 4, 2007);
+    let b = fig4::run(parallel, 40, 4, 2007);
     assert_eq!(a, b);
     assert_eq!(fig4::render(&a), fig4::render(&b));
 }
@@ -60,26 +60,25 @@ fn figure4_curves_are_worker_count_invariant() {
 #[test]
 fn extraction_tables_are_worker_count_invariant() {
     let (serial, parallel) = engines();
-    let link = Default::default();
-    let a = table3::run_with_link_on(serial, 30, 2007, link);
-    let b = table3::run_with_link_on(parallel, 30, 2007, link);
+    let a = table3::run(serial, 30, 2007);
+    let b = table3::run(parallel, 30, 2007);
     assert_eq!(a, b);
     assert_eq!(table3::render(&a), table3::render(&b));
 
-    let a = table4::run_on(serial, 40, 2007);
-    let b = table4::run_on(parallel, 40, 2007);
+    let a = table4::run(serial, 40, 2007);
+    let b = table4::run(parallel, 40, 2007);
     assert_eq!(a, b);
 }
 
 #[test]
 fn failure_and_scaling_sweeps_are_worker_count_invariant() {
     let (serial, parallel) = engines();
-    let a = radio_loss::run_on(serial, 20, 20, 2, 2007);
-    let b = radio_loss::run_on(parallel, 20, 20, 2, 2007);
+    let a = radio_loss::run(serial, 20, 20, 2, 2007);
+    let b = radio_loss::run(parallel, 20, 20, 2, 2007);
     assert_eq!(a, b);
 
-    let a = contention::run_on(serial, 10, 2007);
-    let b = contention::run_on(parallel, 10, 2007);
+    let a = contention::run(serial, 10, 2007);
+    let b = contention::run(parallel, 10, 2007);
     assert_eq!(a, b);
 }
 
@@ -87,11 +86,11 @@ fn failure_and_scaling_sweeps_are_worker_count_invariant() {
 fn baseline_studies_are_worker_count_invariant() {
     let (serial, parallel) = engines();
     let tea = coreda::prelude::catalog::tea_making();
-    let a = baseline_cmp::accuracy_study_with(serial, &tea, 3, 2007);
-    let b = baseline_cmp::accuracy_study_with(parallel, &tea, 3, 2007);
+    let a = baseline_cmp::accuracy_study(serial, &tea, 3, 2007);
+    let b = baseline_cmp::accuracy_study(parallel, &tea, 3, 2007);
     assert_eq!(a, b);
 
-    let a = baseline_cmp::live_study_with(serial, 4, 2007);
-    let b = baseline_cmp::live_study_with(parallel, 4, 2007);
+    let a = baseline_cmp::live_study(serial, 4, 2007);
+    let b = baseline_cmp::live_study(parallel, 4, 2007);
     assert_eq!(a, b);
 }
