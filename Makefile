@@ -28,8 +28,8 @@ bench-scale:
 # `--workspace` already covers because the root package is a workspace
 # member — including the determinism regressions (parallel sweeps,
 # metro serving, and flight-recorder telemetry byte-identical to
-# serial; the timing wheel's dispatch order byte-identical to the
-# reference binary-heap queue, which no simulator runs on; event-driven
+# serial; the timing wheel ≡ the reference binary-heap queue, drained
+# window by window, which no simulator runs on; event-driven
 # wakes byte-identical to the dense 100 ms polling oracle in metro's
 # unit tests), the checkpoint/resume equivalence suite (full snapshots
 # AND delta-chain + write-ahead-log resume, bit-identical at any

@@ -54,7 +54,7 @@ use crate::planning::LearnedState;
 use crate::reminding::{Prompt, ReminderLevel};
 use crate::sensing::StepEvent;
 use crate::sessions::ActiveSessionState;
-use crate::system::{EpisodeState, PhaseState, SystemState};
+use crate::system::{LiveEpisode, Phase, SystemState};
 use crate::telemetry::{RecorderState, TraceKind, TraceRecord};
 
 /// Magic prefix of a checkpoint manifest.
@@ -73,8 +73,8 @@ pub struct HomeCheckpoint {
     pub root: ([u64; 4], u64),
     /// Scheduling RNG `(state, base seed)`.
     pub sched: ([u64; 4], u64),
-    /// In-flight episode: `(activity index, episode state, episode RNG)`.
-    pub episode: Option<(usize, EpisodeState, ([u64; 4], u64))>,
+    /// In-flight episode: `(activity index, the live episode, episode RNG)`.
+    pub episode: Option<(usize, LiveEpisode, ([u64; 4], u64))>,
     /// Episodes begun so far (also the next episode-substream index).
     pub ep_index: u64,
     /// When the next episode starts.
@@ -158,9 +158,12 @@ pub enum CheckpointError {
     /// activity index past the catalog, an episode step past its
     /// routine, a full detector window, a flip rate or energy total out
     /// of range — reported as the node's position against the node
-    /// count — a channel for an unknown node, or an eligibility trace
+    /// count — a channel for an unknown node, an eligibility trace
     /// whose state or action id lies outside the table or whose weight
-    /// is negative — the trace's position against the trace count).
+    /// is negative — the trace's position against the trace count — or
+    /// recorder state of another layout: too many counters, a stage or
+    /// bin count off, a ring capacity not the fleet's, or more ring
+    /// records than the capacity).
     ShapeMismatch {
         /// Index or length stored in the delta or snapshot.
         index: u32,
@@ -454,7 +457,7 @@ fn encode_tracker_slot(buf: &mut Vec<u8>, tracker: Option<&ActiveSessionState>) 
 }
 
 /// An in-flight episode: activity index, episode state, episode RNG.
-type EpisodeSlot = (usize, EpisodeState, ([u64; 4], u64));
+type EpisodeSlot = (usize, LiveEpisode, ([u64; 4], u64));
 
 fn encode_episode_slot(buf: &mut Vec<u8>, episode: Option<&EpisodeSlot>) {
     match episode {
@@ -622,25 +625,25 @@ fn encode_node(buf: &mut Vec<u8>, n: &NodeState) {
     buf.put_u64(n.clock_skew_ms as u64);
 }
 
-fn encode_episode(buf: &mut Vec<u8>, ep: &EpisodeState) {
+fn encode_episode(buf: &mut Vec<u8>, ep: &LiveEpisode) {
     match ep.phase {
-        PhaseState::Performing { idx, until } => {
+        Phase::Performing { idx, until } => {
             buf.put_u8(0);
             put_len(buf, idx);
             put_time(buf, until);
         }
-        PhaseState::Misusing { tool, since, resume_idx } => {
+        Phase::Misusing { tool, since, resume_idx } => {
             buf.put_u8(1);
             buf.put_u16(tool.raw());
             put_time(buf, since);
             put_len(buf, resume_idx);
         }
-        PhaseState::Frozen { since, resume_idx } => {
+        Phase::Frozen { since, resume_idx } => {
             buf.put_u8(2);
             put_time(buf, since);
             put_len(buf, resume_idx);
         }
-        PhaseState::Done => buf.put_u8(3),
+        Phase::Done => buf.put_u8(3),
     }
     match ep.tracked {
         None => buf.put_u8(0),
@@ -958,10 +961,7 @@ fn decode_tracker_slot(r: &mut Reader<'_>) -> Result<Option<ActiveSessionState>,
     Ok(Some(ActiveSessionState { activity_idx, last_report, saw_terminal, foreign_run }))
 }
 
-#[allow(clippy::type_complexity)]
-fn decode_episode_slot(
-    r: &mut Reader<'_>,
-) -> Result<Option<(usize, EpisodeState, ([u64; 4], u64))>, CheckpointError> {
+fn decode_episode_slot(r: &mut Reader<'_>) -> Result<Option<EpisodeSlot>, CheckpointError> {
     if !r.opt()? {
         return Ok(None);
     }
@@ -1157,25 +1157,25 @@ fn decode_node(r: &mut Reader<'_>) -> Result<NodeState, CheckpointError> {
     })
 }
 
-fn decode_episode(r: &mut Reader<'_>) -> Result<EpisodeState, CheckpointError> {
+fn decode_episode(r: &mut Reader<'_>) -> Result<LiveEpisode, CheckpointError> {
     let phase = match r.u8()? {
         0 => {
             let idx = r.len()?;
             let until = r.time()?;
-            PhaseState::Performing { idx, until }
+            Phase::Performing { idx, until }
         }
         1 => {
             let tool = r.tool()?;
             let since = r.time()?;
             let resume_idx = r.len()?;
-            PhaseState::Misusing { tool, since, resume_idx }
+            Phase::Misusing { tool, since, resume_idx }
         }
         2 => {
             let since = r.time()?;
             let resume_idx = r.len()?;
-            PhaseState::Frozen { since, resume_idx }
+            Phase::Frozen { since, resume_idx }
         }
-        3 => PhaseState::Done,
+        3 => Phase::Done,
         t => return Err(CheckpointError::CorruptTag(t)),
     };
     let tracked = if r.opt()? {
@@ -1204,7 +1204,7 @@ fn decode_episode(r: &mut Reader<'_>) -> Result<EpisodeState, CheckpointError> {
     let max_ticks = r.u64()?;
     let start = r.time()?;
     let finished = r.bool()?;
-    Ok(EpisodeState {
+    Ok(LiveEpisode {
         phase,
         tracked,
         pending,
@@ -2087,8 +2087,8 @@ mod tests {
             base_accepted: 12,
             base_duplicates: 1,
         };
-        let episode = EpisodeState {
-            phase: PhaseState::Misusing {
+        let episode = LiveEpisode {
+            phase: Phase::Misusing {
                 tool: ToolId::new(4),
                 since: SimTime::from_secs(30),
                 resume_idx: 2,
@@ -2478,7 +2478,7 @@ mod tests {
             foreign_run: None,
         });
         busy.episode.as_mut().unwrap().1.phase =
-            PhaseState::Frozen { since: SimTime::from_secs(60), resume_idx: 1 };
+            Phase::Frozen { since: SimTime::from_secs(60), resume_idx: 1 };
         busy.last_handled = None;
         busy.rec = None;
         let idle = &mut cur.homes[1];

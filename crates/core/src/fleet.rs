@@ -160,38 +160,6 @@ impl FleetEngine {
             .map(|o| o.expect("every job sends exactly one result"))
             .collect()
     }
-
-    /// Runs one training job per grid cell of `configs × seeds`, passing
-    /// `f` the config, the seed index, and the per-cell seed derived
-    /// from `base_seed` with [`derive_seed`]. Outputs are grouped per
-    /// config, seeds in order — the layout every sweep reduction expects.
-    pub fn map_grid<C, O, F>(
-        &self,
-        configs: &[C],
-        seeds: usize,
-        base_seed: u64,
-        domain: &str,
-        f: F,
-    ) -> Vec<Vec<O>>
-    where
-        C: Sync,
-        O: Send,
-        F: Fn(&C, usize, u64) -> O + Sync,
-    {
-        let cells: Vec<(usize, usize)> = (0..configs.len())
-            .flat_map(|c| (0..seeds).map(move |s| (c, s)))
-            .collect();
-        let flat = self.map(cells, |(c, s)| {
-            let seed = derive_seed(base_seed, domain, (c * seeds + s) as u64);
-            f(&configs[c], s, seed)
-        });
-        let mut grouped: Vec<Vec<O>> = Vec::with_capacity(configs.len());
-        let mut it = flat.into_iter();
-        for _ in 0..configs.len() {
-            grouped.push(it.by_ref().take(seeds).collect());
-        }
-        grouped
-    }
 }
 
 #[cfg(test)]
@@ -225,23 +193,6 @@ mod tests {
         let engine = FleetEngine::new(4);
         assert_eq!(engine.map(Vec::<u64>::new(), |n| n), Vec::<u64>::new());
         assert_eq!(engine.map(vec![42u64], |n| n + 1), vec![43]);
-    }
-
-    #[test]
-    fn grid_layout_groups_by_config() {
-        let engine = FleetEngine::new(4);
-        let grouped = engine.map_grid(&[10u64, 20, 30], 2, 7, "test", |c, s, seed| {
-            (*c, s, seed)
-        });
-        assert_eq!(grouped.len(), 3);
-        for (ci, row) in grouped.iter().enumerate() {
-            assert_eq!(row.len(), 2);
-            for (si, &(c, s, seed)) in row.iter().enumerate() {
-                assert_eq!(c, [10, 20, 30][ci]);
-                assert_eq!(s, si);
-                assert_eq!(seed, derive_seed(7, "test", (ci * 2 + si) as u64));
-            }
-        }
     }
 
     #[test]

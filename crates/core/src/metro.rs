@@ -71,8 +71,10 @@ use crate::planning::{LearnedState, PlanningSubsystem};
 use crate::reminding::{Prompt, ReminderMethod, RemindingSubsystem, Trigger};
 use crate::sensing::SensingSubsystem;
 use crate::sessions::{SessionEvent, SessionTracker};
-use crate::system::{Coreda, CoredaConfig, LiveEpisode, PhaseState, SystemState, TickScratch};
-use crate::telemetry::{Ctr, HomeRecorder, Telemetry, TraceKind};
+use crate::system::{Coreda, CoredaConfig, LiveEpisode, Phase, SystemState, TickScratch};
+use crate::telemetry::{
+    Ctr, HomeRecorder, RecorderState, Stage, Telemetry, TraceKind, DEFAULT_RING_CAP,
+};
 use crate::wal::{self, WalRecord};
 
 /// Configuration of a metro-scale serving run.
@@ -529,9 +531,10 @@ impl FleetCtx {
     /// home is restored: one system per activity, each with the spec's
     /// node count, node state the restore accepts (see [`check_nodes`])
     /// and a learned table the planner template can take (see
-    /// [`check_traces`]), every activity index in range, and an in-flight
-    /// episode's step inside its routine. The codec checks bytes, not
-    /// shape; a CRC-valid crafted snapshot fails here instead of
+    /// [`check_traces`]), every activity index in range, an in-flight
+    /// episode's step inside its routine, and recorder state a traced
+    /// resume can take (see [`check_recorder`]). The codec checks bytes,
+    /// not shape; a CRC-valid crafted snapshot fails here instead of
     /// mid-restore or on the home's first tick.
     fn check_shape(&self, homes: usize, ckpt: &MetroCheckpoint) -> Result<(), CheckpointError> {
         fits(ckpt.homes.len(), homes)?;
@@ -568,19 +571,41 @@ impl FleetCtx {
             // The episode's step: the one being performed, or the one a
             // misusing or frozen patient resumes at.
             let step = home.episode.as_ref().and_then(|(act, ep, _)| match ep.phase {
-                PhaseState::Performing { idx, .. }
-                | PhaseState::Misusing { resume_idx: idx, .. }
-                | PhaseState::Frozen { resume_idx: idx, .. } => {
-                    Some((idx, self.routines[*act].len()))
-                }
-                PhaseState::Done => None,
+                Phase::Performing { idx, .. }
+                | Phase::Misusing { resume_idx: idx, .. }
+                | Phase::Frozen { resume_idx: idx, .. } => Some((idx, self.routines[*act].len())),
+                Phase::Done => None,
             });
             if let Some((idx, steps)) = step.filter(|&(idx, steps)| idx >= steps) {
                 return Err(shape_mismatch(idx, steps));
             }
+            if let Some(rec) = &home.rec {
+                check_recorder(rec)?;
+            }
         }
         Ok(())
     }
+}
+
+/// Checks the flight-recorder state a traced restore asserts on: at most
+/// [`Ctr::COUNT`] counters (a shorter list restores zero-filled), one
+/// histogram per [`Stage`] with [`Stage::bins`] bins each, the ring
+/// capacity every fleet recorder is built with ([`DEFAULT_RING_CAP`]),
+/// so a stored capacity is never allocated, and no more ring records than
+/// that. Each is reported as the stored length against its bound.
+fn check_recorder(rec: &RecorderState) -> Result<(), CheckpointError> {
+    if rec.counters.len() > Ctr::COUNT {
+        return Err(shape_mismatch(rec.counters.len(), Ctr::COUNT));
+    }
+    fits(rec.stages.len(), Stage::COUNT)?;
+    for ((bins, ..), stage) in rec.stages.iter().zip(Stage::ALL) {
+        fits(bins.len(), stage.bins().2)?;
+    }
+    fits(rec.ring_cap, DEFAULT_RING_CAP)?;
+    if rec.ring.len() > rec.ring_cap {
+        return Err(shape_mismatch(rec.ring.len(), rec.ring_cap));
+    }
+    Ok(())
 }
 
 /// Checks the eligibility traces a restore hands to the learner: each
@@ -1150,9 +1175,7 @@ impl<'a> Shard<'a> {
             tracker: self.trackers[i].export_active(),
             root: self.roots[i].state_parts(),
             sched: self.sched_rngs[i].state_parts(),
-            episode: self.episodes[i]
-                .as_ref()
-                .map(|run| (run.act, run.ep.export_state(), run.rng.state_parts())),
+            episode: self.episodes[i].as_ref().map(|run| (run.act, run.ep, run.rng.state_parts())),
             ep_index: s.ep_index,
             next_start: s.next_start,
             last_handled: s.last_handled,
@@ -1202,9 +1225,9 @@ impl<'a> Shard<'a> {
         self.trackers[i].restore_active(ckpt.tracker);
         self.roots[i] = SimRng::from_state_parts(ckpt.root.0, ckpt.root.1);
         self.sched_rngs[i] = SimRng::from_state_parts(ckpt.sched.0, ckpt.sched.1);
-        self.episodes[i] = ckpt.episode.as_ref().map(|&(act, ref ep, rng)| RunningEpisode {
+        self.episodes[i] = ckpt.episode.map(|(act, ep, rng)| RunningEpisode {
             act,
-            ep: LiveEpisode::from_state(ep),
+            ep,
             rng: SimRng::from_state_parts(rng.0, rng.1),
         });
         let offset_ms = self.hot[i].sched.offset_ms;

@@ -488,19 +488,8 @@ impl PlanningSubsystem {
     /// metric behind Figure 4).
     #[must_use]
     pub fn accuracy_vs_routine(&self, routine: &Routine) -> f64 {
-        // Either level of the correct tool counts as a hit, so compare
-        // tools rather than raw action ids.
-        let transitions = routine.transitions();
-        if transitions.is_empty() {
-            return 1.0;
-        }
-        let hits = transitions
-            .iter()
-            .filter(|&&(prev, cur, next)| {
-                self.predict_tool(prev, cur) == next.tool()
-            })
-            .count();
-        hits as f64 / transitions.len() as f64
+        // Compares tools, so either level of the correct tool is a hit.
+        crate::baseline::routine_accuracy(self, routine)
     }
 
     /// Read access to the learned Q-values (diagnostics and tests).

@@ -131,19 +131,10 @@ struct ActivityInfo {
     terminal_tool: ToolId,
 }
 
-#[derive(Debug, Clone)]
-struct Active {
-    idx: usize,
-    last_report: SimTime,
-    saw_terminal: bool,
-    /// Consecutive foreign reports, with the foreign activity index.
-    foreign_run: Option<(usize, u32)>,
-}
-
-/// The resumable state of an open session, as captured by
-/// [`SessionTracker::export_active`]. Activity metadata and interned
-/// names are rebuilt from the specs (in the same order, so the same
-/// [`NameId`]s come out) and are not part of the snapshot.
+/// An open session: the tracker's live state, and what
+/// [`SessionTracker::export_active`] captures. Activity metadata and
+/// interned names are rebuilt from the specs (in the same order, so the
+/// same [`NameId`]s come out) and are not part of the snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActiveSessionState {
     /// Index of the activity in session (spec order).
@@ -183,7 +174,7 @@ pub struct SessionTracker {
     /// the activity metadata and interner.
     activities: Arc<Vec<ActivityInfo>>,
     names: Arc<NameTable>,
-    active: Option<Active>,
+    active: Option<ActiveSessionState>,
     /// Silence after which an open session is closed.
     idle_close: SimDuration,
 }
@@ -233,7 +224,7 @@ impl SessionTracker {
     /// The activity currently in session, if any.
     #[must_use]
     pub fn active_activity(&self) -> Option<&str> {
-        self.active.as_ref().map(|a| self.names.resolve(self.activities[a.idx].name))
+        self.active.as_ref().map(|a| self.names.resolve(self.activities[a.activity_idx].name))
     }
 
     /// Resolves an interned activity name id issued by this tracker.
@@ -289,15 +280,15 @@ impl SessionTracker {
         };
         match self.active.as_mut() {
             None => {
-                self.active = Some(Active {
-                    idx: owner,
+                self.active = Some(ActiveSessionState {
+                    activity_idx: owner,
                     last_report: at,
                     saw_terminal: tool == self.activities[owner].terminal_tool,
                     foreign_run: None,
                 });
                 events.push(SessionEvent::Started { activity: self.activities[owner].name, at });
             }
-            Some(active) if active.idx == owner => {
+            Some(active) if active.activity_idx == owner => {
                 active.last_report = at;
                 active.foreign_run = None;
                 if tool == self.activities[owner].terminal_tool {
@@ -312,22 +303,22 @@ impl SessionTracker {
                 };
                 active.foreign_run = Some((owner, run));
                 events.push(SessionEvent::CrossActivityUse {
-                    active: self.activities[active.idx].name,
+                    active: self.activities[active.activity_idx].name,
                     foreign: self.activities[owner].name,
                     tool,
                     at,
                 });
                 if run >= Self::DEFAULT_SWITCH_THRESHOLD {
                     // The user really did move on.
-                    let old = active.idx;
+                    let old = active.activity_idx;
                     let completed = active.saw_terminal;
                     events.push(SessionEvent::Ended {
                         activity: self.activities[old].name,
                         at,
                         completed,
                     });
-                    self.active = Some(Active {
-                        idx: owner,
+                    self.active = Some(ActiveSessionState {
+                        activity_idx: owner,
                         last_report: at,
                         saw_terminal: tool == self.activities[owner].terminal_tool,
                         foreign_run: None,
@@ -342,37 +333,17 @@ impl SessionTracker {
         events
     }
 
-    /// Captures the open-session state, if any (checkpointing).
+    /// The open session, if any (checkpointing).
     #[must_use]
     pub fn export_active(&self) -> Option<ActiveSessionState> {
-        self.active.as_ref().map(|a| ActiveSessionState {
-            activity_idx: a.idx,
-            last_report: a.last_report,
-            saw_terminal: a.saw_terminal,
-            foreign_run: a.foreign_run,
-        })
+        self.active
     }
 
-    /// Restores the open-session state captured by
-    /// [`SessionTracker::export_active`] onto a tracker freshly built
-    /// from the same specs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a referenced activity index is out of range.
+    /// Reopens the session captured by [`SessionTracker::export_active`]
+    /// on a tracker built from the same specs. The caller vets its
+    /// activity indices; a metro resume does so in its shape check.
     pub fn restore_active(&mut self, state: Option<ActiveSessionState>) {
-        self.active = state.map(|s| {
-            assert!(s.activity_idx < self.activities.len(), "active activity index out of range");
-            if let Some((who, _)) = s.foreign_run {
-                assert!(who < self.activities.len(), "foreign activity index out of range");
-            }
-            Active {
-                idx: s.activity_idx,
-                last_report: s.last_report,
-                saw_terminal: s.saw_terminal,
-                foreign_run: s.foreign_run,
-            }
-        });
+        self.active = state;
     }
 
     /// Periodic check: closes the open session after `idle_close` of
@@ -383,7 +354,7 @@ impl SessionTracker {
             return None;
         }
         let ev = SessionEvent::Ended {
-            activity: self.activities[active.idx].name,
+            activity: self.activities[active.activity_idx].name,
             at: now,
             completed: active.saw_terminal,
         };

@@ -81,23 +81,10 @@ impl Default for CoredaConfig {
     }
 }
 
-/// What the patient is doing right now (live-episode state machine).
+/// What the patient is doing right now: the live-episode state machine's
+/// phase, held by a [`LiveEpisode`] and by its checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Phase {
-    /// Performing routine step `idx` until the given instant.
-    Performing { idx: usize, until: SimTime },
-    /// Using the wrong tool since `since`; would resume at `resume_idx`.
-    Misusing { tool: ToolId, since: SimTime, resume_idx: usize },
-    /// Doing nothing since `since`; would resume at `resume_idx`.
-    Frozen { since: SimTime, resume_idx: usize },
-    /// Finished every step.
-    Done,
-}
-
-/// The public, codec-friendly mirror of the private live-episode phase
-/// (checkpointing). Conversions are lossless in both directions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PhaseState {
+pub enum Phase {
     /// Performing routine step `idx` until the given instant.
     Performing {
         /// Routine step index.
@@ -123,30 +110,6 @@ pub enum PhaseState {
     },
     /// Finished every step.
     Done,
-}
-
-impl Phase {
-    fn export(self) -> PhaseState {
-        match self {
-            Phase::Performing { idx, until } => PhaseState::Performing { idx, until },
-            Phase::Misusing { tool, since, resume_idx } => {
-                PhaseState::Misusing { tool, since, resume_idx }
-            }
-            Phase::Frozen { since, resume_idx } => PhaseState::Frozen { since, resume_idx },
-            Phase::Done => PhaseState::Done,
-        }
-    }
-
-    fn restore(state: PhaseState) -> Phase {
-        match state {
-            PhaseState::Performing { idx, until } => Phase::Performing { idx, until },
-            PhaseState::Misusing { tool, since, resume_idx } => {
-                Phase::Misusing { tool, since, resume_idx }
-            }
-            PhaseState::Frozen { since, resume_idx } => Phase::Frozen { since, resume_idx },
-            PhaseState::Done => Phase::Done,
-        }
-    }
 }
 
 /// The assembled CoReDA system for one ADL and one user.
@@ -222,109 +185,42 @@ impl MaybeLog<'_> {
 /// time by [`Coreda::live_tick`]. [`Coreda::run_live`] drives it over a
 /// dense tick loop; the metro engine drives many of them event-driven,
 /// interleaved across homes.
-#[derive(Debug, Clone)]
-pub struct LiveEpisode {
-    phase: Phase,
-    /// Prediction state: the last two *accepted* steps.
-    tracked: Option<(StepId, StepId)>,
-    /// Outstanding prompt awaiting the patient's reaction.
-    pending: Option<(SimTime, Prompt)>,
-    last_reminder: Option<SimTime>,
-    reminders_since_advance: u32,
-    completed: bool,
-    ticks_done: u64,
-    max_ticks: u64,
-    start: SimTime,
-    finished: bool,
-}
-
-impl LiveEpisode {
-    /// When the episode started.
-    #[must_use]
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
-    /// The instant the next tick should run at.
-    #[must_use]
-    pub fn next_tick_at(&self) -> SimTime {
-        self.start + Coreda::TICK * self.ticks_done
-    }
-
-    /// Whether the patient finished the ADL.
-    #[must_use]
-    pub fn completed(&self) -> bool {
-        self.completed
-    }
-
-    /// Whether the episode is over (completed, or out of ticks).
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Captures the episode's complete state (checkpointing).
-    #[must_use]
-    pub fn export_state(&self) -> EpisodeState {
-        EpisodeState {
-            phase: self.phase.export(),
-            tracked: self.tracked,
-            pending: self.pending,
-            last_reminder: self.last_reminder,
-            reminders_since_advance: self.reminders_since_advance,
-            completed: self.completed,
-            ticks_done: self.ticks_done,
-            max_ticks: self.max_ticks,
-            start: self.start,
-            finished: self.finished,
-        }
-    }
-
-    /// Rebuilds an episode from state captured by
-    /// [`LiveEpisode::export_state`]. Driving the rebuilt episode from
-    /// [`LiveEpisode::next_tick_at`] continues the interrupted one
-    /// exactly (given the owning [`Coreda`] was restored too).
-    #[must_use]
-    pub fn from_state(state: &EpisodeState) -> Self {
-        LiveEpisode {
-            phase: Phase::restore(state.phase),
-            tracked: state.tracked,
-            pending: state.pending,
-            last_reminder: state.last_reminder,
-            reminders_since_advance: state.reminders_since_advance,
-            completed: state.completed,
-            ticks_done: state.ticks_done,
-            max_ticks: state.max_ticks,
-            start: state.start,
-            finished: state.finished,
-        }
-    }
-}
-
-/// A [`LiveEpisode`]'s captured state — every field of the live-episode
-/// state machine, public so the checkpoint codec can serialise it.
+///
+/// A plain record: a checkpoint holds it as is, and driving a restored
+/// copy from [`LiveEpisode::next_tick_at`] continues the interrupted
+/// episode exactly (given the owning [`Coreda`] was restored too).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpisodeState {
+pub struct LiveEpisode {
     /// Patient state-machine phase.
-    pub phase: PhaseState,
-    /// The last two accepted steps, if prediction has started.
+    pub phase: Phase,
+    /// Prediction state: the last two *accepted* steps, if prediction
+    /// has started.
     pub tracked: Option<(StepId, StepId)>,
-    /// Outstanding prompt and its reaction instant.
+    /// Outstanding prompt awaiting the patient's reaction, and its
+    /// reaction instant.
     pub pending: Option<(SimTime, Prompt)>,
     /// When the last reminder was issued.
     pub last_reminder: Option<SimTime>,
     /// Reminders issued since the patient last advanced.
     pub reminders_since_advance: u32,
-    /// Whether the ADL completed.
+    /// Whether the patient finished the ADL.
     pub completed: bool,
     /// Ticks run so far.
     pub ticks_done: u64,
     /// Hard tick cap.
     pub max_ticks: u64,
-    /// Episode start instant.
+    /// When the episode started.
     pub start: SimTime,
-    /// Whether the episode is over.
+    /// Whether the episode is over (completed, or out of ticks).
     pub finished: bool,
+}
+
+impl LiveEpisode {
+    /// The instant the next tick should run at.
+    #[must_use]
+    pub fn next_tick_at(&self) -> SimTime {
+        self.start + Coreda::TICK * self.ticks_done
+    }
 }
 
 /// What one live tick produced — the counters a serving engine keeps
@@ -1469,17 +1365,17 @@ mod tests {
             sys.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, Some(&mut log), None, &mut |_, _| {});
         }
         let sys_state = sys.export_state();
-        let ep_state = ep.export_state();
+        let saved = ep;
         let (rng_state, rng_base) = rng.state_parts();
         drop(sys);
 
         // Resume onto a freshly built twin.
         let (mut resumed, routine) = trained_system(31);
         resumed.restore_state(&sys_state).expect("watkins restore");
-        let mut ep = LiveEpisode::from_state(&ep_state);
+        let mut ep = saved;
         let mut rng = SimRng::from_state_parts(rng_state, rng_base);
         let mut b = StochasticBehavior::new(PatientProfile::moderate("x"));
-        while !ep.finished() {
+        while !ep.finished {
             let now = ep.next_tick_at();
             resumed.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, Some(&mut log), None, &mut |_, _| {});
         }

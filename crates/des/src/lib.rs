@@ -11,10 +11,11 @@
 //!
 //! - [`time`]: [`SimTime`]/[`SimDuration`] millisecond-resolution newtypes.
 //! - [`event`] and [`sim`]: a min-priority [`EventQueue`] with FIFO
-//!   tie-breaking — a hierarchical timing wheel — wrapped by the
-//!   poll-based [`Simulator`] driver. The original binary heap stays as
-//!   [`HeapEventQueue`], the reference the wheel's order-equivalence
-//!   tests compare against.
+//!   tie-breaking — a hierarchical timing wheel — driven
+//!   schedule-and-drain by [`Simulator`]: schedule typed events, then
+//!   drain every event due by an instant in one window. The original
+//!   binary heap stays as [`HeapEventQueue`], the reference the wheel's
+//!   order-equivalence tests compare against.
 //! - [`rng`]: [`SimRng`], a seedable random source with stable independent
 //!   sub-streams per component.
 //!
@@ -37,11 +38,14 @@
 //! for i in 0..10 {
 //!     sim.schedule_at(SimTime::from_millis(i * 100), Ev::SensorSample(0));
 //! }
+//! let mut window = Vec::new();
+//! sim.drain_until(SimTime::from_secs(1), &mut window);
 //! let mut samples = 0;
-//! while let Some(Ev::SensorSample(_)) = sim.step() {
+//! for (_, Ev::SensorSample(_)) in window {
 //!     if rng.chance(0.5) { samples += 1; }
 //! }
 //! assert!(samples <= 10);
+//! assert_eq!(sim.processed(), 10);
 //! ```
 
 #![warn(missing_docs)]

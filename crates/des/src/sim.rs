@@ -1,16 +1,19 @@
 //! The simulation driver: a clock plus an event queue.
 //!
-//! [`Simulator`] is intentionally *poll based*: the owner schedules typed
-//! events and repeatedly calls [`Simulator::step`], handling each event and
-//! scheduling follow-ups. This avoids callback-style borrow tangles and
-//! keeps the control flow of an experiment readable top to bottom.
+//! [`Simulator`] is driven *schedule-and-drain*: the owner schedules
+//! typed events with [`Simulator::schedule_at`], takes every event due by
+//! an instant with [`Simulator::drain_until`] (which moves the clock to
+//! that instant), handles them, and schedules follow-ups at or after it.
+//! This avoids callback-style borrow tangles and keeps the control flow
+//! of an experiment readable top to bottom.
 
 use crate::event::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A discrete-event simulator over a user-chosen event type `E`.
 ///
-/// The clock only moves when an event is popped, and never moves backwards.
+/// The clock only moves when a window is drained (or on
+/// [`Simulator::advance_to`]), and never moves backwards.
 ///
 /// # Examples
 ///
@@ -22,20 +25,25 @@ use crate::time::{SimDuration, SimTime};
 /// enum Ev { Ping, Pong }
 ///
 /// let mut sim = Simulator::new();
-/// sim.schedule_after(SimDuration::from_secs(1), Ev::Ping);
-/// while let Some(ev) = sim.step() {
-///     if ev == Ev::Ping && sim.now() < SimTime::from_secs(3) {
-///         sim.schedule_after(SimDuration::from_secs(1), Ev::Pong);
+/// sim.schedule_at(SimTime::from_secs(1), Ev::Ping);
+/// let mut window = Vec::new();
+/// // Drain one second at a time; every Ping is answered a second later.
+/// while let Some(due) = sim.next_due() {
+///     sim.drain_until(due, &mut window);
+///     for (_, ev) in window.drain(..) {
+///         if ev == Ev::Ping {
+///             sim.schedule_at(sim.now() + SimDuration::from_secs(1), Ev::Pong);
+///         }
 ///     }
 /// }
 /// assert_eq!(sim.now(), SimTime::from_secs(2));
+/// assert_eq!(sim.processed(), 2);
 /// ```
 #[derive(Debug)]
 pub struct Simulator<E> {
     queue: EventQueue<E>,
     now: SimTime,
     processed: u64,
-    scheduled: u64,
     max_pending: usize,
 }
 
@@ -44,13 +52,7 @@ impl<E> Simulator<E> {
     /// the timing-wheel [`EventQueue`].
     #[must_use]
     pub fn new() -> Self {
-        Simulator {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            processed: 0,
-            scheduled: 0,
-            max_pending: 0,
-        }
+        Simulator { queue: EventQueue::new(), now: SimTime::ZERO, processed: 0, max_pending: 0 }
     }
 
     /// The current simulation instant.
@@ -63,18 +65,6 @@ impl<E> Simulator<E> {
     #[must_use]
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of events still pending.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total number of events ever scheduled.
-    #[must_use]
-    pub fn scheduled(&self) -> u64 {
-        self.scheduled
     }
 
     /// High-water mark of the pending-event count: the deepest the
@@ -99,52 +89,15 @@ impl<E> Simulator<E> {
             now = self.now
         );
         self.queue.schedule_at(due, event);
-        self.note_scheduled();
-    }
-
-    /// Schedules `event` to fire `delay` after the current instant.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.queue.schedule_after(self.now, delay, event);
-        self.note_scheduled();
-    }
-
-    fn note_scheduled(&mut self) {
-        self.scheduled += 1;
         self.max_pending = self.max_pending.max(self.queue.len());
     }
 
-    /// The due instant of the next pending event, without popping it.
+    /// The due instant of the next pending event, without removing it.
     /// Callers that process many independent actors on one queue use this
-    /// to collect every event sharing an instant into one batch and sweep
-    /// the actors in memory order instead of queue order.
+    /// to find where the next window starts.
     #[must_use]
     pub fn next_due(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// Advances the clock to the next event and returns it, or `None` when
-    /// the queue is empty (the clock then stays where it is).
-    pub fn step(&mut self) -> Option<E> {
-        let (due, event) = self.queue.pop()?;
-        debug_assert!(due >= self.now);
-        self.now = due;
-        self.processed += 1;
-        Some(event)
-    }
-
-    /// Like [`Simulator::step`], but refuses to move the clock past
-    /// `deadline`: an event due after it is left in the queue and the clock
-    /// is advanced exactly to `deadline`.
-    pub fn step_until(&mut self, deadline: SimTime) -> Option<E> {
-        match self.queue.peek_time() {
-            Some(due) if due <= deadline => self.step(),
-            _ => {
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                None
-            }
-        }
     }
 
     /// Removes every event due at or before `until`, appending them to
@@ -152,14 +105,14 @@ impl<E> Simulator<E> {
     /// `until`, and counts each drained event as processed. Returns the
     /// number drained.
     ///
-    /// This is the epoch-tiled serve path: the caller re-groups the
-    /// drained events by actor and replays each actor's chain in due
-    /// order, which is equivalent to popping one event at a time as long
-    /// as distinct actors never interact within the window. The window
-    /// may be as long as the caller likes — the metro engine drains a
-    /// whole segment between checkpoint stops at once — since follow-ups
-    /// an actor spawns inside it are the caller's to serve inline (see
-    /// [`Simulator::note_processed`]).
+    /// This is the simulator's only way to take events out. The caller
+    /// may re-group a window's events by actor and replay each actor's
+    /// chain in due order, which is equivalent to handling the events
+    /// one at a time as long as distinct actors never interact within
+    /// the window. The window may be as long as the caller likes — the
+    /// metro engine drains a whole segment between checkpoint stops at
+    /// once — since follow-ups an actor spawns inside it are the caller's
+    /// to serve inline (see [`Simulator::note_processed`]).
     ///
     /// # Panics
     ///
@@ -176,13 +129,11 @@ impl<E> Simulator<E> {
         n
     }
 
-    /// Counts `n` extra events as processed (and scheduled). The epoch
-    /// serve path consumes some follow-up events inline, without routing
-    /// them through the queue; this keeps [`Simulator::processed`] and
-    /// [`Simulator::scheduled`] equal to what scheduling and popping
-    /// every one of those events would report.
+    /// Counts `n` extra events as processed. The serve path consumes
+    /// some follow-up events inline, without routing them through the
+    /// queue; this keeps [`Simulator::processed`] equal to what
+    /// scheduling and draining every one of those events would report.
     pub fn note_processed(&mut self, n: u64) {
-        self.scheduled += n;
         self.processed += n;
     }
 
@@ -200,29 +151,11 @@ impl<E> Simulator<E> {
         self.now = instant;
     }
 
-    /// Drops every pending event.
-    pub fn clear_pending(&mut self) {
-        self.queue.clear();
-    }
-
-    /// Removes and returns every pending event in dispatch order
-    /// (`(time, seq)` FIFO), without advancing the clock or counting the
-    /// events as processed. This is the checkpoint path: the drained list
-    /// can be re-scheduled onto this or a fresh simulator (in the returned
-    /// order) to reproduce the exact dispatch sequence.
-    pub fn drain_pending(&mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.queue.len());
-        while let Some(entry) = self.queue.pop() {
-            out.push(entry);
-        }
-        out
-    }
-
     /// Borrows every pending event in dispatch order (`(time, seq)`
     /// FIFO) without removing anything: the queue, clock and counters
-    /// are untouched. This is [`Simulator::drain_pending`] for readers —
-    /// frequent checkpoint captures walk the pending set through this
-    /// instead of draining and re-inserting the whole queue.
+    /// are untouched. Re-scheduling the list (in this order) onto a
+    /// fresh simulator reproduces the exact dispatch sequence, which is
+    /// how checkpoint capture walks the pending set.
     pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, &E)> {
         self.queue.pending_in_order().into_iter().map(|(due, _, event)| (due, event))
     }
@@ -238,27 +171,24 @@ impl<E> Default for Simulator<E> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn clock_follows_events() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_secs(2), "b");
-        sim.schedule_at(SimTime::from_secs(1), "a");
-        assert_eq!(sim.step(), Some("a"));
-        assert_eq!(sim.now(), SimTime::from_secs(1));
-        assert_eq!(sim.step(), Some("b"));
-        assert_eq!(sim.now(), SimTime::from_secs(2));
-        assert_eq!(sim.step(), None);
-        assert_eq!(sim.now(), SimTime::from_secs(2));
+    /// Drains the window up to `until`, returning its events.
+    fn window<E>(sim: &mut Simulator<E>, until: SimTime) -> Vec<(SimTime, E)> {
+        let mut out = Vec::new();
+        assert_eq!(sim.drain_until(until, &mut out), out.len());
+        out
     }
 
     #[test]
-    fn schedule_after_is_relative_to_now() {
+    fn clock_follows_the_windows() {
         let mut sim = Simulator::new();
-        sim.schedule_after(SimDuration::from_secs(5), 1);
-        sim.step();
-        sim.schedule_after(SimDuration::from_secs(5), 2);
-        sim.step();
-        assert_eq!(sim.now(), SimTime::from_secs(10));
+        sim.schedule_at(SimTime::from_secs(2), "b");
+        sim.schedule_at(SimTime::from_secs(1), "a");
+        assert_eq!(window(&mut sim, SimTime::from_secs(1)), vec![(SimTime::from_secs(1), "a")]);
+        assert_eq!(sim.now(), SimTime::from_secs(1));
+        assert_eq!(window(&mut sim, SimTime::from_secs(3)), vec![(SimTime::from_secs(2), "b")]);
+        assert_eq!(sim.now(), SimTime::from_secs(3), "the clock lands on the window's end");
+        assert_eq!(window(&mut sim, SimTime::from_secs(3)), vec![]);
+        assert_eq!(sim.processed(), 2);
     }
 
     #[test]
@@ -266,18 +196,16 @@ mod tests {
     fn scheduling_into_past_panics() {
         let mut sim = Simulator::new();
         sim.schedule_at(SimTime::from_secs(1), ());
-        sim.step();
+        window(&mut sim, SimTime::from_secs(1));
         sim.schedule_at(SimTime::ZERO, ());
     }
 
     #[test]
-    fn step_until_respects_deadline() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_secs(10), "late");
-        assert_eq!(sim.step_until(SimTime::from_secs(5)), None);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.step_until(SimTime::from_secs(10)), Some("late"));
+    #[should_panic(expected = "cannot drain into the past")]
+    fn draining_into_past_panics() {
+        let mut sim: Simulator<()> = Simulator::new();
+        window(&mut sim, SimTime::from_secs(2));
+        window(&mut sim, SimTime::from_secs(1));
     }
 
     #[test]
@@ -296,63 +224,19 @@ mod tests {
     }
 
     #[test]
-    fn processed_counts_events() {
-        let mut sim = Simulator::new();
-        for i in 0..5 {
-            sim.schedule_at(SimTime::from_secs(i), i);
-        }
-        while sim.step().is_some() {}
-        assert_eq!(sim.processed(), 5);
-    }
-
-    #[test]
-    fn next_due_peeks_without_popping() {
+    fn next_due_peeks_without_draining() {
         let mut sim = Simulator::new();
         assert_eq!(sim.next_due(), None);
         sim.schedule_at(SimTime::from_secs(2), "b");
         sim.schedule_at(SimTime::from_secs(1), "a");
         assert_eq!(sim.next_due(), Some(SimTime::from_secs(1)));
-        assert_eq!(sim.pending(), 2, "peeking must not pop");
-        assert_eq!(sim.step(), Some("a"));
+        assert_eq!(sim.next_due(), Some(SimTime::from_secs(1)), "peeking must not drain");
+        assert_eq!(window(&mut sim, SimTime::from_secs(1)).len(), 1);
         assert_eq!(sim.next_due(), Some(SimTime::from_secs(2)));
     }
 
     #[test]
-    fn clear_pending_empties_queue() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_secs(1), ());
-        sim.clear_pending();
-        assert_eq!(sim.step(), None);
-    }
-
-    #[test]
-    fn drain_pending_preserves_dispatch_order_and_clock() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_secs(1), "first");
-        sim.schedule_at(SimTime::from_secs(3), "late");
-        sim.schedule_at(SimTime::from_secs(1), "second");
-        assert_eq!(sim.step(), Some("first"));
-        let drained = sim.drain_pending();
-        assert_eq!(
-            drained,
-            vec![
-                (SimTime::from_secs(1), "second"),
-                (SimTime::from_secs(3), "late"),
-            ]
-        );
-        assert_eq!(sim.now(), SimTime::from_secs(1), "drain must not move the clock");
-        assert_eq!(sim.processed(), 1, "drained events are not processed");
-        assert_eq!(sim.pending(), 0);
-        // Rehydrating in drained order reproduces the dispatch sequence.
-        for (due, ev) in drained {
-            sim.schedule_at(due, ev);
-        }
-        assert_eq!(sim.step(), Some("second"));
-        assert_eq!(sim.step(), Some("late"));
-    }
-
-    #[test]
-    fn iter_pending_matches_drain_without_disturbing_the_queue() {
+    fn iter_pending_matches_the_drain_without_disturbing_the_queue() {
         let mut sim: Simulator<u64> = Simulator::new();
         // Dues spread across wheel levels, the overflow heap, and
         // ties at one instant (seq order must survive the borrow).
@@ -360,13 +244,12 @@ mod tests {
         for (i, &d) in dues.iter().enumerate() {
             sim.schedule_at(SimTime::from_millis(d), i as u64);
         }
-        assert_eq!(sim.step(), Some(2)); // clock at 0
+        assert_eq!(window(&mut sim, SimTime::ZERO), vec![(SimTime::ZERO, 2)]);
         sim.schedule_at(SimTime::from_millis(1), 99);
-        let peeked: Vec<(SimTime, u64)> =
-            sim.iter_pending().map(|(t, &e)| (t, e)).collect();
-        assert_eq!(sim.pending(), peeked.len(), "iteration must not pop");
-        assert_eq!(sim.processed(), 1);
-        let drained = sim.drain_pending();
+        let peeked: Vec<(SimTime, u64)> = sim.iter_pending().map(|(t, &e)| (t, e)).collect();
+        assert_eq!(sim.processed(), 1, "iteration must not count as processing");
+        assert_eq!(sim.now(), SimTime::ZERO, "iteration must not move the clock");
+        let drained = window(&mut sim, SimTime::from_millis(u64::MAX));
         assert_eq!(peeked, drained, "borrowed order must equal dispatch order");
     }
 
@@ -377,10 +260,8 @@ mod tests {
         sim.schedule_at(SimTime::from_millis(10), "b");
         sim.schedule_at(SimTime::from_millis(20), "c");
         sim.schedule_at(SimTime::from_millis(500), "late");
-        let mut out = Vec::new();
-        assert_eq!(sim.drain_until(SimTime::from_millis(255), &mut out), 3);
         assert_eq!(
-            out,
+            window(&mut sim, SimTime::from_millis(255)),
             vec![
                 (SimTime::from_millis(10), "a"),
                 (SimTime::from_millis(10), "b"),
@@ -389,16 +270,17 @@ mod tests {
         );
         assert_eq!(sim.now(), SimTime::from_millis(255), "clock lands on the window end");
         assert_eq!(sim.processed(), 3);
-        assert_eq!(sim.pending(), 1);
-        // Inline-consumed chain events keep the one-pop-per-event counters.
+        // Inline-consumed chain events count as processed too.
         sim.note_processed(2);
         assert_eq!(sim.processed(), 5);
-        assert_eq!(sim.scheduled(), 6);
         // The clock is at the window end, so scheduling follow-ups
         // inside the next window is legal.
         sim.schedule_at(SimTime::from_millis(300), "follow");
-        assert_eq!(sim.step(), Some("follow"));
-        assert_eq!(sim.step(), Some("late"));
+        assert_eq!(
+            window(&mut sim, SimTime::from_millis(500)),
+            vec![(SimTime::from_millis(300), "follow"), (SimTime::from_millis(500), "late")]
+        );
+        assert_eq!(sim.processed(), 7);
     }
 
     #[test]
@@ -408,12 +290,9 @@ mod tests {
         for i in 1..=4 {
             sim.schedule_at(SimTime::from_secs(i), i);
         }
-        assert_eq!(sim.scheduled(), 4);
         assert_eq!(sim.max_pending(), 4);
-        while sim.step().is_some() {}
-        assert_eq!(sim.pending(), 0);
-        sim.schedule_after(SimDuration::from_secs(1), 9);
+        assert_eq!(window(&mut sim, SimTime::from_secs(4)).len(), 4);
+        sim.schedule_at(SimTime::from_secs(5), 9);
         assert_eq!(sim.max_pending(), 4, "high-water mark survives the drain");
-        assert_eq!(sim.scheduled(), 5);
     }
 }

@@ -4,14 +4,6 @@ use coreda_des::event::HeapEventQueue;
 use coreda_des::prelude::*;
 use proptest::prelude::*;
 
-/// One step of a queue workload: schedule an event at an absolute due, or
-/// pop the current minimum.
-#[derive(Debug, Clone)]
-enum Op {
-    Schedule(u64),
-    Pop,
-}
-
 /// Dues spanning every wheel regime: same-tick ties and near dues
 /// (level 0), mid-range dues that cascade down from higher levels, and
 /// far-future dues beyond the 2^32 ms wheel horizon (overflow heap).
@@ -23,34 +15,37 @@ fn due_strategy() -> impl Strategy<Value = u64> {
     ]
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        due_strategy().prop_map(Op::Schedule),
-        due_strategy().prop_map(Op::Schedule),
-        due_strategy().prop_map(Op::Schedule),
-        Just(Op::Pop),
-    ]
+/// Every event due by `until`, from one drain.
+fn window<E>(q: &mut EventQueue<E>, until: u64) -> Vec<(SimTime, E)> {
+    let mut out = Vec::new();
+    q.drain_until(SimTime::from_millis(until), &mut out);
+    out
 }
 
 proptest! {
-    /// Events always pop in non-decreasing time order, whatever the
-    /// insertion order.
+    /// One window drains every event due by its bound, in non-decreasing
+    /// time order, whatever the insertion order.
     #[test]
-    fn queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
+    fn queue_drains_sorted(
+        times in proptest::collection::vec(0u64..1_000_000, 1..200),
+        until in 0u64..1_000_000,
+    ) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule_at(SimTime::from_millis(t), i);
         }
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-        }
+        let drained = window(&mut q, until);
+        prop_assert_eq!(drained.len(), times.iter().filter(|&&t| t <= until).count());
+        prop_assert!(drained.windows(2).all(|w| w[0].0 <= w[1].0));
+        prop_assert_eq!(q.len(), times.len() - drained.len());
     }
 
-    /// Equal-time events preserve insertion (FIFO) order.
+    /// Equal-time events preserve insertion (FIFO) order, across windows.
     #[test]
-    fn queue_fifo_on_ties(groups in proptest::collection::vec((0u64..100, 1usize..5), 1..50)) {
+    fn queue_fifo_on_ties(
+        groups in proptest::collection::vec((0u64..100, 1usize..5), 1..50),
+        cut in 0u64..100,
+    ) {
         let mut q = EventQueue::new();
         let mut idx = 0usize;
         for &(t, n) in &groups {
@@ -59,11 +54,10 @@ proptest! {
                 idx += 1;
             }
         }
+        let mut by_time = window(&mut q, cut);
+        by_time.extend(window(&mut q, 100));
+        prop_assert_eq!(by_time.len(), idx);
         // Within one timestamp, payload indices must be increasing.
-        let mut by_time: Vec<(SimTime, usize)> = Vec::new();
-        while let Some(e) = q.pop() {
-            by_time.push(e);
-        }
         for w in by_time.windows(2) {
             if w[0].0 == w[1].0 {
                 prop_assert!(w[0].1 < w[1].1);
@@ -71,19 +65,28 @@ proptest! {
         }
     }
 
-    /// The simulator clock is monotone over any schedule.
+    /// The simulator clock is monotone over any schedule drained in any
+    /// windows, and every event is processed exactly once.
     #[test]
-    fn simulator_clock_monotone(delays in proptest::collection::vec(0u64..10_000, 1..100)) {
+    fn simulator_clock_monotone(
+        delays in proptest::collection::vec(0u64..10_000, 1..100),
+        steps in proptest::collection::vec(0u64..3_000, 1..20),
+    ) {
         let mut sim = Simulator::new();
         for &d in &delays {
-            sim.schedule_after(SimDuration::from_millis(d), d);
+            sim.schedule_at(SimTime::from_millis(d), d);
         }
+        let mut out = Vec::new();
         let mut last = SimTime::ZERO;
-        while sim.step().is_some() {
+        for &step in steps.iter().chain(&[10_000]) {
+            sim.drain_until(sim.now() + SimDuration::from_millis(step), &mut out);
             prop_assert!(sim.now() >= last);
+            prop_assert!(out.iter().all(|&(due, _)| due <= sim.now()), "an event outran the clock");
             last = sim.now();
         }
+        prop_assert_eq!(out.len(), delays.len());
         prop_assert_eq!(sim.processed(), delays.len() as u64);
+        prop_assert_eq!(sim.next_due(), None);
     }
 
     /// Identically seeded RNGs produce identical streams; substreams are
@@ -101,57 +104,23 @@ proptest! {
         prop_assert_eq!(s1.next_u64(), s2.next_u64());
     }
 
-    /// The timing-wheel queue dispatches in byte-identical order to the
-    /// reference binary heap under arbitrary interleaved schedules and
-    /// pops, including same-tick FIFO ties and far-future events that
-    /// cascade between wheel levels or overflow the wheel horizon.
-    #[test]
-    fn wheel_matches_heap_dispatch_order(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Schedule(due) => {
-                    let t = SimTime::from_millis(due);
-                    wheel.schedule_at(t, i);
-                    heap.schedule_at(t, i);
-                }
-                Op::Pop => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                    prop_assert_eq!(wheel.pop(), heap.pop());
-                }
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-        }
-        // Drain both; every remaining event must match exactly.
-        loop {
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
-            if w.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Same-tick bursts pop FIFO from the wheel even when the burst was
-    /// scheduled across a cascade boundary.
+    /// Same-tick bursts drain FIFO from the wheel even when the burst is
+    /// split across a cascade: half of it is filed high in the wheel and
+    /// cascaded by a window that ends just short of it, the other half
+    /// is scheduled after that cascade.
     #[test]
     fn wheel_fifo_survives_cascades(tie_due in (1u64 << 16)..(1 << 24), n in 2usize..20) {
         let mut q = EventQueue::new();
         let t = SimTime::from_millis(tie_due);
-        // Half the burst before a near event forces a cascade, half after.
         for i in 0..n / 2 {
             q.schedule_at(t, i);
         }
         q.schedule_at(SimTime::from_millis(1), usize::MAX);
-        prop_assert_eq!(q.pop().map(|(_, e)| e), Some(usize::MAX));
+        prop_assert_eq!(window(&mut q, tie_due - 1), vec![(SimTime::from_millis(1), usize::MAX)]);
         for i in n / 2..n {
             q.schedule_at(t, i);
         }
-        for want in 0..n {
-            prop_assert_eq!(q.pop(), Some((t, want)));
-        }
+        prop_assert_eq!(window(&mut q, tie_due), (0..n).map(|i| (t, i)).collect::<Vec<_>>());
         prop_assert!(q.is_empty());
     }
 
@@ -164,81 +133,55 @@ proptest! {
         prop_assert_eq!((t + d) - d, t);
     }
 
-    /// Epoch draining is exactly a pop loop: for any schedule spanning
-    /// every wheel regime (level-0 ties, cascades, past-2^32 overflow)
-    /// and any drain boundary, `drain_until` yields precisely the
-    /// events a peek/pop loop bounded by the same instant yields, in
-    /// the same `(due, seq)` order — so an epoch can never cross (or
-    /// reorder against) an event due after its window. The remainders
-    /// must then dispatch identically too.
-    #[test]
-    fn drain_until_is_exactly_a_bounded_pop_loop(
-        dues in proptest::collection::vec(due_strategy(), 1..200),
-        until in due_strategy(),
-    ) {
-        let mut drained_q = EventQueue::new();
-        let mut popped_q = EventQueue::new();
-        for (i, &due) in dues.iter().enumerate() {
-            drained_q.schedule_at(SimTime::from_millis(due), i);
-            popped_q.schedule_at(SimTime::from_millis(due), i);
-        }
-        let until = SimTime::from_millis(until);
-        let mut drained = Vec::new();
-        let n = drained_q.drain_until(until, &mut drained);
-        prop_assert_eq!(n, drained.len());
-        let mut popped = Vec::new();
-        while popped_q.peek_time().is_some_and(|due| due <= until) {
-            popped.push(popped_q.pop().expect("peeked event exists"));
-        }
-        prop_assert_eq!(&drained, &popped);
-        prop_assert!(drained.iter().all(|&(due, _)| due <= until), "an epoch crossed its window");
-        // Later-due events are untouched and still dispatch identically.
-        prop_assert_eq!(drained_q.len(), popped_q.len());
-        loop {
-            let (d, p) = (drained_q.pop(), popped_q.pop());
-            prop_assert_eq!(d, p);
-            if d.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Both backends agree on every drained window, including windows
-    /// that interleave with fresh scheduling (an epoch's follow-up
-    /// wakes landing past the window) and windows cut exactly at the
-    /// 2^32 ms wheel horizon where the overflow heap refills the wheel.
+    /// The proof of order: the wheel and the reference heap drain
+    /// identical windows, window by window, under interleaved
+    /// scheduling — same-tick FIFO ties, cascades between levels, and
+    /// windows cut anywhere across the 2^32 ms horizon, where the
+    /// overflow heap refills the wheel. Each round schedules at or after
+    /// the last window's bound (an epoch's follow-up wakes), as the
+    /// simulator requires, and then drains a window; both queues must
+    /// agree on the next due before every window, and on everything left
+    /// at the end.
     #[test]
     fn wheel_and_heap_drain_identical_windows(
         rounds in proptest::collection::vec(
             (proptest::collection::vec(due_strategy(), 0..40), due_strategy()),
-            1..8,
+            1..12,
         ),
     ) {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
-        let mut cursor = 0u64; // schedules must stay >= the drain high-water
+        let mut bound = 0u64;
         let mut seq = 0usize;
+        let mut from_wheel = Vec::new();
+        let mut from_heap = Vec::new();
         for (dues, until) in rounds {
             for due in dues {
-                let due = SimTime::from_millis(cursor.saturating_add(due));
+                let due = SimTime::from_millis(bound + due);
                 wheel.schedule_at(due, seq);
                 heap.schedule_at(due, seq);
                 seq += 1;
             }
-            let until = SimTime::from_millis(cursor.saturating_add(until));
-            let mut from_wheel = Vec::new();
-            let mut from_heap = Vec::new();
-            wheel.drain_until(until, &mut from_wheel);
-            heap.drain_until(until, &mut from_heap);
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            bound += until;
+            let until = SimTime::from_millis(bound);
+            let n = wheel.drain_until(until, &mut from_wheel);
+            prop_assert_eq!(n, heap.drain_until(until, &mut from_heap));
             prop_assert_eq!(&from_wheel, &from_heap);
+            prop_assert!(from_wheel.iter().all(|&(due, _)| due <= until), "a window crossed its bound");
             prop_assert_eq!(wheel.len(), heap.len());
-            cursor = until.as_millis();
         }
+        let rest = SimTime::from_millis(u64::MAX);
+        wheel.drain_until(rest, &mut from_wheel);
+        heap.drain_until(rest, &mut from_heap);
+        prop_assert_eq!(from_wheel.len(), seq);
+        prop_assert_eq!(&from_wheel, &from_heap);
+        prop_assert!(wheel.is_empty() && heap.is_empty());
     }
 
     /// Duplicate same-instant entries (the wake-dedup workload) all
     /// drain, FIFO within the tie — the consumer's dedup then collapses
-    /// them exactly as the strict sweep's batch dedup does.
+    /// them as handling one event at a time would.
     #[test]
     fn duplicate_instants_drain_complete_and_fifo(
         due in due_strategy(),
@@ -249,8 +192,7 @@ proptest! {
         for i in 0..dupes {
             q.schedule_at(t, i);
         }
-        let mut out = Vec::new();
-        q.drain_until(t, &mut out);
+        let out = window(&mut q, due);
         prop_assert_eq!(out.len(), dupes, "a duplicate wake was lost");
         for (i, &(at, e)) in out.iter().enumerate() {
             prop_assert_eq!(at, t);

@@ -16,7 +16,8 @@ use coreda_core::metro::{
     resume_scale_durable, run, run_scale, run_scale_durable, MetroConfig, RunSpec, ScaleReport,
 };
 use coreda_core::planning::{LearnerKind, StateEncoder};
-use coreda_core::system::PhaseState;
+use coreda_core::system::Phase;
+use coreda_core::telemetry::{RecorderState, TraceKind, TraceRecord};
 use coreda_core::wal::{decode_wal, decode_wal_tolerant, encode_wal};
 use coreda_des::time::{SimDuration, SimTime};
 use coreda_rl::space::{ActionId, StateId};
@@ -279,9 +280,9 @@ fn an_episode_step_past_the_routine_is_refused() {
     // to resume at once.
     let (later, long_ago) = (SimTime::from_secs(3600), SimTime::ZERO);
     for phase in [
-        PhaseState::Performing { idx: 999, until: later },
-        PhaseState::Misusing { tool: ToolId::new(1), since: long_ago, resume_idx: 999 },
-        PhaseState::Frozen { since: long_ago, resume_idx: 999 },
+        Phase::Performing { idx: 999, until: later },
+        Phase::Misusing { tool: ToolId::new(1), since: long_ago, resume_idx: 999 },
+        Phase::Frozen { since: long_ago, resume_idx: 999 },
     ] {
         let mut steps = 0;
         let err = shape_of(|s| {
@@ -320,6 +321,76 @@ fn an_eligibility_trace_outside_the_table_is_refused() {
         });
         assert_eq!(err, want, "{trace:?}");
     }
+}
+
+/// A traced snapshot at 300 s with home 0's flight-recorder state
+/// crafted, after a trip through the codec, resumed with tracing on: the
+/// resume must refuse it before any home is restored, not panic or abort
+/// in the recorder's restore.
+fn recorder_shape_of(craft: impl FnOnce(&mut RecorderState)) -> CheckpointError {
+    static SNAP: OnceLock<MetroCheckpoint> = OnceLock::new();
+    let trace = RunSpec { trace: true, ..RunSpec::default() };
+    let mut snap = SNAP
+        .get_or_init(|| {
+            let stops = [SimTime::from_secs(300)];
+            run(&cfg(1), &RunSpec { stops: &stops, ..trace }).unwrap().checkpoints.remove(0)
+        })
+        .clone();
+    craft(snap.homes[0].rec.as_mut().expect("a traced run captures every recorder"));
+    let back = load_checkpoint(&save_checkpoint(&snap, 2), 2).expect("CRC-valid snapshots decode");
+    run(&cfg(1), &RunSpec { resume: Some(&back), ..trace })
+        .map(|_| ())
+        .expect_err("a mis-shaped recorder must not resume")
+}
+
+fn some_record() -> TraceRecord {
+    TraceRecord { at: SimTime::ZERO, kind: TraceKind::EpisodeStarted { episode: 0 } }
+}
+
+#[test]
+fn a_recorder_with_more_counters_than_the_registry_is_refused() {
+    let err = recorder_shape_of(|rec| rec.counters.resize(30, 0));
+    assert_eq!(err, mismatch(30, 29));
+}
+
+#[test]
+fn a_recorder_missing_a_stage_is_refused() {
+    assert_eq!(recorder_shape_of(|rec| rec.stages.truncate(2)), mismatch(2, 3));
+}
+
+#[test]
+fn a_recorder_stage_one_bin_short_is_refused() {
+    let err = recorder_shape_of(|rec| {
+        rec.stages[1].0.pop();
+    });
+    assert_eq!(err, mismatch(299, 300));
+}
+
+#[test]
+fn a_recorder_ring_without_capacity_is_refused() {
+    assert_eq!(recorder_shape_of(|rec| rec.ring_cap = 0), mismatch(0, 256));
+}
+
+#[test]
+fn a_recorder_ring_smaller_than_its_records_is_refused() {
+    let err = recorder_shape_of(|rec| {
+        rec.ring = vec![some_record(); 2];
+        rec.ring_cap = 1;
+    });
+    assert_eq!(err, mismatch(1, 256));
+}
+
+#[test]
+fn a_recorder_ring_holding_more_than_its_capacity_is_refused() {
+    assert_eq!(recorder_shape_of(|rec| rec.ring = vec![some_record(); 257]), mismatch(257, 256));
+}
+
+/// A ring capacity is a `u32` read from the file; the restore used to
+/// allocate that many records up front.
+#[test]
+fn a_recorder_ring_capacity_from_the_file_is_never_allocated() {
+    let err = recorder_shape_of(|rec| rec.ring_cap = u32::MAX as usize);
+    assert_eq!(err, mismatch(u32::MAX as usize, 256));
 }
 
 fn blob() -> &'static [u8] {
