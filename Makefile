@@ -38,7 +38,8 @@ bench-scale:
 # trace-summary golden, the paper's study goldens (tests/paper_goldens.rs:
 # every repro_* binary's output at the argument lists EXPERIMENTS.md
 # documents, byte-compared with tests/golden/repro_*.txt, and every quote
-# of them in EXPERIMENTS.md held to its file), doc and clippy lints, a
+# of them in EXPERIMENTS.md held to its file), doc (any rustdoc warning
+# fails) and clippy lints, a
 # fixed-seed
 # simulation-testing fuzz budget (plus a second budget with
 # checkpoint-kill-resume faults injected into every plan — each kill
@@ -80,7 +81,12 @@ bench-scale:
 # home's footprint under its own live/peak-tracking allocator: the
 # marginal peak heap per home between fixed-seed 1k- and 3k-home fleets
 # at most 3 650 B, and ServeCtx::session at most 4.2 allocator calls
-# per home. The
+# per home; tests/snapshot_bytes.rs holds a fleet snapshot's heap the
+# same way: the marginal live heap per home of a snapshot run captures
+# at most 2 780 B and of one load_checkpoint decodes at most 2 760 B
+# (a home still on its planner template shares the template's learned
+# table), and save_checkpoint's peak heap at most twice the bytes it
+# returns. The
 # sensing hot path's noise bound gates through a release run of the
 # sensornet proptests at 2048 cases, whose node differential (skip path
 # ≡ eager sampling, down to checkpointed window peaks) needs that many
@@ -93,7 +99,7 @@ ci:
 	cargo test -q --workspace
 	PROPTEST_CASES=2048 cargo test -q --release -p coreda-sensornet --test proptests
 	PROPTEST_CASES=4096 cargo test -q --release --test checkpoint_equivalence hostile_delta_bodies
-	cargo doc --workspace --no-deps
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 	cargo clippy --workspace --all-targets -- -D warnings
 	cargo run --release -p coreda-cli -- fuzz --seconds 30 --seed 2007
 	cargo run --release -p coreda-cli -- fuzz --seconds 15 --seed 2008 --kill-resume true

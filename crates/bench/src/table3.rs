@@ -103,36 +103,6 @@ pub fn render(rows: &[ExtractRow]) -> String {
 mod tests {
     use super::*;
 
-    /// The reproduction criterion: every step lands in the paper's
-    /// 75–100 % band, and the two short steps are the weakest of their
-    /// ADLs (the paper's qualitative finding: "the precisions of Dry with
-    /// a towel and Pour hot water into kettle are relatively low. It is
-    /// because the duration of these two steps are relatively shorter").
-    #[test]
-    fn shape_matches_paper() {
-        let rows = run(FleetEngine::default(), 120, 2007);
-        for r in &rows {
-            let p = r.precision.precision();
-            assert!(
-                (0.70..=1.0).contains(&p),
-                "{}/{} precision {p:.2} out of band",
-                r.adl,
-                r.step
-            );
-        }
-        let prec = |name: &str| {
-            rows.iter().find(|r| r.step == name).unwrap().precision.precision()
-        };
-        // Short steps weakest in their ADLs.
-        assert!(prec("Dry with a towel") < prec("Brush the teeth"));
-        assert!(prec("Dry with a towel") < prec("Gargle with water"));
-        assert!(prec("Pour hot water into kettle") < prec("Put tea-leaf into kettle"));
-        assert!(prec("Pour hot water into kettle") < prec("Pour tea into tea cup"));
-        // Long steady steps are essentially perfect.
-        assert!(prec("Brush the teeth") > 0.97);
-        assert!(prec("Put tea-leaf into kettle") > 0.97);
-    }
-
     #[test]
     fn row_count_matches_table() {
         let rows = run(FleetEngine::default(), 5, 1);

@@ -37,8 +37,9 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use coreda_adl::intern::NameId;
 use coreda_adl::step::StepId;
 use coreda_adl::tool::ToolId;
@@ -170,6 +171,15 @@ pub enum CheckpointError {
         /// The corresponding bound in the base snapshot or fleet.
         bound: u32,
     },
+    /// A snapshot's in-flight episode misuses a tool that is not one of
+    /// its activity's (every run draws a wrong tool from the activity's
+    /// own, and the wrong-tool reminder lights that tool's LED).
+    ForeignTool {
+        /// The misused tool.
+        tool: ToolId,
+        /// The episode's activity index.
+        activity: u32,
+    },
     /// The event log regenerated during resume replay disagrees with the
     /// stored write-ahead log: the run that wrote the log cannot be the
     /// run being resumed.
@@ -210,6 +220,9 @@ impl fmt::Display for CheckpointError {
             CheckpointError::ShapeMismatch { index, bound } => {
                 write!(f, "shape mismatch: index {index} does not fit bound {bound}")
             }
+            CheckpointError::ForeignTool { tool, activity } => {
+                write!(f, "misused {tool} is not one of activity {activity}'s tools")
+            }
             CheckpointError::WalDivergence { at, home } => write!(
                 f,
                 "write-ahead log diverges from the resumed run at {}ms (home {home})",
@@ -247,18 +260,44 @@ pub fn config_digest(cfg: &MetroConfig) -> u64 {
     h
 }
 
-/// Serialises a fleet snapshot. Per-home blobs are encoded in parallel
-/// across `jobs` workers; the output is identical at any worker count.
+/// Serialises a fleet snapshot. Each of up to `jobs` workers encodes a
+/// contiguous chunk of homes into one buffer. Chunk 0's buffer starts
+/// with the manifest header and the other chunks are appended to it, so
+/// with one worker every home is encoded straight into the manifest. The
+/// output is identical at any worker count.
 #[must_use]
 pub fn save_checkpoint(ckpt: &MetroCheckpoint, jobs: usize) -> Bytes {
-    let blobs = FleetEngine::new(jobs).map(ckpt.homes.iter().collect(), encode_home);
     let words = [ckpt.digest, ckpt.at.as_millis(), ckpt.des_events];
-    save_manifest(MAGIC, &words, blobs.iter().map(Vec::as_slice))
+    let header = manifest_header(MAGIC, &words, ckpt.homes.len());
+    let starts = std::iter::once(header).chain(std::iter::repeat_with(Vec::new));
+    let work = starts.zip(chunks(&ckpt.homes, jobs)).collect();
+    let mut parts = FleetEngine::new(jobs).map(work, |(mut buf, part)| {
+        for home in part {
+            put_entry(&mut buf, |buf| encode_home(buf, home));
+        }
+        buf
+    });
+    // `chunks` returns one chunk at least, so there is a chunk 0.
+    let mut buf = std::mem::take(&mut parts[0]);
+    buf.reserve_exact(parts.iter().map(Vec::len).sum::<usize>() + 2);
+    for part in &parts[1..] {
+        buf.put_slice(part);
+    }
+    seal_manifest(buf)
+}
+
+/// `items` split into at most `jobs` contiguous chunks, in order: one
+/// empty chunk when there are no items.
+fn chunks<T>(items: &[T], jobs: usize) -> Vec<&[T]> {
+    let size = items.len().div_ceil(jobs.max(1)).max(1);
+    let n = items.len().div_ceil(size).max(1);
+    (0..n).map(|c| &items[c * size..((c + 1) * size).min(items.len())]).collect()
 }
 
 /// Restores a fleet snapshot from a manifest produced by
-/// [`save_checkpoint`]. Per-home blobs are decoded in parallel across
-/// `jobs` workers.
+/// [`save_checkpoint`]. Contiguous chunks of homes are decoded in
+/// parallel across `jobs` workers; within a chunk, consecutive homes
+/// with equal learned tables share one.
 ///
 /// # Errors
 ///
@@ -269,39 +308,51 @@ pub fn save_checkpoint(ckpt: &MetroCheckpoint, jobs: usize) -> Bytes {
 /// resume APIs do) before resuming.
 pub fn load_checkpoint(blob: &[u8], jobs: usize) -> Result<MetroCheckpoint, CheckpointError> {
     let ([digest, at, des_events], slices) = load_manifest::<3>(blob, MAGIC)?;
-    let homes = FleetEngine::new(jobs)
-        .map(slices, decode_home)
-        .into_iter()
-        .collect::<Result<Vec<HomeCheckpoint>, CheckpointError>>()?;
+    let parts = FleetEngine::new(jobs).map(chunks(&slices, jobs), |part| {
+        let mut tables = SharedTables::default();
+        part.iter().map(|&home| decode_home(home, &mut tables)).collect::<Result<Vec<_>, _>>()
+    });
+    let mut homes = Vec::with_capacity(slices.len());
+    for part in parts {
+        homes.append(&mut part?);
+    }
     Ok(MetroCheckpoint { at: SimTime::from_millis(at), digest, des_events, homes })
 }
 
-/// Frames a manifest, the layout snapshots ([`MAGIC`]) and deltas
-/// ([`DELTA_MAGIC`]) share: magic, [`VERSION`], big-endian header words,
-/// the home count, each home's blob behind its u32 length, and a CRC-16
-/// trailer over everything before it.
-fn save_manifest<'a>(
-    magic: &[u8; 4],
-    words: &[u64],
-    homes: impl ExactSizeIterator<Item = &'a [u8]>,
-) -> Bytes {
-    let mut buf = BytesMut::new();
+/// Starts a manifest, the layout snapshots ([`MAGIC`]) and deltas
+/// ([`DELTA_MAGIC`]) share: magic, [`VERSION`], big-endian header words
+/// and the home count. Each home's blob follows behind its u32 length
+/// ([`put_entry`]), then [`seal_manifest`]'s CRC-16 trailer.
+fn manifest_header(magic: &[u8; 4], words: &[u64], homes: usize) -> Vec<u8> {
+    let mut buf = Vec::new();
     buf.put_slice(magic);
     buf.put_u8(VERSION);
     for &w in words {
         buf.put_u64(w);
     }
-    buf.put_u32(u32::try_from(homes.len()).expect("fleets fit in u32"));
-    for blob in homes {
-        buf.put_u32(u32::try_from(blob.len()).expect("home blobs fit in u32"));
-        buf.put_slice(blob);
-    }
-    let crc = crc16(&buf);
-    buf.put_u16(crc);
-    buf.freeze()
+    buf.put_u32(u32::try_from(homes).expect("fleets fit in u32"));
+    buf
 }
 
-/// Unframes a [`save_manifest`] blob: verifies the CRC before parsing
+/// Ends a manifest with a CRC-16 trailer over everything before it. The
+/// returned bytes take the buffer without a copy.
+fn seal_manifest(mut buf: Vec<u8>) -> Bytes {
+    let crc = crc16(&buf);
+    buf.put_u16(crc);
+    Bytes::from(buf)
+}
+
+/// Writes one home's manifest entry: what `encode` writes, behind its
+/// u32 length.
+fn put_entry(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.put_u32(0);
+    encode(buf);
+    let len = u32::try_from(buf.len() - at - 4).expect("home blobs fit in u32");
+    buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Unframes a [`manifest_header`] blob: verifies the CRC before parsing
 /// anything, then the magic and version, and returns the `N` header
 /// words and every home's blob. The home count is untrusted, so it
 /// reserves no more slots than the bytes left hold 4-byte length
@@ -417,23 +468,21 @@ fn put_var_i64(buf: &mut Vec<u8>, v: i64) {
     put_var(buf, (v.wrapping_shl(1) ^ (v >> 63)) as u64);
 }
 
-fn encode_home(h: &HomeCheckpoint) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_len(&mut buf, h.systems.len());
+fn encode_home(buf: &mut Vec<u8>, h: &HomeCheckpoint) {
+    put_len(buf, h.systems.len());
     for sys in &h.systems {
-        encode_system(&mut buf, sys);
+        encode_system(buf, sys);
     }
-    encode_tracker_slot(&mut buf, h.tracker.as_ref());
-    put_rng(&mut buf, h.root);
-    put_rng(&mut buf, h.sched);
-    encode_episode_slot(&mut buf, h.episode.as_ref());
+    encode_tracker_slot(buf, h.tracker.as_ref());
+    put_rng(buf, h.root);
+    put_rng(buf, h.sched);
+    encode_episode_slot(buf, h.episode.as_ref());
     buf.put_u64(h.ep_index);
-    put_time(&mut buf, h.next_start);
-    put_opt_time(&mut buf, h.last_handled);
-    encode_stats(&mut buf, &h.stats);
-    encode_pending(&mut buf, &h.pending);
-    encode_rec_slot(&mut buf, h.rec.as_ref());
-    buf
+    put_time(buf, h.next_start);
+    put_opt_time(buf, h.last_handled);
+    encode_stats(buf, &h.stats);
+    encode_pending(buf, &h.pending);
+    encode_rec_slot(buf, h.rec.as_ref());
 }
 
 fn encode_tracker_slot(buf: &mut Vec<u8>, tracker: Option<&ActiveSessionState>) {
@@ -523,7 +572,7 @@ fn encode_rec_slot(buf: &mut Vec<u8>, rec: Option<&RecorderState>) {
 }
 
 fn encode_system(buf: &mut Vec<u8>, s: &SystemState) {
-    encode_learned(buf, s.learned.as_ref());
+    encode_learned(buf, s.learned.as_deref());
     encode_system_rest(buf, s);
 }
 
@@ -917,12 +966,18 @@ impl Reader<'_> {
     }
 }
 
-fn decode_home(blob: &[u8]) -> Result<HomeCheckpoint, CheckpointError> {
+fn decode_home<'a>(
+    blob: &'a [u8],
+    tables: &mut SharedTables<'a>,
+) -> Result<HomeCheckpoint, CheckpointError> {
     let mut r = Reader { buf: blob };
     let n_systems = r.len()?;
     let mut systems = Vec::with_capacity(n_systems.min(64));
-    for _ in 0..n_systems {
-        systems.push(decode_system(&mut r)?);
+    for at in 0..n_systems {
+        let learned = tables.decode(at, &mut r)?;
+        let mut system = decode_system_rest(&mut r)?;
+        system.learned = learned;
+        systems.push(system);
     }
     let tracker = decode_tracker_slot(&mut r)?;
     let root = r.rng()?;
@@ -1020,11 +1075,42 @@ fn decode_rec_slot(r: &mut Reader<'_>) -> Result<Option<RecorderState>, Checkpoi
     }
 }
 
-fn decode_system(r: &mut Reader<'_>) -> Result<SystemState, CheckpointError> {
-    let learned = decode_learned(r)?;
-    let mut system = decode_system_rest(r)?;
-    system.learned = learned;
-    Ok(system)
+/// The learned table a snapshot decode built last at each position in a
+/// home's systems (one position per activity), with the bytes it was
+/// decoded from. A home whose table at that position starts with the
+/// same bytes shares that table instead of decoding a copy: decoding
+/// reads nothing past the bytes it consumes, so equal bytes decode to the
+/// same table, bit for bit. A fleet that does not learn decodes to one
+/// table per activity per worker chunk.
+#[derive(Default)]
+struct SharedTables<'a> {
+    last: Vec<Option<(&'a [u8], Arc<LearnedState>)>>,
+}
+
+impl<'a> SharedTables<'a> {
+    /// Decodes the learned table of a home's system `at` from `r`,
+    /// sharing the last table decoded there when its bytes come next.
+    fn decode(
+        &mut self,
+        at: usize,
+        r: &mut Reader<'a>,
+    ) -> Result<Option<Arc<LearnedState>>, CheckpointError> {
+        if self.last.len() <= at {
+            self.last.resize(at + 1, None);
+        }
+        if let Some((bytes, table)) = &self.last[at] {
+            if let Some(rest) = r.buf.strip_prefix(*bytes) {
+                r.buf = rest;
+                return Ok(Some(Arc::clone(table)));
+            }
+        }
+        let start = r.buf;
+        let table = decode_learned(r)?.map(Arc::new);
+        if let Some(table) = &table {
+            self.last[at] = Some((&start[..start.len() - r.buf.len()], Arc::clone(table)));
+        }
+        Ok(table)
+    }
 }
 
 fn decode_learned(r: &mut Reader<'_>) -> Result<Option<LearnedState>, CheckpointError> {
@@ -1424,7 +1510,8 @@ pub fn delta_checkpoint(base: &MetroCheckpoint, cur: &MetroCheckpoint) -> DeltaC
 }
 
 /// Reconstructs the full snapshot a delta describes by applying it to
-/// its base.
+/// a clone of its base (which shares the base's learned tables until a
+/// delta writes one).
 ///
 /// # Errors
 ///
@@ -1439,51 +1526,56 @@ pub fn apply_delta(
     base: &MetroCheckpoint,
     delta: &DeltaCheckpoint,
 ) -> Result<MetroCheckpoint, CheckpointError> {
-    if delta.digest != base.digest {
-        return Err(CheckpointError::ConfigMismatch {
-            expected: delta.digest,
-            actual: base.digest,
-        });
-    }
-    let actual = checkpoint_fingerprint(base);
-    if delta.base_fingerprint != actual {
-        return Err(CheckpointError::BaseMismatch { expected: delta.base_fingerprint, actual });
-    }
-    fits(delta.homes.len(), base.homes.len())?;
-    let homes = base
-        .homes
-        .iter()
-        .zip(&delta.homes)
-        .map(|(b, d)| {
-            let mut out = b.clone();
-            if let Some(body) = d {
-                // Past the dirty tag `load_delta` already checked.
-                let mut r = Reader { buf: &body[1..] };
-                read_home_delta(&mut r, &mut out)?;
-                r.finish()?;
-            }
-            Ok(out)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MetroCheckpoint { at: delta.at, digest: delta.digest, des_events: delta.des_events, homes })
+    let mut out = base.clone();
+    read_delta(&mut out, delta)?;
+    Ok(out)
 }
 
 /// Folds a chain of deltas into their base, producing the fresh full
-/// snapshot a compaction would write. Each delta must have been diffed
-/// against the result of applying all earlier ones.
+/// snapshot a compaction would write: one clone of the base, then each
+/// delta applied in place. Each delta must have been diffed against the
+/// result of applying all earlier ones.
 ///
 /// # Errors
 ///
-/// Propagates the first [`apply_delta`] failure.
+/// The first delta's failure, as in [`apply_delta`].
 pub fn compact(
     base: &MetroCheckpoint,
     deltas: &[DeltaCheckpoint],
 ) -> Result<MetroCheckpoint, CheckpointError> {
     let mut cur = base.clone();
     for d in deltas {
-        cur = apply_delta(&cur, d)?;
+        read_delta(&mut cur, d)?;
     }
     Ok(cur)
+}
+
+/// The delta read walk: checks that `delta` was diffed against `snap`,
+/// then reads each dirty home's body onto it in place. On an error
+/// `snap` may be part-way applied; callers drop it.
+fn read_delta(snap: &mut MetroCheckpoint, delta: &DeltaCheckpoint) -> Result<(), CheckpointError> {
+    if delta.digest != snap.digest {
+        return Err(CheckpointError::ConfigMismatch {
+            expected: delta.digest,
+            actual: snap.digest,
+        });
+    }
+    let actual = checkpoint_fingerprint(snap);
+    if delta.base_fingerprint != actual {
+        return Err(CheckpointError::BaseMismatch { expected: delta.base_fingerprint, actual });
+    }
+    fits(delta.homes.len(), snap.homes.len())?;
+    for (home, body) in snap.homes.iter_mut().zip(&delta.homes) {
+        if let Some(body) = body {
+            // Past the dirty tag `load_delta` already checked.
+            let mut r = Reader { buf: &body[1..] };
+            read_home_delta(&mut r, home)?;
+            r.finish()?;
+        }
+    }
+    snap.at = delta.at;
+    snap.des_events = delta.des_events;
+    Ok(())
 }
 
 pub(crate) fn shape_mismatch(index: usize, bound: usize) -> CheckpointError {
@@ -1512,7 +1604,13 @@ pub(crate) fn fits(len: usize, bound: usize) -> Result<(), CheckpointError> {
 #[must_use]
 pub fn save_delta(delta: &DeltaCheckpoint, _jobs: usize) -> Bytes {
     let words = [delta.digest, delta.base_fingerprint, delta.at.as_millis(), delta.des_events];
-    save_manifest(DELTA_MAGIC, &words, delta.homes.iter().map(|h| h.as_deref().unwrap_or(CLEAN)))
+    let bodies = || delta.homes.iter().map(|h| h.as_deref().unwrap_or(CLEAN));
+    let mut buf = manifest_header(DELTA_MAGIC, &words, delta.homes.len());
+    buf.reserve_exact(bodies().map(|body| 4 + body.len()).sum::<usize>() + 2);
+    for body in bodies() {
+        put_entry(&mut buf, |buf| buf.put_slice(body));
+    }
+    seal_manifest(buf)
 }
 
 /// Restores a delta manifest produced by [`save_delta`]. `_jobs` is
@@ -1643,8 +1741,15 @@ fn put_moved<T: PartialEq>(
     }
 }
 
-fn write_learned_delta(buf: &mut Vec<u8>, base: Option<&LearnedState>, cur: Option<&LearnedState>) {
+/// A system's learned-state tag and what it needs: a table shared with
+/// the base (one `Arc`) is [`SAME`] without comparing a cell.
+fn write_learned_delta(
+    buf: &mut Vec<u8>,
+    base: Option<&Arc<LearnedState>>,
+    cur: Option<&Arc<LearnedState>>,
+) {
     match (base, cur) {
+        (Some(b), Some(c)) if Arc::ptr_eq(b, c) => buf.put_u8(SAME),
         (b, c) if b == c => buf.put_u8(SAME),
         (Some(b), Some(c))
             if b.values.len() == c.values.len() && b.visits.len() == c.visits.len() =>
@@ -1659,7 +1764,7 @@ fn write_learned_delta(buf: &mut Vec<u8>, base: Option<&LearnedState>, cur: Opti
         }
         (_, c) => {
             buf.put_u8(REPLACE);
-            encode_learned(buf, c);
+            encode_learned(buf, c.map(|c| &**c));
         }
     }
 }
@@ -1871,7 +1976,9 @@ fn read_system_delta(r: &mut Reader<'_>, out: &mut SystemState) -> Result<(), Ch
     match r.u8()? {
         SAME => {}
         UPDATE => {
-            let l = out.learned.as_mut().ok_or_else(|| shape_mismatch(0, 0))?;
+            // Copy-on-write: a table the base shares with other homes
+            // (or other snapshots) splits off here, and only here.
+            let l = Arc::make_mut(out.learned.as_mut().ok_or_else(|| shape_mismatch(0, 0))?);
             let n = r.len()?;
             read_updates(r, &mut l.values, n, Reader::len, Reader::f64)?;
             let n = r.len()?;
@@ -1880,7 +1987,7 @@ fn read_system_delta(r: &mut Reader<'_>, out: &mut SystemState) -> Result<(), Ch
             l.updates = r.u64()?;
             l.episodes_trained = r.u64()?;
         }
-        REPLACE => out.learned = decode_learned(r)?,
+        REPLACE => out.learned = decode_learned(r)?.map(Arc::new),
         t => return Err(CheckpointError::CorruptTag(t)),
     }
     read_rest_delta(r, out)
@@ -2067,13 +2174,13 @@ mod tests {
             clock_skew_ms: -250,
         };
         let system = SystemState {
-            learned: Some(LearnedState {
+            learned: Some(Arc::new(LearnedState {
                 values: vec![0.5, -1.25, 3.0],
                 visits: vec![1, 0, 9],
                 traces: vec![(StateId::new(2), ActionId::new(1), 0.125)],
                 updates: 42,
                 episodes_trained: 150,
-            }),
+            })),
             sensing_current: Some(StepId::from_raw(3)),
             sensing_last_report: Some(SimTime::from_secs(12)),
             sensing_history: vec![StepEvent { at: SimTime::from_secs(1), step: StepId::IDLE }],
@@ -2280,7 +2387,7 @@ mod tests {
         cur.at = SimTime::from_secs(75);
         cur.des_events = 234_567;
         let busy = &mut cur.homes[0];
-        let learned = busy.systems[0].learned.as_mut().unwrap();
+        let learned = Arc::make_mut(busy.systems[0].learned.as_mut().unwrap());
         learned.values[1] = -0.75;
         learned.visits[2] = 10;
         learned.updates = 43;
@@ -2339,7 +2446,7 @@ mod tests {
     fn learned_shape_changes_fall_back_to_full_replacement() {
         let base = sample();
         let mut cur = evolved();
-        cur.homes[0].systems[0].learned.as_mut().unwrap().values.push(9.0);
+        Arc::make_mut(cur.homes[0].systems[0].learned.as_mut().unwrap()).values.push(9.0);
         let delta = delta_checkpoint(&base, &cur);
         let body = delta.homes[0].as_deref().expect("home 0 moved");
         assert_eq!(body[LEARNED_AT..LEARNED_AT + 2], [REPLACE, 1], "a present table, whole");
@@ -2378,13 +2485,13 @@ mod tests {
         // Diffing two larger-table copies yields a cell past the real
         // base's table; the fingerprint ignores table size.
         let grown = |mut s: MetroCheckpoint| {
-            let learned = s.homes[0].systems[0].learned.as_mut().unwrap();
+            let learned = Arc::make_mut(s.homes[0].systems[0].learned.as_mut().unwrap());
             learned.values.resize(1000, 0.0);
             learned.visits.resize(1000, 0);
             s
         };
         let mut cur = grown(evolved());
-        cur.homes[0].systems[0].learned.as_mut().unwrap().values[999] = 1.0;
+        Arc::make_mut(cur.homes[0].systems[0].learned.as_mut().unwrap()).values[999] = 1.0;
         let delta = delta_checkpoint(&grown(sample()), &cur);
         let err = apply_delta(&sample(), &delta).unwrap_err();
         assert_eq!(err, CheckpointError::ShapeMismatch { index: 999, bound: 3 });
@@ -2443,7 +2550,8 @@ mod tests {
         let mut cur = evolved();
         let busy = &mut cur.homes[0];
         let sys = &mut busy.systems[0];
-        sys.learned.as_mut().unwrap().traces.push((StateId::new(0), ActionId::new(2), -0.5));
+        let learned = Arc::make_mut(sys.learned.as_mut().unwrap());
+        learned.traces.push((StateId::new(0), ActionId::new(2), -0.5));
         sys.sensing_current = None;
         sys.sensing_last_report = Some(SimTime::from_secs(70));
         sys.sensing_history[0].step = StepId::from_raw(2);
@@ -2482,13 +2590,13 @@ mod tests {
         busy.last_handled = None;
         busy.rec = None;
         let idle = &mut cur.homes[1];
-        idle.systems[0].learned = Some(LearnedState {
+        idle.systems[0].learned = Some(Arc::new(LearnedState {
             values: vec![1.0],
             visits: vec![2],
             traces: Vec::new(),
             updates: 3,
             episodes_trained: 4,
-        });
+        }));
         idle.stats.pipeline_ticks = 17;
         idle.rec = Some(RecorderState {
             counters: vec![1, 2],

@@ -67,7 +67,7 @@ use crate::checkpoint::{
 use crate::escalation::{CareEvent, CareEventKind, CareMonitor, CareOutput, CarePolicy, FleetAnalytics};
 use crate::fleet::{default_jobs, derive_seed, FleetEngine};
 use crate::live::{EpisodeLog, FaultyBehavior, LogKind, StochasticBehavior};
-use crate::planning::{LearnedState, PlanningSubsystem};
+use crate::planning::{LearnedState, PlannerTemplate, PlanningSubsystem};
 use crate::reminding::{Prompt, ReminderMethod, RemindingSubsystem, Trigger};
 use crate::sensing::SensingSubsystem;
 use crate::sessions::{SessionEvent, SessionTracker};
@@ -482,15 +482,17 @@ struct RunningEpisode {
 const RESIDENT: &str = "resident";
 
 /// Everything immutable a fleet shares, built once per run: the system
-/// config, ADL specs, canonical routines, trained planner templates, the
-/// reminding renderer, and the sensing and session-tracker prototypes
-/// (whose tables are `Arc`-shared, so cloning them per home is reference
-/// bumps). Worker shards borrow it read-only.
+/// config, ADL specs, canonical routines, trained planner templates
+/// (each with its learned state captured once, which every snapshot of
+/// a home still on the template shares), the reminding renderer, and the
+/// sensing and session-tracker prototypes (whose tables are
+/// `Arc`-shared, so cloning them per home is reference bumps). Worker
+/// shards borrow it read-only.
 struct FleetCtx {
     system: Arc<CoredaConfig>,
     specs: Vec<Arc<AdlSpec>>,
     routines: Vec<Routine>,
-    templates: Vec<Arc<PlanningSubsystem>>,
+    templates: Vec<PlannerTemplate>,
     reminding: Arc<RemindingSubsystem>,
     sensing: Vec<SensingSubsystem>,
     tracker_proto: SessionTracker,
@@ -513,7 +515,7 @@ impl FleetCtx {
                 for _ in 0..cfg.train_episodes {
                     planner.train_episode(routines[act].steps(), &mut rng);
                 }
-                Arc::new(planner)
+                PlannerTemplate::new(planner)
             })
             .collect();
         FleetCtx {
@@ -532,7 +534,8 @@ impl FleetCtx {
     /// node count, node state the restore accepts (see [`check_nodes`])
     /// and a learned table the planner template can take (see
     /// [`check_traces`]), every activity index in range, an in-flight
-    /// episode's step inside its routine, and recorder state a traced
+    /// episode's step inside its routine and its misused tool among the
+    /// activity's tools, and recorder state a traced
     /// resume can take (see [`check_recorder`]). The codec checks bytes,
     /// not shape; a CRC-valid crafted snapshot fails here instead of
     /// mid-restore or on the home's first tick.
@@ -544,8 +547,8 @@ impl FleetCtx {
         // and the planner's problem shape.
         let shapes: Vec<_> = (self.specs.iter().zip(&self.templates))
             .map(|(spec, t)| {
-                let cells = t.capture_learned().map(|l| l.values.len());
-                (spec.tools().len(), cells, t.encoder().shape())
+                let cells = t.learned().map(|l| l.values.len());
+                (spec.tools().len(), cells, t.planner().encoder().shape())
             })
             .collect();
         for home in &ckpt.homes {
@@ -578,6 +581,14 @@ impl FleetCtx {
             });
             if let Some((idx, steps)) = step.filter(|&(idx, steps)| idx >= steps) {
                 return Err(shape_mismatch(idx, steps));
+            }
+            if let Some(&(act, LiveEpisode { phase: Phase::Misusing { tool, .. }, .. }, _)) =
+                home.episode.as_ref()
+            {
+                if !self.specs[act].tools().iter().any(|t| t.id() == tool) {
+                    let activity = u32::try_from(act).expect("checked against the catalog");
+                    return Err(CheckpointError::ForeignTool { tool, activity });
+                }
             }
             if let Some(rec) = &home.rec {
                 check_recorder(rec)?;
@@ -856,7 +867,7 @@ impl<'a> Shard<'a> {
                 let seed = derive_seed(cfg.seed, "metro-system", (id as u64) * 16 + act as u64);
                 systems.push(Coreda::with_shared(
                     Arc::clone(spec),
-                    Arc::clone(template),
+                    Arc::clone(template.planner()),
                     Arc::clone(&ctx.reminding),
                     sensing.clone(),
                     Arc::clone(&ctx.system),
@@ -1161,6 +1172,10 @@ impl<'a> Shard<'a> {
     /// scheduling state, statistics, and (when traced) the recorder.
     /// `pending` is the home's share of the shard queue at the snapshot.
     ///
+    /// A system still serving on its activity's planner template shares
+    /// the template's one learned-state capture; only a home that split
+    /// off its own planner (online learning) copies its table.
+    ///
     /// Energy is *not* carried in the stats (it stays zero until
     /// [`ServeSession::finish`] recomputes it from the restored node meters),
     /// and taps are not checkpointed — a resumed recorded run taps only
@@ -1170,7 +1185,8 @@ impl<'a> Shard<'a> {
         HomeCheckpoint {
             systems: self.systems[i * self.acts..(i + 1) * self.acts]
                 .iter()
-                .map(Coreda::export_state)
+                .zip(&self.ctx.templates)
+                .map(|(system, template)| system.export_state(Some(template)))
                 .collect(),
             tracker: self.trackers[i].export_active(),
             root: self.roots[i].state_parts(),
@@ -1355,14 +1371,9 @@ impl RunOutput {
     /// Panics if the run took no checkpoint (a durable run needs a base).
     #[must_use]
     pub fn into_durable(self) -> (ScaleReport, DurableRun) {
-        let mut iter = self.checkpoints.into_iter();
-        let base = iter.next().expect("a durable run needs at least one checkpoint stop");
-        let mut prev = base.clone();
-        let mut deltas = Vec::new();
-        for cur in iter {
-            deltas.push(delta_checkpoint(&prev, &cur));
-            prev = cur;
-        }
+        let deltas = self.checkpoints.windows(2).map(|w| delta_checkpoint(&w[0], &w[1])).collect();
+        let base = self.checkpoints.into_iter().next();
+        let base = base.expect("a durable run needs at least one checkpoint stop");
         (self.report, DurableRun { base, deltas, wal: self.wal })
     }
 }
@@ -2206,8 +2217,10 @@ mod tests {
 
     /// The arena build must point every home's planner and renderer at
     /// the `FleetCtx`'s shared allocations — per-home copies would put
-    /// the Q-tables back on the per-home budget. Address equality of
-    /// the `Deref` targets proves the `Arc`s share storage.
+    /// the Q-tables back on the per-home budget — and a snapshot of a
+    /// home still on its template must hold the template's one capture.
+    /// Address equality of the `Deref` targets proves the `Arc`s share
+    /// storage.
     #[test]
     fn fleet_homes_share_planner_and_renderer_allocations() {
         let cfg = small_cfg();
@@ -2216,7 +2229,8 @@ mod tests {
         let acts = ctx.specs.len();
         assert!(acts >= 2, "catalog should exercise >1 activity");
         for act in 0..acts {
-            let template: &PlanningSubsystem = &ctx.templates[act];
+            let template: &PlanningSubsystem = ctx.templates[act].planner();
+            let learned = ctx.templates[act].learned().expect("Watkins captures");
             for home in 0..cfg.homes {
                 let sys = &shard.systems[home * acts + act];
                 assert!(
@@ -2226,6 +2240,12 @@ mod tests {
                 assert!(
                     std::ptr::eq(sys.reminding(), &*ctx.reminding),
                     "home {home} act {act} carries a private renderer copy"
+                );
+                let snap = shard.capture_home(home, Vec::new());
+                let captured = snap.systems[act].learned.as_ref().expect("Watkins captures");
+                assert!(
+                    Arc::ptr_eq(captured, learned),
+                    "home {home} act {act} snapshots a private table copy"
                 );
             }
         }

@@ -10,6 +10,8 @@
 //!   not match what the user actually did earns nothing — this is what
 //!   makes the greedy policy converge to the user's personal routine.
 
+use std::sync::Arc;
+
 use coreda_adl::activity::AdlSpec;
 use coreda_adl::routine::Routine;
 use coreda_adl::step::StepId;
@@ -632,6 +634,39 @@ pub struct LearnedState {
     pub updates: u64,
     /// Training episodes consumed so far.
     pub episodes_trained: u64,
+}
+
+/// A trained planner that many systems serve from, with its learned
+/// state captured once. A system still serving on the template exports
+/// this capture ([`crate::system::Coreda::export_state`]) instead of
+/// copying the table, so a fleet snapshot holds one table per template
+/// rather than one per home.
+#[derive(Debug, Clone)]
+pub struct PlannerTemplate {
+    planner: Arc<PlanningSubsystem>,
+    learned: Option<Arc<LearnedState>>,
+}
+
+impl PlannerTemplate {
+    /// Shares `planner` and captures its learned state.
+    #[must_use]
+    pub fn new(planner: PlanningSubsystem) -> Self {
+        let learned = planner.capture_learned().map(Arc::new);
+        Self { planner: Arc::new(planner), learned }
+    }
+
+    /// The shared planner, for systems to serve from.
+    #[must_use]
+    pub fn planner(&self) -> &Arc<PlanningSubsystem> {
+        &self.planner
+    }
+
+    /// The planner's learned state, captured once; `None` for a learner
+    /// that cannot capture.
+    #[must_use]
+    pub fn learned(&self) -> Option<&Arc<LearnedState>> {
+        self.learned.as_ref()
+    }
 }
 
 #[cfg(test)]

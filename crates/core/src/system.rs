@@ -27,7 +27,7 @@ use coreda_sensornet::network::{BaseStation, LinkConfig, LinkCounters, StarNetwo
 use coreda_sensornet::node::{NodeId, NodeState, PavenetNode};
 
 use crate::live::{EpisodeLog, LogKind, PatientBehavior};
-use crate::planning::{LearnedState, PlanningConfig, PlanningSubsystem};
+use crate::planning::{LearnedState, PlannerTemplate, PlanningConfig, PlanningSubsystem};
 use crate::reminding::{Prompt, ReminderLevel, RemindingSubsystem, Trigger};
 use crate::sensing::{SensingSubsystem, StepEvent};
 use crate::telemetry::{Ctr, HomeRecorder, MaybeRec, Stage, TraceKind};
@@ -964,11 +964,18 @@ impl Coreda {
     ///
     /// Everything else — the spec, config, subsystem wiring — is
     /// construction-time and rebuilt from the same inputs.
+    ///
+    /// A system still serving on `template`'s planner (the same `Arc`)
+    /// shares the template's one capture instead of copying the table.
     #[must_use]
-    pub fn export_state(&self) -> SystemState {
+    pub fn export_state(&self, template: Option<&PlannerTemplate>) -> SystemState {
         let (sensing_current, sensing_last_report, sensing_history) = self.sensing.export_state();
+        let learned = match template {
+            Some(t) if Arc::ptr_eq(&self.planner, t.planner()) => t.learned().cloned(),
+            _ => self.planner.capture_learned().map(Arc::new),
+        };
         SystemState {
-            learned: self.planner.capture_learned(),
+            learned,
             sensing_current,
             sensing_last_report,
             sensing_history,
@@ -1047,8 +1054,10 @@ impl Coreda {
 /// one assembled reminding pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemState {
-    /// Learned planner state, when the learner supports capture.
-    pub learned: Option<LearnedState>,
+    /// Learned planner state, when the learner supports capture. Shared:
+    /// every system serving on one template holds the same table, and a
+    /// write goes through `Arc::make_mut`.
+    pub learned: Option<Arc<LearnedState>>,
     /// Sensing: the believed current step.
     pub sensing_current: Option<StepId>,
     /// Sensing: when the last report arrived.
@@ -1364,7 +1373,7 @@ mod tests {
             let now = ep.next_tick_at();
             sys.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, Some(&mut log), None, &mut |_, _| {});
         }
-        let sys_state = sys.export_state();
+        let sys_state = sys.export_state(None);
         let saved = ep;
         let (rng_state, rng_base) = rng.state_parts();
         drop(sys);
@@ -1385,7 +1394,7 @@ mod tests {
             ghost.total_energy_uj(),
             "energy accumulators must carry across the snapshot bit-exactly"
         );
-        assert_eq!(resumed.export_state(), ghost.export_state());
+        assert_eq!(resumed.export_state(None), ghost.export_state(None));
     }
 
     #[test]

@@ -4,18 +4,22 @@
 //! plus codec-robustness proptests (round-trip exactness; corruption,
 //! truncation, and unknown-version rejection).
 
-use std::sync::OnceLock;
+use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 use coreda_adl::activity::catalog;
+use coreda_adl::step::StepId;
 use coreda_adl::tool::ToolId;
 use coreda_core::checkpoint::{
-    apply_delta, delta_checkpoint, load_checkpoint, load_delta, save_checkpoint, save_delta,
-    CheckpointError, MetroCheckpoint,
+    apply_delta, compact, delta_checkpoint, load_checkpoint, load_delta, save_checkpoint,
+    save_delta, CheckpointError, MetroCheckpoint,
 };
 use coreda_core::metro::{
     resume_scale_durable, run, run_scale, run_scale_durable, MetroConfig, RunSpec, ScaleReport,
 };
-use coreda_core::planning::{LearnerKind, StateEncoder};
+use coreda_core::planning::{LearnedState, LearnerKind, StateEncoder};
+use coreda_core::reminding::{Prompt, ReminderLevel};
+use coreda_core::sensing::StepEvent;
 use coreda_core::system::Phase;
 use coreda_core::telemetry::{RecorderState, TraceKind, TraceRecord};
 use coreda_core::wal::{decode_wal, decode_wal_tolerant, encode_wal};
@@ -158,16 +162,25 @@ fn mid_run_snapshot() -> MetroCheckpoint {
 }
 
 /// Resumes a crafted copy of `snap` after a trip through the codec, which
-/// checks bytes, not shape: the resume must return a typed error, not
-/// panic.
-fn resume_crafted(
+/// checks bytes, not shape.
+fn resume_crafted_copy(
     config: &MetroConfig,
     mut snap: MetroCheckpoint,
     craft: impl FnOnce(&mut MetroCheckpoint),
-) -> CheckpointError {
+) -> Result<ScaleReport, CheckpointError> {
     craft(&mut snap);
     let back = load_checkpoint(&save_checkpoint(&snap, 2), 2).expect("CRC-valid snapshots decode");
-    resume(config, &back).expect_err("a mis-shaped snapshot must not resume")
+    resume(config, &back)
+}
+
+/// [`resume_crafted_copy`] for a mis-shaped snapshot: the resume must
+/// return a typed error, not panic.
+fn resume_crafted(
+    config: &MetroConfig,
+    snap: MetroCheckpoint,
+    craft: impl FnOnce(&mut MetroCheckpoint),
+) -> CheckpointError {
+    resume_crafted_copy(config, snap, craft).expect_err("a mis-shaped snapshot must not resume")
 }
 
 fn shape_of(craft: impl FnOnce(&mut MetroCheckpoint)) -> CheckpointError {
@@ -213,7 +226,7 @@ fn a_learned_table_of_the_wrong_size_is_refused() {
     let snap = mid_run_snapshot();
     let cells = snap.homes[0].systems[1].learned.as_ref().expect("Watkins captures").values.len();
     let err = resume_crafted(&cfg(1), snap, |s| {
-        let learned = s.homes[0].systems[1].learned.as_mut().expect("checked above");
+        let learned = Arc::make_mut(s.homes[0].systems[1].learned.as_mut().expect("checked above"));
         learned.values.pop();
         learned.visits.pop();
     });
@@ -316,10 +329,218 @@ fn an_eligibility_trace_outside_the_table_is_refused() {
     ] {
         let err = resume_crafted(&config, snap.clone(), |s| {
             for system in s.homes.iter_mut().flat_map(|h| &mut h.systems) {
-                system.learned.as_mut().expect("Watkins captures").traces = vec![trace];
+                Arc::make_mut(system.learned.as_mut().expect("Watkins captures")).traces =
+                    vec![trace];
             }
         });
         assert_eq!(err, want, "{trace:?}");
+    }
+}
+
+/// Resumes a crafted copy of the mid-run snapshot whose content no run
+/// produces but whose shape fits: the resume must serve every home to
+/// the horizon or refuse the snapshot with a typed error, never panic.
+fn serves_or_refuses(craft: impl FnOnce(&mut MetroCheckpoint)) {
+    let config = cfg(1);
+    match resume_crafted_copy(&config, mid_run_snapshot(), craft) {
+        Ok(report) => assert_eq!(report.per_home.len(), config.homes),
+        Err(err) => assert!(matches!(err, CheckpointError::ShapeMismatch { .. }), "{err}"),
+    }
+}
+
+/// A step id neither activity has (both number their steps after their
+/// tools, all below 77).
+const FOREIGN_STEP: StepId = StepId::from_raw(77);
+
+/// The in-flight episode of the first home that has one.
+fn some_episode(s: &mut MetroCheckpoint) -> &mut coreda_core::system::LiveEpisode {
+    let home = s.homes.iter_mut().find(|h| h.episode.is_some()).expect("an episode");
+    &mut home.episode.as_mut().expect("found above").1
+}
+
+#[test]
+fn a_foreign_current_step_serves_or_is_refused() {
+    serves_or_refuses(|s| s.homes[0].systems[0].sensing_current = Some(FOREIGN_STEP));
+}
+
+#[test]
+fn a_foreign_step_in_the_sensing_history_serves_or_is_refused() {
+    serves_or_refuses(|s| {
+        let at = s.at;
+        s.homes[0].systems[0].sensing_history.push(StepEvent { at, step: FOREIGN_STEP });
+    });
+}
+
+#[test]
+fn a_foreign_previous_tracked_step_serves_or_is_refused() {
+    serves_or_refuses(|s| {
+        let ep = some_episode(s);
+        let cur = ep.tracked.map_or(StepId::IDLE, |(_, cur)| cur);
+        ep.tracked = Some((FOREIGN_STEP, cur));
+    });
+}
+
+#[test]
+fn a_foreign_current_tracked_step_serves_or_is_refused() {
+    serves_or_refuses(|s| {
+        let ep = some_episode(s);
+        let prev = ep.tracked.map_or(StepId::IDLE, |(prev, _)| prev);
+        ep.tracked = Some((prev, FOREIGN_STEP));
+    });
+}
+
+/// The wrong-tool reminder lights the misused tool's LED, and a system's
+/// radio links only its own activity's tools: the resume used to panic
+/// on the downlink. A misused tool outside the activity, one no activity
+/// has (77) or the other activity's, is refused (every run draws wrong
+/// tools from the activity's own).
+#[test]
+fn a_foreign_misused_tool_is_refused() {
+    let specs = [catalog::tea_making(), catalog::tooth_brushing()];
+    let unknown = |_: usize| ToolId::new(77);
+    let the_other_activitys = |act: usize| specs[1 - act].tools()[0].id();
+    for foreign in [&unknown as &dyn Fn(usize) -> ToolId, &the_other_activitys] {
+        let mut want = None;
+        let err = shape_of(|s| {
+            let since = s.at;
+            let home = s.homes.iter_mut().find(|h| h.episode.is_some()).expect("an episode");
+            let (act, ep, _) = home.episode.as_mut().expect("found above");
+            let tool = foreign(*act);
+            want = Some(CheckpointError::ForeignTool { tool, activity: *act as u32 });
+            ep.phase = Phase::Misusing { tool, since, resume_idx: 0 };
+        });
+        assert_eq!(Some(err), want);
+    }
+}
+
+#[test]
+fn an_unknown_tool_in_a_pending_prompt_serves_or_is_refused() {
+    serves_or_refuses(|s| {
+        let at = s.at;
+        let prompt = Prompt { tool: ToolId::new(77), level: ReminderLevel::Minimal };
+        some_episode(s).pending = Some((at, prompt));
+    });
+}
+
+/// A fleet that learns online: enough homes that, by 150 s, some have
+/// split off their own planner while others still serve on the
+/// template.
+fn learning_cfg() -> MetroConfig {
+    let mut config = MetroConfig { homes: 24, ..cfg(1) };
+    config.system.online_learning = true;
+    config
+}
+
+/// Each home's learned table for `act`.
+fn tables(snap: &MetroCheckpoint, act: usize) -> Vec<&Arc<LearnedState>> {
+    let systems = snap.homes.iter().map(|h| &h.systems[act]);
+    systems.map(|s| s.learned.as_ref().expect("Watkins captures")).collect()
+}
+
+/// A delta that writes one home's cells copies that home's table and no
+/// other: every home that shared a table with it still holds the base's
+/// table, unchanged, after `apply_delta` and after `compact` alike.
+#[test]
+fn a_delta_writing_one_shared_table_leaves_the_others_alone() {
+    let base = snapshots(&learning_cfg(), &[SimTime::from_secs(150)]).remove(0);
+    let act = 0;
+    let shared = tables(&base, act);
+    let home = (0..shared.len())
+        .find(|&h| (0..shared.len()).any(|g| g != h && Arc::ptr_eq(shared[g], shared[h])))
+        .expect("some homes still share the template");
+    let before: Vec<LearnedState> = shared.iter().map(|l| LearnedState::clone(l)).collect();
+    let mut cur = base.clone();
+    let written = Arc::make_mut(cur.homes[home].systems[act].learned.as_mut().expect("above"));
+    written.values[0] += 1.0;
+    written.visits[0] += 1;
+    let delta = delta_checkpoint(&base, &cur);
+    assert_eq!(delta.dirty_homes(), 1, "only the written home moved");
+    let applied = apply_delta(&base, &delta).expect("the delta applies");
+    let compacted = compact(&base, std::slice::from_ref(&delta)).expect("the chain folds");
+    for (out, how) in [(&applied, "apply_delta"), (&compacted, "compact")] {
+        assert_eq!(*out, cur, "{how}");
+        for (h, table) in tables(out, act).into_iter().enumerate() {
+            if h == home {
+                assert_ne!(**table, before[h], "{how}: home {h} took the write");
+            } else {
+                assert!(Arc::ptr_eq(table, shared[h]), "{how}: home {h} still shares its table");
+                assert_eq!(**table, before[h], "{how}: home {h}'s table is unchanged");
+            }
+        }
+    }
+    for (h, table) in tables(&base, act).into_iter().enumerate() {
+        assert_eq!(**table, before[h], "the base's home {h} is unchanged");
+    }
+}
+
+/// `compact` applies each delta in place on one clone of the base; it
+/// must equal folding `apply_delta`, one clone per delta, over a traced
+/// learning chain whose learned tables move by cell updates (a table of
+/// one size moved, which the writer tags `UPDATE`) and, at a crafted last
+/// stop, by whole replacements (a table dropped and a table resized,
+/// tagged `REPLACE`), each delta through its codec.
+#[test]
+fn in_place_compaction_equals_folding_apply_delta() {
+    let trace = RunSpec { trace: true, ..RunSpec::default() };
+    let stops = [60, 180, 300, 420].map(SimTime::from_secs);
+    let mut snaps = run(&learning_cfg(), &RunSpec { stops: &stops, ..trace })
+        .expect("a fresh run cannot mismatch")
+        .checkpoints;
+    let cells_moved = snaps.windows(2).any(|w| {
+        (0..2).any(|act| {
+            let pairs = tables(&w[0], act).into_iter().zip(tables(&w[1], act));
+            pairs.into_iter().any(|(b, c)| b.values.len() == c.values.len() && b != c)
+        })
+    });
+    assert!(cells_moved, "online learning moves cells between stops");
+    let mut last = snaps.last().expect("four stops").clone();
+    last.at += SimDuration::from_secs(1);
+    last.homes[0].systems[0].learned = None;
+    let grown = Arc::make_mut(last.homes[1].systems[1].learned.as_mut().expect("Watkins captures"));
+    grown.values.push(0.5);
+    grown.visits.push(1);
+    snaps.push(last);
+    let deltas: Vec<_> = snaps
+        .windows(2)
+        .map(|w| load_delta(&save_delta(&delta_checkpoint(&w[0], &w[1]), 1), 1))
+        .collect::<Result<_, _>>()
+        .expect("deltas survive their codec");
+    let folded = deltas
+        .iter()
+        .try_fold(snaps[0].clone(), |snap, d| apply_delta(&snap, d))
+        .expect("the chain applies");
+    assert_eq!(compact(&snaps[0], &deltas).expect("the chain folds"), folded);
+    assert_eq!(folded, *snaps.last().expect("five stops"));
+}
+
+/// A decoded snapshot shares the tables of consecutive homes still on
+/// their template, per worker chunk: a fleet that does not learn, whose
+/// capture holds one table per activity, decodes to one per activity at
+/// one worker and at most one per activity and chunk at eight. Sharing
+/// moves no value: a learning fleet decodes to the same snapshot at any
+/// worker count.
+#[test]
+fn decoded_templates_share_one_table_per_activity_and_chunk() {
+    let at = [SimTime::from_secs(150)];
+    let distinct = |snap: &MetroCheckpoint, act: usize| {
+        tables(snap, act).into_iter().map(Arc::as_ptr).collect::<HashSet<_>>().len()
+    };
+    let snap = snapshots(&MetroConfig { homes: 24, ..cfg(1) }, &at).remove(0);
+    let blob = save_checkpoint(&snap, 1);
+    for jobs in [1, 8] {
+        let back = load_checkpoint(&blob, jobs).expect("the bytes just written");
+        assert_eq!(back, snap);
+        for act in 0..2 {
+            assert_eq!(distinct(&snap, act), 1, "the capture shares the template");
+            let decoded = distinct(&back, act);
+            assert!(decoded <= jobs, "jobs {jobs}, activity {act}: {decoded} tables");
+        }
+    }
+
+    let learning = snapshots(&learning_cfg(), &at).remove(0);
+    let blob = save_checkpoint(&learning, 1);
+    for jobs in [1, 8] {
+        assert_eq!(load_checkpoint(&blob, jobs).expect("the bytes just written"), learning);
     }
 }
 

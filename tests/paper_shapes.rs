@@ -5,17 +5,49 @@
 //! moved on purpose still has its claims checked. (Table 4's and Figure
 //! 1's claims are checked at the documented sizes by the unit tests next
 //! to those studies.) Each test is named in the EXPERIMENTS.md paragraph
-//! that makes its claim.
+//! that makes its claim. Each documented size runs its study once per
+//! test binary, for whichever test asks first.
+
+use std::sync::OnceLock;
 
 use coreda::core::fleet::FleetEngine;
-use coreda_bench::fig4;
+use coreda_bench::fig4::{self, Curve};
 use coreda_bench::table3::{self, ExtractRow};
 
 const SEED: u64 = 2007;
 
-/// Table 3 at `trials` trials per step, as EXPERIMENTS.md runs it.
-fn table3_rows(trials: usize) -> Vec<ExtractRow> {
-    table3::run(FleetEngine::default(), trials, SEED)
+/// Table 3 at `trials` trials per step, as EXPERIMENTS.md runs it (40
+/// and 400).
+fn table3_rows(trials: usize) -> &'static [ExtractRow] {
+    static AT_40: OnceLock<Vec<ExtractRow>> = OnceLock::new();
+    static AT_400: OnceLock<Vec<ExtractRow>> = OnceLock::new();
+    let rows = match trials {
+        40 => &AT_40,
+        400 => &AT_400,
+        _ => panic!("EXPERIMENTS.md runs Table 3 at 40 and 400 trials, not {trials}"),
+    };
+    rows.get_or_init(|| table3::run(FleetEngine::default(), trials, SEED))
+}
+
+/// Figure 4's Tooth-brushing and Tea-making curves over 120 episodes,
+/// averaged over `runs` runs, as EXPERIMENTS.md runs it (30 and 60).
+fn figure4_curves(runs: usize) -> (&'static Curve, &'static Curve) {
+    static OVER_30: OnceLock<Vec<Curve>> = OnceLock::new();
+    static OVER_60: OnceLock<Vec<Curve>> = OnceLock::new();
+    let curves = match runs {
+        30 => &OVER_30,
+        60 => &OVER_60,
+        _ => panic!("EXPERIMENTS.md runs Figure 4 over 30 and 60 runs, not {runs}"),
+    };
+    let curves = curves.get_or_init(|| fig4::run(FleetEngine::default(), 120, runs, SEED));
+    let [tooth, tea] = &curves[..] else { panic!("two ADLs, got {}", curves.len()) };
+    assert_eq!((tooth.adl.as_str(), tea.adl.as_str()), ("Tooth-brushing", "Tea-making"));
+    (tooth, tea)
+}
+
+/// The extraction precision of the step named `name`.
+fn precision(rows: &[ExtractRow], name: &str) -> f64 {
+    rows.iter().find(|r| r.step == name).expect("a catalog step").precision.precision()
 }
 
 /// Whether `short` is strictly the lowest-precision step of its ADL.
@@ -45,10 +77,21 @@ fn table3_short_steps_are_the_weakest_of_their_adls() {
     let short = ["Dry with a towel", "Pour hot water into kettle"];
     let rows = table3_rows(400);
     for step in short {
-        assert!(is_weakest(&rows, step), "{step} at 400 trials: {rows:#?}");
+        assert!(is_weakest(rows, step), "{step} at 400 trials: {rows:#?}");
     }
     let rows = table3_rows(40);
-    assert_eq!(short.map(|s| is_weakest(&rows, s)), [true, false], "at 40 trials: {rows:#?}");
+    assert_eq!(short.map(|s| is_weakest(rows, s)), [true, false], "at 40 trials: {rows:#?}");
+}
+
+/// The long, steady steps extract essentially perfectly at both sizes.
+#[test]
+fn table3_long_steps_extract_essentially_perfectly() {
+    for trials in [40, 400] {
+        for step in ["Brush the teeth", "Put tea-leaf into kettle"] {
+            let p = precision(table3_rows(trials), step);
+            assert!(p > 0.97, "{step} at {trials} trials: {p:.3}");
+        }
+    }
 }
 
 /// Tea-making, whose sensing is noisier, reaches both converging
@@ -56,9 +99,7 @@ fn table3_short_steps_are_the_weakest_of_their_adls() {
 #[test]
 fn figure4_tea_making_converges_later_at_both_thresholds() {
     for runs in [30, 60] {
-        let curves = fig4::run(FleetEngine::default(), 120, runs, SEED);
-        let [tooth, tea] = &curves[..] else { panic!("two ADLs, got {}", curves.len()) };
-        assert_eq!((tooth.adl.as_str(), tea.adl.as_str()), ("Tooth-brushing", "Tea-making"));
+        let (tooth, tea) = figure4_curves(runs);
         for (label, t, e) in [
             ("95 %", tooth.converge_95, tea.converge_95),
             ("98 %", tooth.converge_98, tea.converge_98),
@@ -66,5 +107,28 @@ fn figure4_tea_making_converges_later_at_both_thresholds() {
             let (t, e) = (t.expect("tooth converges"), e.expect("tea converges"));
             assert!(e > t, "{label} over {runs} runs: tea {e} vs tooth {t}");
         }
+    }
+}
+
+/// Both curves rise from a random policy to the paper's time-scale: the
+/// 95 % condition within tens of episodes of the paper's 49 (Tooth) and
+/// 56 (Tea), the 98 % condition after it, and both curves ending high.
+#[test]
+fn figure4_converges_on_the_papers_time_scale() {
+    for runs in [30, 60] {
+        let (tooth, tea) = figure4_curves(runs);
+        let at = |c: &Curve, reached: Option<usize>, threshold| {
+            let never = || panic!("{} never reaches {threshold} over {runs} runs", c.adl);
+            reached.unwrap_or_else(never)
+        };
+        let (t95, tea95) = (at(tooth, tooth.converge_95, "95 %"), at(tea, tea.converge_95, "95 %"));
+        assert!((20..=80).contains(&t95), "tooth 95 % at {t95} over {runs} runs");
+        assert!((25..=90).contains(&tea95), "tea 95 % at {tea95} over {runs} runs");
+        assert!(at(tooth, tooth.converge_98, "98 %") > t95, "tooth over {runs} runs");
+        assert!(at(tea, tea.converge_98, "98 %") > tea95, "tea over {runs} runs");
+        let last = |c: &Curve| *c.accuracy.last().expect("120 episodes");
+        assert!(last(tooth) >= 0.97, "tooth ends at {} over {runs} runs", last(tooth));
+        assert!(last(tea) >= 0.95, "tea ends at {} over {runs} runs", last(tea));
+        assert!(tooth.accuracy[0] < 0.7, "tooth starts at {} over {runs} runs", tooth.accuracy[0]);
     }
 }
