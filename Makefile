@@ -90,15 +90,18 @@ bench-scale:
 # sensing hot path's noise bound gates through a release run of the
 # sensornet proptests at 2048 cases, whose node differential (skip path
 # ≡ eager sampling, down to checkpointed window peaks) needs that many
-# to reach near-threshold draws. The delta decoder gates through a
-# release run of the hostile-bytes property at 4096 cases: bytes past a
-# delta's header overwritten or cut, the CRC re-stamped, and load +
-# apply must return a snapshot or a typed error, never panic or abort.
+# to reach near-threshold draws. The durability decoder (the delta read
+# walk, which snapshots run too) gates through a release run of the two
+# hostile-bytes properties at 4096 cases each: bytes past a delta's or a
+# snapshot's header overwritten or cut, the CRC-32C re-stamped, and load
+# (+ apply, for a delta) must return a snapshot or a typed error, never
+# panic or abort. Both run at fixed seeds here; `make fuzz` searches them
+# under a fresh PROPTEST_SEED.
 ci:
 	cargo build --release
 	cargo test -q --workspace
 	PROPTEST_CASES=2048 cargo test -q --release -p coreda-sensornet --test proptests
-	PROPTEST_CASES=4096 cargo test -q --release --test checkpoint_equivalence hostile_delta_bodies
+	PROPTEST_CASES=4096 cargo test -q --release --test checkpoint_equivalence hostile_
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 	cargo clippy --workspace --all-targets -- -D warnings
 	cargo run --release -p coreda-cli -- fuzz --seconds 30 --seed 2007
@@ -117,11 +120,14 @@ ci:
 # through the real wire codec, checked against batch on full and
 # single-instant serving windows.
 # The third fuzzes the caregiver escalation overlay: caregiver-outage
-# plans against the escalation_consistency oracle.
+# plans against the escalation_consistency oracle. Last, both
+# hostile-bytes properties (delta and snapshot decoding) run under a
+# fresh PROPTEST_SEED; a failing case prints the seed that replays it.
 fuzz:
 	cargo run --release -p coreda-cli -- fuzz --seconds 300 --seed $$(date +%s) --out fuzz-out
 	cargo run --release -p coreda-cli -- fuzz --seconds 120 --seed $$(date +%s) --served true --out fuzz-out
 	cargo run --release -p coreda-cli -- fuzz --seconds 120 --seed $$(date +%s) --care true --out fuzz-out
+	PROPTEST_SEED=$$(date +%s) PROPTEST_CASES=65536 cargo test -q --release --test checkpoint_equivalence hostile_
 
 doc:
 	cargo doc --workspace --no-deps

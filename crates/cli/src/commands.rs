@@ -1418,6 +1418,21 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_version_1_files() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+        let fixture = |name: &str| format!("{dir}/{name}");
+        let v1 = fixture("metro_v1.ckpt");
+        let chain = format!("{},{}", fixture("metro_v2.ckpt"), fixture("metro_v1_900s.delta"));
+        for from in [&v1, &chain] {
+            let err = resume(&parse(&[
+                "resume", "--from", from, "--homes", "4", "--hours", "0.5", "--seed", "2007",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.to_string(), "unsupported checkpoint version 1", "{from}");
+        }
+    }
+
+    #[test]
     fn checkpoint_rejects_bad_knobs() {
         let err = checkpoint(&parse(&["checkpoint", "--homes", "1"])).unwrap_err();
         assert!(err.to_string().contains("--out"), "{err}");

@@ -12,20 +12,24 @@
 //! and any worker count.
 //!
 //! The format follows [`crate::persistence`]'s house style — magic +
-//! version + big-endian body + CRC-16 trailer, hand-rolled on [`bytes`]
-//! — scaled up with one structural addition: each home's snapshot is a
-//! self-contained length-prefixed blob inside the manifest, so the
-//! [`FleetEngine`] can encode and decode homes in parallel.
+//! version + big-endian body + checksum trailer, hand-rolled on
+//! [`bytes`] — scaled up with one structural addition: each home's
+//! snapshot is a self-contained length-prefixed body inside the
+//! manifest, so the [`FleetEngine`] can encode and decode homes in
+//! parallel. The trailer is a CRC-32C.
 //!
-//! Incremental checkpoints share that manifest framing under
-//! [`DELTA_MAGIC`]. A [`DeltaCheckpoint`] holds each dirty home as its
-//! encoded CRCD body: [`delta_checkpoint`] writes it in one walk that
-//! compares each field with the base, sets the field's dirty bit and
-//! writes the new value, and [`apply_delta`] reads it straight onto a
-//! clone of the base in one walk. [`load_delta`] checks the framing (CRC,
-//! magic, version, lengths and each home's clean/dirty tag); a body's
-//! masks, tags and shape are checked by [`apply_delta`], which every
-//! resume runs right after loading.
+//! Every home field has one encoding. A [`DeltaCheckpoint`] holds each
+//! dirty home as its encoded CRCD body: [`delta_checkpoint`] writes it in
+//! one walk that compares each field with the base, sets the field's
+//! dirty bit and writes the new value, and [`apply_delta`] reads it
+//! straight onto a clone of the base in one walk. A snapshot is the same
+//! walks against the empty (default) home: [`save_checkpoint`] writes
+//! each home as its delta from `HomeCheckpoint::default()`, and
+//! [`load_checkpoint`] reads it onto one. Deltas share the snapshot's
+//! manifest framing under [`DELTA_MAGIC`]. [`load_delta`] checks the
+//! framing (magic, version, CRC, lengths and each home's clean/dirty
+//! tag); a body's masks, tags and shape are checked by [`apply_delta`],
+//! which every resume runs right after loading.
 //!
 //! What is *not* serialised is anything rebuilt deterministically from
 //! the [`MetroConfig`]: ADL specs, planner templates, routine tables,
@@ -47,7 +51,7 @@ use coreda_des::time::SimTime;
 use coreda_rl::space::{ActionId, StateId};
 use coreda_sensornet::network::LinkCounters;
 use coreda_sensornet::node::{NodeId, NodeState};
-use coreda_sensornet::packet::crc16;
+use coreda_sensornet::packet::crc32c;
 
 use crate::fleet::FleetEngine;
 use crate::metro::{HomeStats, MetroConfig};
@@ -60,11 +64,14 @@ use crate::telemetry::{RecorderState, TraceKind, TraceRecord};
 
 /// Magic prefix of a checkpoint manifest.
 pub const MAGIC: &[u8; 4] = b"CRCK";
-/// Current format version.
-pub const VERSION: u8 = 1;
+/// Current format version of snapshots and deltas. A manifest of any
+/// other version, 1 included, is refused as
+/// [`CheckpointError::UnsupportedVersion`].
+pub const VERSION: u8 = 2;
 
-/// One home's complete resumable state at a checkpoint instant.
-#[derive(Debug, Clone, PartialEq)]
+/// One home's complete resumable state at a checkpoint instant. The
+/// default is the empty home a snapshot's bodies are diffed against.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HomeCheckpoint {
     /// Per-activity system states, in spec order.
     pub systems: Vec<SystemState>,
@@ -120,12 +127,12 @@ pub enum CheckpointError {
     BadMagic([u8; 4]),
     /// The manifest is from an unknown format version.
     UnsupportedVersion(u8),
-    /// CRC mismatch (torn or corrupted write).
+    /// CRC-32C mismatch (torn or corrupted write).
     BadCrc {
         /// CRC stored in the manifest.
-        expected: u16,
+        expected: u32,
         /// CRC computed over the body.
-        actual: u16,
+        actual: u32,
     },
     /// The manifest belongs to a different run configuration.
     ConfigMismatch {
@@ -163,8 +170,7 @@ pub enum CheckpointError {
     /// whose state or action id lies outside the table or whose weight
     /// is negative — the trace's position against the trace count — or
     /// recorder state of another layout: too many counters, a stage or
-    /// bin count off, a ring capacity not the fleet's, or more ring
-    /// records than the capacity).
+    /// bin count off, or more ring records than the fleet's ring holds).
     ShapeMismatch {
         /// Index or length stored in the delta or snapshot.
         index: u32,
@@ -202,7 +208,7 @@ impl fmt::Display for CheckpointError {
                 write!(f, "unsupported checkpoint version {v}")
             }
             CheckpointError::BadCrc { expected, actual } => {
-                write!(f, "crc mismatch: stored {expected:#06x}, computed {actual:#06x}")
+                write!(f, "crc mismatch: stored {expected:#010x}, computed {actual:#010x}")
             }
             CheckpointError::ConfigMismatch { expected, actual } => write!(
                 f,
@@ -260,26 +266,28 @@ pub fn config_digest(cfg: &MetroConfig) -> u64 {
     h
 }
 
-/// Serialises a fleet snapshot. Each of up to `jobs` workers encodes a
-/// contiguous chunk of homes into one buffer. Chunk 0's buffer starts
-/// with the manifest header and the other chunks are appended to it, so
-/// with one worker every home is encoded straight into the manifest. The
-/// output is identical at any worker count.
+/// Serialises a fleet snapshot: each home's body is its delta from the
+/// empty home. Each of up to `jobs` workers encodes a contiguous chunk of
+/// homes into one buffer. Chunk 0's buffer starts with the manifest
+/// header and the other chunks are appended to it, so with one worker
+/// every home is encoded straight into the manifest. The output is
+/// identical at any worker count.
 #[must_use]
 pub fn save_checkpoint(ckpt: &MetroCheckpoint, jobs: usize) -> Bytes {
     let words = [ckpt.digest, ckpt.at.as_millis(), ckpt.des_events];
     let header = manifest_header(MAGIC, &words, ckpt.homes.len());
     let starts = std::iter::once(header).chain(std::iter::repeat_with(Vec::new));
     let work = starts.zip(chunks(&ckpt.homes, jobs)).collect();
+    let empty = HomeCheckpoint::default();
     let mut parts = FleetEngine::new(jobs).map(work, |(mut buf, part)| {
         for home in part {
-            put_entry(&mut buf, |buf| encode_home(buf, home));
+            put_entry(&mut buf, |buf| write_home_delta(buf, &empty, home));
         }
         buf
     });
     // `chunks` returns one chunk at least, so there is a chunk 0.
     let mut buf = std::mem::take(&mut parts[0]);
-    buf.reserve_exact(parts.iter().map(Vec::len).sum::<usize>() + 2);
+    buf.reserve_exact(parts.iter().map(Vec::len).sum::<usize>() + 4);
     for part in &parts[1..] {
         buf.put_slice(part);
     }
@@ -295,14 +303,16 @@ fn chunks<T>(items: &[T], jobs: usize) -> Vec<&[T]> {
 }
 
 /// Restores a fleet snapshot from a manifest produced by
-/// [`save_checkpoint`]. Contiguous chunks of homes are decoded in
-/// parallel across `jobs` workers; within a chunk, consecutive homes
-/// with equal learned tables share one.
+/// [`save_checkpoint`], reading each home's body onto an empty home.
+/// Contiguous chunks of homes are decoded in parallel across `jobs`
+/// workers; within a chunk, consecutive homes with equal learned tables
+/// share one.
 ///
 /// # Errors
 ///
 /// Returns a [`CheckpointError`] if the manifest is malformed,
-/// CRC-damaged, or from a different format version. Configuration
+/// CRC-damaged, or from a different format version (a version 1 file is
+/// [`CheckpointError::UnsupportedVersion`]`(1)`). Configuration
 /// compatibility is *not* checked here — compare
 /// [`MetroCheckpoint::digest`] against [`config_digest`] (the metro
 /// resume APIs do) before resuming.
@@ -310,7 +320,12 @@ pub fn load_checkpoint(blob: &[u8], jobs: usize) -> Result<MetroCheckpoint, Chec
     let ([digest, at, des_events], slices) = load_manifest::<3>(blob, MAGIC)?;
     let parts = FleetEngine::new(jobs).map(chunks(&slices, jobs), |part| {
         let mut tables = SharedTables::default();
-        part.iter().map(|&home| decode_home(home, &mut tables)).collect::<Result<Vec<_>, _>>()
+        let decode = |&body| {
+            let mut home = HomeCheckpoint::default();
+            read_home(body, &mut home, &mut tables)?;
+            Ok(home)
+        };
+        part.iter().map(decode).collect::<Result<Vec<_>, _>>()
     });
     let mut homes = Vec::with_capacity(slices.len());
     for part in parts {
@@ -321,8 +336,8 @@ pub fn load_checkpoint(blob: &[u8], jobs: usize) -> Result<MetroCheckpoint, Chec
 
 /// Starts a manifest, the layout snapshots ([`MAGIC`]) and deltas
 /// ([`DELTA_MAGIC`]) share: magic, [`VERSION`], big-endian header words
-/// and the home count. Each home's blob follows behind its u32 length
-/// ([`put_entry`]), then [`seal_manifest`]'s CRC-16 trailer.
+/// and the home count. Each home's body follows behind its u32 length
+/// ([`put_entry`]), then [`seal_manifest`]'s CRC-32C trailer.
 fn manifest_header(magic: &[u8; 4], words: &[u64], homes: usize) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.put_slice(magic);
@@ -334,11 +349,11 @@ fn manifest_header(magic: &[u8; 4], words: &[u64], homes: usize) -> Vec<u8> {
     buf
 }
 
-/// Ends a manifest with a CRC-16 trailer over everything before it. The
-/// returned bytes take the buffer without a copy.
+/// Ends a manifest with a CRC-32C trailer over everything before it.
+/// The returned bytes take the buffer without a copy.
 fn seal_manifest(mut buf: Vec<u8>) -> Bytes {
-    let crc = crc16(&buf);
-    buf.put_u16(crc);
+    let crc = crc32c(&buf);
+    buf.put_u32(crc);
     Bytes::from(buf)
 }
 
@@ -352,25 +367,14 @@ fn put_entry(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
-/// Unframes a [`manifest_header`] blob: verifies the CRC before parsing
-/// anything, then the magic and version, and returns the `N` header
-/// words and every home's blob. The home count is untrusted, so it
-/// reserves no more slots than the bytes left hold 4-byte length
-/// prefixes for.
+/// Unframes a [`manifest_header`] blob: checks the magic and version,
+/// then the CRC, and parses nothing else before the CRC passes. Returns
+/// the `N` header words and every home's body.
 fn load_manifest<'a, const N: usize>(
     blob: &'a [u8],
     magic: &[u8; 4],
 ) -> Result<([u64; N], Vec<&'a [u8]>), CheckpointError> {
-    if blob.len() < magic.len() + 1 + 2 {
-        return Err(CheckpointError::Truncated { len: blob.len() });
-    }
-    let (body, trailer) = blob.split_at(blob.len() - 2);
-    let expected = u16::from_be_bytes([trailer[0], trailer[1]]);
-    let actual = crc16(body);
-    if expected != actual {
-        return Err(CheckpointError::BadCrc { expected, actual });
-    }
-    let mut r = Reader { buf: body };
+    let mut r = Reader { buf: blob };
     let mut found = [0u8; 4];
     r.need(4)?;
     r.buf.copy_to_slice(&mut found);
@@ -381,12 +385,21 @@ fn load_manifest<'a, const N: usize>(
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
+    r.need(4)?;
+    let (body, trailer) = blob.split_at(blob.len() - 4);
+    let expected = u32::from_be_bytes(trailer.try_into().expect("a 4-byte trailer"));
+    let actual = crc32c(body);
+    if expected != actual {
+        return Err(CheckpointError::BadCrc { expected, actual });
+    }
+    let mut r = Reader { buf: &body[magic.len() + 1..] };
     let mut words = [0; N];
     for w in &mut words {
         *w = r.u64()?;
     }
     let n_homes = r.len()?;
-    let mut homes = Vec::with_capacity(n_homes.min(r.buf.remaining() / 4));
+    let mut homes = Vec::new();
+    r.reserve(&mut homes, n_homes);
     for _ in 0..n_homes {
         let len = r.len()?;
         r.need(len)?;
@@ -435,10 +448,7 @@ fn put_rng(buf: &mut Vec<u8>, (state, base): ([u64; 4], u64)) {
     buf.put_u64(base);
 }
 
-/// LEB128-encodes `v`. Delta-manifest paths only: the full-snapshot
-/// codec stays fixed-width so its format (and the committed checkpoint
-/// bench numbers) are untouched, while deltas — which live or die by
-/// their byte count — spend one byte on a small counter instead of
+/// LEB128-encodes `v`, so a small counter costs one byte instead of
 /// eight.
 fn put_var(buf: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -466,23 +476,6 @@ fn put_var_time(buf: &mut Vec<u8>, t: SimTime) {
 fn put_var_i64(buf: &mut Vec<u8>, v: i64) {
     #[allow(clippy::cast_sign_loss)]
     put_var(buf, (v.wrapping_shl(1) ^ (v >> 63)) as u64);
-}
-
-fn encode_home(buf: &mut Vec<u8>, h: &HomeCheckpoint) {
-    put_len(buf, h.systems.len());
-    for sys in &h.systems {
-        encode_system(buf, sys);
-    }
-    encode_tracker_slot(buf, h.tracker.as_ref());
-    put_rng(buf, h.root);
-    put_rng(buf, h.sched);
-    encode_episode_slot(buf, h.episode.as_ref());
-    buf.put_u64(h.ep_index);
-    put_time(buf, h.next_start);
-    put_opt_time(buf, h.last_handled);
-    encode_stats(buf, &h.stats);
-    encode_pending(buf, &h.pending);
-    encode_rec_slot(buf, h.rec.as_ref());
 }
 
 fn encode_tracker_slot(buf: &mut Vec<u8>, tracker: Option<&ActiveSessionState>) {
@@ -520,24 +513,7 @@ fn encode_episode_slot(buf: &mut Vec<u8>, episode: Option<&EpisodeSlot>) {
     }
 }
 
-fn encode_stats(buf: &mut Vec<u8>, stats: &HomeStats) {
-    for v in [
-        stats.episodes_started,
-        stats.episodes_completed,
-        stats.reminders,
-        stats.praises,
-        stats.sessions_started,
-        stats.sessions_completed,
-        stats.sessions_abandoned,
-        stats.cross_activity_flags,
-        stats.pipeline_ticks,
-    ] {
-        buf.put_u64(v);
-    }
-}
-
-/// Varint mirror of [`encode_stats`], used only on the delta path so the
-/// full-snapshot format stays fixed-width and stable.
+/// A home's counters, LEB128: they are small in steady state.
 fn encode_stats_var(buf: &mut Vec<u8>, stats: &HomeStats) {
     for v in [
         stats.episodes_started,
@@ -554,13 +530,6 @@ fn encode_stats_var(buf: &mut Vec<u8>, stats: &HomeStats) {
     }
 }
 
-fn encode_pending(buf: &mut Vec<u8>, pending: &[SimTime]) {
-    put_len(buf, pending.len());
-    for &due in pending {
-        put_time(buf, due);
-    }
-}
-
 fn encode_rec_slot(buf: &mut Vec<u8>, rec: Option<&RecorderState>) {
     match rec {
         None => buf.put_u8(0),
@@ -569,11 +538,6 @@ fn encode_rec_slot(buf: &mut Vec<u8>, rec: Option<&RecorderState>) {
             encode_recorder(buf, rec);
         }
     }
-}
-
-fn encode_system(buf: &mut Vec<u8>, s: &SystemState) {
-    encode_learned(buf, s.learned.as_deref());
-    encode_system_rest(buf, s);
 }
 
 fn encode_learned(buf: &mut Vec<u8>, learned: Option<&LearnedState>) {
@@ -603,75 +567,6 @@ fn put_traces(buf: &mut Vec<u8>, traces: &[(StateId, ActionId, f64)]) {
         put_len(buf, a.index());
         buf.put_f64(e);
     }
-}
-
-/// Everything in a [`SystemState`] except `learned`, in the same order
-/// [`encode_system`] writes it.
-fn encode_system_rest(buf: &mut Vec<u8>, s: &SystemState) {
-    match s.sensing_current {
-        None => buf.put_u8(0),
-        Some(step) => {
-            buf.put_u8(1);
-            buf.put_u16(step.raw());
-        }
-    }
-    put_opt_time(buf, s.sensing_last_report);
-    put_len(buf, s.sensing_history.len());
-    for ev in &s.sensing_history {
-        put_time(buf, ev.at);
-        buf.put_u16(ev.step.raw());
-    }
-    put_len(buf, s.nodes.len());
-    for (node, state, base) in &s.nodes {
-        encode_node(buf, node);
-        put_rng(buf, (*state, *base));
-    }
-    put_rng(buf, s.net_rng);
-    buf.put_u16(s.downlink_seq);
-    put_len(buf, s.channels.len());
-    for &(id, bad, sent, lost) in &s.channels {
-        buf.put_u16(id.raw());
-        put_bool(buf, bad);
-        buf.put_u64(sent);
-        buf.put_u64(lost);
-    }
-    for c in [&s.uplink, &s.downlink] {
-        buf.put_u64(c.frames);
-        buf.put_u64(c.attempts);
-        buf.put_u64(c.delivered);
-        buf.put_u64(c.lost);
-        buf.put_u64(c.duplicates);
-    }
-    put_len(buf, s.base_last_seqs.len());
-    for &(id, seq) in &s.base_last_seqs {
-        buf.put_u16(id.raw());
-        buf.put_u16(seq);
-    }
-    buf.put_u64(s.base_accepted);
-    buf.put_u64(s.base_duplicates);
-}
-
-fn encode_node(buf: &mut Vec<u8>, n: &NodeState) {
-    put_len(buf, n.detector_window.len());
-    for &vote in &n.detector_window {
-        put_bool(buf, vote);
-    }
-    put_bool(buf, n.led_green);
-    put_bool(buf, n.led_red);
-    buf.put_f64(n.energy_uj);
-    let (samples, tx, rx, led, sleep) = n.energy_breakdown;
-    for v in [samples, tx, rx, led, sleep] {
-        buf.put_u64(v);
-    }
-    buf.put_u16(n.next_seq);
-    buf.put_f64(n.window_peak_activation);
-    buf.put_u64(n.windows_closed);
-    buf.put_u64(n.reports_sent);
-    put_bool(buf, n.failed);
-    buf.put_f64(n.flip_false_positive);
-    buf.put_f64(n.flip_false_negative);
-    #[allow(clippy::cast_sign_loss)]
-    buf.put_u64(n.clock_skew_ms as u64);
 }
 
 fn encode_episode(buf: &mut Vec<u8>, ep: &LiveEpisode) {
@@ -737,7 +632,6 @@ fn encode_recorder(buf: &mut Vec<u8>, rec: &RecorderState) {
         buf.put_u64(*under);
         buf.put_u64(*over);
     }
-    put_len(buf, rec.ring_cap);
     put_len(buf, rec.ring.len());
     for r in &rec.ring {
         encode_trace(buf, r);
@@ -822,7 +716,7 @@ struct Reader<'a> {
     buf: &'a [u8],
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn need(&self, n: usize) -> Result<(), CheckpointError> {
         if self.buf.remaining() < n {
             Err(CheckpointError::Truncated { len: self.buf.remaining() })
@@ -849,11 +743,6 @@ impl Reader<'_> {
     fn u64(&mut self) -> Result<u64, CheckpointError> {
         self.need(8)?;
         Ok(self.buf.get_u64())
-    }
-
-    fn i64(&mut self) -> Result<i64, CheckpointError> {
-        #[allow(clippy::cast_possible_wrap)]
-        Ok(self.u64()? as i64)
     }
 
     fn f64(&mut self) -> Result<f64, CheckpointError> {
@@ -964,45 +853,39 @@ impl Reader<'_> {
         #[allow(clippy::cast_possible_wrap)]
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
-}
 
-fn decode_home<'a>(
-    blob: &'a [u8],
-    tables: &mut SharedTables<'a>,
-) -> Result<HomeCheckpoint, CheckpointError> {
-    let mut r = Reader { buf: blob };
-    let n_systems = r.len()?;
-    let mut systems = Vec::with_capacity(n_systems.min(64));
-    for at in 0..n_systems {
-        let learned = tables.decode(at, &mut r)?;
-        let mut system = decode_system_rest(&mut r)?;
-        system.learned = learned;
-        systems.push(system);
+    /// Makes room in `v` for `n` more elements about to be read: no more
+    /// than the bytes left can hold, since each takes a byte at least.
+    /// The one reservation rule of every decode, so an untrusted count
+    /// sizes nothing past the input.
+    fn reserve<T>(&self, v: &mut Vec<T>, n: usize) {
+        v.reserve_exact(n.min(self.buf.len()));
     }
-    let tracker = decode_tracker_slot(&mut r)?;
-    let root = r.rng()?;
-    let sched = r.rng()?;
-    let episode = decode_episode_slot(&mut r)?;
-    let ep_index = r.u64()?;
-    let next_start = r.time()?;
-    let last_handled = r.opt_time()?;
-    let stats = decode_stats(&mut r)?;
-    let pending = decode_pending(&mut r)?;
-    let rec = decode_rec_slot(&mut r)?;
-    r.finish()?;
-    Ok(HomeCheckpoint {
-        systems,
-        tracker,
-        root,
-        sched,
-        episode,
-        ep_index,
-        next_start,
-        last_handled,
-        stats,
-        pending,
-        rec,
-    })
+
+    /// Appends `n` elements, each read by `get`, to `v`.
+    fn extend<T>(
+        &mut self,
+        v: &mut Vec<T>,
+        n: usize,
+        get: impl Fn(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<(), CheckpointError> {
+        self.reserve(v, n);
+        for _ in 0..n {
+            v.push(get(self)?);
+        }
+        Ok(())
+    }
+
+    /// A u32 count, then that many elements read by `get`.
+    fn list<T>(
+        &mut self,
+        get: impl Fn(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.len()?;
+        let mut v = Vec::new();
+        self.extend(&mut v, n, get)?;
+        Ok(v)
+    }
 }
 
 fn decode_tracker_slot(r: &mut Reader<'_>) -> Result<Option<ActiveSessionState>, CheckpointError> {
@@ -1026,23 +909,7 @@ fn decode_episode_slot(r: &mut Reader<'_>) -> Result<Option<EpisodeSlot>, Checkp
     Ok(Some((act, ep, rng)))
 }
 
-fn decode_stats(r: &mut Reader<'_>) -> Result<HomeStats, CheckpointError> {
-    Ok(HomeStats {
-        episodes_started: r.u64()?,
-        episodes_completed: r.u64()?,
-        reminders: r.u64()?,
-        praises: r.u64()?,
-        sessions_started: r.u64()?,
-        sessions_completed: r.u64()?,
-        sessions_abandoned: r.u64()?,
-        cross_activity_flags: r.u64()?,
-        pipeline_ticks: r.u64()?,
-        energy_uj: 0.0,
-    })
-}
-
-/// Varint mirror of [`decode_stats`]; delta-path counters are small in
-/// steady state, so LEB128 shrinks the 72-byte block to ~9-20 bytes.
+/// Reads [`encode_stats_var`]'s counters.
 fn decode_stats_var(r: &mut Reader<'_>) -> Result<HomeStats, CheckpointError> {
     Ok(HomeStats {
         episodes_started: r.var()?,
@@ -1058,15 +925,6 @@ fn decode_stats_var(r: &mut Reader<'_>) -> Result<HomeStats, CheckpointError> {
     })
 }
 
-fn decode_pending(r: &mut Reader<'_>) -> Result<Vec<SimTime>, CheckpointError> {
-    let n_pending = r.len()?;
-    let mut pending = Vec::with_capacity(n_pending.min(1024));
-    for _ in 0..n_pending {
-        pending.push(r.time()?);
-    }
-    Ok(pending)
-}
-
 fn decode_rec_slot(r: &mut Reader<'_>) -> Result<Option<RecorderState>, CheckpointError> {
     if r.opt()? {
         Ok(Some(decode_recorder(r)?))
@@ -1075,13 +933,14 @@ fn decode_rec_slot(r: &mut Reader<'_>) -> Result<Option<RecorderState>, Checkpoi
     }
 }
 
-/// The learned table a snapshot decode built last at each position in a
-/// home's systems (one position per activity), with the bytes it was
-/// decoded from. A home whose table at that position starts with the
-/// same bytes shares that table instead of decoding a copy: decoding
-/// reads nothing past the bytes it consumes, so equal bytes decode to the
-/// same table, bit for bit. A fleet that does not learn decodes to one
-/// table per activity per worker chunk.
+/// The replaced learned table a read walk built last at each position in
+/// a home's systems (one position per activity), with the bytes it was
+/// decoded from. A home whose replaced table at that position starts
+/// with the same bytes shares that table instead of decoding a copy:
+/// decoding reads nothing past the bytes it consumes, so equal bytes
+/// decode to the same table, bit for bit. Every table of a snapshot is a
+/// replacement (its base is the empty home), so a fleet that does not
+/// learn decodes to one table per activity per worker chunk.
 #[derive(Default)]
 struct SharedTables<'a> {
     last: Vec<Option<(&'a [u8], Arc<LearnedState>)>>,
@@ -1117,16 +976,8 @@ fn decode_learned(r: &mut Reader<'_>) -> Result<Option<LearnedState>, Checkpoint
     if !r.opt()? {
         return Ok(None);
     }
-    let n = r.len()?;
-    let mut values = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        values.push(r.f64()?);
-    }
-    let n = r.len()?;
-    let mut visits = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        visits.push(r.u64()?);
-    }
+    let values = r.list(Reader::f64)?;
+    let visits = r.list(Reader::u64)?;
     let traces = decode_traces(r)?;
     let updates = r.u64()?;
     let episodes_trained = r.u64()?;
@@ -1134,113 +985,7 @@ fn decode_learned(r: &mut Reader<'_>) -> Result<Option<LearnedState>, Checkpoint
 }
 
 fn decode_traces(r: &mut Reader<'_>) -> Result<Vec<(StateId, ActionId, f64)>, CheckpointError> {
-    let n = r.len()?;
-    let mut traces = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        let s = StateId::new(r.len()?);
-        let a = ActionId::new(r.len()?);
-        let e = r.f64()?;
-        traces.push((s, a, e));
-    }
-    Ok(traces)
-}
-
-#[allow(clippy::too_many_lines)]
-fn decode_system_rest(r: &mut Reader<'_>) -> Result<SystemState, CheckpointError> {
-    let sensing_current = if r.opt()? { Some(StepId::from_raw(r.u16()?)) } else { None };
-    let sensing_last_report = r.opt_time()?;
-    let n = r.len()?;
-    let mut sensing_history = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        let at = r.time()?;
-        let step = StepId::from_raw(r.u16()?);
-        sensing_history.push(StepEvent { at, step });
-    }
-    let n = r.len()?;
-    let mut nodes = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        let node = decode_node(r)?;
-        let (state, base) = r.rng()?;
-        nodes.push((node, state, base));
-    }
-    let net_rng = r.rng()?;
-    let downlink_seq = r.u16()?;
-    let n = r.len()?;
-    let mut channels = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        let id = NodeId::new(r.u16()?);
-        let bad = r.bool()?;
-        let sent = r.u64()?;
-        let lost = r.u64()?;
-        channels.push((id, bad, sent, lost));
-    }
-    let mut counters = [LinkCounters::default(); 2];
-    for c in &mut counters {
-        c.frames = r.u64()?;
-        c.attempts = r.u64()?;
-        c.delivered = r.u64()?;
-        c.lost = r.u64()?;
-        c.duplicates = r.u64()?;
-    }
-    let n = r.len()?;
-    let mut base_last_seqs = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        let id = NodeId::new(r.u16()?);
-        let seq = r.u16()?;
-        base_last_seqs.push((id, seq));
-    }
-    let base_accepted = r.u64()?;
-    let base_duplicates = r.u64()?;
-    Ok(SystemState {
-        learned: None,
-        sensing_current,
-        sensing_last_report,
-        sensing_history,
-        nodes,
-        net_rng,
-        downlink_seq,
-        channels,
-        uplink: counters[0],
-        downlink: counters[1],
-        base_last_seqs,
-        base_accepted,
-        base_duplicates,
-    })
-}
-
-fn decode_node(r: &mut Reader<'_>) -> Result<NodeState, CheckpointError> {
-    let n = r.len()?;
-    let mut detector_window = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        detector_window.push(r.bool()?);
-    }
-    let led_green = r.bool()?;
-    let led_red = r.bool()?;
-    let energy_uj = r.f64()?;
-    let energy_breakdown = (r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-    let next_seq = r.u16()?;
-    let window_peak_activation = r.f64()?;
-    let windows_closed = r.u64()?;
-    let reports_sent = r.u64()?;
-    let failed = r.bool()?;
-    let flip_false_positive = r.f64()?;
-    let flip_false_negative = r.f64()?;
-    let clock_skew_ms = r.i64()?;
-    Ok(NodeState {
-        detector_window,
-        led_green,
-        led_red,
-        energy_uj,
-        energy_breakdown,
-        next_seq,
-        window_peak_activation,
-        windows_closed,
-        reports_sent,
-        failed,
-        flip_false_positive,
-        flip_false_negative,
-        clock_skew_ms,
-    })
+    r.list(|r| Ok((StateId::new(r.len()?), ActionId::new(r.len()?), r.f64()?)))
 }
 
 fn decode_episode(r: &mut Reader<'_>) -> Result<LiveEpisode, CheckpointError> {
@@ -1305,31 +1050,11 @@ fn decode_episode(r: &mut Reader<'_>) -> Result<LiveEpisode, CheckpointError> {
 }
 
 fn decode_recorder(r: &mut Reader<'_>) -> Result<RecorderState, CheckpointError> {
-    let n = r.len()?;
-    let mut counters = Vec::with_capacity(n.min(256));
-    for _ in 0..n {
-        counters.push(r.u64()?);
-    }
-    let n = r.len()?;
-    let mut stages = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        let n_bins = r.len()?;
-        let mut bins = Vec::with_capacity(n_bins.min(65_536));
-        for _ in 0..n_bins {
-            bins.push(r.u64()?);
-        }
-        let under = r.u64()?;
-        let over = r.u64()?;
-        stages.push((bins, under, over));
-    }
-    let ring_cap = r.len()?;
-    let n = r.len()?;
-    let mut ring = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        ring.push(decode_trace(r)?);
-    }
+    let counters = r.list(Reader::u64)?;
+    let stages = r.list(|r| Ok((r.list(Reader::u64)?, r.u64()?, r.u64()?)))?;
+    let ring = r.list(decode_trace)?;
     let ring_dropped = r.u64()?;
-    Ok(RecorderState { counters, stages, ring_cap, ring, ring_dropped })
+    Ok(RecorderState { counters, stages, ring, ring_dropped })
 }
 
 fn decode_trace(r: &mut Reader<'_>) -> Result<TraceRecord, CheckpointError> {
@@ -1372,13 +1097,15 @@ fn decode_trace(r: &mut Reader<'_>) -> Result<TraceRecord, CheckpointError> {
 /// Magic prefix of a delta manifest ([`save_delta`]).
 pub const DELTA_MAGIC: &[u8; 4] = b"CRCD";
 
-// A dirty home's body is tag `1`, then its `DIRTY_*` mask and each dirty
-// field's new value in bit order. A dirty system nests the same way: its
-// learned-state tag, then its `REST_*` mask and fields, where a dirty
-// node carries a `NODE_*` mask. Counters, instants and lengths are
-// LEB128 on this path only (zigzag for the signed clock skew), so a
-// small move costs a byte or two; RNG base seeds are construction-time
-// and only stream positions travel.
+// A home's body is its `DIRTY_*` mask and each dirty field's new value
+// in bit order; a delta's entry puts the dirty tag `1` before it. A dirty
+// system nests the same way: its learned-state tag, then its `REST_*`
+// mask and fields, where a dirty node carries a `NODE_*` mask. Most
+// counters, instants and lengths are LEB128 (zigzag for the signed clock
+// skew), so a small move costs a byte or two. RNG base seeds are
+// construction-time: a delta between two snapshots moves only stream
+// positions, and a seed is written, under its own bit, only against a
+// base that lacks it — the empty home of a snapshot.
 
 const DIRTY_SYSTEMS: u16 = 1 << 0;
 const DIRTY_TRACKER: u16 = 1 << 1;
@@ -1401,7 +1128,8 @@ const REST_UPLINK: u16 = 1 << 6;
 const REST_DOWNLINK: u16 = 1 << 7;
 const REST_BASE_SEQS: u16 = 1 << 8;
 const REST_BASE_COUNTS: u16 = 1 << 9;
-const REST_ALL: u16 = (1 << 10) - 1;
+const REST_NET_SEED: u16 = 1 << 10;
+const REST_ALL: u16 = (1 << 11) - 1;
 
 const NODE_WINDOW: u16 = 1 << 0;
 const NODE_LEDS: u16 = 1 << 1;
@@ -1414,7 +1142,8 @@ const NODE_FAILED: u16 = 1 << 7;
 const NODE_FLIPS: u16 = 1 << 8;
 const NODE_SKEW: u16 = 1 << 9;
 const NODE_RNG: u16 = 1 << 10;
-const NODE_ALL: u16 = (1 << 11) - 1;
+const NODE_SEED: u16 = 1 << 11;
+const NODE_ALL: u16 = (1 << 12) - 1;
 
 /// The manifest entry of a home identical to the base.
 const CLEAN: &[u8] = &[0];
@@ -1498,7 +1227,13 @@ pub fn delta_checkpoint(base: &MetroCheckpoint, cur: &MetroCheckpoint) -> DeltaC
         .homes
         .iter()
         .zip(&cur.homes)
-        .map(|(b, c)| (b != c).then(|| write_home_delta(b, c)))
+        .map(|(b, c)| {
+            (b != c).then(|| {
+                let mut body = vec![1];
+                write_home_delta(&mut body, b, c);
+                body
+            })
+        })
         .collect();
     DeltaCheckpoint {
         at: cur.at,
@@ -1565,12 +1300,11 @@ fn read_delta(snap: &mut MetroCheckpoint, delta: &DeltaCheckpoint) -> Result<(),
         return Err(CheckpointError::BaseMismatch { expected: delta.base_fingerprint, actual });
     }
     fits(delta.homes.len(), snap.homes.len())?;
+    let mut tables = SharedTables::default();
     for (home, body) in snap.homes.iter_mut().zip(&delta.homes) {
         if let Some(body) = body {
             // Past the dirty tag `load_delta` already checked.
-            let mut r = Reader { buf: &body[1..] };
-            read_home_delta(&mut r, home)?;
-            r.finish()?;
+            read_home(&body[1..], home, &mut tables)?;
         }
     }
     snap.at = delta.at;
@@ -1684,13 +1418,11 @@ fn put_opt<T>(buf: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)
     }
 }
 
-/// A dirty home's CRCD body: the dirty tag, then the `DIRTY_*` mask and
-/// every moved field's new value.
-fn write_home_delta(b: &HomeCheckpoint, c: &HomeCheckpoint) -> Vec<u8> {
-    let mut buf = vec![1];
-    let mut w = Masked::open(&mut buf);
+/// A home's body against base `b`: the `DIRTY_*` mask and every moved
+/// field's new value.
+fn write_home_delta(buf: &mut Vec<u8>, b: &HomeCheckpoint, c: &HomeCheckpoint) {
+    let mut w = Masked::open(buf);
     w.field(DIRTY_SYSTEMS, b.systems != c.systems, |buf| {
-        assert_eq!(b.systems.len(), c.systems.len(), "system count is pinned by the config digest");
         put_len(buf, c.systems.len());
         put_moved(buf, &b.systems, &c.systems, |buf, b, c| {
             write_learned_delta(buf, b.learned.as_ref(), c.learned.as_ref());
@@ -1720,18 +1452,21 @@ fn write_home_delta(b: &HomeCheckpoint, c: &HomeCheckpoint) -> Vec<u8> {
     });
     w.field(DIRTY_REC, b.rec != c.rec, |buf| encode_rec_slot(buf, c.rec.as_ref()));
     w.close();
-    buf
 }
 
-/// Writes `0` for each pair of entries that is equal, and `1` and the
-/// entry's delta for each that moved.
-fn put_moved<T: PartialEq>(
+/// Writes `0` for each entry of `cur` equal to its base entry, and `1`
+/// and the entry's delta for each that moved. An empty base grows: each
+/// entry is diffed against its default.
+fn put_moved<T: PartialEq + Default>(
     buf: &mut Vec<u8>,
     base: &[T],
     cur: &[T],
     write: impl Fn(&mut Vec<u8>, &T, &T),
 ) {
-    for (b, c) in base.iter().zip(cur) {
+    assert!(base.is_empty() || base.len() == cur.len(), "counts are pinned by the config");
+    let empty = T::default();
+    for (at, c) in cur.iter().enumerate() {
+        let b = base.get(at).unwrap_or(&empty);
         if b == c {
             buf.put_u8(0);
         } else {
@@ -1812,14 +1547,10 @@ fn write_rest_delta(buf: &mut Vec<u8>, b: &SystemState, c: &SystemState) {
         }
     });
     w.field(REST_NODES, b.nodes != c.nodes, |buf| {
-        assert_eq!(b.nodes.len(), c.nodes.len(), "node count is pinned by the spec");
         put_var_len(buf, c.nodes.len());
         put_moved(buf, &b.nodes, &c.nodes, write_node_delta);
     });
-    w.field(REST_NET_RNG, b.net_rng != c.net_rng, |buf| {
-        assert_eq!(b.net_rng.1, c.net_rng.1, "rng base seed is construction-time");
-        put_words(buf, c.net_rng.0);
-    });
+    w.field(REST_NET_RNG, b.net_rng.0 != c.net_rng.0, |buf| put_words(buf, c.net_rng.0));
     w.field(REST_DOWNLINK_SEQ, b.downlink_seq != c.downlink_seq, |buf| {
         buf.put_u16(c.downlink_seq);
     });
@@ -1846,6 +1577,7 @@ fn write_rest_delta(buf: &mut Vec<u8>, b: &SystemState, c: &SystemState) {
         put_var(buf, c.base_accepted);
         put_var(buf, c.base_duplicates);
     });
+    w.field(REST_NET_SEED, b.net_rng.1 != c.net_rng.1, |buf| buf.put_u64(c.net_rng.1));
     w.close();
 }
 
@@ -1887,7 +1619,6 @@ fn write_node_delta(
     base: &(NodeState, [u64; 4], u64),
     cur: &(NodeState, [u64; 4], u64),
 ) {
-    assert_eq!(base.2, cur.2, "rng base seed is construction-time");
     let (b, c) = (&base.0, &cur.0);
     let mut w = Masked::open(buf);
     w.field(NODE_WINDOW, b.detector_window != c.detector_window, |buf| {
@@ -1926,19 +1657,33 @@ fn write_node_delta(
         put_var_i64(buf, c.clock_skew_ms);
     });
     w.field(NODE_RNG, base.1 != cur.1, |buf| put_words(buf, cur.1));
+    w.field(NODE_SEED, base.2 != cur.2, |buf| buf.put_u64(cur.2));
     w.close();
 }
 
-fn read_home_delta(r: &mut Reader<'_>, out: &mut HomeCheckpoint) -> Result<(), CheckpointError> {
+/// Reads one home's body onto `out`, refusing bytes left over.
+fn read_home<'a>(
+    body: &'a [u8],
+    out: &mut HomeCheckpoint,
+    tables: &mut SharedTables<'a>,
+) -> Result<(), CheckpointError> {
+    let mut r = Reader { buf: body };
+    read_home_delta(&mut r, out, tables)?;
+    r.finish()
+}
+
+fn read_home_delta<'a>(
+    r: &mut Reader<'a>,
+    out: &mut HomeCheckpoint,
+    tables: &mut SharedTables<'a>,
+) -> Result<(), CheckpointError> {
     let mask = r.mask(DIRTY_ALL)?;
     let dirty = |bit| mask & bit != 0;
     if dirty(DIRTY_SYSTEMS) {
-        fits(r.len()?, out.systems.len())?;
-        for system in &mut out.systems {
-            if r.opt()? {
-                read_system_delta(r, system)?;
-            }
-        }
+        let n = r.len()?;
+        read_moved(r, &mut out.systems, n, |r, at, system| {
+            read_system_delta(r, system, at, tables)
+        })?;
     }
     if dirty(DIRTY_TRACKER) {
         out.tracker = decode_tracker_slot(r)?;
@@ -1962,9 +1707,8 @@ fn read_home_delta(r: &mut Reader<'_>, out: &mut HomeCheckpoint) -> Result<(), C
     }
     if dirty(DIRTY_PENDING) {
         out.pending.clear();
-        for _ in 0..r.var_len()? {
-            out.pending.push(r.var_time()?);
-        }
+        let n = r.var_len()?;
+        r.extend(&mut out.pending, n, Reader::var_time)?;
     }
     if dirty(DIRTY_REC) {
         out.rec = decode_rec_slot(r)?;
@@ -1972,7 +1716,36 @@ fn read_home_delta(r: &mut Reader<'_>, out: &mut HomeCheckpoint) -> Result<(), C
     Ok(())
 }
 
-fn read_system_delta(r: &mut Reader<'_>, out: &mut SystemState) -> Result<(), CheckpointError> {
+/// Reads a [`put_moved`] list of `n` entries onto `out`, reading each
+/// moved entry with `read` (given its position). An empty `out` grows to
+/// `n` default entries first; any other must hold `n` already.
+fn read_moved<'a, T: Default>(
+    r: &mut Reader<'a>,
+    out: &mut Vec<T>,
+    n: usize,
+    mut read: impl FnMut(&mut Reader<'a>, usize, &mut T) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    if out.is_empty() {
+        // Each entry's moved tag takes a byte, so the bytes left bound `n`.
+        r.need(n)?;
+        out.reserve_exact(n);
+        out.resize_with(n, T::default);
+    }
+    fits(n, out.len())?;
+    for (at, entry) in out.iter_mut().enumerate() {
+        if r.opt()? {
+            read(r, at, entry)?;
+        }
+    }
+    Ok(())
+}
+
+fn read_system_delta<'a>(
+    r: &mut Reader<'a>,
+    out: &mut SystemState,
+    at: usize,
+    tables: &mut SharedTables<'a>,
+) -> Result<(), CheckpointError> {
     match r.u8()? {
         SAME => {}
         UPDATE => {
@@ -1987,7 +1760,7 @@ fn read_system_delta(r: &mut Reader<'_>, out: &mut SystemState) -> Result<(), Ch
             l.updates = r.u64()?;
             l.episodes_trained = r.u64()?;
         }
-        REPLACE => out.learned = decode_learned(r)?.map(Arc::new),
+        REPLACE => out.learned = tables.decode(at, r)?,
         t => return Err(CheckpointError::CorruptTag(t)),
     }
     read_rest_delta(r, out)
@@ -2006,19 +1779,14 @@ fn read_rest_delta(r: &mut Reader<'_>, out: &mut SystemState) -> Result<(), Chec
             REPLACE => out.sensing_history.clear(),
             t => return Err(CheckpointError::CorruptTag(t)),
         }
-        for _ in 0..r.var_len()? {
-            let at = r.var_time()?;
-            let step = StepId::from_raw(r.u16()?);
-            out.sensing_history.push(StepEvent { at, step });
-        }
+        let n = r.var_len()?;
+        r.extend(&mut out.sensing_history, n, |r| {
+            Ok(StepEvent { at: r.var_time()?, step: StepId::from_raw(r.u16()?) })
+        })?;
     }
     if dirty(REST_NODES) {
-        fits(r.var_len()?, out.nodes.len())?;
-        for node in &mut out.nodes {
-            if r.opt()? {
-                read_node_delta(r, node)?;
-            }
-        }
+        let n = r.var_len()?;
+        read_moved(r, &mut out.nodes, n, |r, _, node| read_node_delta(r, node))?;
     }
     if dirty(REST_NET_RNG) {
         out.net_rng.0 = r.words()?;
@@ -2044,6 +1812,9 @@ fn read_rest_delta(r: &mut Reader<'_>, out: &mut SystemState) -> Result<(), Chec
         out.base_accepted = r.var()?;
         out.base_duplicates = r.var()?;
     }
+    if dirty(REST_NET_SEED) {
+        out.net_rng.1 = r.u64()?;
+    }
     Ok(())
 }
 
@@ -2060,10 +1831,8 @@ fn read_slots<'a, T>(
         }
         REPLACE => {
             out.clear();
-            for _ in 0..r.var_len()? {
-                out.push(get(r)?);
-            }
-            Ok(())
+            let n = r.var_len()?;
+            r.extend(out, n, get)
         }
         t => Err(CheckpointError::CorruptTag(t)),
     }
@@ -2106,9 +1875,8 @@ fn read_node_delta(
     let n = &mut out.0;
     if dirty(NODE_WINDOW) {
         n.detector_window.clear();
-        for _ in 0..r.var_len()? {
-            n.detector_window.push(r.bool()?);
-        }
+        let len = r.var_len()?;
+        r.extend(&mut n.detector_window, len, Reader::bool)?;
     }
     if dirty(NODE_LEDS) {
         let packed = r.u8()?;
@@ -2145,6 +1913,9 @@ fn read_node_delta(
     }
     if dirty(NODE_RNG) {
         out.1 = r.words()?;
+    }
+    if dirty(NODE_SEED) {
+        out.2 = r.u64()?;
     }
     Ok(())
 }
@@ -2220,7 +1991,6 @@ mod tests {
                 (vec![2; 300], 0, 0),
                 (vec![0; 300], 3, 0),
             ],
-            ring_cap: 4,
             ring: vec![
                 TraceRecord {
                     at: SimTime::from_secs(1),
@@ -2334,8 +2104,8 @@ mod tests {
         let mut blob = save_checkpoint(&sample(), 1).to_vec();
         blob[4] = 99;
         // Re-stamp the CRC so only the version differs.
-        let body = blob.len() - 2;
-        let crc = crc16(&blob[..body]);
+        let body = blob.len() - 4;
+        let crc = crc32c(&blob[..body]);
         blob[body..].copy_from_slice(&crc.to_be_bytes());
         assert_eq!(
             load_checkpoint(&blob, 1),
@@ -2601,7 +2371,6 @@ mod tests {
         idle.rec = Some(RecorderState {
             counters: vec![1, 2],
             stages: vec![(vec![3], 0, 1)],
-            ring_cap: 2,
             ring: vec![TraceRecord {
                 at: SimTime::from_secs(73),
                 kind: TraceKind::Praised { latency_ms: 900 },
@@ -2611,22 +2380,25 @@ mod tests {
         cur
     }
 
-    /// The CRCD v1 bytes of two deltas as the per-field delta types wrote
-    /// them, before diffing and encoding became one walk. Together with
-    /// `tests/fixtures/metro_v1_900s.delta` they pin every delta path.
+    /// The CRCD bytes of two deltas. Their bodies are the bytes the
+    /// per-field delta types wrote under version 1, before diffing and
+    /// encoding became one walk, less the recorder's ring capacity (4
+    /// bytes in `churned()`'s home 1); the version byte and the CRC-32C
+    /// trailer are version 2's. Together with
+    /// `tests/fixtures/metro_v2_900s.delta` they pin every delta path.
     #[test]
-    fn delta_bytes_match_the_v1_encoding() {
+    fn delta_bytes_match_the_pinned_encoding() {
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
-        let evolved_v1 = concat!(
-            "4352434401deadbeeff00dcafe57b3a80297c94ddf00000000000124f80000000000039447000000",
+        let evolved_v2 = concat!(
+            "4352434402deadbeeff00dcafe57b3a80297c94ddf00000000000124f80000000000039447000000",
             "02000000b70100ef0000000101010000000100000001bfe800000000000000000001000000020000",
             "00000000000a0000000100000002000000013fc0000000000000000000000000002b000000000000",
             "009602000e0100000000000000005e000000000000000c000000000000000d000000000000000e00",
             "000000000000c8000000000000000f00000000000000100000000000000011000000000000003300",
-            "000000000000c906e0c50801c8df020500040000000000000180f10400000001006345",
+            "000000000000c906e0c50801c8df020500040000000000000180f10400000001001d2f732a",
         );
-        let churned_v1 = concat!(
-            "4352434401deadbeeff00dcafe57b3a80297c94ddf00000000000124f80000000000039447000000",
+        let churned_v2 = concat!(
+            "4352434402deadbeeff00dcafe57b3a80297c94ddf00000000000124f80000000000039447000000",
             "02000001e60101ff0000000101010000000100000001bfe800000000000000000001000000020000",
             "00000000000a0000000200000002000000013fc00000000000000000000000000002bfe000000000",
             "0000000000000000002b000000000000009603ff0001f0a2040202e8070002d8aa040001010107ff",
@@ -2639,16 +2411,16 @@ mod tests {
             "00000002000000000000ea6000000001010000000101000000000000791800020101000000000000",
             "71480000000200000000000000013600000000000023280000000000000000000000000000000013",
             "00000000000000140000000000000015000000000000001600000000000000ca06e0c50800050004",
-            "0000000000000180f104000000009301014100000001010201000000013ff0000000000000000000",
+            "0000000000000180f104000000008f01014100000001010201000000013ff0000000000000000000",
             "01000000000000000200000000000000000000000300000000000000040000000000000000000011",
             "01000000020000000000000001000000000000000200000001000000010000000000000003000000",
-            "0000000000000000000000000100000002000000010000000000011d280900000384000000000000",
-            "0000e228",
+            "00000000000000000000000001000000010000000000011d2809000003840000000000000000a1f7",
+            "c3d8",
         );
         let delta = delta_checkpoint(&sample(), &evolved());
-        assert_eq!(hex(&save_delta(&delta, 1)), evolved_v1);
+        assert_eq!(hex(&save_delta(&delta, 1)), evolved_v2);
         let delta = delta_checkpoint(&sample(), &churned());
-        assert_eq!(hex(&save_delta(&delta, 1)), churned_v1);
+        assert_eq!(hex(&save_delta(&delta, 1)), churned_v2);
         let back = load_delta(&save_delta(&delta, 1), 1).unwrap();
         assert_eq!(apply_delta(&sample(), &back).unwrap(), churned());
     }
@@ -2659,23 +2431,82 @@ mod tests {
         blob.put_u8(VERSION);
         blob.resize(blob.len() + 8 * words, 0);
         blob.put_u32(homes);
-        let crc = crc16(&blob);
-        blob.put_u16(crc);
+        let crc = crc32c(&blob);
+        blob.put_u32(crc);
         blob
     }
 
     #[test]
     fn a_huge_snapshot_home_count_is_truncation_not_an_allocation() {
         let snapshot = claiming(MAGIC, 3, u32::MAX);
-        assert_eq!(snapshot.len(), 35);
+        assert_eq!(snapshot.len(), 37);
         assert_eq!(load_checkpoint(&snapshot, 1), Err(CheckpointError::Truncated { len: 0 }));
     }
 
     #[test]
     fn a_huge_delta_home_count_is_truncation_not_an_allocation() {
         let delta = claiming(DELTA_MAGIC, 4, u32::MAX);
-        assert_eq!(delta.len(), 43);
+        assert_eq!(delta.len(), 45);
         assert_eq!(load_delta(&delta, 1), Err(CheckpointError::Truncated { len: 0 }));
+    }
+
+    /// A snapshot manifest holding one home whose body is `body`.
+    fn one_home(body: &[u8]) -> Vec<u8> {
+        let mut buf = manifest_header(MAGIC, &[0, 0, 0], 1);
+        put_entry(&mut buf, |buf| buf.put_slice(body));
+        seal_manifest(buf).to_vec()
+    }
+
+    #[test]
+    fn a_snapshot_home_is_its_delta_from_the_empty_home() {
+        let snap = sample();
+        let blob = save_checkpoint(&snap, 1);
+        let (_, homes) = load_manifest::<3>(&blob, MAGIC).unwrap();
+        for (body, home) in homes.iter().zip(&snap.homes) {
+            let mut want = Vec::new();
+            write_home_delta(&mut want, &HomeCheckpoint::default(), home);
+            assert_eq!(*body, &want[..]);
+        }
+        // The empty home is all-clean: a two-byte zero mask.
+        let empty = MetroCheckpoint { homes: vec![HomeCheckpoint::default()], ..snap };
+        assert_eq!(load_manifest::<3>(&save_checkpoint(&empty, 1), MAGIC).unwrap().1, [[0, 0]]);
+        assert_eq!(load_checkpoint(&save_checkpoint(&empty, 1), 1).unwrap(), empty);
+    }
+
+    #[test]
+    fn rng_base_seeds_travel_only_against_a_base_without_them() {
+        let mask = |write: &dyn Fn(&mut Vec<u8>)| {
+            let mut body = Vec::new();
+            write(&mut body);
+            u16::from_be_bytes([body[0], body[1]])
+        };
+        let (base, cur) = (sample(), churned());
+        let (b, c) = (&base.homes[0].systems[0], &cur.homes[0].systems[0]);
+        let empty = SystemState::default();
+        // Against the empty system, both seeds are written...
+        assert_ne!(mask(&|buf| write_rest_delta(buf, &empty, c)) & REST_NET_SEED, 0);
+        let no_node = Default::default();
+        assert_ne!(mask(&|buf| write_node_delta(buf, &no_node, &c.nodes[0])) & NODE_SEED, 0);
+        // ...while `churned()` moved both streams but neither seed.
+        let rest = mask(&|buf| write_rest_delta(buf, b, c));
+        assert_eq!(rest & (REST_NET_RNG | REST_NET_SEED), REST_NET_RNG);
+        let node = mask(&|buf| write_node_delta(buf, &b.nodes[0], &c.nodes[0]));
+        assert_eq!(node & (NODE_RNG | NODE_SEED), NODE_RNG);
+    }
+
+    #[test]
+    fn a_huge_system_or_node_count_is_truncation_not_an_allocation() {
+        // Mask `DIRTY_SYSTEMS`, then u32::MAX systems and nothing else.
+        let systems = one_home(&[0, 1, 0xFF, 0xFF, 0xFF, 0xFF]);
+        assert_eq!(load_checkpoint(&systems, 1), Err(CheckpointError::Truncated { len: 0 }));
+        // One moved system, learned state the same, `REST_NODES` and a
+        // varint count of 2^63 nodes.
+        let mut nodes = vec![0, 1, 0, 0, 0, 1, 1, SAME, 0, 4];
+        put_var(&mut nodes, 1 << 63);
+        assert_eq!(
+            load_checkpoint(&one_home(&nodes), 1),
+            Err(CheckpointError::Truncated { len: 0 })
+        );
     }
 
     /// Zeroes the tool id at `at..at + 2` of the first run of `blob`
@@ -2684,8 +2515,8 @@ mod tests {
         let mut bad = blob.to_vec();
         let start = bad.windows(pattern.len()).position(|w| w == pattern).expect("pattern");
         bad[start + at..start + at + 2].fill(0);
-        let body = bad.len() - 2;
-        let crc = crc16(&bad[..body]);
+        let body = bad.len() - 4;
+        let crc = crc32c(&bad[..body]);
         bad[body..].copy_from_slice(&crc.to_be_bytes());
         bad
     }

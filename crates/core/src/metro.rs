@@ -600,10 +600,10 @@ impl FleetCtx {
 
 /// Checks the flight-recorder state a traced restore asserts on: at most
 /// [`Ctr::COUNT`] counters (a shorter list restores zero-filled), one
-/// histogram per [`Stage`] with [`Stage::bins`] bins each, the ring
-/// capacity every fleet recorder is built with ([`DEFAULT_RING_CAP`]),
-/// so a stored capacity is never allocated, and no more ring records than
-/// that. Each is reported as the stored length against its bound.
+/// histogram per [`Stage`] with [`Stage::bins`] bins each, and no more
+/// ring records than the ring every fleet recorder is built with holds
+/// ([`DEFAULT_RING_CAP`]). Each is reported as the stored length against
+/// its bound.
 fn check_recorder(rec: &RecorderState) -> Result<(), CheckpointError> {
     if rec.counters.len() > Ctr::COUNT {
         return Err(shape_mismatch(rec.counters.len(), Ctr::COUNT));
@@ -612,9 +612,8 @@ fn check_recorder(rec: &RecorderState) -> Result<(), CheckpointError> {
     for ((bins, ..), stage) in rec.stages.iter().zip(Stage::ALL) {
         fits(bins.len(), stage.bins().2)?;
     }
-    fits(rec.ring_cap, DEFAULT_RING_CAP)?;
-    if rec.ring.len() > rec.ring_cap {
-        return Err(shape_mismatch(rec.ring.len(), rec.ring_cap));
+    if rec.ring.len() > DEFAULT_RING_CAP {
+        return Err(shape_mismatch(rec.ring.len(), DEFAULT_RING_CAP));
     }
     Ok(())
 }

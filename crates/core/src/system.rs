@@ -1051,8 +1051,9 @@ impl Coreda {
 }
 
 /// A [`Coreda`] system's captured state — the checkpoint-codec view of
-/// one assembled reminding pipeline.
-#[derive(Debug, Clone, PartialEq)]
+/// one assembled reminding pipeline. The default is the empty system a
+/// snapshot's systems are diffed against.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemState {
     /// Learned planner state, when the learner supports capture. Shared:
     /// every system serving on one template holds the same table, and a

@@ -573,22 +573,24 @@ impl HomeRecorder {
                     (bins, h.underflow(), h.overflow())
                 })
                 .collect(),
-            ring_cap: self.ring.capacity(),
             ring: self.ring.export_records(),
             ring_dropped: self.ring.dropped(),
         }
     }
 
     /// Restores state captured by [`HomeRecorder::export_state`],
-    /// replacing this recorder's counters, histograms and ring entirely
-    /// (including the ring capacity).
+    /// replacing this recorder's counters, histograms and ring records.
+    /// The ring keeps this recorder's capacity: the state does not carry
+    /// one, since every fleet recorder is built with
+    /// [`DEFAULT_RING_CAP`].
     ///
     /// # Panics
     ///
     /// Panics if the state holds *more* counters than this build's
-    /// registry, if the stage count does not match, or if a stage's bin
+    /// registry, if the stage count does not match, if a stage's bin
     /// count differs from [`Stage::bins`] — a checkpoint from an
-    /// incompatible layout. A *shorter* counter vector is accepted and
+    /// incompatible layout — or if it holds more ring records than this
+    /// recorder's ring capacity. A *shorter* counter vector is accepted and
     /// zero-filled: the registry only ever grows by appending, so a
     /// snapshot from an older build restores with its missing counters
     /// at zero (exactly what the older build would have recorded).
@@ -606,7 +608,6 @@ impl HomeRecorder {
                 Histogram::from_parts(lo, hi, bins.clone(), *under, *over)
             })
             .collect();
-        self.ring = TraceRing::new(state.ring_cap);
         self.ring.restore_state(&state.ring, state.ring_dropped);
     }
 }
@@ -623,8 +624,6 @@ pub struct RecorderState {
     /// Per-stage `(bin counts, underflow, overflow)` in [`Stage::ALL`]
     /// order.
     pub stages: Vec<(Vec<u64>, u64, u64)>,
-    /// Trace-ring capacity.
-    pub ring_cap: usize,
     /// Held trace records, oldest → newest.
     pub ring: Vec<TraceRecord>,
     /// Trace records evicted before the snapshot.
@@ -1069,7 +1068,7 @@ mod tests {
             r.event(SimTime::from_millis(u64::from(i)), TraceKind::EpisodeStarted { episode: i });
         }
         let state = r.export_state();
-        let mut restored = HomeRecorder::new();
+        let mut restored = HomeRecorder::with_ring_capacity(3);
         restored.restore_state(&state);
         assert_eq!(restored, r, "restore must be exact (logical ring equality)");
         // Continued pushes behave identically on both sides.

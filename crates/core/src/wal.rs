@@ -25,26 +25,27 @@
 //!    ([`render_home_timeline`], `trace --replay-home`).
 //!
 //! Framing follows the checkpoint house style (magic + version +
-//! big-endian body + CRC-16), adapted for append-friendly streams: the
+//! big-endian body + CRC-32C), adapted for append-friendly streams: the
 //! body is a sequence of length-prefixed, individually CRC'd chunks of
-//! up to [`CHUNK_RECORDS`] fixed-size records, and a whole-stream CRC-16
-//! trailer closes the file. Strict decoding ([`decode_wal`]) verifies
-//! the trailer first, which deterministically rejects every single-bit
-//! flip; tolerant decoding ([`decode_wal_tolerant`]) walks intact
-//! chunks and stops at the first torn one — what a resume does with the
-//! log a killed run left behind.
+//! up to [`CHUNK_RECORDS`] fixed-size records, and a whole-stream CRC-32C
+//! trailer closes the file. Strict decoding ([`decode_wal`]) checks the
+//! header, then verifies the trailer before reading a chunk, which
+//! deterministically rejects every single-bit flip; tolerant decoding
+//! ([`decode_wal_tolerant`]) walks intact chunks and stops at the first
+//! torn one — what a resume does with the log a killed run left behind.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use coreda_des::time::SimTime;
-use coreda_sensornet::packet::crc16;
+use coreda_sensornet::packet::crc32c;
 
 use crate::checkpoint::CheckpointError;
 
 /// Magic prefix of a write-ahead log stream.
 pub const MAGIC: &[u8; 4] = b"CRWL";
 /// Current format version (shared discipline with the checkpoint codec,
-/// versioned independently).
-pub const VERSION: u8 = 1;
+/// versioned independently). A log of any other version, 1 included, is
+/// refused as [`CheckpointError::UnsupportedVersion`].
+pub const VERSION: u8 = 2;
 /// Fixed encoded size of one [`WalRecord`].
 pub const RECORD_BYTES: usize = 20;
 /// Records per CRC'd chunk: small enough that a torn tail loses at most
@@ -164,11 +165,15 @@ pub struct WalTail {
 /// Fixed stream header: magic + version + config digest.
 pub const HEADER_BYTES: usize = 4 + 1 + 8;
 
+/// Bytes of a CRC-32C, after each chunk and at the end of the stream.
+const CRC_BYTES: usize = 4;
+
 /// Serialises a record stream: header, [`CHUNK_RECORDS`]-record CRC'd
 /// chunks, whole-stream CRC trailer.
 #[must_use]
 pub fn encode_wal(digest: u64, records: &[WalRecord]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + records.len() * (RECORD_BYTES + 1) + 2);
+    let mut buf =
+        BytesMut::with_capacity(HEADER_BYTES + records.len() * (RECORD_BYTES + 1) + CRC_BYTES);
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u64(digest);
@@ -178,12 +183,12 @@ pub fn encode_wal(digest: u64, records: &[WalRecord]) -> Bytes {
             r.encode(&mut payload);
         }
         buf.put_u32(u32::try_from(payload.len()).expect("chunks are bounded"));
-        let crc = crc16(&payload);
+        let crc = crc32c(&payload);
         buf.put_slice(&payload);
-        buf.put_u16(crc);
+        buf.put_u32(crc);
     }
-    let crc = crc16(&buf);
-    buf.put_u16(crc);
+    let crc = crc32c(&buf);
+    buf.put_u32(crc);
     buf.freeze()
 }
 
@@ -212,40 +217,42 @@ fn walk_chunk(blob: &[u8], offset: usize, records: &mut Vec<WalRecord>) -> Optio
     if !len.is_multiple_of(RECORD_BYTES) || len > CHUNK_RECORDS * RECORD_BYTES {
         return None;
     }
-    if rest.len() < 4 + len + 2 {
+    let end = 4 + len + CRC_BYTES;
+    if rest.len() < end {
         return None;
     }
     let payload = &rest[4..4 + len];
-    let stored = u16::from_be_bytes(rest[4 + len..4 + len + 2].try_into().expect("2 bytes"));
-    if crc16(payload) != stored {
+    let stored = u32::from_be_bytes(rest[4 + len..end].try_into().expect("4 bytes"));
+    if crc32c(payload) != stored {
         return None;
     }
     records.extend(payload.chunks_exact(RECORD_BYTES).map(WalRecord::decode));
-    Some(offset + 4 + len + 2)
+    Some(offset + end)
 }
 
-/// Strict decode of a complete log: the whole-stream CRC trailer is
-/// verified first, so every single-bit flip anywhere in the blob is
-/// rejected deterministically (per-chunk CRCs alone would miss flips in
-/// the length prefixes only probabilistically). Returns the stored
-/// config digest and every record.
+/// Strict decode of a complete log: after the header's magic and
+/// version, the whole-stream CRC trailer is verified before any chunk is
+/// read, so every single-bit flip anywhere in the blob is rejected
+/// deterministically (per-chunk CRCs alone would miss flips in the
+/// length prefixes only probabilistically). Returns the stored config
+/// digest and every record.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Truncated`] / [`CheckpointError::BadMagic`] /
-/// [`CheckpointError::UnsupportedVersion`] / [`CheckpointError::BadCrc`]
-/// on a malformed or damaged stream.
+/// [`CheckpointError::UnsupportedVersion`] (a version 1 log included) /
+/// [`CheckpointError::BadCrc`] on a malformed or damaged stream.
 pub fn decode_wal(blob: &[u8]) -> Result<(u64, Vec<WalRecord>), CheckpointError> {
-    if blob.len() < HEADER_BYTES + 2 {
+    let digest = decode_header(blob)?;
+    if blob.len() < HEADER_BYTES + CRC_BYTES {
         return Err(CheckpointError::Truncated { len: blob.len() });
     }
-    let (body, trailer) = blob.split_at(blob.len() - 2);
-    let expected = u16::from_be_bytes([trailer[0], trailer[1]]);
-    let actual = crc16(body);
+    let (body, trailer) = blob.split_at(blob.len() - CRC_BYTES);
+    let expected = u32::from_be_bytes(trailer.try_into().expect("4 bytes"));
+    let actual = crc32c(body);
     if expected != actual {
         return Err(CheckpointError::BadCrc { expected, actual });
     }
-    let digest = decode_header(body)?;
     let mut records = Vec::new();
     let mut offset = HEADER_BYTES;
     while offset < body.len() {
@@ -266,8 +273,8 @@ pub fn decode_wal(blob: &[u8]) -> Result<(u64, Vec<WalRecord>), CheckpointError>
 ///
 /// Only header damage errors ([`CheckpointError::Truncated`],
 /// [`CheckpointError::BadMagic`],
-/// [`CheckpointError::UnsupportedVersion`]) — body damage shortens the
-/// result instead of failing it.
+/// [`CheckpointError::UnsupportedVersion`], a version 1 log included) —
+/// body damage shortens the result instead of failing it.
 pub fn decode_wal_tolerant(blob: &[u8]) -> Result<WalTail, CheckpointError> {
     let digest = decode_header(blob)?;
     let mut records = Vec::new();
@@ -357,7 +364,7 @@ mod tests {
             // Tolerant decode of an intact stream salvages everything.
             let tail = decode_wal_tolerant(&blob).unwrap();
             assert_eq!(tail.records, records, "n={n}");
-            assert_eq!(tail.valid_bytes, blob.len() - 2, "n={n}");
+            assert_eq!(tail.valid_bytes, blob.len() - CRC_BYTES, "n={n}");
         }
     }
 
@@ -378,7 +385,7 @@ mod tests {
         let records = sample_records(3 * CHUNK_RECORDS);
         let blob = encode_wal(7, &records);
         // Cut mid-way through the second chunk.
-        let chunk_bytes = 4 + CHUNK_RECORDS * RECORD_BYTES + 2;
+        let chunk_bytes = 4 + CHUNK_RECORDS * RECORD_BYTES + CRC_BYTES;
         let cut = 13 + chunk_bytes + chunk_bytes / 2;
         let torn = &blob[..cut];
         assert!(decode_wal(torn).is_err(), "strict decode must reject a torn stream");
@@ -411,9 +418,20 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_log_is_refused_before_its_checksum() {
+        // Version 1 closed chunks and stream with a CRC-16; the version
+        // byte refuses it before either check reads a checksum.
+        let mut v1 = encode_wal(7, &sample_records(3)).to_vec();
+        v1[4] = 1;
+        v1.truncate(v1.len() - 2);
+        assert_eq!(decode_wal(&v1), Err(CheckpointError::UnsupportedVersion(1)));
+        assert_eq!(decode_wal_tolerant(&v1), Err(CheckpointError::UnsupportedVersion(1)));
+    }
+
+    #[test]
     fn empty_log_is_valid_and_tiny() {
         let blob = encode_wal(1, &[]);
-        assert_eq!(blob.len(), HEADER_BYTES + 2);
+        assert_eq!(blob.len(), HEADER_BYTES + CRC_BYTES);
         assert_eq!(decode_wal(&blob).unwrap(), (1, Vec::new()));
     }
 

@@ -11,7 +11,8 @@
 //! - [`detect`] — the 3-of-10 threshold vote from §2.1;
 //! - [`node`] — the mote itself: sensor, detector, LEDs, EEPROM, sequence
 //!   numbers;
-//! - [`packet`] — the wire format with CRC-16 framing;
+//! - [`packet`] — the wire format with CRC-16 framing, and the CRC-32C
+//!   the durability formats close with;
 //! - [`radio`] + [`network`] — a CC1000 link model (Bernoulli and
 //!   Gilbert–Elliott losses), stop-and-wait ARQ, and base-station
 //!   duplicate suppression;

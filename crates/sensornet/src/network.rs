@@ -193,11 +193,8 @@ impl StarNetwork {
     }
 
     /// Sends `packet` from its source node to the base station with
-    /// stop-and-wait ARQ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet's source node was never [`register`ed](Self::register).
+    /// stop-and-wait ARQ. A frame from a node that was never
+    /// [`register`ed](Self::register) is lost without an attempt.
     pub fn send_uplink(&mut self, packet: &Packet, rng: &mut SimRng) -> SendOutcome {
         let outcome = self.send_via(packet.src, packet, rng);
         self.uplink.observe(&outcome);
@@ -205,11 +202,9 @@ impl StarNetwork {
     }
 
     /// Sends `packet` from the base station down to `dest` (LED commands
-    /// from the reminding subsystem) with the same stop-and-wait ARQ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dest` was never [`register`ed](Self::register).
+    /// from the reminding subsystem) with the same stop-and-wait ARQ. A
+    /// frame to a node that was never [`register`ed](Self::register) is
+    /// lost without an attempt.
     pub fn send_downlink(&mut self, dest: NodeId, packet: &Packet, rng: &mut SimRng) -> SendOutcome {
         let outcome = self.send_via(dest, packet, rng);
         self.downlink.observe(&outcome);
@@ -268,9 +263,15 @@ impl StarNetwork {
         self.downlink = downlink;
     }
 
+    /// One frame over `node`'s link. An unregistered node has no link:
+    /// the frame is lost before any transmission, so no randomness is
+    /// drawn.
     fn send_via(&mut self, node: NodeId, packet: &Packet, rng: &mut SimRng) -> SendOutcome {
         let cfg = self.cfg;
-        let link = self.link(node);
+        let Ok(at) = self.links.binary_search_by_key(&node, |&(id, _)| id) else {
+            return SendOutcome::Lost { attempts: 0 };
+        };
+        let link = &mut self.links[at].1;
         let data_len = packet.encoded_len();
         let ack_len =
             Packet::new(packet.src, 0, 0, Payload::Ack { acked_seq: packet.seq }).encoded_len();
@@ -634,11 +635,22 @@ mod tests {
         assert_eq!(net.channel_states()[0], (NodeId::new(1), false, 3, 3));
     }
 
+    /// A frame addressed to a node the network never registered is lost
+    /// without a transmission, and the RNG stream is left where it was.
     #[test]
-    #[should_panic(expected = "not registered")]
-    fn unknown_node_panics() {
+    fn a_frame_to_an_unknown_node_is_lost_without_drawing() {
         let mut net = StarNetwork::new(LinkConfig::default());
+        net.register(NodeId::new(1));
         let mut rng = SimRng::seed_from(6);
-        let _ = net.send_uplink(&tool_use(9, 0), &mut rng);
+        let mut untouched = rng.clone();
+        let led = Packet::new(NodeId::new(77), 0, 0, Payload::Heartbeat);
+        let lost = SendOutcome::Lost { attempts: 0 };
+        assert_eq!(net.send_downlink(NodeId::new(77), &led, &mut rng), lost);
+        assert_eq!(net.send_uplink(&tool_use(9, 0), &mut rng), lost);
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "no randomness drawn");
+        assert_eq!(net.channel_states(), [(NodeId::new(1), false, 0, 0)]);
+        let (up, down) = net.take_counters();
+        assert_eq!((up.frames, up.lost, up.attempts), (1, 1, 0));
+        assert_eq!((down.frames, down.lost, down.attempts), (1, 1, 0));
     }
 }

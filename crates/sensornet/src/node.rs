@@ -54,7 +54,7 @@ impl std::fmt::Display for NodeId {
 /// are not included: they are construction-time configuration (the live
 /// pipeline never writes the EEPROM), so a restored node only needs to be
 /// built from the same spec.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeState {
     /// Buffered detector votes of the partially filled window.
     pub detector_window: Vec<bool>,

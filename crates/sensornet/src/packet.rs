@@ -32,8 +32,8 @@ const CRC_LEN: usize = 2;
 /// CRC-16/CCITT-FALSE over `data` (poly 0x1021, init 0xFFFF).
 ///
 /// Slicing-by-8: eight bytes per step through `CRC16_TABLES`, the
-/// tail byte by byte. Every frame, checkpoint, delta and WAL codec runs
-/// its bytes through here.
+/// tail byte by byte. Radio frames, wire frames and policy blobs close
+/// with it; the durability formats use [`crc32c`].
 #[must_use]
 pub fn crc16(data: &[u8]) -> u16 {
     let t = &CRC16_TABLES;
@@ -81,6 +81,68 @@ const fn crc16_tables() -> [[u16; 256]; 8] {
         while b < 256 {
             let prev = t[k - 1][b];
             t[k][b] = (prev << 8) ^ t[0][(prev >> 8) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32C (Castagnoli: reflected poly 0x82F63B78, init and final xor
+/// 0xFFFFFFFF) over `data`. Snapshots, deltas and write-ahead logs
+/// close with it: they run to tens of megabytes, where a 16-bit check
+/// misses one random corruption in 65 536.
+///
+/// Slicing-by-8 like [`crc16`]: eight bytes per step through
+/// `CRC32C_TABLES`, the tail byte by byte.
+#[must_use]
+pub fn crc32c(data: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    let mut crc = !0u32;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        // The register folds into the first four bytes (least
+        // significant first); each byte then contributes its table entry
+        // for the zero bytes that follow it.
+        let [b0, b1, b2, b3] = crc.to_le_bytes();
+        crc = t[7][usize::from(c[0] ^ b0)]
+            ^ t[6][usize::from(c[1] ^ b1)]
+            ^ t[5][usize::from(c[2] ^ b2)]
+            ^ t[4][usize::from(c[3] ^ b3)]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc.to_le_bytes()[0] ^ byte)];
+    }
+    !crc
+}
+
+/// `CRC32C_TABLES[k][b]`: the reflected CRC-32C register contribution of
+/// byte `b` followed by `k` zero bytes.
+static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
+
+const fn crc32c_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82F6_3B78 } else { crc >> 1 };
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             b += 1;
         }
         k += 1;
@@ -392,6 +454,31 @@ mod tests {
         }
     }
 
+    /// The bitwise reflected CRC-32C loop, kept as the reference the
+    /// sliced [`crc32c`] must match.
+    fn crc32c_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82F6_3B78 } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32c_known_vector() {
+        // CRC-32C("123456789") = 0xE3069283 (RFC 3720, iSCSI).
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c_bitwise(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c(b""), 0);
+        let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
+        for n in 0..=data.len() {
+            assert_eq!(crc32c(&data[..n]), crc32c_bitwise(&data[..n]), "length {n}");
+        }
+    }
+
     proptest::proptest! {
         /// Slicing-by-8 is the bitwise CRC at every length and alignment
         /// of the 8-byte stride.
@@ -400,6 +487,14 @@ mod tests {
             data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
         ) {
             proptest::prop_assert_eq!(crc16(&data), crc16_bitwise(&data));
+        }
+
+        /// The same for CRC-32C.
+        #[test]
+        fn sliced_crc32c_matches_the_bitwise_loop(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+        ) {
+            proptest::prop_assert_eq!(crc32c(&data), crc32c_bitwise(&data));
         }
     }
 

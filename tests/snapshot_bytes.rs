@@ -77,13 +77,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const SMALL: usize = 1_000;
 const LARGE: usize = 3_000;
 
-/// The gates, under 5 % above the measurements: 2,655 B per home
-/// captured and 2,633 B decoded. A per-home copy of both learned tables
+/// The gates, under 5 % above the measurements: 2,647 B per home
+/// captured and 2,625 B decoded. A per-home copy of both learned tables
 /// (values and visit counts) would add 6,400 B to each.
 const MAX_CAPTURED_PER_HOME: f64 = 2_780.0;
 const MAX_DECODED_PER_HOME: f64 = 2_760.0;
 /// `save_checkpoint`'s peak heap over its output, at one worker
-/// (measured 1.34x): the manifest buffer grows by doubling, so its
+/// (measured 1.57x): the manifest buffer grows by doubling, so its
 /// capacity stays under twice what it holds, and nothing else may be
 /// held while it grows (a per-home blob or a copy made to freeze it).
 const MAX_SAVE_PEAK_RATIO: f64 = 2.0;
