@@ -35,7 +35,11 @@ bench-scale:
 # AND delta-chain + write-ahead-log resume, bit-identical at any
 # cadence/jobs, with a stored log that must be a prefix of the
 # replay), the wire-format fixture replay, the
-# trace-summary golden, the paper's study goldens (tests/paper_goldens.rs:
+# trace-summary golden, the observer goldens (tests/observer_goldens.rs:
+# the telemetry JSONL, taps, write-ahead log and care log of the
+# trace-summary fleet and the bad-day and radio-burst-ge corpus plans
+# with every observer on, byte-compared with tests/golden/observers_*,
+# and each observer alone held to the same bytes), the paper's study goldens (tests/paper_goldens.rs:
 # every repro_* binary's output at the argument lists EXPERIMENTS.md
 # documents, byte-compared with tests/golden/repro_*.txt, and every quote
 # of them in EXPERIMENTS.md held to its file), doc (any rustdoc warning
@@ -77,7 +81,9 @@ bench-scale:
 # path's heap use gates by count, which does not drift with the host:
 # tests/alloc_budget.rs serves a fixed-seed fleet under its own
 # counting allocator and holds a steady-state segment under 0.05
-# allocator calls per pipeline tick, and tests/home_bytes.rs holds a
+# allocator calls per pipeline tick, once with the log every session
+# keeps and once with taps, flight recorder, log and the default care
+# policy on, and tests/home_bytes.rs holds a
 # home's footprint under its own live/peak-tracking allocator: the
 # marginal peak heap per home between fixed-seed 1k- and 3k-home fleets
 # at most 3 650 B, and ServeCtx::session at most 4.2 allocator calls

@@ -384,19 +384,13 @@ pub fn scale(p: &Parsed) -> CmdResult {
     // fold over the event log, so the fleet report is untouched; the
     // run gains the deterministic escalation summary and the fleet
     // analytics quantile rollup. The overlay is not checkpointable
-    // state, so it stays plain-run only.
+    // state, so it never meets a snapshot.
     let care: bool = p.get_parsed("care", false)?;
     if p.get("care-out").is_some() && !care {
         return Err("--care-out needs --care true".into());
     }
-    if care
-        && (p.get("trace-out").is_some()
-            || p.get("wal-out").is_some()
-            || p.get("resume-from").is_some()
-            || p.get("checkpoint-every").is_some())
-    {
-        return Err("--care cannot combine with --trace-out, --wal-out, \
-                    --resume-from, or --checkpoint-every; drop one"
+    if care && (p.get("resume-from").is_some() || p.get("checkpoint-every").is_some()) {
+        return Err("--care cannot combine with --resume-from or --checkpoint-every; drop one"
             .into());
     }
 
@@ -433,16 +427,17 @@ pub fn scale(p: &Parsed) -> CmdResult {
     };
 
     // --trace-out turns the flight recorder on and --wal-out the
-    // write-ahead event log; the report is bit-identical either way
-    // (recording draws no randomness, logging is derived, never fed
-    // back). With --checkpoint-every, --wal-out switches the snapshot
-    // stream to incremental durability — a full base at the first stop,
-    // then one compact delta per stop, costs that scale with activity
-    // rather than fleet size.
+    // write-ahead event log; the report is bit-identical either way, and
+    // each observer writes the same bytes whatever else is on (every one
+    // is a fold over the wake's events). With --checkpoint-every,
+    // --wal-out switches the snapshot stream to incremental durability —
+    // a full base at the first stop, then one compact delta per stop,
+    // costs that scale with activity rather than fleet size. A resumed
+    // log would hold only the tail, so --wal-out never resumes.
     let trace_path = p.get("trace-out");
     let wal_path = p.get("wal-out");
-    if wal_path.is_some() && (trace_path.is_some() || resume.is_some()) {
-        return Err("--wal-out cannot combine with --trace-out or --resume-from; drop one".into());
+    if wal_path.is_some() && resume.is_some() {
+        return Err("--wal-out cannot combine with --resume-from; drop one".into());
     }
     if trace_path.is_some() && resume.is_some() && !stops.is_empty() {
         return Err("--trace-out cannot combine with both --resume-from and --checkpoint-every; \
@@ -1732,11 +1727,36 @@ mod tests {
         }
     }
 
+    /// `--trace-out`, `--wal-out` and `--care` on one plain run write
+    /// what each writes on its own run. The recorder counts escalations
+    /// only while care runs, so the telemetry pairs with `--care` too.
     #[test]
-    fn scale_care_rejects_durability_combinations() {
+    fn scale_observers_compose_on_one_run() {
+        let file = |name: &str| temp_path(name).to_str().unwrap().to_owned();
+        let (trace, wal, care) = (file("all.jsonl"), file("all.wal"), file("all.care"));
+        let (trace1, wal1, care1) = (file("one.jsonl"), file("one.wal"), file("one.care"));
+        let run = |extra: &[&str]| {
+            let base = ["scale", "--homes", "6", "--hours", "0.2", "--jobs", "2", "--seed", "11"];
+            scale(&parse(&[&base[..], extra].concat())).unwrap()
+        };
+        run(&["--trace-out", &trace, "--wal-out", &wal, "--care", "true", "--care-out", &care]);
+        run(&["--trace-out", &trace1, "--care", "true"]);
+        run(&["--wal-out", &wal1]);
+        run(&["--care", "true", "--care-out", &care1]);
+        for (all, one) in [(trace, trace1), (wal, wal1), (care, care1)] {
+            let (a, b) = (std::fs::read(&all).unwrap(), std::fs::read(&one).unwrap());
+            let _ = (std::fs::remove_file(&all), std::fs::remove_file(&one));
+            assert!(!a.is_empty(), "{all} is empty");
+            assert_eq!(a, b, "{all} differs from its single-observer run");
+        }
+    }
+
+    /// Care state is not in a snapshot, so a resumed run cannot carry it.
+    #[test]
+    fn scale_care_refuses_a_resume() {
         let err = scale(&parse(&[
             "scale", "--homes", "2", "--hours", "0.1", "--care", "true",
-            "--wal-out", "/tmp/never-written.wal",
+            "--resume-from", "/nonexistent/never-read.ckpt",
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--care cannot combine"), "{err}");

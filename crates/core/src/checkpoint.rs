@@ -650,15 +650,6 @@ fn encode_trace(buf: &mut Vec<u8>, r: &TraceRecord) {
             buf.put_u8(1);
             put_bool(buf, completed);
         }
-        TraceKind::ToolInUse { node } => {
-            buf.put_u8(2);
-            buf.put_u16(node);
-        }
-        TraceKind::RadioDelivered { node, attempts } => {
-            buf.put_u8(3);
-            buf.put_u16(node);
-            buf.put_u8(attempts);
-        }
         TraceKind::RadioLost { node, attempts } => {
             buf.put_u8(4);
             buf.put_u16(node);
@@ -1062,8 +1053,6 @@ fn decode_trace(r: &mut Reader<'_>) -> Result<TraceRecord, CheckpointError> {
     let kind = match r.u8()? {
         0 => TraceKind::EpisodeStarted { episode: r.u32()? },
         1 => TraceKind::EpisodeEnded { completed: r.bool()? },
-        2 => TraceKind::ToolInUse { node: r.u16()? },
-        3 => TraceKind::RadioDelivered { node: r.u16()?, attempts: r.u8()? },
         4 => TraceKind::RadioLost { node: r.u16()?, attempts: r.u8()? },
         5 => TraceKind::StepExtracted { step: StepId::from_raw(r.u16()?) },
         6 => TraceKind::IdleDetected { idle_ms: r.u32()? },
@@ -2130,6 +2119,21 @@ mod tests {
         assert_ne!(d, config_digest(&MetroConfig { homes: 17, ..base.clone() }));
         assert_ne!(d, config_digest(&MetroConfig { seed: 3, ..base.clone() }));
         assert_ne!(d, config_digest(&MetroConfig { train_episodes: 1, ..base }));
+    }
+
+    /// Tags 2 and 3 named trace kinds nothing ever recorded (tool in use,
+    /// radio delivered); they are gone, and a record claiming one is
+    /// corrupt.
+    #[test]
+    fn retired_trace_tags_decode_as_corrupt() {
+        for (tag, payload) in [(2u8, &[0u8, 7][..]), (3, &[0, 7, 1][..])] {
+            let mut buf = Vec::new();
+            put_time(&mut buf, SimTime::from_secs(1));
+            buf.push(tag);
+            buf.extend_from_slice(payload);
+            let decoded = decode_trace(&mut Reader { buf: &buf });
+            assert_eq!(decoded, Err(CheckpointError::CorruptTag(tag)));
+        }
     }
 
     #[test]

@@ -94,5 +94,5 @@ pub use report::DailyReport;
 pub use sensing::{SensingSubsystem, StepEvent};
 pub use sessions::{SessionEvent, SessionEvents, SessionTracker};
 pub use system::{Coreda, CoredaConfig, LiveEpisode, TickOutcome};
-pub use telemetry::{Ctr, HomeRecorder, MaybeRec, Stage, Telemetry, TraceKind, TraceRecord};
+pub use telemetry::{Ctr, HomeRecorder, Stage, Telemetry, TraceKind, TraceRecord};
 pub use wal::{decode_wal, decode_wal_tolerant, encode_wal, render_home_timeline, WalRecord, WalTail};

@@ -19,6 +19,7 @@ use coreda_des::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::reminding::{Prompt, Reminder};
+use crate::system::{WakeEvent, WakeSink};
 
 /// A patient model the live runner can drive.
 pub trait PatientBehavior: fmt::Debug {
@@ -254,11 +255,6 @@ impl EpisodeLog {
         &self.entries
     }
 
-    /// Drops every entry, keeping the buffer for the next episode.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// The reminders issued, with timestamps.
     #[must_use]
     pub fn reminders(&self) -> Vec<(SimTime, &Reminder)> {
@@ -324,6 +320,25 @@ impl EpisodeLog {
             let _ = writeln!(out, "[{t:>9}] {line}");
         }
         out
+    }
+}
+
+/// The episode log is the fold of [`crate::system::Coreda::run_live`]:
+/// the patient's moves and the system's sensed steps, reminders, praise
+/// and completion, in the order they happened.
+impl WakeSink for EpisodeLog {
+    fn emit(&mut self, at: SimTime, ev: WakeEvent) {
+        let kind = match ev {
+            WakeEvent::PatientStarted(step) => LogKind::PatientStarted(step),
+            WakeEvent::PatientFroze => LogKind::PatientFroze,
+            WakeEvent::PatientMisused(tool) => LogKind::PatientMisused(tool),
+            WakeEvent::StepSensed { step, .. } => LogKind::StepSensed(step),
+            WakeEvent::Reminder { reminder, .. } => LogKind::ReminderIssued(reminder),
+            WakeEvent::Praised { .. } => LogKind::Praised,
+            WakeEvent::Completed => LogKind::AdlCompleted,
+            _ => return,
+        };
+        self.push(at, kind);
     }
 }
 

@@ -32,7 +32,15 @@
 //!
 //! [`RunSpec`] says what a batch run observes (taps, flight recorder,
 //! write-ahead log, care overlay), where it snapshots, and whether it
-//! resumes; [`run`] returns everything as one [`RunOutput`].
+//! resumes; [`run`] returns everything as one [`RunOutput`]. A wake
+//! reports through one event stream: the live pipeline and the wake's
+//! own episode starts, episode ends and idle closes go into the home's
+//! sink, which drives its session tracker from every accepted report
+//! and folds each event into the wake's [`WalRecord`] and, when the run
+//! keeps them, the home's taps and flight recorder. The home's
+//! [`HomeStats`] and the care monitor fold the wake records. So every
+//! observer reads the same events, and none can change what the wake
+//! does.
 //!
 //! Home state is laid out struct-of-arrays: each worker owns a `Shard`
 //! of parallel vectors indexed by shard-local home id (the per-activity
@@ -64,17 +72,18 @@ use crate::checkpoint::{
     compact, config_digest, delta_checkpoint, fits, shape_mismatch, CheckpointError,
     DeltaCheckpoint, HomeCheckpoint, MetroCheckpoint,
 };
-use crate::escalation::{CareEvent, CareEventKind, CareMonitor, CareOutput, CarePolicy, FleetAnalytics};
+use crate::escalation::{CareEvent, CareMonitor, CareOutput, CarePolicy, FleetAnalytics};
 use crate::fleet::{default_jobs, derive_seed, FleetEngine};
-use crate::live::{EpisodeLog, FaultyBehavior, LogKind, StochasticBehavior};
+use crate::live::{FaultyBehavior, StochasticBehavior};
 use crate::planning::{LearnedState, PlannerTemplate, PlanningSubsystem};
 use crate::reminding::{Prompt, ReminderMethod, RemindingSubsystem, Trigger};
 use crate::sensing::SensingSubsystem;
 use crate::sessions::{SessionEvent, SessionTracker};
-use crate::system::{Coreda, CoredaConfig, LiveEpisode, Phase, SystemState, TickScratch};
-use crate::telemetry::{
-    Ctr, HomeRecorder, RecorderState, Stage, Telemetry, TraceKind, DEFAULT_RING_CAP,
+use crate::system::{
+    Coreda, CoredaConfig, LiveEpisode, Phase, SystemState, TickOutcome, TickScratch, WakeEvent,
+    WakeSink,
 };
+use crate::telemetry::{Ctr, HomeRecorder, RecorderState, Stage, Telemetry, DEFAULT_RING_CAP};
 use crate::wal::{self, WalRecord};
 
 /// Configuration of a metro-scale serving run.
@@ -174,6 +183,21 @@ impl HomeStats {
         self.energy_uj += other.energy_uj;
         clamped
     }
+
+    /// Adds one wake's write-ahead record. A wake's counts fit the
+    /// record's bytes: a tick raises at most one reminder per sensed step
+    /// plus a re-prompt, and three session events per accepted report.
+    fn add_wake(&mut self, record: &WalRecord) {
+        let flag = |bit: u8| u64::from(record.flags & bit != 0);
+        self.episodes_started += flag(wal::EPISODE_STARTED);
+        self.episodes_completed += flag(wal::EPISODE_COMPLETED);
+        self.reminders += u64::from(record.reminders);
+        self.praises += u64::from(record.praises);
+        self.sessions_started += u64::from(record.sessions_started);
+        self.sessions_completed += u64::from(record.sessions_completed);
+        self.sessions_abandoned += u64::from(record.sessions_abandoned);
+        self.cross_activity_flags += u64::from(record.cross_activity);
+    }
 }
 
 /// One event on a home's serving tap — the ordered stream a differential
@@ -193,7 +217,7 @@ pub enum TapEvent {
         /// Instant of the tick.
         at: SimTime,
         /// What the tick produced.
-        out: crate::system::TickOutcome,
+        out: TickOutcome,
     },
     /// The session tracker recognised an event.
     Session(SessionEvent),
@@ -237,19 +261,18 @@ impl TapEvent {
             ) => at,
         }
     }
-}
 
-/// Moves one pipeline call's episode-log entries onto a home's tap: the
-/// system's own observations — sensed steps and reminders — in log order.
-/// Ground-truth patient entries (froze, misused, started) stay off the
-/// tap, since the pipeline could not know them; praise and completion
-/// ride the tick's [`TapEvent::Tick`].
-fn tap_log(tap: &mut Vec<TapEvent>, log: &mut EpisodeLog) {
-    for (at, kind) in log.entries() {
-        let at = *at;
-        match kind {
-            LogKind::StepSensed(step) => tap.push(TapEvent::StepSensed { at, step: *step }),
-            LogKind::ReminderIssued(reminder) => tap.push(TapEvent::Reminder {
+    /// The tap a wake event leaves, if any: the system's own observations
+    /// — sensed steps and reminders — plus episode starts, session events
+    /// and the ticks that produced something user-visible. Ground-truth
+    /// patient moves stay off the tap, since the pipeline could not know
+    /// them; praise and completion ride the tick's [`TapEvent::Tick`].
+    fn of(at: SimTime, ev: &WakeEvent) -> Option<TapEvent> {
+        Some(match *ev {
+            WakeEvent::EpisodeStarted { act, .. } => TapEvent::EpisodeStarted { at, act },
+            WakeEvent::Session(session) => TapEvent::Session(session),
+            WakeEvent::StepSensed { step, .. } => TapEvent::StepSensed { at, step },
+            WakeEvent::Reminder { ref reminder, .. } => TapEvent::Reminder {
                 at,
                 prompt: reminder.prompt,
                 trigger: reminder.trigger,
@@ -257,11 +280,11 @@ fn tap_log(tap: &mut Vec<TapEvent>, log: &mut EpisodeLog) {
                     ReminderMethod::RedLed { tool, .. } => Some(*tool),
                     _ => None,
                 }),
-            }),
-            _ => {}
-        }
+            },
+            WakeEvent::Tick(out) if out != TickOutcome::default() => TapEvent::Tick { at, out },
+            _ => return None,
+        })
     }
-    log.clear();
 }
 
 /// One node's injected faults. The default is a healthy node.
@@ -730,45 +753,85 @@ fn draw_gap(rng: &mut SimRng, gap_min_ms: u64, gap_max_ms: u64) -> SimDuration {
     SimDuration::from_millis(ms)
 }
 
-fn count_session_event(stats: &mut HomeStats, ev: SessionEvent) {
-    match ev {
-        SessionEvent::Started { .. } => stats.sessions_started += 1,
-        SessionEvent::Ended { completed: true, .. } => stats.sessions_completed += 1,
-        SessionEvent::Ended { completed: false, .. } => stats.sessions_abandoned += 1,
-        SessionEvent::CrossActivityUse { .. } => stats.cross_activity_flags += 1,
+/// The flight-recorder fold: one recorder per home, and the session
+/// events the serving wake raised so far. The ring records those when
+/// the tick (or, outside a tick, the wake) ends, after the records of
+/// what the tick itself did.
+struct Recorders {
+    homes: Vec<HomeRecorder>,
+    held: Vec<SessionEvent>,
+}
+
+/// What a home's sink folds beyond its counts: nothing (`()`), or its
+/// taps and flight recorder ([`Observed`]). A run that keeps neither
+/// serves every wake with `()`, so its pipeline carries no observer code.
+trait Observer {
+    /// Folds one of the wake's events.
+    fn observe(&mut self, at: SimTime, ev: &WakeEvent);
+    /// Hands on what the observer holds back: at each tick's end, and
+    /// at the wake's.
+    fn flush(&mut self, at: SimTime);
+}
+
+impl Observer for () {
+    fn observe(&mut self, _: SimTime, _: &WakeEvent) {}
+    fn flush(&mut self, _: SimTime) {}
+}
+
+/// A home's taps and flight recorder, when the run keeps either.
+struct Observed<'s> {
+    taps: Option<&'s mut Vec<TapEvent>>,
+    rec: Option<(&'s mut HomeRecorder, &'s mut Vec<SessionEvent>)>,
+}
+
+impl Observer for Observed<'_> {
+    fn observe(&mut self, at: SimTime, ev: &WakeEvent) {
+        if let Some(taps) = self.taps.as_deref_mut() {
+            taps.extend(TapEvent::of(at, ev));
+        }
+        match (&mut self.rec, ev) {
+            (Some((_, held)), WakeEvent::Session(session)) => held.push(*session),
+            (Some((rec, _)), _) => rec.fold(at, ev),
+            (None, _) => {}
+        }
+        if let WakeEvent::Tick(_) = ev {
+            self.flush(at);
+        }
+    }
+
+    /// Hands the held session events to the ring.
+    fn flush(&mut self, at: SimTime) {
+        if let Some((rec, held)) = self.rec.as_mut() {
+            for session in held.drain(..) {
+                rec.fold(at, &WakeEvent::Session(session));
+            }
+        }
     }
 }
 
-/// Mirrors a session event into the flight recorder, stamped with the
-/// event's *own* instant (idle closes fire at the deadline, not at the
-/// tick that noticed them).
-fn record_session_event(rec: &mut HomeRecorder, ev: SessionEvent) {
-    match ev {
-        SessionEvent::Started { activity, at } => {
-            rec.inc(Ctr::SessionsStarted);
-            rec.event(at, TraceKind::SessionStarted { name: activity });
-        }
-        SessionEvent::Ended { activity, at, completed } => {
-            rec.inc(if completed { Ctr::SessionsCompleted } else { Ctr::SessionsAbandoned });
-            rec.event(at, TraceKind::SessionEnded { name: activity, completed });
-        }
-        SessionEvent::CrossActivityUse { active, at, .. } => {
-            rec.inc(Ctr::CrossActivityFlags);
-            rec.event(at, TraceKind::CrossActivity { name: active });
-        }
-    }
+/// Home `i`'s folds over one wake's event stream: the wake's write-ahead
+/// record, its session tracker (which every accepted report drives) and
+/// its observer.
+struct HomeSink<'s, O> {
+    tracker: &'s mut SessionTracker,
+    record: WalRecord,
+    observer: O,
 }
 
-/// Bumps the home's escalation counters for freshly emitted care
-/// events — per-home recorders, so the counts merge in home order like
-/// every other telemetry stream.
-fn count_care_events(rec: &mut HomeRecorder, fresh: &[CareEvent]) {
-    for ev in fresh {
-        rec.inc(match ev.kind {
-            CareEventKind::Raised => Ctr::EscalationsRaised,
-            CareEventKind::Acked => Ctr::EscalationsAcked,
-            CareEventKind::Resolved => Ctr::EscalationsResolved,
-        });
+impl<O: Observer> WakeSink for HomeSink<'_, O> {
+    // Inlined where the event is built, so the counts fold to the few
+    // adds its kind needs.
+    #[inline(always)]
+    fn emit(&mut self, at: SimTime, ev: WakeEvent) {
+        self.record.fold(&ev);
+        self.observer.observe(at, &ev);
+        if let WakeEvent::ReportAccepted(node) = ev {
+            for session in self.tracker.on_report(node, at) {
+                let ev = WakeEvent::Session(session);
+                self.record.fold(&ev);
+                self.observer.observe(at, &ev);
+            }
+        }
     }
 }
 
@@ -819,8 +882,8 @@ struct Shard<'a> {
     hot: Vec<HomeLanes>,
     /// Serving taps: outer `Some` when the run records event streams.
     taps: Option<Vec<Vec<TapEvent>>>,
-    /// Flight recorders: outer `Some` when the run collects telemetry.
-    recs: Option<Vec<HomeRecorder>>,
+    /// Flight recorders: `Some` when the run collects telemetry.
+    recs: Option<Recorders>,
     /// Write-ahead event log: `Some` when the run appends one record per
     /// observable-transition wake (quiet wakes append nothing).
     wal: Option<Vec<WalRecord>>,
@@ -831,12 +894,6 @@ struct Shard<'a> {
     /// profile, call-local scratch and the fault overlay's patient flags
     /// (set before every wake of a faulted run), never per-home state.
     behavior: FaultyBehavior<StochasticBehavior>,
-    /// The pipeline's episode log while the run records taps: filled by
-    /// one `begin_live`/`live_tick` call and moved onto the home's tap.
-    log: EpisodeLog,
-    /// Session events buffered during a tick (the report sink cannot
-    /// borrow the recorder while `live_tick` holds it).
-    scratch_sessions: Vec<SessionEvent>,
     /// The pipeline tick's buffers, lent to whichever home ticks.
     scratch_tick: TickScratch,
     gap_min_ms: u64,
@@ -900,7 +957,10 @@ impl<'a> Shard<'a> {
             episodes: (0..count).map(|_| None).collect(),
             hot,
             taps: record.then(|| (0..count).map(|_| Vec::new()).collect()),
-            recs: trace.then(|| (0..count).map(|_| HomeRecorder::new()).collect()),
+            recs: trace.then(|| Recorders {
+                homes: (0..count).map(|_| HomeRecorder::new()).collect(),
+                held: Vec::new(),
+            }),
             wal: log.then(Vec::new),
             care: care.map(|policy| CareState {
                 policy: policy.clone(),
@@ -914,8 +974,6 @@ impl<'a> Shard<'a> {
             behavior: FaultyBehavior::new(StochasticBehavior::new(PatientProfile::moderate(
                 RESIDENT,
             ))),
-            log: EpisodeLog::new(),
-            scratch_sessions: Vec::new(),
             scratch_tick: TickScratch::default(),
             gap_min_ms: cfg.gap_min.as_millis(),
             gap_max_ms: cfg.gap_max.as_millis(),
@@ -926,211 +984,106 @@ impl<'a> Shard<'a> {
         self.hot.len()
     }
 
-    /// The canonical per-instant sequence for home `i`, performing
-    /// `routines` (one per activity). A quiet instant changes nothing and
-    /// draws no randomness, so calling it only where something can change
-    /// (the event-driven wakes) equals calling it at every instant of the
-    /// home's 100 ms grid.
-    fn poll_instant(&mut self, i: usize, now: SimTime, routines: &[Routine]) {
-        // 1. Begin the next episode when its start arrives.
-        if self.episodes[i].is_none() && now >= self.hot[i].sched.next_start {
-            let ep_index = self.hot[i].sched.ep_index;
-            let act = usize::try_from(ep_index).unwrap_or(usize::MAX) % self.acts;
-            let mut rng = self.roots[i].substream("episode", ep_index);
-            let system = &mut self.systems[i * self.acts + act];
-            let log = self.taps.is_some().then_some(&mut self.log);
-            let ep = system.begin_live(&routines[act], &mut self.behavior, now, &mut rng, log);
-            self.episodes[i] = Some(RunningEpisode { act, ep, rng });
-            self.hot[i].stats.episodes_started += 1;
-            if let Some(taps) = self.taps.as_mut() {
-                taps[i].push(TapEvent::EpisodeStarted { at: now, act });
-                tap_log(&mut taps[i], &mut self.log);
-            }
+    /// Serves home `i`'s wake at `now`, performing `routines` (one per
+    /// activity) — see [`Shard::wake`] — with the taps and recorder the
+    /// run keeps, if any. A wake that did something observable then hands
+    /// its write-ahead record to the care monitor and the log, and quiet
+    /// wakes append nothing, which keeps the log O(activity) and
+    /// independent of how often a home is polled.
+    fn poll_wake(&mut self, i: usize, now: SimTime, routines: &[Routine]) {
+        let (mut taps, mut recs) = (self.taps.take(), self.recs.take());
+        let record = if taps.is_none() && recs.is_none() {
+            self.wake(i, now, routines, ())
+        } else {
+            let observed = Observed {
+                taps: taps.as_mut().map(|taps| &mut taps[i]),
+                rec: recs.as_mut().map(|recs| (&mut recs.homes[i], &mut recs.held)),
+            };
+            self.wake(i, now, routines, observed)
+        };
+        (self.taps, self.recs) = (taps, recs);
+        if record.is_trivial() {
+            return;
+        }
+        self.hot[i].stats.add_wake(&record);
+        if let Some(care) = self.care.as_mut() {
+            // The monitor is a pure fold over the wake records — the
+            // same stream the log stores — so the escalation log
+            // inherits the WAL's jobs/served invariances.
+            let monitor = &mut care.monitors[i];
+            let seen = monitor.events().len();
+            monitor.observe(&care.policy, &record, &mut care.analytics);
             if let Some(recs) = self.recs.as_mut() {
-                let rec = &mut recs[i];
-                rec.inc(Ctr::EpisodesStarted);
-                #[allow(clippy::cast_possible_truncation)]
-                rec.event(
-                    now,
-                    TraceKind::EpisodeStarted { episode: ep_index.min(u64::from(u32::MAX)) as u32 },
-                );
+                for ev in &monitor.events()[seen..] {
+                    recs.homes[i].fold(now, &WakeEvent::Escalation(ev.kind));
+                }
             }
         }
+        if let Some(wal) = self.wal.as_mut() {
+            wal.push(record);
+        }
+    }
 
-        // 2. Run the running episode's 100 ms pipeline tick.
-        let mut finished = false;
-        if let Some(run) = self.episodes[i].as_mut() {
-            if now >= run.ep.next_tick_at() {
-                let system = &mut self.systems[i * self.acts + run.act];
-                let tracker = &mut self.trackers[i];
-                let stats = &mut self.hot[i].stats;
-                let log = self.taps.is_some().then_some(&mut self.log);
-                let taps = &mut self.taps;
-                let scratch = &mut self.scratch_sessions;
-                let out = system.live_tick(
-                    &mut run.ep,
-                    &routines[run.act],
-                    &mut self.behavior,
-                    now,
-                    &mut run.rng,
-                    &mut self.scratch_tick,
-                    log,
-                    self.recs.as_mut().map(|r| &mut r[i]),
-                    &mut |src, at| {
-                        for ev in tracker.on_report(src, at) {
-                            count_session_event(stats, ev);
-                            if let Some(taps) = taps.as_mut() {
-                                taps[i].push(TapEvent::Session(ev));
-                            }
-                            scratch.push(ev);
-                        }
-                    },
-                );
-                let stats = &mut self.hot[i].stats;
-                stats.pipeline_ticks += 1;
-                stats.reminders += u64::from(out.reminders);
-                stats.praises += u64::from(out.praises);
-                if out.completed_now {
-                    stats.episodes_completed += 1;
-                }
-                if let Some(taps) = self.taps.as_mut() {
-                    tap_log(&mut taps[i], &mut self.log);
-                    if out != crate::system::TickOutcome::default() {
-                        taps[i].push(TapEvent::Tick { at: now, out });
-                    }
-                }
-                if let Some(recs) = self.recs.as_mut() {
-                    // The report sink above could not borrow the recorder
-                    // while `live_tick` held it; drain the buffered
-                    // session events now, in arrival order.
-                    let rec = &mut recs[i];
-                    for ev in self.scratch_sessions.drain(..) {
-                        record_session_event(rec, ev);
-                    }
-                    if out.completed_now {
-                        rec.inc(Ctr::EpisodesCompleted);
-                    }
-                    if out.finished {
-                        rec.event(now, TraceKind::EpisodeEnded { completed: out.completed_now });
-                    }
-                } else {
-                    self.scratch_sessions.clear();
-                }
-                finished = out.finished;
+    /// Home `i`'s wake at `now`: the next episode begins when its start
+    /// arrives, the running episode runs its 100 ms pipeline tick, and
+    /// the session tracker closes a silent session. Each step emits into
+    /// the home's [`HomeSink`]; returns the wake's write-ahead record. A
+    /// quiet instant changes nothing and draws no randomness, so waking
+    /// a home only where something can change (the event-driven wakes)
+    /// equals waking it at every instant of its 100 ms grid.
+    fn wake<O: Observer>(
+        &mut self,
+        i: usize,
+        now: SimTime,
+        routines: &[Routine],
+        observer: O,
+    ) -> WalRecord {
+        let HomeLanes { sched, stats } = &mut self.hot[i];
+        let home = u32::try_from(self.first_home + i).expect("fleets fit in u32");
+        let record = WalRecord::quiet(now, home);
+        let mut sink = HomeSink { tracker: &mut self.trackers[i], record, observer };
+
+        // 1. Begin the next episode when its start arrives.
+        if self.episodes[i].is_none() && now >= sched.next_start {
+            let episode = sched.ep_index;
+            let act = usize::try_from(episode).unwrap_or(usize::MAX) % self.acts;
+            sink.emit(now, WakeEvent::EpisodeStarted { act, episode });
+            let mut rng = self.roots[i].substream("episode", episode);
+            let system = &mut self.systems[i * self.acts + act];
+            let ep =
+                system.begin_live(&routines[act], &mut self.behavior, now, &mut rng, &mut sink);
+            self.episodes[i] = Some(RunningEpisode { act, ep, rng });
+        }
+
+        // 2. Run the running episode's 100 ms pipeline tick; once it
+        //    finishes, draw the quiet gap and schedule the next.
+        if let Some(run) = self.episodes[i].as_mut().filter(|run| now >= run.ep.next_tick_at()) {
+            let system = &mut self.systems[i * self.acts + run.act];
+            let out = system.live_tick(
+                &mut run.ep,
+                &routines[run.act],
+                &mut self.behavior,
+                now,
+                &mut run.rng,
+                &mut self.scratch_tick,
+                &mut sink,
+            );
+            stats.pipeline_ticks += 1;
+            if out.finished {
+                sink.emit(now, WakeEvent::EpisodeEnded { completed: out.completed_now });
+                self.episodes[i] = None;
+                let gap = draw_gap(&mut self.sched_rngs[i], self.gap_min_ms, self.gap_max_ms);
+                sched.ep_index += 1;
+                sched.next_start = align_up(sched.offset_ms, now + gap);
             }
         }
 
         // 3. Home-wide idle close (the tracker's clock tick).
-        if let Some(ev) = self.trackers[i].on_tick(now) {
-            count_session_event(&mut self.hot[i].stats, ev);
-            if let Some(taps) = self.taps.as_mut() {
-                taps[i].push(TapEvent::Session(ev));
-            }
-            if let Some(recs) = self.recs.as_mut() {
-                record_session_event(&mut recs[i], ev);
-            }
+        if let Some(ev) = sink.tracker.on_tick(now) {
+            sink.emit(now, WakeEvent::Session(ev));
         }
-
-        // 4. Episode cleanup: draw the quiet gap and schedule the next.
-        if finished {
-            self.episodes[i] = None;
-            let gap = draw_gap(&mut self.sched_rngs[i], self.gap_min_ms, self.gap_max_ms);
-            let s = &mut self.hot[i].sched;
-            s.ep_index += 1;
-            s.next_start = align_up(s.offset_ms, now + gap);
-        }
-    }
-
-    /// Serves home `i`'s wake and, when the write-ahead log is on,
-    /// appends one record if the wake produced any observable
-    /// assistance-state transition (episode start/end, reminder, praise,
-    /// session event). The record is *derived* — a diff of the home's
-    /// counters around the canonical [`Shard::poll_instant`] — so
-    /// logging cannot perturb the simulation, and quiet wakes append
-    /// nothing, which keeps the log O(activity) in cost and independent
-    /// of how often a home is polled.
-    fn poll_wake(&mut self, i: usize, now: SimTime, routines: &[Routine]) {
-        if self.wal.is_none() && self.care.is_none() {
-            self.poll_instant(i, now, routines);
-            return;
-        }
-        let before = self.hot[i].stats;
-        let ep_before = self.episodes[i].is_some();
-        self.poll_instant(i, now, routines);
-        // Quiet wake: every counter a record could carry is unchanged
-        // and the episode slot did not flip, so the derived record would
-        // be trivial. Bail before building it; this keeps the overlay
-        // and the log at O(activity) rather than O(ticks).
-        {
-            let after = &self.hot[i].stats;
-            if ep_before == self.episodes[i].is_some()
-                && after.episodes_started == before.episodes_started
-                && after.episodes_completed == before.episodes_completed
-                && after.reminders == before.reminders
-                && after.praises == before.praises
-                && after.sessions_started == before.sessions_started
-                && after.sessions_completed == before.sessions_completed
-                && after.sessions_abandoned == before.sessions_abandoned
-                && after.cross_activity_flags == before.cross_activity_flags
-            {
-                return;
-            }
-        }
-        let after = self.hot[i].stats;
-        let started = after.episodes_started > before.episodes_started;
-        let ep_after = self.episodes[i].is_some();
-        let mut flags = 0u8;
-        if started {
-            flags |= wal::EPISODE_STARTED;
-        }
-        if (ep_before || started) && !ep_after {
-            flags |= wal::EPISODE_ENDED;
-        }
-        if after.episodes_completed > before.episodes_completed {
-            flags |= wal::EPISODE_COMPLETED;
-        }
-        let act = if started {
-            let act = match &self.episodes[i] {
-                Some(run) => run.act,
-                // Started and finished within this wake: the finish
-                // already advanced `ep_index` past the started episode.
-                None => {
-                    usize::try_from(self.hot[i].sched.ep_index.wrapping_sub(1)).unwrap_or(usize::MAX)
-                        % self.acts
-                }
-            };
-            u8::try_from(act).unwrap_or(wal::NO_ACT - 1)
-        } else {
-            wal::NO_ACT
-        };
-        let d8 = |a: u64, b: u64| u8::try_from(a.saturating_sub(b)).unwrap_or(u8::MAX);
-        let record = WalRecord {
-            at: now,
-            home: u32::try_from(self.first_home + i).expect("fleets fit in u32"),
-            act,
-            flags,
-            reminders: d8(after.reminders, before.reminders),
-            praises: d8(after.praises, before.praises),
-            sessions_started: d8(after.sessions_started, before.sessions_started),
-            sessions_completed: d8(after.sessions_completed, before.sessions_completed),
-            sessions_abandoned: d8(after.sessions_abandoned, before.sessions_abandoned),
-            cross_activity: d8(after.cross_activity_flags, before.cross_activity_flags),
-        };
-        if !record.is_trivial() {
-            if let Some(care) = self.care.as_mut() {
-                // The monitor is a pure fold over the derived records —
-                // the same stream the log stores — so the escalation log
-                // inherits the WAL's jobs/served invariances.
-                let seen = care.monitors[i].events().len();
-                care.monitors[i].observe(&care.policy, &record, &mut care.analytics);
-                if let Some(recs) = self.recs.as_mut() {
-                    count_care_events(&mut recs[i], &care.monitors[i].events()[seen..]);
-                }
-            }
-            if let Some(wal) = self.wal.as_mut() {
-                wal.push(record);
-            }
-        }
+        sink.observer.flush(now);
+        sink.record
     }
 
     /// Moves home `i` from fault state `was` to `want`: link, node and
@@ -1196,7 +1149,7 @@ impl<'a> Shard<'a> {
             last_handled: s.last_handled,
             stats: HomeStats { energy_uj: 0.0, ..self.hot[i].stats },
             pending,
-            rec: self.recs.as_ref().map(|r| r[i].export_state()),
+            rec: self.recs.as_ref().map(|r| r.homes[i].export_state()),
         }
     }
 
@@ -1258,7 +1211,7 @@ impl<'a> Shard<'a> {
         // untraced checkpoint resumed with tracing on simply starts a
         // fresh recorder covering the resumed segment.
         if let (Some(recs), Some(state)) = (self.recs.as_mut(), ckpt.rec.as_ref()) {
-            recs[i].restore_state(state);
+            recs.homes[i].restore_state(state);
         }
     }
 
@@ -1279,9 +1232,8 @@ impl<'a> Shard<'a> {
     }
 
     /// Ends each home's care fold at `horizon` (caregiver actions due by
-    /// then happen; the home samples its compliance into the analytics)
-    /// and bumps the per-home escalation counters for whatever the
-    /// drain emitted. Idempotent — the monitors guard their own finish.
+    /// then happen; the home samples its compliance into the analytics),
+    /// and each recorder folds whatever the drain emitted. Idempotent.
     fn finish_care(&mut self, horizon: SimTime) {
         let Some(care) = self.care.as_mut() else { return };
         if care.finished {
@@ -1292,8 +1244,11 @@ impl<'a> Shard<'a> {
             let seen = monitor.events().len();
             monitor.finish(&care.policy, horizon, &mut care.analytics);
             if let Some(recs) = self.recs.as_mut() {
-                count_care_events(&mut recs[i], &monitor.events()[seen..]);
-                recs[i].add(Ctr::CareTrendWindows, monitor.trend_windows());
+                let rec = &mut recs.homes[i];
+                for ev in &monitor.events()[seen..] {
+                    rec.fold(horizon, &WakeEvent::Escalation(ev.kind));
+                }
+                rec.add(Ctr::CareTrendWindows, monitor.trend_windows());
             }
         }
     }
@@ -2112,7 +2067,7 @@ impl<'a> ServeSession<'a> {
         ServedShard {
             stats: shard.hot.into_iter().map(|lanes| lanes.stats).collect(),
             taps: shard.taps,
-            recs: shard.recs,
+            recs: shard.recs.map(|recs| recs.homes),
             wal: shard.wal,
             des_events: self.sim.processed(),
             max_pending: self.sim.max_pending(),
@@ -2212,6 +2167,7 @@ pub fn collect_served(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escalation::CareEventKind;
     use coreda_sensornet::radio::LossModel;
 
     /// The arena build must point every home's planner and renderer at

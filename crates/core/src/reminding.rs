@@ -51,6 +51,28 @@ pub struct Prompt {
     pub level: ReminderLevel,
 }
 
+impl Prompt {
+    /// The LED blinks a reminder of this prompt sends under `trigger`,
+    /// in delivery order: a red blink on a wrongly used tool, then the
+    /// prompted tool's green one, both at the prompt's level. When the
+    /// prompt targets the very tool being misused (it predicted the step
+    /// the user is fumbling), a red LED would contradict the green one on
+    /// the same tool — "stop using the kettle, use the kettle" — so only
+    /// a tool the prompt steers *away* from blinks red.
+    pub(crate) fn blinks(self, trigger: Trigger) -> impl Iterator<Item = (ToolId, BlinkPattern)> {
+        let pattern = move |color| match self.level {
+            ReminderLevel::Minimal => BlinkPattern::minimal(color),
+            ReminderLevel::Specific => BlinkPattern::specific(color),
+        };
+        let red = match trigger {
+            Trigger::WrongTool { used } if used != self.tool => Some((used, LedColor::Red)),
+            _ => None,
+        };
+        let blinks = red.into_iter().chain([(self.tool, LedColor::Green)]);
+        blinks.map(move |(tool, color)| (tool, pattern(color)))
+    }
+}
+
 /// What caused a reminder (paper §2.3: the two trigger situations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Trigger {
@@ -167,26 +189,11 @@ impl RemindingSubsystem {
                 )
             }
         };
-        let pattern = match prompt.level {
-            ReminderLevel::Minimal => BlinkPattern::minimal(LedColor::Green),
-            ReminderLevel::Specific => BlinkPattern::specific(LedColor::Green),
-        };
         let mut methods = vec![ReminderMethod::TextMessage(text)];
-        if let Trigger::WrongTool { used } = trigger {
-            // When the planner's prompt targets the very tool being
-            // misused (it predicted the step the user is fumbling), a red
-            // LED would contradict the green one on the same tool —
-            // "stop using the kettle, use the kettle". Only flag tools
-            // the prompt is steering *away* from.
-            if used != prompt.tool {
-                let red = match prompt.level {
-                    ReminderLevel::Minimal => BlinkPattern::minimal(LedColor::Red),
-                    ReminderLevel::Specific => BlinkPattern::specific(LedColor::Red),
-                };
-                methods.push(ReminderMethod::RedLed { tool: used, pattern: red });
-            }
-        }
-        methods.push(ReminderMethod::GreenLed { tool: prompt.tool, pattern });
+        methods.extend(prompt.blinks(trigger).map(|(tool, pattern)| match pattern.color {
+            LedColor::Red => ReminderMethod::RedLed { tool, pattern },
+            LedColor::Green => ReminderMethod::GreenLed { tool, pattern },
+        }));
         methods.push(ReminderMethod::ToolPicture(tool.name().to_owned()));
         Reminder { prompt, trigger, methods }
     }

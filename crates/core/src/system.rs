@@ -10,6 +10,12 @@
 //!   performs the ADL in simulated real time while sensor sampling,
 //!   radio transmission, step extraction, prediction, reminding, praise
 //!   and (optionally) online learning all run against the virtual clock.
+//!
+//! A live episode reports what it does through one stream: each pipeline
+//! step emits one event into a sink, in the order it happens. The
+//! episode log [`Coreda::run_live`] returns is one fold over that stream;
+//! a metro home's statistics, serving taps, flight recorder, write-ahead
+//! record and care monitor are the others ([`crate::metro`]).
 
 use std::sync::Arc;
 
@@ -23,14 +29,15 @@ use coreda_des::rng::SimRng;
 use coreda_des::time::{SimDuration, SimTime};
 use coreda_sensornet::detect::Thresholds;
 use coreda_sensornet::medium::SharedMedium;
-use coreda_sensornet::network::{BaseStation, LinkConfig, LinkCounters, StarNetwork};
+use coreda_sensornet::network::{BaseStation, LinkConfig, LinkCounters, SendOutcome, StarNetwork};
 use coreda_sensornet::node::{NodeId, NodeState, PavenetNode};
 
-use crate::live::{EpisodeLog, LogKind, PatientBehavior};
+use crate::escalation::CareEventKind;
+use crate::live::{EpisodeLog, PatientBehavior};
 use crate::planning::{LearnedState, PlannerTemplate, PlanningConfig, PlanningSubsystem};
-use crate::reminding::{Prompt, ReminderLevel, RemindingSubsystem, Trigger};
+use crate::reminding::{Prompt, Reminder, ReminderLevel, RemindingSubsystem, Trigger};
 use crate::sensing::{SensingSubsystem, StepEvent};
-use crate::telemetry::{Ctr, HomeRecorder, MaybeRec, Stage, TraceKind};
+use crate::sessions::SessionEvent;
 
 /// System-level configuration.
 #[derive(Debug, Clone, Copy)]
@@ -160,7 +167,7 @@ pub struct Coreda {
 /// keeps one for all its homes — and steady-state ticks allocate nothing
 /// once they reach capacity.
 #[derive(Debug, Default)]
-pub struct TickScratch {
+pub(crate) struct TickScratch {
     /// Reports raised this tick: `(node index, packet)`.
     outbox: Vec<(usize, coreda_sensornet::packet::Packet)>,
     /// Which of them won the shared medium.
@@ -169,22 +176,74 @@ pub struct TickScratch {
     events: Vec<StepEvent>,
 }
 
-/// An episode log that may be absent: metro-scale serving runs thousands
-/// of episodes and only wants counters, not timelines.
-struct MaybeLog<'a>(Option<&'a mut EpisodeLog>);
-
-impl MaybeLog<'_> {
-    fn push(&mut self, at: SimTime, kind: LogKind) {
-        if let Some(log) = self.0.as_deref_mut() {
-            log.push(at, kind);
-        }
-    }
+/// One thing a wake did, in the order it did it. The live pipeline
+/// emits the patient's moves and everything the system sensed, decided
+/// and sent; a metro home adds its episode starts and ends, its session
+/// events and its caregiver escalations. Each output of a wake — the
+/// episode log, the serving taps, the flight recorder, the home's
+/// statistics, its write-ahead record and the care monitor — is a fold
+/// over this one stream.
+#[derive(Debug)]
+pub(crate) enum WakeEvent {
+    /// Ground truth: the patient (re)started a routine step.
+    PatientStarted(StepId),
+    /// Ground truth: the patient froze.
+    PatientFroze,
+    /// Ground truth: the patient grabbed the wrong tool.
+    PatientMisused(ToolId),
+    /// Every node closed a sample window; `in_use` of them raised a
+    /// report.
+    SampleWindows { windows: u64, in_use: u64 },
+    /// A report frame went up from `node`: `attempts` link-layer
+    /// transmissions (0 when a collision lost it first) and, when it got
+    /// through, the `duplicates` lost acknowledgements caused.
+    RadioFrame { node: u16, attempts: u8, duplicates: Option<u8> },
+    /// The base station accepted a report from this node.
+    ReportAccepted(NodeId),
+    /// Sensing recognised `step` ([`StepId::IDLE`] for an idle timeout);
+    /// `frozen_ms` is how long the patient had really been frozen, when
+    /// the freeze is known.
+    StepSensed { step: StepId, frozen_ms: Option<u64> },
+    /// The planner answered a next-step query.
+    PlannerDecision,
+    /// A reminder went out. `reprompt` holds the reminders already given
+    /// since the patient last advanced when it repeats an unanswered
+    /// one; `red_blink_ms` how long a wrong tool had been in use when a
+    /// first wrong-tool reminder went out.
+    Reminder { reminder: Reminder, reprompt: Option<u32>, red_blink_ms: Option<u64> },
+    /// One of a reminder's LED blink commands went over the downlink.
+    LedCommand { tool: ToolId, red: bool, delivered: bool },
+    /// The patient took the prompted step `latency_ms` after the last
+    /// reminder.
+    Praised { latency_ms: u64 },
+    /// The patient finished the ADL.
+    Completed,
+    /// A pipeline tick ended with this outcome.
+    Tick(TickOutcome),
+    /// A metro home began its `episode`-th live episode, of activity
+    /// `act`.
+    EpisodeStarted { act: usize, episode: u64 },
+    /// A metro home's episode finished, `completed` by the patient or
+    /// out of ticks.
+    EpisodeEnded { completed: bool },
+    /// A metro home's session tracker recognised an event.
+    Session(SessionEvent),
+    /// The caregiver overlay raised, acknowledged or resolved one of the
+    /// home's escalations.
+    Escalation(CareEventKind),
 }
 
-/// Resumable state of one live episode, advanced one 100 ms tick at a
-/// time by [`Coreda::live_tick`]. [`Coreda::run_live`] drives it over a
-/// dense tick loop; the metro engine drives many of them event-driven,
-/// interleaved across homes.
+/// Where a wake's events go: [`Coreda::run_live`]'s episode log, or a
+/// metro home's folds. A sink only reads what it is handed.
+pub(crate) trait WakeSink {
+    /// Takes the event that happened at `at`.
+    fn emit(&mut self, at: SimTime, ev: WakeEvent);
+}
+
+/// Resumable state of one live episode, advanced one 100 ms pipeline
+/// tick at a time. [`Coreda::run_live`] drives it over a dense tick loop;
+/// the metro engine drives many of them event-driven, interleaved across
+/// homes.
 ///
 /// A plain record: a checkpoint holds it as is, and driving a restored
 /// copy from [`LiveEpisode::next_tick_at`] continues the interrupted
@@ -223,8 +282,8 @@ impl LiveEpisode {
     }
 }
 
-/// What one live tick produced — the counters a serving engine keeps
-/// when it isn't recording a full [`EpisodeLog`].
+/// What one live tick produced: its reminders, praise and completion —
+/// what a serving tap records of each tick.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickOutcome {
     /// Reminders issued this tick.
@@ -430,44 +489,33 @@ impl Coreda {
     ) -> EpisodeLog {
         let mut log = EpisodeLog::new();
         let mut scratch = TickScratch::default();
-        let mut ep = self.begin_live(routine, behavior, SimTime::ZERO, rng, Some(&mut log));
+        let mut ep = self.begin_live(routine, behavior, SimTime::ZERO, rng, &mut log);
         while !ep.finished {
             let now = ep.next_tick_at();
-            self.live_tick(
-                &mut ep,
-                routine,
-                behavior,
-                now,
-                rng,
-                &mut scratch,
-                Some(&mut log),
-                None,
-                &mut |_, _| {},
-            );
+            self.live_tick(&mut ep, routine, behavior, now, rng, &mut scratch, &mut log);
         }
         log
     }
 
     /// Starts a live episode at `start` without running any ticks: the
     /// sensing pipeline is reset, the first step's duration drawn, and
-    /// the patient logged as starting. Drive it with [`Coreda::live_tick`]
+    /// the patient's start emitted. Drive it with [`Coreda::live_tick`]
     /// at [`LiveEpisode::next_tick_at`] instants.
-    pub fn begin_live(
+    pub(crate) fn begin_live<S: WakeSink>(
         &mut self,
         routine: &Routine,
         behavior: &mut dyn PatientBehavior,
         start: SimTime,
         rng: &mut SimRng,
-        log: Option<&mut EpisodeLog>,
+        sink: &mut S,
     ) -> LiveEpisode {
-        let mut log = MaybeLog(log);
         self.sensing.reset();
         for (node, _) in &mut self.nodes {
             node.reset_detector();
         }
         let first_step = self.spec.step(routine.first()).expect("routine step in spec");
         let first_duration = behavior.step_duration(first_step, rng);
-        log.push(start, LogKind::PatientStarted(routine.first()));
+        sink.emit(start, WakeEvent::PatientStarted(routine.first()));
         let max_ticks = self.config.max_episode.as_millis() / Self::TICK.as_millis();
         LiveEpisode {
             phase: Phase::Performing { idx: 0, until: start + first_duration },
@@ -485,20 +533,15 @@ impl Coreda {
 
     /// Runs one 100 ms pipeline tick of `ep` at `now`: patient state
     /// machine, sensor sampling, CSMA/CA medium contention, uplink,
-    /// sensing, prediction, reminding. Every report the base station
-    /// accepts is also handed to `report_sink` (home-wide session
-    /// tracking). Operation and RNG-draw order are exactly those of the
-    /// dense [`Coreda::run_live`] loop — the behavioural test suite holds
-    /// the two paths to identical timelines.
+    /// sensing, prediction, reminding. Everything the tick does goes to
+    /// `sink` as one [`WakeEvent`] each, in the order it happens, ending
+    /// with the tick's [`WakeEvent::Tick`]. Emitting reads state but never
+    /// mutates it and draws no randomness, so what a sink folds cannot
+    /// change what the tick does.
     ///
     /// `scratch` lends the tick its buffers (see [`TickScratch`]).
-    ///
-    /// `rec`, when present, captures flight-recorder telemetry
-    /// (counters, stage latencies, trace events). Recording reads state
-    /// but never mutates it and draws no randomness, so a recorded tick
-    /// is bit-identical to an unrecorded one.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    pub fn live_tick(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn live_tick<S: WakeSink>(
         &mut self,
         ep: &mut LiveEpisode,
         routine: &Routine,
@@ -506,22 +549,18 @@ impl Coreda {
         now: SimTime,
         rng: &mut SimRng,
         scratch: &mut TickScratch,
-        log: Option<&mut EpisodeLog>,
-        rec: Option<&mut HomeRecorder>,
-        report_sink: &mut dyn FnMut(coreda_sensornet::node::NodeId, SimTime),
+        sink: &mut S,
     ) -> TickOutcome {
-        let mut log = MaybeLog(log);
-        let mut rec = MaybeRec(rec);
         let mut out = TickOutcome::default();
 
-        // 1. Patient state-machine transitions. Completion is logged
-        //    from ground truth — the patient actually finishing — so
-        //    the log stays meaningful even when the planner is wrong.
-        ep.phase = self.advance_patient(ep.phase, routine, behavior, now, &mut log, rng);
+        // 1. Patient state-machine transitions. Completion comes from
+        //    ground truth — the patient actually finishing — so the log
+        //    stays meaningful even when the planner is wrong.
+        ep.phase = self.advance_patient(ep.phase, routine, behavior, now, sink, rng);
         if matches!(ep.phase, Phase::Done) && !ep.completed {
             ep.completed = true;
             out.completed_now = true;
-            log.push(now, LogKind::AdlCompleted);
+            sink.emit(now, WakeEvent::Completed);
         }
 
         // 2. Outstanding prompt reaction.
@@ -529,7 +568,7 @@ impl Coreda {
             if now >= due {
                 ep.pending = None;
                 ep.phase =
-                    self.react_to_prompt(ep.phase, prompt, routine, behavior, now, &mut log, rng);
+                    self.react_to_prompt(ep.phase, prompt, routine, behavior, now, sink, rng);
             }
         }
 
@@ -548,44 +587,32 @@ impl Coreda {
                 outbox.push((idx, packet));
             }
         }
-        rec.add(Ctr::SampleWindows, self.nodes.len() as u64);
-        rec.add(Ctr::ToolInUseWindows, outbox.len() as u64);
+        let windows = self.nodes.len() as u64;
+        sink.emit(now, WakeEvent::SampleWindows { windows, in_use: outbox.len() as u64 });
         self.config.medium.resolve_slot_into(outbox.len(), &mut self.net_rng, slots);
         for ((idx, packet), won_medium) in outbox.drain(..).zip(slots.iter().copied()) {
             let node = &mut self.nodes[idx].0;
-            rec.inc(Ctr::RadioFramesTx);
+            let src = packet.src.raw();
             if !won_medium {
                 // Collision: the frame is lost before the link layer;
                 // the energy was still spent.
                 node.energy_mut().charge_tx(packet.encoded_len());
-                rec.inc(Ctr::RadioLost);
-                rec.event(now, TraceKind::RadioLost { node: packet.src.raw(), attempts: 0 });
+                sink.emit(now, WakeEvent::RadioFrame { node: src, attempts: 0, duplicates: None });
                 continue;
             }
             let outcome = self.network.send_uplink(&packet, &mut self.net_rng);
-            let (attempts, delivered) = match outcome {
-                coreda_sensornet::network::SendOutcome::Delivered {
-                    attempts, duplicates, ..
-                } => {
-                    rec.inc(Ctr::RadioDelivered);
-                    rec.add(Ctr::RadioDuplicates, u64::from(duplicates));
-                    (attempts, true)
-                }
-                coreda_sensornet::network::SendOutcome::Lost { attempts } => {
-                    rec.inc(Ctr::RadioLost);
-                    rec.event(now, TraceKind::RadioLost { node: packet.src.raw(), attempts });
-                    (attempts, false)
-                }
+            let (attempts, duplicates) = match outcome {
+                SendOutcome::Delivered { attempts, duplicates, .. } => (attempts, Some(duplicates)),
+                SendOutcome::Lost { attempts } => (attempts, None),
             };
-            rec.add(Ctr::RadioAttempts, u64::from(attempts));
+            sink.emit(now, WakeEvent::RadioFrame { node: src, attempts, duplicates });
             // Radio energy: every attempt transmits the frame;
             // a delivery also receives one acknowledgement.
             node.energy_mut().charge_tx(packet.encoded_len() * usize::from(attempts));
-            if delivered {
+            if duplicates.is_some() {
                 node.energy_mut().charge_rx(8);
                 if let Some(p) = self.base.receive(packet) {
-                    rec.inc(Ctr::ReportsAccepted);
-                    report_sink(p.src, now);
+                    sink.emit(now, WakeEvent::ReportAccepted(p.src));
                     if let Some(ev) = self.sensing.on_report(p.src, now) {
                         events.push(ev);
                     }
@@ -605,153 +632,82 @@ impl Coreda {
             if ep.completed {
                 break;
             }
-            log.push(ev.at, LogKind::StepSensed(ev.step));
+            // Idle-detection delay: how long after the patient actually
+            // froze did sensing notice. Only measurable when the freeze
+            // instant is known.
+            let frozen_ms = match ep.phase {
+                Phase::Frozen { since, .. } if ev.step.is_idle() => {
+                    Some(now.saturating_duration_since(since).as_millis())
+                }
+                _ => None,
+            };
+            sink.emit(ev.at, WakeEvent::StepSensed { step: ev.step, frozen_ms });
+            let Some((prev, cur)) = ep.tracked else {
+                if !ev.step.is_idle() {
+                    // First step triggers the start of prediction
+                    // (Table 4's note).
+                    ep.tracked = Some((StepId::IDLE, ev.step));
+                    ep.reminders_since_advance = 0;
+                }
+                continue;
+            };
+            let predicted = self.planner.predict_tool(prev, cur);
+            sink.emit(now, WakeEvent::PlannerDecision);
             if ev.step.is_idle() {
-                rec.inc(Ctr::IdleEvents);
-                // Idle-detection delay: how long after the patient
-                // actually froze did sensing notice. Only measurable
-                // when the freeze instant is known.
-                let idle_ms = match ep.phase {
-                    Phase::Frozen { since, .. } => {
-                        let ms = now.saturating_duration_since(since).as_millis();
-                        rec.latency_ms(Stage::IdleDetect, ms as f64);
-                        ms.min(u64::from(u32::MAX)) as u32
+                // Situation 1: idle past the timeout.
+                self.remind(ep, &mut out, Trigger::IdleTimeout, false, now, sink);
+            } else if ev.step.tool() == predicted {
+                // The expected step: advance, praise if we had been
+                // prompting, learn online.
+                if ep.reminders_since_advance > 0 {
+                    out.praises += 1;
+                    let since = |at| now.saturating_duration_since(at).as_millis();
+                    let latency_ms = ep.last_reminder.map_or(0, since);
+                    sink.emit(now, WakeEvent::Praised { latency_ms });
+                }
+                let is_last = ev.step == routine.last();
+                if self.config.online_learning {
+                    if let Some(tool) = predicted {
+                        let prompt = Prompt { tool, level: ReminderLevel::Minimal };
+                        Arc::make_mut(&mut self.planner)
+                            .observe_transition(prev, cur, ev.step, prompt, is_last);
                     }
-                    _ => 0,
-                };
-                rec.event(ev.at, TraceKind::IdleDetected { idle_ms });
+                }
+                ep.tracked = Some((cur, ev.step));
+                ep.reminders_since_advance = 0;
+                ep.pending = None;
+                self.clear_all_leds();
+            } else if ev.step == cur {
+                // Sensing re-opened the current step; ignore.
+            } else if self.resync_lookahead(prev, cur, ev.step) {
+                // A missed detection: the sensed step is the one *after*
+                // the expected one. Jump forward.
+                let expected = predicted.map(StepId::from_tool).unwrap_or(StepId::IDLE);
+                ep.tracked = Some((expected, ev.step));
+                ep.reminders_since_advance = 0;
+                ep.pending = None;
             } else {
-                rec.inc(Ctr::StepsExtracted);
-                rec.event(ev.at, TraceKind::StepExtracted { step: ev.step });
-            }
-            match ep.tracked {
-                None => {
-                    if !ev.step.is_idle() {
-                        // First step triggers the start of prediction
-                        // (Table 4's note).
-                        ep.tracked = Some((StepId::IDLE, ev.step));
-                        ep.reminders_since_advance = 0;
-                    }
-                }
-                Some((prev, cur)) => {
-                    let predicted = self.planner.predict_tool(prev, cur);
-                    rec.inc(Ctr::PlannerDecisions);
-                    if ev.step.is_idle() {
-                        // Situation 1: idle past the timeout.
-                        if let Some((reminder_prompt, reminder)) = self.issue_reminder(
-                            prev,
-                            cur,
-                            Trigger::IdleTimeout,
-                            ep.reminders_since_advance,
-                        ) {
-                            self.record_reminder(&mut rec, now, &reminder_prompt, false);
-                            self.deliver_led_commands(&reminder, now, &mut rec);
-                            log.push(now, LogKind::ReminderIssued(reminder));
-                            out.reminders += 1;
-                            ep.pending = Some((now + self.config.response_delay, reminder_prompt));
-                            ep.last_reminder = Some(now);
-                            ep.reminders_since_advance += 1;
-                        }
-                    } else if ev.step.tool() == predicted {
-                        // The expected step: advance, praise if we had
-                        // been prompting, learn online.
-                        if ep.reminders_since_advance > 0 {
-                            log.push(now, LogKind::Praised);
-                            out.praises += 1;
-                            rec.inc(Ctr::Praises);
-                            let latency_ms = ep
-                                .last_reminder
-                                .map(|at| now.saturating_duration_since(at).as_millis())
-                                .unwrap_or(0);
-                            rec.latency_ms(Stage::PromptToCompliance, latency_ms as f64);
-                            rec.event(
-                                now,
-                                TraceKind::Praised {
-                                    latency_ms: latency_ms.min(u64::from(u32::MAX)) as u32,
-                                },
-                            );
-                        }
-                        let is_last = ev.step == routine.last();
-                        if self.config.online_learning {
-                            if let Some(tool) = predicted {
-                                let prompt = Prompt { tool, level: ReminderLevel::Minimal };
-                                Arc::make_mut(&mut self.planner)
-                                    .observe_transition(prev, cur, ev.step, prompt, is_last);
-                            }
-                        }
-                        ep.tracked = Some((cur, ev.step));
-                        ep.reminders_since_advance = 0;
-                        ep.pending = None;
-                        self.clear_all_leds();
-                    } else if ev.step == cur {
-                        // Sensing re-opened the current step; ignore.
-                    } else if self.resync_lookahead(prev, cur, ev.step) {
-                        // A missed detection: the sensed step is the one
-                        // *after* the expected one. Jump forward.
-                        let expected = predicted.map(StepId::from_tool).unwrap_or(StepId::IDLE);
-                        ep.tracked = Some((expected, ev.step));
-                        ep.reminders_since_advance = 0;
-                        ep.pending = None;
-                    } else {
-                        // Situation 2: the wrong tool is in use.
-                        if let Some((reminder_prompt, reminder)) = self.issue_reminder(
-                            prev,
-                            cur,
-                            Trigger::WrongTool {
-                                used: ev.step.tool().expect("non-idle step has a tool"),
-                            },
-                            ep.reminders_since_advance,
-                        ) {
-                            // Wrong-tool reaction time: misuse began →
-                            // red blink goes out.
-                            if let Phase::Misusing { since, .. } = ep.phase {
-                                let ms = now.saturating_duration_since(since).as_millis();
-                                rec.latency_ms(Stage::WrongToolRedBlink, ms as f64);
-                            }
-                            self.record_reminder(&mut rec, now, &reminder_prompt, true);
-                            self.deliver_led_commands(&reminder, now, &mut rec);
-                            log.push(now, LogKind::ReminderIssued(reminder));
-                            out.reminders += 1;
-                            ep.pending = Some((now + self.config.response_delay, reminder_prompt));
-                            ep.last_reminder = Some(now);
-                            ep.reminders_since_advance += 1;
-                        }
-                    }
-                }
+                // Situation 2: the wrong tool is in use.
+                let used = ev.step.tool().expect("non-idle step has a tool");
+                self.remind(ep, &mut out, Trigger::WrongTool { used }, false, now, sink);
             }
         }
 
         // 6. Re-prompt an unanswered reminder, escalated.
         if !ep.completed
             && ep.pending.is_none()
-            && matches!(ep.phase, Phase::Frozen { .. } | Phase::Misusing { .. })
+            && ep.last_reminder.is_some_and(|last| {
+                now.saturating_duration_since(last) >= self.config.reprompt_interval
+            })
         {
-            if let (Some((prev, cur)), Some(last)) = (ep.tracked, ep.last_reminder) {
-                if now.saturating_duration_since(last) >= self.config.reprompt_interval {
-                    let trigger = match ep.phase {
-                        Phase::Misusing { tool, .. } => Trigger::WrongTool { used: tool },
-                        _ => Trigger::IdleTimeout,
-                    };
-                    if let Some((reminder_prompt, reminder)) =
-                        self.issue_reminder(prev, cur, trigger, ep.reminders_since_advance)
-                    {
-                        let wrong_tool = matches!(trigger, Trigger::WrongTool { .. });
-                        self.record_reminder(&mut rec, now, &reminder_prompt, wrong_tool);
-                        rec.inc(Ctr::RepromptEscalations);
-                        rec.event(
-                            now,
-                            TraceKind::Reprompt {
-                                escalations: ep.reminders_since_advance.min(255) as u8,
-                            },
-                        );
-                        self.deliver_led_commands(&reminder, now, &mut rec);
-                        log.push(now, LogKind::ReminderIssued(reminder));
-                        out.reminders += 1;
-                        ep.pending = Some((now + self.config.response_delay, reminder_prompt));
-                        ep.last_reminder = Some(now);
-                        ep.reminders_since_advance += 1;
-                    }
+            match ep.phase {
+                Phase::Misusing { tool, .. } => {
+                    self.remind(ep, &mut out, Trigger::WrongTool { used: tool }, true, now, sink);
                 }
+                Phase::Frozen { .. } => {
+                    self.remind(ep, &mut out, Trigger::IdleTimeout, true, now, sink);
+                }
+                Phase::Performing { .. } | Phase::Done => {}
             }
         }
 
@@ -760,13 +716,13 @@ impl Coreda {
             ep.finished = true;
         }
         out.finished = ep.finished;
+        sink.emit(now, WakeEvent::Tick(out));
         out
     }
 
     /// Whether `sensed` matches the prediction *two* steps ahead of the
     /// tracked state — the signature of one missed detection.
     fn resync_lookahead(&self, prev: StepId, cur: StepId, sensed: StepId) -> bool {
-        let _ = prev;
         let Some(expected_tool) = self.planner.predict_tool(prev, cur) else {
             return false;
         };
@@ -774,57 +730,63 @@ impl Coreda {
         self.planner.predict_tool(cur, expected).map(StepId::from_tool) == Some(sensed)
     }
 
-    /// Records the counters and trace event common to every reminder
-    /// issue site (first prompt, wrong tool, re-prompt).
-    fn record_reminder(
-        &self,
-        rec: &mut MaybeRec<'_>,
+    /// The one reminder step of every issue site (first prompt after an
+    /// idle timeout or a wrong tool, and `reprompt`s of an unanswered
+    /// one): if the planner has a prompt for the tracked state, composes
+    /// it, emits it, radios its LED blinks and awaits the patient's
+    /// reaction. Unanswered reminders escalate to the specific level.
+    fn remind<S: WakeSink>(
+        &mut self,
+        ep: &mut LiveEpisode,
+        out: &mut TickOutcome,
+        trigger: Trigger,
+        reprompt: bool,
         now: SimTime,
-        prompt: &Prompt,
-        wrong_tool: bool,
+        sink: &mut S,
     ) {
-        rec.inc(Ctr::PromptsRendered);
-        rec.inc(Ctr::RemindersIssued);
-        rec.event(
-            now,
-            TraceKind::ReminderIssued {
-                tool: prompt.tool,
-                specific: matches!(prompt.level, ReminderLevel::Specific),
-                wrong_tool,
-            },
-        );
+        let Some((prev, cur)) = ep.tracked else { return };
+        let Some(reminder) = self.compose_reminder(prev, cur, trigger, ep.reminders_since_advance)
+        else {
+            return;
+        };
+        let prompt = reminder.prompt;
+        // Wrong-tool reaction time: misuse began → red blink goes out.
+        let red_blink_ms = match (ep.phase, trigger, reprompt) {
+            (Phase::Misusing { since, .. }, Trigger::WrongTool { .. }, false) => {
+                Some(now.saturating_duration_since(since).as_millis())
+            }
+            _ => None,
+        };
+        let reprompt = reprompt.then_some(ep.reminders_since_advance);
+        sink.emit(now, WakeEvent::Reminder { reminder, reprompt, red_blink_ms });
+        self.deliver_led_commands(prompt, trigger, now, sink);
+        out.reminders += 1;
+        ep.pending = Some((now + self.config.response_delay, prompt));
+        ep.last_reminder = Some(now);
+        ep.reminders_since_advance += 1;
     }
 
-    /// Radios the reminder's LED blink commands down to the tool nodes.
+    /// Radios a reminder's LED blink commands down to the tool nodes.
     /// Lost frames simply leave that LED dark — the display methods (text
     /// and picture) are wired and always shown.
-    fn deliver_led_commands(
+    fn deliver_led_commands<S: WakeSink>(
         &mut self,
-        reminder: &crate::reminding::Reminder,
+        prompt: Prompt,
+        trigger: Trigger,
         now: SimTime,
-        rec: &mut MaybeRec<'_>,
+        sink: &mut S,
     ) {
-        use crate::reminding::ReminderMethod;
         use coreda_sensornet::led::LedColor;
         use coreda_sensornet::packet::{Packet, Payload};
-        for method in &reminder.methods {
-            let (tool, pattern, color) = match method {
-                ReminderMethod::GreenLed { tool, pattern } => (*tool, *pattern, LedColor::Green),
-                ReminderMethod::RedLed { tool, pattern } => (*tool, *pattern, LedColor::Red),
-                ReminderMethod::TextMessage(_) | ReminderMethod::ToolPicture(_) => continue,
-            };
-            let dest: coreda_sensornet::node::NodeId = tool.into();
+        for (tool, pattern) in prompt.blinks(trigger) {
+            let dest: NodeId = tool.into();
             let seq = self.downlink_seq;
             self.downlink_seq = self.downlink_seq.wrapping_add(1);
             let packet = Packet::new(dest, seq, 0, Payload::Led { pattern });
             let delivered =
                 self.network.send_downlink(dest, &packet, &mut self.net_rng).is_delivered();
-            rec.inc(Ctr::LedFramesTx);
-            rec.inc(if delivered { Ctr::LedDelivered } else { Ctr::LedLost });
-            rec.event(
-                now,
-                TraceKind::LedCommand { tool, red: color == LedColor::Red, delivered },
-            );
+            let red = pattern.color == LedColor::Red;
+            sink.emit(now, WakeEvent::LedCommand { tool, red, delivered });
             if delivered {
                 if let Some((node, _)) = self.nodes.iter_mut().find(|(n, _)| n.uid() == dest) {
                     // A crashed mote leaves the frame on the air unheard.
@@ -833,7 +795,7 @@ impl Coreda {
                     }
                     node.energy_mut().charge_rx(packet.encoded_len());
                     node.energy_mut().charge_led(pattern.duration().as_millis());
-                    node.set_led(color, true);
+                    node.set_led(pattern.color, true);
                 }
             }
         }
@@ -847,13 +809,16 @@ impl Coreda {
         }
     }
 
-    fn issue_reminder(
+    /// The reminder for the tracked state `(prev, cur)` under `trigger`,
+    /// if the planner is confident enough to give one and its prompt
+    /// names a tool of the ADL.
+    fn compose_reminder(
         &self,
         prev: StepId,
         cur: StepId,
         trigger: Trigger,
         escalations: u32,
-    ) -> Option<(Prompt, crate::reminding::Reminder)> {
+    ) -> Option<Reminder> {
         if self.config.min_prompt_confidence > 0.0 {
             let confidence = self.planner.prediction_confidence(prev, cur)?;
             if confidence < self.config.min_prompt_confidence {
@@ -867,18 +832,16 @@ impl Coreda {
         }
         // A prompt for a tool outside the ADL cannot be rendered.
         self.spec.tool(prompt.tool)?;
-        let reminder = self.reminding.compose(prompt, trigger, &self.spec);
-        Some((prompt, reminder))
+        Some(self.reminding.compose(prompt, trigger, &self.spec))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn advance_patient(
+    fn advance_patient<S: WakeSink>(
         &mut self,
         phase: Phase,
         routine: &Routine,
         behavior: &mut dyn PatientBehavior,
         now: SimTime,
-        log: &mut MaybeLog<'_>,
+        sink: &mut S,
         rng: &mut SimRng,
     ) -> Phase {
         match phase {
@@ -889,14 +852,14 @@ impl Coreda {
                 }
                 match behavior.at_boundary(next_idx, routine, &self.spec, rng) {
                     PatientAction::Proceed => {
-                        self.start_step(next_idx, routine, behavior, now, log, rng)
+                        self.start_step(next_idx, routine, behavior, now, sink, rng)
                     }
                     PatientAction::WrongTool(tool) => {
-                        log.push(now, LogKind::PatientMisused(tool));
+                        sink.emit(now, WakeEvent::PatientMisused(tool));
                         Phase::Misusing { tool, since: now, resume_idx: next_idx }
                     }
                     PatientAction::Freeze => {
-                        log.push(now, LogKind::PatientFroze);
+                        sink.emit(now, WakeEvent::PatientFroze);
                         Phase::Frozen { since: now, resume_idx: next_idx }
                     }
                 }
@@ -904,26 +867,26 @@ impl Coreda {
             Phase::Misusing { since, resume_idx, .. }
                 if now.saturating_duration_since(since) >= self.config.misuse_recovery =>
             {
-                self.start_step(resume_idx, routine, behavior, now, log, rng)
+                self.start_step(resume_idx, routine, behavior, now, sink, rng)
             }
             Phase::Frozen { since, resume_idx }
                 if now.saturating_duration_since(since) >= self.config.freeze_recovery =>
             {
-                self.start_step(resume_idx, routine, behavior, now, log, rng)
+                self.start_step(resume_idx, routine, behavior, now, sink, rng)
             }
             other => other,
         }
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn react_to_prompt(
+    fn react_to_prompt<S: WakeSink>(
         &mut self,
         phase: Phase,
         prompt: Prompt,
         routine: &Routine,
         behavior: &mut dyn PatientBehavior,
         now: SimTime,
-        log: &mut MaybeLog<'_>,
+        sink: &mut S,
         rng: &mut SimRng,
     ) -> Phase {
         let resume_idx = match phase {
@@ -935,25 +898,25 @@ impl Coreda {
         // A prompt only helps if it points at the user's actual next step
         // and the user complies with it.
         if correct.tool() == Some(prompt.tool) && behavior.complies(&prompt, rng) {
-            self.start_step(resume_idx, routine, behavior, now, log, rng)
+            self.start_step(resume_idx, routine, behavior, now, sink, rng)
         } else {
             phase
         }
     }
 
-    fn start_step(
+    fn start_step<S: WakeSink>(
         &mut self,
         idx: usize,
         routine: &Routine,
         behavior: &mut dyn PatientBehavior,
         now: SimTime,
-        log: &mut MaybeLog<'_>,
+        sink: &mut S,
         rng: &mut SimRng,
     ) -> Phase {
         let step_id = routine.steps()[idx];
         let step = self.spec.step(step_id).expect("routine step in spec");
         let duration = behavior.step_duration(step, rng);
-        log.push(now, LogKind::PatientStarted(step_id));
+        sink.emit(now, WakeEvent::PatientStarted(step_id));
         Phase::Performing { idx, until: now + duration }
     }
 
@@ -1368,11 +1331,11 @@ mod tests {
         let mut rng = SimRng::seed_from(32);
         let mut log = EpisodeLog::new();
         let mut scratch = TickScratch::default();
-        let mut ep = sys.begin_live(&routine, &mut b, SimTime::ZERO, &mut rng, Some(&mut log));
+        let mut ep = sys.begin_live(&routine, &mut b, SimTime::ZERO, &mut rng, &mut log);
         for _ in 0..40 {
             assert!(!ep.finished, "episode should outlive the kill point");
             let now = ep.next_tick_at();
-            sys.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, Some(&mut log), None, &mut |_, _| {});
+            sys.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, &mut log);
         }
         let sys_state = sys.export_state(None);
         let saved = ep;
@@ -1387,7 +1350,7 @@ mod tests {
         let mut b = StochasticBehavior::new(PatientProfile::moderate("x"));
         while !ep.finished {
             let now = ep.next_tick_at();
-            resumed.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, Some(&mut log), None, &mut |_, _| {});
+            resumed.live_tick(&mut ep, &routine, &mut b, now, &mut rng, &mut scratch, &mut log);
         }
         assert_eq!(log, glog, "resumed timeline must match the uninterrupted one");
         assert_eq!(

@@ -25,15 +25,22 @@
 //!
 //! Recording allocates **nothing** after construction: counters are a
 //! fixed array, histograms pre-allocate their bins, and the ring is a
-//! pre-filled circular buffer. Recording draws no randomness and never
-//! feeds back into simulation state, so a recorded run is bit-identical
-//! to an unrecorded one — recorders can be bolted onto any run, or
-//! left off, without re-deriving seeds.
+//! pre-filled circular buffer. A recorder is one fold over a wake's
+//! event stream (`HomeRecorder::fold`): it reads the events a serving
+//! home hands it, draws no randomness and never feeds back into
+//! simulation state, so a recorded run is bit-identical to an unrecorded
+//! one — recorders can be bolted onto any run, or left off, without
+//! re-deriving seeds.
 
 use coreda_adl::intern::NameId;
 use coreda_adl::{StepId, ToolId};
 use coreda_des::stats::Histogram;
 use coreda_des::time::SimTime;
+
+use crate::escalation::CareEventKind;
+use crate::reminding::{ReminderLevel, Trigger};
+use crate::sessions::SessionEvent;
+use crate::system::WakeEvent;
 
 /// Every pipeline counter the recorder tracks.
 ///
@@ -248,18 +255,6 @@ pub enum TraceKind {
         /// Whether the routine ran to completion.
         completed: bool,
     },
-    /// A node's sample window detected its tool in use.
-    ToolInUse {
-        /// Reporting node id (== tool id raw).
-        node: u16,
-    },
-    /// An uplink report survived the radio.
-    RadioDelivered {
-        /// Reporting node id.
-        node: u16,
-        /// Transmission attempts the ARQ spent.
-        attempts: u8,
-    },
     /// An uplink report died on the radio.
     RadioLost {
         /// Reporting node id.
@@ -460,19 +455,10 @@ impl Default for HomeRecorder {
 }
 
 impl HomeRecorder {
-    /// A fresh recorder with the default ring capacity.
+    /// A fresh recorder holding at most [`DEFAULT_RING_CAP`] trace
+    /// records.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_ring_capacity(DEFAULT_RING_CAP)
-    }
-
-    /// A fresh recorder holding at most `cap` trace records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    #[must_use]
-    pub fn with_ring_capacity(cap: usize) -> Self {
         let stages = Stage::ALL
             .iter()
             .map(|s| {
@@ -480,7 +466,7 @@ impl HomeRecorder {
                 Histogram::new(lo, hi, bins)
             })
             .collect();
-        HomeRecorder { counters: [0; Ctr::COUNT], stages, ring: TraceRing::new(cap) }
+        HomeRecorder { counters: [0; Ctr::COUNT], stages, ring: TraceRing::new(DEFAULT_RING_CAP) }
     }
 
     /// Bumps a counter by one.
@@ -524,6 +510,101 @@ impl HomeRecorder {
     #[must_use]
     pub fn ring(&self) -> &TraceRing {
         &self.ring
+    }
+
+    /// Folds one wake event into the registry, the stage histograms and
+    /// the ring. A session event is stamped with its own instant.
+    pub(crate) fn fold(&mut self, at: SimTime, ev: &WakeEvent) {
+        let clamp = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+        match *ev {
+            WakeEvent::SampleWindows { windows, in_use } => {
+                self.add(Ctr::SampleWindows, windows);
+                self.add(Ctr::ToolInUseWindows, in_use);
+            }
+            WakeEvent::RadioFrame { node, attempts, duplicates } => {
+                self.inc(Ctr::RadioFramesTx);
+                self.add(Ctr::RadioAttempts, u64::from(attempts));
+                if let Some(duplicates) = duplicates {
+                    self.inc(Ctr::RadioDelivered);
+                    self.add(Ctr::RadioDuplicates, u64::from(duplicates));
+                } else {
+                    self.inc(Ctr::RadioLost);
+                    self.event(at, TraceKind::RadioLost { node, attempts });
+                }
+            }
+            WakeEvent::ReportAccepted(_) => self.inc(Ctr::ReportsAccepted),
+            WakeEvent::StepSensed { step, frozen_ms } if step.is_idle() => {
+                self.inc(Ctr::IdleEvents);
+                if let Some(ms) = frozen_ms {
+                    self.latency_ms(Stage::IdleDetect, ms as f64);
+                }
+                self.event(at, TraceKind::IdleDetected { idle_ms: frozen_ms.map_or(0, clamp) });
+            }
+            WakeEvent::StepSensed { step, .. } => {
+                self.inc(Ctr::StepsExtracted);
+                self.event(at, TraceKind::StepExtracted { step });
+            }
+            WakeEvent::PlannerDecision => self.inc(Ctr::PlannerDecisions),
+            WakeEvent::Reminder { ref reminder, reprompt, red_blink_ms } => {
+                if let Some(ms) = red_blink_ms {
+                    self.latency_ms(Stage::WrongToolRedBlink, ms as f64);
+                }
+                self.inc(Ctr::PromptsRendered);
+                self.inc(Ctr::RemindersIssued);
+                self.event(
+                    at,
+                    TraceKind::ReminderIssued {
+                        tool: reminder.prompt.tool,
+                        specific: reminder.prompt.level == ReminderLevel::Specific,
+                        wrong_tool: matches!(reminder.trigger, Trigger::WrongTool { .. }),
+                    },
+                );
+                if let Some(escalations) = reprompt {
+                    self.inc(Ctr::RepromptEscalations);
+                    let escalations = u8::try_from(escalations).unwrap_or(u8::MAX);
+                    self.event(at, TraceKind::Reprompt { escalations });
+                }
+            }
+            WakeEvent::LedCommand { tool, red, delivered } => {
+                self.inc(Ctr::LedFramesTx);
+                self.inc(if delivered { Ctr::LedDelivered } else { Ctr::LedLost });
+                self.event(at, TraceKind::LedCommand { tool, red, delivered });
+            }
+            WakeEvent::Praised { latency_ms } => {
+                self.inc(Ctr::Praises);
+                self.latency_ms(Stage::PromptToCompliance, latency_ms as f64);
+                self.event(at, TraceKind::Praised { latency_ms: clamp(latency_ms) });
+            }
+            WakeEvent::Completed => self.inc(Ctr::EpisodesCompleted),
+            WakeEvent::EpisodeStarted { episode, .. } => {
+                self.inc(Ctr::EpisodesStarted);
+                self.event(at, TraceKind::EpisodeStarted { episode: clamp(episode) });
+            }
+            WakeEvent::EpisodeEnded { completed } => {
+                self.event(at, TraceKind::EpisodeEnded { completed });
+            }
+            WakeEvent::Session(SessionEvent::Started { activity, at }) => {
+                self.inc(Ctr::SessionsStarted);
+                self.event(at, TraceKind::SessionStarted { name: activity });
+            }
+            WakeEvent::Session(SessionEvent::Ended { activity, at, completed }) => {
+                self.inc(if completed { Ctr::SessionsCompleted } else { Ctr::SessionsAbandoned });
+                self.event(at, TraceKind::SessionEnded { name: activity, completed });
+            }
+            WakeEvent::Session(SessionEvent::CrossActivityUse { active, at, .. }) => {
+                self.inc(Ctr::CrossActivityFlags);
+                self.event(at, TraceKind::CrossActivity { name: active });
+            }
+            WakeEvent::Escalation(kind) => self.inc(match kind {
+                CareEventKind::Raised => Ctr::EscalationsRaised,
+                CareEventKind::Acked => Ctr::EscalationsAcked,
+                CareEventKind::Resolved => Ctr::EscalationsResolved,
+            }),
+            WakeEvent::PatientStarted(_)
+            | WakeEvent::PatientFroze
+            | WakeEvent::PatientMisused(_)
+            | WakeEvent::Tick(_) => {}
+        }
     }
 
     /// Folds another recorder's counters and histograms into this one.
@@ -628,54 +709,6 @@ pub struct RecorderState {
     pub ring: Vec<TraceRecord>,
     /// Trace records evicted before the snapshot.
     pub ring_dropped: u64,
-}
-
-/// A recording hook that may be absent.
-///
-/// The `None` state makes every call a no-op, so the hot path carries
-/// one branch per record instead of a generic parameter or a dyn call
-/// — same pattern as `MaybeLog` in [`crate::system`].
-#[derive(Debug)]
-pub struct MaybeRec<'a>(pub Option<&'a mut HomeRecorder>);
-
-impl MaybeRec<'_> {
-    /// Reborrows, so helpers can take `MaybeRec` by value repeatedly.
-    #[inline]
-    pub fn as_mut(&mut self) -> MaybeRec<'_> {
-        MaybeRec(self.0.as_deref_mut())
-    }
-
-    /// Bumps a counter by one.
-    #[inline]
-    pub fn inc(&mut self, c: Ctr) {
-        if let Some(r) = self.0.as_mut() {
-            r.inc(c);
-        }
-    }
-
-    /// Bumps a counter by `n`.
-    #[inline]
-    pub fn add(&mut self, c: Ctr, n: u64) {
-        if let Some(r) = self.0.as_mut() {
-            r.add(c, n);
-        }
-    }
-
-    /// Records a stage latency in milliseconds.
-    #[inline]
-    pub fn latency_ms(&mut self, stage: Stage, ms: f64) {
-        if let Some(r) = self.0.as_mut() {
-            r.latency_ms(stage, ms);
-        }
-    }
-
-    /// Appends a trace event.
-    #[inline]
-    pub fn event(&mut self, at: SimTime, kind: TraceKind) {
-        if let Some(r) = self.0.as_mut() {
-            r.event(at, kind);
-        }
-    }
 }
 
 /// A whole run's telemetry: one recorder per home, in home-id order.
@@ -907,12 +940,6 @@ fn push_trace_record(out: &mut String, rec: &TraceRecord) {
         TraceKind::EpisodeEnded { completed } => {
             out.push_str(&format!("\"episode_ended\",\"completed\":{completed}"));
         }
-        TraceKind::ToolInUse { node } => {
-            out.push_str(&format!("\"tool_in_use\",\"node\":{node}"));
-        }
-        TraceKind::RadioDelivered { node, attempts } => {
-            out.push_str(&format!("\"radio_delivered\",\"node\":{node},\"attempts\":{attempts}"));
-        }
         TraceKind::RadioLost { node, attempts } => {
             out.push_str(&format!("\"radio_lost\",\"node\":{node},\"attempts\":{attempts}"));
         }
@@ -1060,15 +1087,16 @@ mod tests {
 
     #[test]
     fn recorder_state_round_trips_through_a_wrapped_ring() {
-        let mut r = HomeRecorder::with_ring_capacity(3);
+        let mut r = HomeRecorder::new();
         r.add(Ctr::RadioFramesTx, 7);
         r.latency_ms(Stage::IdleDetect, 12_000.0);
         r.latency_ms(Stage::IdleDetect, 999_999.0); // overflow bin
-        for i in 0..5u32 {
+        let pushed = DEFAULT_RING_CAP as u32 + 2;
+        for i in 0..pushed {
             r.event(SimTime::from_millis(u64::from(i)), TraceKind::EpisodeStarted { episode: i });
         }
         let state = r.export_state();
-        let mut restored = HomeRecorder::with_ring_capacity(3);
+        let mut restored = HomeRecorder::new();
         restored.restore_state(&state);
         assert_eq!(restored, r, "restore must be exact (logical ring equality)");
         // Continued pushes behave identically on both sides.
@@ -1076,6 +1104,7 @@ mod tests {
         restored.event(SimTime::from_secs(9), TraceKind::Praised { latency_ms: 1 });
         assert_eq!(restored, r);
         assert_eq!(restored.ring().dropped(), 3);
+        assert_eq!(restored.ring().iter().next().unwrap().at, SimTime::from_millis(3));
     }
 
     #[test]

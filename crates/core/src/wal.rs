@@ -39,6 +39,8 @@ use coreda_des::time::SimTime;
 use coreda_sensornet::packet::crc32c;
 
 use crate::checkpoint::CheckpointError;
+use crate::sessions::SessionEvent;
+use crate::system::WakeEvent;
 
 /// Magic prefix of a write-ahead log stream.
 pub const MAGIC: &[u8; 4] = b"CRWL";
@@ -89,6 +91,40 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
+    /// The record of `home`'s wake at `at` before any of its events
+    /// folded in: trivial.
+    pub(crate) fn quiet(at: SimTime, home: u32) -> WalRecord {
+        WalRecord { at, home, act: NO_ACT, ..WalRecord::from_bytes(&[0; RECORD_BYTES]) }
+    }
+
+    /// Folds one of the wake's events into its record: an episode's
+    /// start, end and completion set flags; reminders, praise and
+    /// session events count, saturating at 255.
+    pub(crate) fn fold(&mut self, ev: &WakeEvent) {
+        let bump = |count: &mut u8| *count = count.saturating_add(1);
+        match *ev {
+            WakeEvent::EpisodeStarted { act, .. } => {
+                self.flags |= EPISODE_STARTED;
+                self.act = u8::try_from(act).unwrap_or(NO_ACT - 1);
+            }
+            WakeEvent::EpisodeEnded { .. } => self.flags |= EPISODE_ENDED,
+            WakeEvent::Completed => self.flags |= EPISODE_COMPLETED,
+            WakeEvent::Reminder { .. } => bump(&mut self.reminders),
+            WakeEvent::Praised { .. } => bump(&mut self.praises),
+            WakeEvent::Session(SessionEvent::Started { .. }) => bump(&mut self.sessions_started),
+            WakeEvent::Session(SessionEvent::Ended { completed: true, .. }) => {
+                bump(&mut self.sessions_completed);
+            }
+            WakeEvent::Session(SessionEvent::Ended { completed: false, .. }) => {
+                bump(&mut self.sessions_abandoned);
+            }
+            WakeEvent::Session(SessionEvent::CrossActivityUse { .. }) => {
+                bump(&mut self.cross_activity);
+            }
+            _ => {}
+        }
+    }
+
     /// A record carrying no transition at all — the serve loop never
     /// appends these.
     #[must_use]
